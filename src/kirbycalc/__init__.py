@@ -5,7 +5,7 @@ numbers, run-throughs); the package provides the standard moves, exact
 integer homology via Smith normal form, combinatorial Legendrian fronts
 with Thurston-Bennequin bookkeeping, and the blow-up / rational-blowdown /
 knot-surgery transformations of Seiberg-Witten basic classes, together with
-a catalog of ready-made verification scenarios and a CLI.
+a registry of checked claims and a CLI.
 """
 
 from .handles import (

@@ -1,9 +1,11 @@
-"""The acceptance suite: every exactly-computable claim, with its oracle.
+"""The claim registry: every exactly-computable claim, with its oracle.
 
-Each criterion is a function returning a CriterionResult; `run_all` executes
-them in order.  Randomized criteria take a seed so runs are reproducible.
-All checks are exact integer assertions; the per-criterion time budgets are
-part of the contract and are enforced by the test harness.
+`CLAIMS` holds one record per claim: its check, its expected outcomes and
+their basis, its time budget and, for the claims that come with diagrams, a
+builder for them.  `run_all`, `kirbycalc check` and `kirbycalc scenario`
+all read this registry.  Randomized checks take a seed so runs are
+reproducible.  All checks are exact integer assertions; the per-claim time
+budgets are part of the contract and are enforced by the test harness.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import warnings
 from dataclasses import dataclass
 from itertools import combinations, product
 from math import gcd
-from typing import Callable
+from typing import Callable, Mapping, Sequence
 
 from .handles import (
     HandleDecomposition,
@@ -28,18 +30,22 @@ from .homology import (
     boundary_first_homology,
     boundary_group_order,
     det,
-    is_homology_trivial,
     smith_normal_form,
 )
-from .legendrian import thurston_bennequin, torus_knot_front
+from .hbd import DiagramDocument, print_hbd
+from .legendrian import FrontDiagram, thurston_bennequin, torus_knot_front
 from .scenarios import (
+    ScenarioError,
+    annotated_Wn,
+    annotated_Wsum,
     build_Bp,
     build_Cp,
+    build_Mn_Nn,
     build_X0_model,
-    build_Wn,
-    build_Wsum,
     genus_obstruction_Nn,
     knotted_cork_scenario,
+    stein_catalog,
+    verify_contractibility,
     verify_count_lemma,
     verify_restriction_lemma,
     verify_stein_catalog,
@@ -88,14 +94,8 @@ def criterion_1_lens_space_orders(seed: int = 0) -> tuple[bool, str]:
 
 
 def criterion_2_cork_homology(seed: int = 0) -> tuple[bool, str]:
-    failures: list[str] = []
-    for n in range(1, 11):
-        _check(is_homology_trivial(build_Wn(n)), f"W_{n} not homology trivial",
-               failures)
-    for n in range(1, 11):
-        ks = tuple((j % 5) + 1 for j in range(n))
-        _check(is_homology_trivial(build_Wsum(ks)),
-               f"W{ks} not homology trivial", failures)
+    failures = [f"{name} not homology trivial with a homology-sphere boundary"
+                for name in verify_contractibility().failed]
     return not failures, "; ".join(failures) or "H1 = H2 = 0 for all cork pieces"
 
 
@@ -172,9 +172,10 @@ def criterion_5_restriction_lemma(seed: int = 0) -> tuple[bool, str]:
 
 
 def criterion_6_stein_checks(seed: int = 0) -> tuple[bool, str]:
-    failures: list[str] = []
-    _check(verify_stein_catalog().ok, "a catalog diagram failed the Stein check",
-           failures)
+    failures = [f"{name} fails framing = tb - 1 on "
+                + ", ".join(v.handle for v in report.verdicts if not v.ok)
+                for name, report in verify_stein_catalog().reports
+                if not report.ok]
     for p in range(2, 9):
         tb = thurston_bennequin(torus_knot_front(p + 1, p))
         _check(tb - 1 == p * p - p - 2,
@@ -373,30 +374,149 @@ def criterion_11_d_conservation(seed: int = 0) -> tuple[bool, str]:
         "d preserved classwise under blow-up and rational blowdown"
 
 
-CRITERIA: list[tuple[int, str, Callable[[int], tuple[bool, str]], float]] = [
-    (1, "lens-space boundary orders", criterion_1_lens_space_orders, 1.0),
-    (2, "cork homology vanishing", criterion_2_cork_homology, 1.0),
-    (3, "blow-up formula vs enumeration", criterion_3_blow_up_formula, 5.0),
-    (4, "basic-class count lemma", criterion_4_count_lemma, 5.0),
-    (5, "restriction distinctness lemma", criterion_5_restriction_lemma, 1.0),
-    (6, "Stein framing checks", criterion_6_stein_checks, 1.0),
-    (7, "genus obstruction bound", criterion_7_genus_obstruction, 1.0),
-    (8, "knot surgery distinctness", criterion_8_knot_surgery, 1.0),
-    (9, "move invariance", criterion_9_move_invariance, 10.0),
-    (10, "Smith normal form correctness", criterion_10_snf, 10.0),
-    (11, "d-invariant conservation", criterion_11_d_conservation, 1.0),
-]
+# -- the registry ----------------------------------------------------------------
+
+DEFAULT_SEED = 2026
+
+Document = tuple[str, HandleDecomposition, Mapping[str, FrontDiagram]]
 
 
-def run_criterion(number: int, seed: int = 2026) -> CriterionResult:
-    for num, title, fn, budget in CRITERIA:
-        if num == number:
+def _no_documents() -> tuple[Document, ...]:
+    return ()
+
+
+@dataclass(frozen=True)
+class Claim:
+    """One claim: its check, expected outcomes, time budget and diagrams.
+
+    Each expected outcome carries a `basis` field: "declared" for model
+    input data, "derived" for values recomputed through an independent
+    route, "identity" for definitional facts.  `documents` builds the
+    claim's diagrams; it runs only when the claim is exported.
+    """
+
+    number: int
+    name: str
+    title: str
+    description: str
+    budget: float
+    check: Callable[[int], tuple[bool, str]]
+    expected: tuple[Mapping[str, object], ...]
+    documents: Callable[[], Sequence[Document]] = _no_documents
+
+    def export(self) -> dict:
+        docs = {name: print_hbd(DiagramDocument(d, dict(fronts)))
+                for name, d, fronts in self.documents()}
+        return {
+            "name": self.name,
+            "description": self.description,
+            "documents": docs,
+            "expected": [dict(e) for e in self.expected],
+        }
+
+
+def _lens_documents() -> tuple[Document, ...]:
+    return tuple((f"C{p}", build_Cp(p), {}) for p in range(2, 6)) + \
+        tuple((f"B{p}", build_Bp(p), {}) for p in range(2, 6))
+
+
+def _cork_documents() -> tuple[Document, ...]:
+    return tuple((f"W{n}", *annotated_Wn(n)) for n in (1, 2, 3)) + \
+        (("W(1,2,3)", *annotated_Wsum((1, 2, 3))),)
+
+
+def _genus_documents() -> tuple[Document, ...]:
+    return tuple((d.name, d, {}) for d in
+                 [build_Mn_Nn(n)[1] for n in (2, 3)])
+
+
+CLAIMS: tuple[Claim, ...] = (
+    Claim(1, "lens-orders", "lens-space boundary orders",
+          "boundary first homology of the blowdown chain and its rational ball",
+          1.0, criterion_1_lens_space_orders,
+          tuple({"check": "boundary order", "piece": f"C{p} and B{p}",
+                 "value": p * p, "basis": "derived"} for p in range(2, 11)),
+          _lens_documents),
+    Claim(2, "cork-homology", "cork homology vanishing",
+          "contractibility at the homology level for all cork pieces",
+          1.0, criterion_2_cork_homology,
+          ({"check": "H1 = H2 = 0, boundary a homology sphere",
+            "value": True, "basis": "derived"},),
+          _cork_documents),
+    Claim(3, "blowup-formula", "blow-up formula vs enumeration",
+          "blowing up n times multiplies the class count by 2^n",
+          5.0, criterion_3_blow_up_formula,
+          ({"check": "blown-up classes equal the brute-force enumeration",
+            "value": True, "basis": "derived"},)),
+    Claim(4, "count", "basic-class count lemma",
+          "class count multiplies by 2^(p-1) under blowdown plus blow-up",
+          5.0, criterion_4_count_lemma,
+          tuple({"check": "count ratio", "p": p, "value": 1 << (p - 1),
+                 "basis": "derived"} for p in range(2, 7))),
+    Claim(5, "restriction", "restriction distinctness lemma",
+          "distinct classes restrict distinctly to the chain complement",
+          1.0, criterion_5_restriction_lemma,
+          tuple({"check": "complement index", "p": p, "value": p * p,
+                 "basis": "derived"} for p in range(2, 7))),
+    Claim(6, "stein", "Stein framing checks",
+          "every declared-fillable diagram satisfies framing = tb - 1",
+          1.0, criterion_6_stein_checks,
+          ({"check": "framing = tb - 1 on every 2-handle",
+            "value": True, "basis": "declared"},),
+          stein_catalog),
+    Claim(7, "genus", "genus obstruction bound",
+          "adjunction forces k = 0 for genus below n",
+          1.0, criterion_7_genus_obstruction,
+          tuple({"check": "pairing with k alpha", "n": n,
+                 "value": f"|k| * {2 * n - 2}", "basis": "derived"}
+                for n in range(2, 9)),
+          _genus_documents),
+    Claim(8, "knottedcork", "knot surgery distinctness",
+          "distinct torus knots give distinct nonzero class sets",
+          1.0, criterion_8_knot_surgery,
+          ({"check": "pairwise distinct and nonzero", "value": True,
+            "basis": "derived"},
+           {"check": "twisted side has empty class set", "value": True,
+            "basis": "declared"})),
+    Claim(9, "moves", "move invariance",
+          "slides keep the boundary homology; blow-up and swap round trips",
+          10.0, criterion_9_move_invariance,
+          ({"check": "boundary invariant factors after 1000 slides",
+            "value": "unchanged", "basis": "derived"},
+           {"check": "blow-down of a blow-up, swap of a swap",
+            "value": "the input", "basis": "identity"})),
+    Claim(10, "snf", "Smith normal form correctness",
+          "Smith normal form against the gcd of minors",
+          10.0, criterion_10_snf,
+          ({"check": "U M V = S, unimodular, divisibility chain",
+            "value": True, "basis": "identity"},
+           {"check": "product of the first k invariant factors",
+            "value": "gcd of k x k minors", "basis": "derived"})),
+    Claim(11, "d-conservation", "d-invariant conservation",
+          "d is preserved classwise under blow-up and rational blowdown",
+          1.0, criterion_11_d_conservation,
+          ({"check": "d of every class before and after", "value": "equal",
+            "basis": "derived"},)),
+)
+
+
+def claim_named(name: str) -> Claim:
+    for c in CLAIMS:
+        if c.name == name:
+            return c
+    raise ScenarioError(f"no claim named {name!r}; "
+                        f"known: {', '.join(c.name for c in CLAIMS)}")
+
+
+def run_criterion(number: int, seed: int = DEFAULT_SEED) -> CriterionResult:
+    for c in CLAIMS:
+        if c.number == number:
             start = time.perf_counter()
-            ok, detail = fn(seed)
+            ok, detail = c.check(seed)
             elapsed = time.perf_counter() - start
-            return CriterionResult(num, title, ok, detail, elapsed, budget)
+            return CriterionResult(c.number, c.title, ok, detail, elapsed, c.budget)
     raise ValueError(f"no acceptance criterion {number}")
 
 
-def run_all(seed: int = 2026) -> list[CriterionResult]:
-    return [run_criterion(num, seed) for num, _, _, _ in CRITERIA]
+def run_all(seed: int = DEFAULT_SEED) -> list[CriterionResult]:
+    return [run_criterion(c.number, seed) for c in CLAIMS]

@@ -27,23 +27,16 @@ from .legendrian import FrontError, stein_check
 from .scenarios import (
     ScenarioError,
     build_X0_model,
-    build_cusp_model,
-    catalog,
     genus_obstruction_Nn,
     knotted_cork_scenario,
-    scenario_by_name,
-    verify_contractibility,
     verify_count_lemma,
     verify_restriction_lemma,
-    verify_stein_catalog,
 )
 from .swledger import (
     LedgerError,
     adjunction_check,
-    alexander_polynomial_torus,
     blow_up_basic_classes,
     d_invariant,
-    knot_surgery_basic_classes,
     rational_blowdown_descend,
 )
 
@@ -210,7 +203,7 @@ def _cmd_rbd(args) -> dict:
 
 
 def _cmd_sw_blowup(args) -> dict:
-    base = build_cusp_model(args.count)
+    base = build_X0_model((), args.count)
     model, classes = blow_up_basic_classes(base.model, base.classes, args.n)
     d_ok = all(d_invariant(model, kappa) == 0 for kappa in classes.members)
     ok = classes.count == (1 << args.n) * base.classes.count and d_ok
@@ -238,27 +231,6 @@ def _cmd_sw_descend(args) -> dict:
         "count_after": b.count,
         "d_preserved": d_ok,
         "ok": b.count == x0.classes.count and d_ok,
-    }
-
-
-def _cmd_sw_knotsurgery(args) -> dict:
-    knots = [_knot(k) for k in args.knot]
-    base = build_cusp_model(args.count)
-    outs = []
-    for p, q in knots:
-        delta = alexander_polynomial_torus(p, q)
-        outs.append(knot_surgery_basic_classes(base.model, base.classes,
-                                               base.torus(), delta))
-    fingerprints = {tuple(sorted(o.weights.items())) for o in outs}
-    ok = len(fingerprints) == len(outs) and all(o.count for o in outs)
-    return {
-        "schema": SCHEMA,
-        "command": "sw-knotsurgery",
-        "knots": [list(k) for k in knots],
-        "counts": [o.count for o in outs],
-        "alexander": [str(alexander_polynomial_torus(p, q)) for p, q in knots],
-        "distinct": len(fingerprints) == len(outs),
-        "ok": ok,
     }
 
 
@@ -313,10 +285,6 @@ def _cmd_scenario_restriction(args) -> dict:
     }
 
 
-def _cmd_scenario_genus(args) -> dict:
-    return _cmd_sw_genusbound(args)
-
-
 def _cmd_scenario_knottedcork(args) -> dict:
     knots = [_knot(k) for k in args.knot]
     report = knotted_cork_scenario(knots)
@@ -331,45 +299,26 @@ def _cmd_scenario_knottedcork(args) -> dict:
     }
 
 
-def _cmd_scenario_stein(args) -> dict:
-    report = verify_stein_catalog()
-    return {
-        "schema": SCHEMA,
-        "diagrams": [{"name": name, "ok": rep.ok} for name, rep in report.reports],
-        "ok": report.ok,
-    }
-
-
-def _cmd_scenario_corkhomology(args) -> dict:
-    report = verify_contractibility()
-    return {
-        "schema": SCHEMA,
-        "pieces": list(report.names),
-        "ok": report.ok,
-    }
-
-
 def _cmd_scenario_list(args) -> dict:
     return {
         "schema": SCHEMA,
-        "scenarios": [{"name": sc.name, "description": sc.description}
-                      for sc in catalog()],
+        "scenarios": [{"name": c.name, "description": c.description}
+                      for c in acceptance.CLAIMS],
         "ok": True,
     }
 
 
 def _cmd_scenario_export(args) -> dict:
-    sc = scenario_by_name(args.name)
-    payload = sc.export()
+    payload = acceptance.claim_named(args.name).export()
     payload["schema"] = SCHEMA
     payload["ok"] = True
     return payload
 
 
 def _cmd_scenario_run(args) -> dict:
-    sc = scenario_by_name(args.name)
-    ok = sc.verify()
-    return {"schema": SCHEMA, "name": sc.name, "ok": ok}
+    claim = acceptance.claim_named(args.name)
+    ok, detail = claim.check(acceptance.DEFAULT_SEED)
+    return {"schema": SCHEMA, "name": claim.name, "ok": ok, "detail": detail}
 
 
 def _cmd_check(args) -> dict:
@@ -397,13 +346,10 @@ def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="kirbycalc",
         description="Kirby calculus and Seiberg-Witten bookkeeping on .hbd diagrams")
-    top.add_argument("--json", action="store_true", default=True,
-                     help="emit JSON on stdout (default; kept for compatibility)")
     top.add_argument("--verbose", action="store_true", help="extra stderr output")
-    # the same flags are accepted after the subcommand; SUPPRESS keeps the
+    # the same flag is accepted after the subcommand; SUPPRESS keeps the
     # subparser from clobbering a value parsed at the top level
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--json", action="store_true", default=argparse.SUPPRESS)
     common.add_argument("--verbose", action="store_true", default=argparse.SUPPRESS)
     sub = top.add_subparsers(dest="command", required=True)
 
@@ -458,11 +404,6 @@ def _build_parser() -> argparse.ArgumentParser:
     q.add_argument("--p", type=int, required=True)
     q.add_argument("--count", type=int, default=2)
 
-    q = swsub.add_parser(parents=[common], name="knotsurgery")
-    q.set_defaults(handler=_cmd_sw_knotsurgery)
-    q.add_argument("--knot", action="append", required=True, metavar="P,Q")
-    q.add_argument("--count", type=int, default=2)
-
     q = swsub.add_parser(parents=[common], name="adjunction")
     q.set_defaults(handler=_cmd_sw_adjunction)
     q.add_argument("--p", type=int, nargs="+", required=True)
@@ -488,20 +429,9 @@ def _build_parser() -> argparse.ArgumentParser:
     q.add_argument("--index", type=int, default=0)
     q.add_argument("--seed", type=int, default=4, help="declared class count N0")
 
-    q = scsub.add_parser(parents=[common], name="genus")
-    q.set_defaults(handler=_cmd_scenario_genus)
-    q.add_argument("--n", type=int, required=True)
-    q.add_argument("--k", type=int, required=True)
-
     q = scsub.add_parser(parents=[common], name="knottedcork")
     q.set_defaults(handler=_cmd_scenario_knottedcork)
     q.add_argument("--knot", action="append", required=True, metavar="P,Q")
-
-    q = scsub.add_parser(parents=[common], name="stein")
-    q.set_defaults(handler=_cmd_scenario_stein)
-
-    q = scsub.add_parser(parents=[common], name="corkhomology")
-    q.set_defaults(handler=_cmd_scenario_corkhomology)
 
     q = scsub.add_parser(parents=[common], name="list")
     q.set_defaults(handler=_cmd_scenario_list)
@@ -515,7 +445,8 @@ def _build_parser() -> argparse.ArgumentParser:
     q.add_argument("--name", required=True)
 
     p = add("check", _cmd_check, "run the full acceptance suite")
-    p.add_argument("--seed", type=int, default=2026, help="seed for randomized checks")
+    p.add_argument("--seed", type=int, default=acceptance.DEFAULT_SEED,
+                   help="seed for randomized checks")
 
     return top
 

@@ -245,25 +245,25 @@ def _select_component(an: _Analysis, component: int | None) -> int:
     return component
 
 
-def writhe(front: FrontDiagram, component: int | None = None) -> int:
-    """Signed self-crossing count of one component of the resolved diagram."""
-    an = _analyze(front)
-    comp = _select_component(an, component)
+def _writhe(an: _Analysis, comp: int) -> int:
     return sum(an.crossing_sign(x) for x in an.crossings
                if an.component_of[x.over_in] == comp
                and an.component_of[x.under_in] == comp)
+
+
+def writhe(front: FrontDiagram, component: int | None = None) -> int:
+    """Signed self-crossing count of one component of the resolved diagram."""
+    an = _analyze(front)
+    return _writhe(an, _select_component(an, component))
 
 
 def thurston_bennequin(front: FrontDiagram, component: int | None = None) -> int:
     """tb = writhe minus the number of right cusps."""
     an = _analyze(front)
     comp = _select_component(an, component)
-    w = sum(an.crossing_sign(x) for x in an.crossings
-            if an.component_of[x.over_in] == comp
-            and an.component_of[x.under_in] == comp)
     r = sum(1 for c in an.cusps
             if c.side == "R" and an.component_of[c.upper] == comp)
-    return w - r
+    return _writhe(an, comp) - r
 
 
 def rotation_number(front: FrontDiagram, component: int | None = None) -> int:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Mapping, Sequence
+from typing import Sequence
 
 from .handles import HandleDecomposition, boundary_sum, dot_zero_swap
 from .homology import (
@@ -573,31 +573,6 @@ def genus_obstruction_Nn(n: int, k: int) -> GenusObstructionReport:
 # -- knot surgery scenario ---------------------------------------------------------
 
 
-def build_cusp_model(seed_count: int = 2) -> SyntheticModel:
-    """Minimal closed stand-in with a square-zero torus: no chain blocks."""
-    if seed_count < 2 or seed_count % 2:
-        raise ScenarioError("seed count must be even and >= 2")
-    gram = IntMatrix.from_rows(_direct_sum([_CORE, _CUSP]))
-    rank = gram.rows
-    names = {nm: tuple(1 if i == j else 0 for i in range(rank))
-             for j, nm in enumerate(("f1", "f2", "f3", "g1", "g2", "g3", "T", "z"))}
-    lattice = IntersectionLattice(gram, names)
-    seeds = []
-    for core, _ in _seed_core_patterns(seed_count // 2, 0):
-        v = [0] * rank
-        v[0:3] = core
-        v[3:6] = core
-        seeds.append(tuple(v))
-        seeds.append(tuple(-x for x in v))
-    pos, neg, zero = inertia(gram)
-    sig = pos - neg
-    square = lattice.square(seeds[0])
-    euler = (square - 3 * sig) // 2
-    model = ManifoldModel(lattice, euler, sig, pos)
-    classes = BasicClassSet.from_primal(lattice, seeds)
-    return SyntheticModel(model, classes, (), ())
-
-
 @dataclass(frozen=True)
 class KnottedCorkReport:
     knots: tuple[tuple[int, int], ...]
@@ -618,7 +593,7 @@ def knotted_cork_scenario(knots: Sequence[tuple[int, int]],
     separates the surgered filling from it; distinct polynomials separate
     the surgered manifolds from each other.
     """
-    base = build_cusp_model(seed_count)
+    base = build_X0_model((), seed_count)
     torus = base.torus()
     vanishing = BasicClassSet(base.lattice)     # the cork-twisted side
     polys = []
@@ -647,6 +622,7 @@ def knotted_cork_scenario(knots: Sequence[tuple[int, int]],
 @dataclass(frozen=True)
 class ContractibilityReport:
     names: tuple[str, ...]
+    failed: tuple[str, ...]
     ok: bool
 
 
@@ -657,110 +633,4 @@ def verify_contractibility(max_n: int = 10, max_k: int = 5) -> ContractibilityRe
     pieces += [build_Wsum(k) for k in ks]
     bad = [d.name for d in pieces
            if not (is_homology_trivial(d) and boundary_group_order(d) == 1)]
-    return ContractibilityReport(tuple(d.name for d in pieces), not bad)
-
-
-# -- exportable scenario catalog --------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Scenario:
-    """Named scenario: its diagrams, expected outcomes, and a verifier.
-
-    Each expected outcome carries a `basis` field: "declared" for model
-    input data, "derived" for values recomputed through an independent
-    route, "identity" for definitional facts.
-    """
-
-    name: str
-    description: str
-    documents: tuple[tuple[str, "HandleDecomposition", Mapping[str, FrontDiagram]], ...]
-    expected: tuple[Mapping[str, object], ...]
-    verify: Callable[[], bool]
-
-    def export(self) -> dict:
-        from .hbd import DiagramDocument, print_hbd
-        docs = {name: print_hbd(DiagramDocument(d, dict(fronts)))
-                for name, d, fronts in self.documents}
-        return {
-            "name": self.name,
-            "description": self.description,
-            "documents": docs,
-            "expected": [dict(e) for e in self.expected],
-        }
-
-
-def catalog() -> tuple[Scenario, ...]:
-    lens_docs = tuple((f"C{p}", build_Cp(p), {}) for p in range(2, 6)) + \
-        tuple((f"B{p}", build_Bp(p), {}) for p in range(2, 6))
-    cork_docs = tuple((f"W{n}", *annotated_Wn(n)) for n in (1, 2, 3)) + \
-        (("W(1,2,3)", *annotated_Wsum((1, 2, 3))),)
-    stein_docs = tuple((name, d, fronts) for name, d, fronts in stein_catalog())
-    return (
-        Scenario(
-            "lens-orders",
-            "boundary first homology of the blowdown chain and its rational ball",
-            lens_docs,
-            tuple({"check": "boundary order", "piece": f"C{p} and B{p}",
-                   "value": p * p, "basis": "derived"} for p in range(2, 11)),
-            lambda: all(boundary_group_order(build_Cp(p)) == p * p
-                        and boundary_group_order(build_Bp(p)) == p * p
-                        for p in range(2, 11))),
-        Scenario(
-            "cork-homology",
-            "contractibility at the homology level for all cork pieces",
-            cork_docs,
-            ({"check": "H1 = H2 = 0, boundary a homology sphere",
-              "value": True, "basis": "derived"},),
-            lambda: verify_contractibility().ok),
-        Scenario(
-            "stein",
-            "every declared-fillable diagram satisfies framing = tb - 1",
-            stein_docs,
-            ({"check": "framing = tb - 1 on every 2-handle",
-              "value": True, "basis": "declared"},),
-            lambda: verify_stein_catalog().ok),
-        Scenario(
-            "count",
-            "class count multiplies by 2^(p-1) under blowdown plus blow-up",
-            (),
-            tuple({"check": "count ratio", "p": p, "value": 1 << (p - 1),
-                   "basis": "derived"} for p in range(2, 7)),
-            lambda: all(verify_count_lemma((p,), 0, n0).ok
-                        for p in range(2, 7) for n0 in (2, 4))),
-        Scenario(
-            "restriction",
-            "distinct classes restrict distinctly to the chain complement",
-            (),
-            tuple({"check": "complement index", "p": p, "value": p * p,
-                   "basis": "derived"} for p in range(2, 7)),
-            lambda: all(verify_restriction_lemma((p,), 0, 4).ok
-                        for p in range(2, 7))),
-        Scenario(
-            "genus",
-            "adjunction forces k = 0 for genus below n",
-            tuple((d.name, d, {}) for d in
-                  [build_Mn_Nn(n)[1] for n in (2, 3)]),
-            tuple({"check": "pairing with k alpha", "n": n,
-                   "value": f"|k| * {2 * n - 2}", "basis": "derived"}
-                  for n in range(2, 9)),
-            lambda: all(genus_obstruction_Nn(n, k).ok
-                        for n in range(2, 9) for k in range(-5, 6))),
-        Scenario(
-            "knottedcork",
-            "distinct torus knots give distinct nonzero class sets",
-            (),
-            ({"check": "pairwise distinct and nonzero", "value": True,
-              "basis": "derived"},
-             {"check": "twisted side has empty class set", "value": True,
-              "basis": "declared"}),
-            lambda: knotted_cork_scenario([(2, 3), (2, 5), (2, 7)]).ok),
-    )
-
-
-def scenario_by_name(name: str) -> Scenario:
-    for sc in catalog():
-        if sc.name == name:
-            return sc
-    raise ScenarioError(f"no scenario named {name!r}; "
-                        f"known: {', '.join(s.name for s in catalog())}")
+    return ContractibilityReport(tuple(d.name for d in pieces), tuple(bad), not bad)

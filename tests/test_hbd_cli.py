@@ -4,11 +4,13 @@ import json
 
 import pytest
 
+from kirbycalc.acceptance import CLAIMS
 from kirbycalc.cli import run_command
 from kirbycalc.handles import HandleDecomposition
 from kirbycalc.hbd import DiagramDocument, HbdParseError, parse_hbd, print_hbd
 from kirbycalc.homology import is_homology_trivial
 from kirbycalc.legendrian import parse_front, torus_knot_front
+from test_acceptance import PINNED
 
 W1_TEXT = """manifold W1
 1h a
@@ -207,15 +209,15 @@ def test_cli_sw_commands(capsys):
     assert code == 0 and payload["bound"] == 5
     code, payload = run_json(capsys, "sw", "adjunction", "--p", "2", "3")
     assert code == 0 and payload["torus_pairings_zero"] is True
-    code, payload = run_json(capsys, "sw", "knotsurgery", "--knot", "2,3",
+    code, payload = run_json(capsys, "scenario", "knottedcork", "--knot", "2,3",
                              "--knot", "2,5")
-    assert code == 0 and payload["distinct"] is True
+    assert code == 0 and payload["pairwise_distinct"] is True
 
 
 def test_cli_scenario_stein_and_corkhomology(capsys):
-    code, payload = run_json(capsys, "scenario", "stein")
+    code, payload = run_json(capsys, "scenario", "run", "--name", "stein")
     assert code == 0 and payload["ok"] is True
-    code, payload = run_json(capsys, "scenario", "corkhomology")
+    code, payload = run_json(capsys, "scenario", "run", "--name", "cork-homology")
     assert code == 0 and payload["ok"] is True
 
 
@@ -247,17 +249,43 @@ def test_cli_scenario_list_export_run(capsys):
     code, payload = run_json(capsys, "scenario", "list")
     assert code == 0
     names = [s["name"] for s in payload["scenarios"]]
-    assert "count" in names and "stein" in names
+    assert names == [c.name for c in CLAIMS]
     code, payload = run_json(capsys, "scenario", "export", "--name", "lens-orders")
     assert code == 0
     assert "C2" in payload["documents"]
-    assert all("basis" in e for e in payload["expected"])
     code, payload = run_json(capsys, "scenario", "run", "--name", "knottedcork")
     assert code == 0 and payload["ok"] is True
+
+
+@pytest.mark.parametrize("claim", CLAIMS, ids=[c.name for c in CLAIMS])
+def test_cli_scenario_run_every_claim(capsys, claim):
+    code, payload = run_json(capsys, "scenario", "run", "--name", claim.name)
+    assert code == 0
+    assert payload == {"schema": 1, "name": claim.name, "ok": True,
+                       "detail": PINNED[claim.number][1]}
+
+
+@pytest.mark.parametrize("name", [c.name for c in CLAIMS])
+def test_cli_scenario_export_every_claim(capsys, name):
+    code, payload = run_json(capsys, "scenario", "export", "--name", name)
+    assert code == 0
+    assert payload["name"] == name and payload["expected"]
+    assert all("basis" in e for e in payload["expected"])
+    for doc_name, text in payload["documents"].items():
+        assert print_hbd(parse_hbd(text)) == text, doc_name
+
+
+@pytest.mark.parametrize("command", ["run", "export"])
+def test_cli_scenario_unknown_name(capsys, command):
+    code, payload = run_json(capsys, "scenario", command, "--name", "nope")
+    assert code == 1
+    assert all(c.name in payload["error"] for c in CLAIMS)
 
 
 def test_cli_check_runs_acceptance(capsys):
     code, payload = run_json(capsys, "check", "--seed", "7")
     assert code == 0
     assert payload["ok"] is True
-    assert len(payload["criteria"]) == 11
+    assert [(c["number"], c["title"], c["ok"], c["detail"])
+            for c in payload["criteria"]] == \
+        [(n, title, True, detail) for n, (title, detail) in PINNED.items()]

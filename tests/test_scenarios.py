@@ -14,7 +14,6 @@ from kirbycalc.scenarios import (
     build_Wn,
     build_Wsum,
     build_X0_model,
-    build_cusp_model,
     build_genus_model,
     genus_obstruction_Nn,
     knotted_cork_scenario,
@@ -83,7 +82,8 @@ def test_wsum_contractible():
 
 
 def test_contractibility_catalog():
-    assert verify_contractibility().ok
+    report = verify_contractibility()
+    assert report.ok and report.failed == ()
 
 
 # -- twist pair -------------------------------------------------------------------
@@ -258,7 +258,7 @@ def test_knotted_cork_distinct_outputs():
 
 
 def test_knotted_cork_unknot_gives_no_distinction():
-    base = build_cusp_model(2)
+    base = build_X0_model((), 2)
     out = knot_surgery_basic_classes(base.model, base.classes, base.torus(),
                                      LaurentPolynomial.one())
     assert out == base.classes
@@ -271,16 +271,21 @@ def test_knotted_cork_rejects_non_coprime():
 
 # -- exportable catalog -------------------------------------------------------------
 
+CATALOG = ("lens-orders", "cork-homology", "stein", "count", "restriction",
+           "genus", "knottedcork")
+
+
 def test_catalog_entries_all_verify():
-    from kirbycalc.scenarios import catalog
-    for sc in catalog():
-        assert sc.verify(), sc.name
+    from kirbycalc.acceptance import claim_named
+    for name in CATALOG:
+        ok, detail = claim_named(name).check(2026)
+        assert ok, (name, detail)
 
 
 def test_catalog_export_round_trips():
+    from kirbycalc.acceptance import claim_named
     from kirbycalc.hbd import parse_hbd
-    from kirbycalc.scenarios import scenario_by_name
-    payload = scenario_by_name("stein").export()
+    payload = claim_named("stein").export()
     assert payload["expected"]
     for name, text in payload["documents"].items():
         doc = parse_hbd(text)
@@ -288,6 +293,6 @@ def test_catalog_export_round_trips():
 
 
 def test_catalog_unknown_name():
-    from kirbycalc.scenarios import scenario_by_name
-    with pytest.raises(ScenarioError):
-        scenario_by_name("nope")
+    from kirbycalc.acceptance import claim_named
+    with pytest.raises(ScenarioError, match="known: lens-orders, cork-homology"):
+        claim_named("nope")
