@@ -36,7 +36,7 @@ from .swledger import (
     LedgerError,
     adjunction_check,
     blow_up_basic_classes,
-    d_invariant,
+    is_simple_type,
     rational_blowdown_descend,
 )
 
@@ -79,7 +79,6 @@ def _cmd_homology(args) -> dict:
     doc = _load(args.file)
     prof = homology(doc.decomposition)
     return {
-        "schema": SCHEMA,
         "command": "homology",
         "name": doc.name,
         "h1": {"invariant_factors": list(prof.h1_invariant_factors),
@@ -95,7 +94,6 @@ def _cmd_homology(args) -> dict:
 def _cmd_boundary(args) -> dict:
     doc = _load(args.file)
     return {
-        "schema": SCHEMA,
         "command": "boundary",
         "name": doc.name,
         "invariant_factors": list(boundary_first_homology(doc.decomposition)),
@@ -108,7 +106,6 @@ def _cmd_stein(args) -> dict:
     doc = _load(args.file)
     report = stein_check(doc.decomposition, dict(doc.annotation))
     return {
-        "schema": SCHEMA,
         "command": "stein",
         "name": doc.name,
         "handles": [{"id": v.handle, "framing": v.framing, "tb": v.tb,
@@ -122,7 +119,6 @@ def _cmd_slide(args) -> dict:
     doc = _load(args.file)
     out = handle_slide(doc.decomposition, args.a, args.b, args.sign)
     return {
-        "schema": SCHEMA,
         "command": "slide",
         "name": doc.name,
         "a": args.a,
@@ -149,7 +145,6 @@ def _cmd_blowup(args) -> dict:
     new_id = out.two_handles[-1][0]
     dropped = {k for k, m in attach if m}
     return {
-        "schema": SCHEMA,
         "command": "blowup",
         "name": doc.name,
         "new_handle": new_id,
@@ -164,7 +159,6 @@ def _cmd_blowdown(args) -> dict:
     dropped = {k for k in d.two_handle_ids if k != args.handle and d.link(k, args.handle)}
     out = blow_down(d, args.handle)
     return {
-        "schema": SCHEMA,
         "command": "blowdown",
         "name": doc.name,
         "removed": args.handle,
@@ -177,7 +171,6 @@ def _cmd_corktwist(args) -> dict:
     doc = _load(args.file)
     out = dot_zero_swap(doc.decomposition, args.one_handle, args.two_handle)
     return {
-        "schema": SCHEMA,
         "command": "corktwist",
         "name": doc.name,
         "dotted": args.two_handle,
@@ -192,7 +185,6 @@ def _cmd_rbd(args) -> dict:
     chain = args.chain.split(",")
     out = rational_blowdown_splice(doc.decomposition, chain, args.p)
     return {
-        "schema": SCHEMA,
         "command": "rbd",
         "name": doc.name,
         "p": args.p,
@@ -205,10 +197,9 @@ def _cmd_rbd(args) -> dict:
 def _cmd_sw_blowup(args) -> dict:
     base = build_X0_model((), args.count)
     model, classes = blow_up_basic_classes(base.model, base.classes, args.n)
-    d_ok = all(d_invariant(model, kappa) == 0 for kappa in classes.members)
+    d_ok = is_simple_type(model, classes)
     ok = classes.count == (1 << args.n) * base.classes.count and d_ok
     return {
-        "schema": SCHEMA,
         "command": "sw-blowup",
         "n": args.n,
         "count_before": base.classes.count,
@@ -222,9 +213,8 @@ def _cmd_sw_descend(args) -> dict:
     x0 = build_X0_model((args.p,), args.count)
     m, b = rational_blowdown_descend(x0.model, x0.classes, x0.chain_vectors(0),
                                      x0.complement_basis(0))
-    d_ok = all(d_invariant(m, kappa) == 0 for kappa in b.members)
+    d_ok = is_simple_type(m, b)
     return {
-        "schema": SCHEMA,
         "command": "sw-descend",
         "p": args.p,
         "count_before": x0.classes.count,
@@ -238,7 +228,6 @@ def _cmd_sw_adjunction(args) -> dict:
     x0 = build_X0_model(tuple(args.p), args.count)
     report = adjunction_check(x0.model, x0.classes, x0.torus(), 1)
     return {
-        "schema": SCHEMA,
         "command": "sw-adjunction",
         "p": list(args.p),
         "genus": 1,
@@ -250,7 +239,6 @@ def _cmd_sw_adjunction(args) -> dict:
 def _cmd_sw_genusbound(args) -> dict:
     report = genus_obstruction_Nn(args.n, args.k)
     return {
-        "schema": SCHEMA,
         "command": "sw-genusbound",
         "n": args.n,
         "k": args.k,
@@ -262,9 +250,8 @@ def _cmd_sw_genusbound(args) -> dict:
 
 
 def _cmd_scenario_count(args) -> dict:
-    report = verify_count_lemma(tuple(args.p), args.index, args.seed)
+    report = verify_count_lemma(tuple(args.p), args.index, args.count)
     return {
-        "schema": SCHEMA,
         "N0": report.n0,
         "Ni": report.ni,
         "ok": report.ok,
@@ -272,9 +259,8 @@ def _cmd_scenario_count(args) -> dict:
 
 
 def _cmd_scenario_restriction(args) -> dict:
-    report = verify_restriction_lemma(tuple(args.p), args.index, args.seed)
+    report = verify_restriction_lemma(tuple(args.p), args.index, args.count)
     return {
-        "schema": SCHEMA,
         "p": report.p,
         "alpha_orthogonal": report.alpha_orthogonal,
         "evaluation_identity": report.evaluation_identity,
@@ -289,7 +275,6 @@ def _cmd_scenario_knottedcork(args) -> dict:
     knots = [_knot(k) for k in args.knot]
     report = knotted_cork_scenario(knots)
     return {
-        "schema": SCHEMA,
         "knots": [list(k) for k in report.knots],
         "counts": list(report.counts),
         "alexander": list(report.alexander),
@@ -301,7 +286,6 @@ def _cmd_scenario_knottedcork(args) -> dict:
 
 def _cmd_scenario_list(args) -> dict:
     return {
-        "schema": SCHEMA,
         "scenarios": [{"name": c.name, "description": c.description}
                       for c in acceptance.CLAIMS],
         "ok": True,
@@ -310,7 +294,6 @@ def _cmd_scenario_list(args) -> dict:
 
 def _cmd_scenario_export(args) -> dict:
     payload = acceptance.claim_named(args.name).export()
-    payload["schema"] = SCHEMA
     payload["ok"] = True
     return payload
 
@@ -318,7 +301,7 @@ def _cmd_scenario_export(args) -> dict:
 def _cmd_scenario_run(args) -> dict:
     claim = acceptance.claim_named(args.name)
     ok, detail = claim.check(acceptance.DEFAULT_SEED)
-    return {"schema": SCHEMA, "name": claim.name, "ok": ok, "detail": detail}
+    return {"name": claim.name, "ok": ok, "detail": detail}
 
 
 def _cmd_check(args) -> dict:
@@ -329,7 +312,6 @@ def _cmd_check(args) -> dict:
             print(f"{status} {r.number:2d} {r.title} ({r.seconds:.2f}s)",
                   file=sys.stderr)
     return {
-        "schema": SCHEMA,
         "command": "check",
         "seed": args.seed,
         "criteria": [{"number": r.number, "title": r.title, "ok": r.ok,
@@ -421,13 +403,13 @@ def _build_parser() -> argparse.ArgumentParser:
     q.set_defaults(handler=_cmd_scenario_count)
     q.add_argument("--p", type=int, nargs="+", required=True)
     q.add_argument("--index", type=int, default=0)
-    q.add_argument("--seed", type=int, default=2, help="declared class count N0")
+    q.add_argument("--count", type=int, default=2, help="declared class count N0")
 
     q = scsub.add_parser(parents=[common], name="restriction")
     q.set_defaults(handler=_cmd_scenario_restriction)
     q.add_argument("--p", type=int, nargs="+", required=True)
     q.add_argument("--index", type=int, default=0)
-    q.add_argument("--seed", type=int, default=4, help="declared class count N0")
+    q.add_argument("--count", type=int, default=4, help="declared class count N0")
 
     q = scsub.add_parser(parents=[common], name="knottedcork")
     q.set_defaults(handler=_cmd_scenario_knottedcork)
@@ -459,7 +441,7 @@ def run_command(argv: Sequence[str]) -> int:
     except SystemExit as exc:     # argparse already printed the message
         return 1 if exc.code else 0
     try:
-        payload = args.handler(args)
+        payload = {"schema": SCHEMA, **args.handler(args)}
     except (UserError, HbdParseError, HandleError, FrontError, LedgerError,
             ScenarioError) as exc:
         print(json.dumps({"schema": SCHEMA, "error": str(exc), "ok": False},

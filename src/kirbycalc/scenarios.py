@@ -36,9 +36,10 @@ from .swledger import (
     IntersectionLattice,
     ManifoldModel,
     Vector,
+    _direct_sum,
+    _unit,
     alexander_polynomial_torus,
     blow_up_basic_classes,
-    d_invariant,
     is_simple_type,
     knot_surgery_basic_classes,
     min_genus_bound,
@@ -237,18 +238,6 @@ def verify_stein_catalog() -> CatalogSteinReport:
 # -- synthetic closed models --------------------------------------------------------
 
 
-def _direct_sum(blocks: Sequence[list[list[int]]]) -> list[list[int]]:
-    size = sum(len(b) for b in blocks)
-    out = [[0] * size for _ in range(size)]
-    off = 0
-    for b in blocks:
-        for i, row in enumerate(b):
-            for j, v in enumerate(row):
-                out[off + i][off + j] = v
-        off += len(b)
-    return out
-
-
 def _chain_block(p: int) -> list[list[int]]:
     """Gram of (e, u_0, ..., u_{p-1}): the blown-up chain pairing pattern."""
     size = p + 1
@@ -260,6 +249,17 @@ def _chain_block(p: int) -> list[list[int]]:
         m[idx][idx] = -(p + 2) if j == p - 1 else -2
         if j < p - 1:
             m[idx][idx + 1] = m[idx + 1][idx] = 1
+    return m
+
+
+def _genus_block(n: int) -> list[list[int]]:
+    """Gram of (alpha, gamma, e_1, ..., e_{n-1}), as described in build_genus_model."""
+    size = n + 1
+    m = [[0] * size for _ in range(size)]
+    m[0][1] = m[1][0] = 1
+    for i in range(2, size):
+        m[i][i] = -1
+        m[0][i] = m[i][0] = n if i == 2 else 1
     return m
 
 
@@ -287,13 +287,7 @@ class SyntheticModel:
         return self.model.lattice
 
     def chain_vectors(self, i: int) -> tuple[Vector, ...]:
-        rank = self.lattice.rank
-        out = []
-        for idx in self.chain_indices[i]:
-            v = [0] * rank
-            v[idx] = 1
-            out.append(tuple(v))
-        return tuple(out)
+        return tuple(_unit(self.lattice.rank, idx) for idx in self.chain_indices[i])
 
     def complement_basis(self, i: int) -> tuple[Vector, ...]:
         rows = [self.lattice.pairing.row(idx) for idx in self.chain_indices[i]]
@@ -328,6 +322,35 @@ def _seed_core_patterns(count: int, n_chains: int) -> list[tuple[tuple[int, ...]
     raise ScenarioError(f"cannot realize {2 * count} distinct seed classes")
 
 
+def _closed_model(blocks: Sequence[Sequence[Sequence[int]]],
+                  names: dict[str, Vector],
+                  seeds: Sequence[Vector]) -> tuple[ManifoldModel, BasicClassSet]:
+    """Close a block-diagonal pairing into a model whose seed classes have d = 0.
+
+    The signature and b2+ are read off the pairing; the Euler number is the
+    one value that puts the (equal) seed squares in dimension zero.
+    """
+    lattice = IntersectionLattice(IntMatrix.from_rows(_direct_sum(blocks)), names)
+    square = lattice.square(seeds[0])
+    if any(lattice.square(s) != square for s in seeds):
+        raise ScenarioError("seed squares disagree")
+    pos_idx, neg_idx, zero_idx = inertia(lattice.pairing)
+    if zero_idx:
+        raise ScenarioError("degenerate synthetic pairing")
+    sig = pos_idx - neg_idx
+    if (square - 3 * sig) % 2:
+        raise ScenarioError("parity corrector failed; model inconsistent")
+    euler = (square - 3 * sig) // 2        # forces d = 0 on every seed
+
+    model = ManifoldModel(lattice, euler, sig, pos_idx)
+    classes = BasicClassSet.from_primal(lattice, seeds)
+    if classes.count != len(seeds):
+        raise ScenarioError("seed classes collided")
+    if not is_simple_type(model, classes):
+        raise ScenarioError("seed classes are not in dimension zero")
+    return model, classes
+
+
 def build_X0_model(p_list: Sequence[int], seed_count: int = 2) -> SyntheticModel:
     """Lattice model of the blown-up boundary-sum construction.
 
@@ -346,24 +369,16 @@ def build_X0_model(p_list: Sequence[int], seed_count: int = 2) -> SyntheticModel
     spheres = sum(p_list) % 2          # parity corrector, keeps d integral
 
     blocks = [_CORE, _CUSP] + [[[-2]]] * spheres + [_chain_block(p) for p in p_list]
-    gram = IntMatrix.from_rows(_direct_sum(blocks))
-    rank = gram.rows
+    rank = sum(len(b) for b in blocks)
 
-    names: dict[str, tuple[int, ...]] = {}
-
-    def unit(idx: int) -> tuple[int, ...]:
-        v = [0] * rank
-        v[idx] = 1
-        return tuple(v)
-
-    for j, nm in enumerate(("f1", "f2", "f3", "g1", "g2", "g3", "T", "z")):
-        names[nm] = unit(j)
+    names = {nm: _unit(rank, j)
+             for j, nm in enumerate(("f1", "f2", "f3", "g1", "g2", "g3", "T", "z"))}
     off = 8 + spheres
     chain_indices = []
     for i, p in enumerate(p_list):
-        names[f"e{i + 1}"] = unit(off)
+        names[f"e{i + 1}"] = _unit(rank, off)
         for j in range(p):
-            names[f"u{i + 1}_{j}"] = unit(off + 1 + j)
+            names[f"u{i + 1}_{j}"] = _unit(rank, off + 1 + j)
         alpha = [0] * rank
         alpha[off] = 1
         for j in range(p):
@@ -371,8 +386,6 @@ def build_X0_model(p_list: Sequence[int], seed_count: int = 2) -> SyntheticModel
         names[f"alpha{i + 1}"] = tuple(alpha)
         chain_indices.append(tuple(range(off + 2, off + 1 + p)))
         off += p + 1
-
-    lattice = IntersectionLattice(gram, names)
 
     seeds = []
     for core, delta in _seed_core_patterns(seed_count // 2, n):
@@ -386,28 +399,20 @@ def build_X0_model(p_list: Sequence[int], seed_count: int = 2) -> SyntheticModel
         seeds.append(tuple(v))
         seeds.append(tuple(-x for x in v))
 
-    square = lattice.square(seeds[0])
-    if any(lattice.square(s) != square for s in seeds):
-        raise ScenarioError("seed squares disagree")
-    pos_idx, neg_idx, zero_idx = inertia(gram)
-    if zero_idx:
-        raise ScenarioError("degenerate synthetic pairing")
-    sig = pos_idx - neg_idx
-    if (square - 3 * sig) % 2:
-        raise ScenarioError("parity corrector failed; model inconsistent")
-    euler = (square - 3 * sig) // 2        # forces d = 0 on every seed
-
-    model = ManifoldModel(lattice, euler, sig, pos_idx)
-    classes = BasicClassSet.from_primal(lattice, seeds)
-    if classes.count != seed_count:
-        raise ScenarioError("seed classes collided")
-    built = SyntheticModel(model, classes, p_list, tuple(chain_indices))
-    if not is_simple_type(model, classes):
-        raise ScenarioError("seed classes are not in dimension zero")
-    return built
+    model, classes = _closed_model(blocks, names, seeds)
+    return SyntheticModel(model, classes, p_list, tuple(chain_indices))
 
 
 # -- lemma verifiers ------------------------------------------------------------------
+
+
+def _model_with_chain(p_list: Sequence[int], index: int,
+                      seed_count: int) -> SyntheticModel:
+    x0 = build_X0_model(p_list, seed_count)
+    if not 0 <= index < len(x0.p_list):
+        raise ScenarioError(
+            f"chain index {index} is out of range for {len(x0.p_list)} chain(s)")
+    return x0
 
 
 @dataclass(frozen=True)
@@ -425,13 +430,13 @@ class CountLemmaReport:
 def verify_count_lemma(p_list: Sequence[int], index: int = 0,
                        seed_count: int = 2) -> CountLemmaReport:
     """Descend one chain, blow back up p-1 times, compare class counts."""
-    x0 = build_X0_model(p_list, seed_count)
+    x0 = _model_with_chain(p_list, index, seed_count)
     p = x0.p_list[index]
     chain = x0.chain_vectors(index)
     complement = x0.complement_basis(index)
     m1, b1 = rational_blowdown_descend(x0.model, x0.classes, chain, complement)
     m2, b2 = blow_up_basic_classes(m1, b1, p - 1)
-    d_ok = all(d_invariant(m2, kappa) == 0 for kappa in b2.members)
+    d_ok = is_simple_type(m2, b2)
     expected = (1 << (p - 1)) * x0.classes.count
     return CountLemmaReport(x0.p_list, index, x0.classes.count, b1.count,
                             b2.count, expected, d_ok,
@@ -459,7 +464,7 @@ def verify_restriction_lemma(p_list: Sequence[int], index: int = 0,
     inside the full lattice is also checked to be p^2, the order of the
     boundary gluing group.
     """
-    x0 = build_X0_model(p_list, seed_count)
+    x0 = _model_with_chain(p_list, index, seed_count)
     p = x0.p_list[index]
     lat = x0.lattice
     alpha = x0.alpha(index)
@@ -519,19 +524,9 @@ def build_genus_model(n: int) -> tuple[ManifoldModel, BasicClassSet, Vector]:
     if n < 2:
         raise ScenarioError("genus model needs n >= 2")
     rank = 2 + (n - 1) + 6
-    m = [[0] * rank for _ in range(rank)]
-    m[0][1] = m[1][0] = 1                      # alpha . gamma
+    names = {"alpha": _unit(rank, 0)}
     for i in range(n - 1):
-        idx = 2 + i
-        m[idx][idx] = -1
-        m[0][idx] = m[idx][0] = n if i == 0 else 1
-    for j in range(3):
-        m[1 + n + j][1 + n + j] = 1
-        m[4 + n + j][4 + n + j] = -1
-    names = {"alpha": tuple(1 if i == 0 else 0 for i in range(rank))}
-    for i in range(n - 1):
-        names[f"e{i + 1}"] = tuple(1 if j == 2 + i else 0 for j in range(rank))
-    lattice = IntersectionLattice(IntMatrix.from_rows(m), names)
+        names[f"e{i + 1}"] = _unit(rank, 2 + i)
 
     seeds = []
     for bits in range(1 << n):
@@ -544,15 +539,7 @@ def build_genus_model(n: int) -> tuple[ManifoldModel, BasicClassSet, Vector]:
             v[2 + i] = -1 if bits >> (i + 1) & 1 else 1
         seeds.append(tuple(v))
 
-    pos, neg, zero = inertia(lattice.pairing)
-    assert zero == 0
-    sig = pos - neg
-    square = lattice.square(seeds[0])
-    euler = (square - 3 * sig) // 2
-    model = ManifoldModel(lattice, euler, sig, pos)
-    classes = BasicClassSet.from_primal(lattice, seeds)
-    if not is_simple_type(model, classes):
-        raise ScenarioError("genus model is not simple type")
+    model, classes = _closed_model([_genus_block(n), _CORE], names, seeds)
     return model, classes, names["alpha"]
 
 

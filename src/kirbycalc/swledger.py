@@ -39,6 +39,22 @@ def _dot(a: Sequence[int], b: Sequence[int]) -> int:
     return sum(x * y for x, y in zip(a, b))
 
 
+def _unit(rank: int, idx: int) -> Vector:
+    return tuple(1 if j == idx else 0 for j in range(rank))
+
+
+def _direct_sum(blocks: Sequence[Sequence[Sequence[int]]]) -> list[list[int]]:
+    """Block-diagonal matrix with the given square blocks in order."""
+    size = sum(len(b) for b in blocks)
+    out = [[0] * size for _ in range(size)]
+    off = 0
+    for b in blocks:
+        for i, row in enumerate(b):
+            out[off + i][off:off + len(row)] = row
+        off += len(b)
+    return out
+
+
 @dataclass(frozen=True)
 class IntersectionLattice:
     """Free abelian group with a symmetric integer pairing and named vectors."""
@@ -205,14 +221,7 @@ def d_invariant_primal(model: ManifoldModel, k: Sequence[int]) -> int:
                        square=model.lattice.square(k))
 
 
-def _member_squares(model: ManifoldModel, beta) -> list[tuple[Vector, int]]:
-    if isinstance(beta, BasicClassSet):
-        return [(k, beta.lattice.dual_square(k)) for k in beta.members]
-    lat = model.lattice
-    return [(lat.dual(v), lat.square(v)) for v in beta]
-
-
-def is_simple_type(model: ManifoldModel, beta,
+def is_simple_type(model: ManifoldModel, beta: BasicClassSet,
                    convention: str = "d0") -> bool:
     """Simple-type predicate over all basic classes.
 
@@ -222,7 +231,8 @@ def is_simple_type(model: ManifoldModel, beta,
     """
     if convention not in ("d0", "k2"):
         raise LedgerError(f"unknown simple-type convention {convention!r}")
-    for kappa, square in _member_squares(model, beta):
+    for kappa in beta.members:
+        square = beta.lattice.dual_square(kappa)
         d = d_invariant(model, kappa, square=square)
         if convention == "d0" and d != 0:
             return False
@@ -236,15 +246,11 @@ def is_simple_type(model: ManifoldModel, beta,
 
 def _extend_lattice(lattice: IntersectionLattice, n: int) -> IntersectionLattice:
     r = lattice.rank
-    rows = [list(row) + [0] * n for row in lattice.pairing.entries]
-    for i in range(n):
-        rows.append([0] * r + [-1 if j == i else 0 for j in range(n)])
+    rows = _direct_sum([lattice.pairing.entries] + [[[-1]]] * n)
     names = {k: v + (0,) * n for k, v in lattice.names.items()}
     base = sum(1 for k in lattice.names if k.startswith("E"))
     for i in range(n):
-        e = [0] * (r + n)
-        e[r + i] = 1
-        names[f"E{base + i + 1}"] = tuple(e)
+        names[f"E{base + i + 1}"] = _unit(r + n, r + i)
     return IntersectionLattice(IntMatrix.from_rows(rows, r + n), names)
 
 
@@ -286,12 +292,12 @@ class AdjunctionReport:
     violators: tuple[tuple[Vector, int], ...]   # (class, pairing) breaking the bound
 
 
-def _require_simple_type(model: ManifoldModel, beta) -> None:
+def _require_simple_type(model: ManifoldModel, beta: BasicClassSet) -> None:
     if not is_simple_type(model, beta):
         raise LedgerError("adjunction needs a simple-type model")
 
 
-def adjunction_check(model: ManifoldModel, beta, alpha: Sequence[int],
+def adjunction_check(model: ManifoldModel, beta: BasicClassSet, alpha: Sequence[int],
                      genus: int) -> AdjunctionReport:
     """Check alpha^2 + |<K, alpha>| <= 2g - 2 for every basic class K."""
     if genus < 1:
@@ -301,16 +307,15 @@ def adjunction_check(model: ManifoldModel, beta, alpha: Sequence[int],
     a2 = model.lattice.square(alpha)
     bound = 2 * genus - 2
     violators = []
-    members = beta.members if isinstance(beta, BasicClassSet) else \
-        [model.lattice.dual(v) for v in beta]
-    for kappa in members:
+    for kappa in beta.members:
         pairing = _dot(kappa, alpha)
         if a2 + abs(pairing) > bound:
             violators.append((kappa, pairing))
     return AdjunctionReport(not violators, genus, a2, tuple(violators))
 
 
-def min_genus_bound(model: ManifoldModel, beta, alpha: Sequence[int]) -> int:
+def min_genus_bound(model: ManifoldModel, beta: BasicClassSet,
+                    alpha: Sequence[int]) -> int:
     """Least genus >= 1 allowed by adjunction for a surface representing alpha.
 
     Returns 0 (no constraint) when the adjunction bound is vacuous, which
@@ -319,12 +324,10 @@ def min_genus_bound(model: ManifoldModel, beta, alpha: Sequence[int]) -> int:
     """
     model.require_sw_hypotheses()
     _require_simple_type(model, beta)
-    members = beta.members if isinstance(beta, BasicClassSet) else \
-        [model.lattice.dual(v) for v in beta]
-    if not members:
+    if beta.count == 0:
         raise LedgerError("genus bound needs a non-empty basic-class set")
     a2 = model.lattice.square(alpha)
-    worst = max(a2 + abs(_dot(kappa, alpha)) + 2 for kappa in members)
+    worst = max(a2 + abs(_dot(kappa, alpha)) + 2 for kappa in beta.members)
     bound = -(-worst // 2)
     if bound < 1:
         if a2 < 0:

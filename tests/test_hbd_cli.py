@@ -188,9 +188,20 @@ def test_cli_rbd(tmp_path, capsys):
 
 
 def test_cli_scenario_count_matches_contract(capsys):
-    code, payload = run_json(capsys, "scenario", "count", "--p", "2", "--seed", "2")
+    code, payload = run_json(capsys, "scenario", "count", "--p", "2", "--count", "2")
     assert code == 0
     assert payload == {"schema": 1, "N0": 2, "Ni": 4, "ok": True}
+
+
+@pytest.mark.parametrize("argv", [
+    ("count", "--p", "2", "--index", "3"),
+    ("restriction", "--p", "2", "3", "--index", "-1"),
+    ("count", "--p", "2", "3", "--index", "-1"),
+], ids=["count-past-end", "restriction-negative", "count-negative"])
+def test_cli_scenario_rejects_chain_index_out_of_range(capsys, argv):
+    code, payload = run_json(capsys, "scenario", *argv)
+    assert code == 1
+    assert payload["error"].startswith(f"chain index {argv[-1]} is out of range")
 
 
 def test_cli_scenario_restriction(capsys):
@@ -269,6 +280,7 @@ def test_cli_scenario_run_every_claim(capsys, claim):
 def test_cli_scenario_export_every_claim(capsys, name):
     code, payload = run_json(capsys, "scenario", "export", "--name", name)
     assert code == 0
+    assert next(iter(payload)) == "schema"
     assert payload["name"] == name and payload["expected"]
     assert all("basis" in e for e in payload["expected"])
     for doc_name, text in payload["documents"].items():

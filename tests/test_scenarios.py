@@ -1,11 +1,17 @@
 """Catalog builders and the lemma-level verification pipelines."""
 
+import hashlib
+import json
+from pathlib import Path
+
 import pytest
 
+from kirbycalc import swledger
 from kirbycalc.handles import blow_down, dot_zero_swap, handle_slide
 from kirbycalc.homology import boundary_group_order, homology, is_homology_trivial
 from kirbycalc.scenarios import (
     ScenarioError,
+    _closed_model,
     annotated_Dp_tilde,
     build_Bp,
     build_Cp,
@@ -175,6 +181,68 @@ def test_x0_rejects_bad_parameters():
 def test_x0_b2plus_counts_blocks():
     x0 = build_X0_model((2, 4, 5), 2)
     assert x0.model.b2plus == 4 + 3
+
+
+# -- closed models: pinned outputs and the guards of the closing step -----------------------
+
+# Recorded from build_X0_model and build_genus_model before the two builders
+# shared one closing step; vectors and the upper triangle of the pairing are
+# stored sparsely as [index, value] and [row, col, value].
+PINNED_MODELS = json.loads(Path(__file__).with_name("closed_models.json").read_text())
+
+
+def _sparse(v):
+    return [[i, x] for i, x in enumerate(v) if x]
+
+
+def _model_summary(model, classes) -> dict:
+    lat = model.lattice
+    g = lat.pairing
+    members = json.dumps(sorted([list(k), w] for k, w in classes.weights.items()))
+    return {
+        "rank": lat.rank, "euler": model.euler, "signature": model.signature,
+        "b2plus": model.b2plus, "count": classes.count,
+        "classes_sha256": hashlib.sha256(members.encode()).hexdigest(),
+        "names": {k: _sparse(v) for k, v in lat.names.items()},
+        "pairing": [[i, j, g[i, j]] for i in range(lat.rank)
+                    for j in range(i, lat.rank) if g[i, j]],
+    }
+
+
+@pytest.mark.parametrize("pinned", PINNED_MODELS["X0"],
+                         ids=lambda m: f"{m['p_list']}-{m['seed_count']}")
+def test_x0_model_matches_pinned(pinned):
+    x0 = build_X0_model(tuple(pinned["p_list"]), pinned["seed_count"])
+    assert {"p_list": list(x0.p_list), "seed_count": pinned["seed_count"],
+            "chain_indices": [list(c) for c in x0.chain_indices],
+            **_model_summary(x0.model, x0.classes)} == pinned
+
+
+@pytest.mark.parametrize("pinned", PINNED_MODELS["genus"], ids=lambda m: f"n{m['n']}")
+def test_genus_model_matches_pinned(pinned):
+    model, classes, alpha = build_genus_model(pinned["n"])
+    assert {"n": pinned["n"], "alpha": _sparse(alpha),
+            **_model_summary(model, classes)} == pinned
+
+
+@pytest.mark.parametrize("blocks, seeds, message", [
+    ([[[1]], [[2]]], [(1, 0), (0, 1)], "seed squares disagree"),
+    ([[[0]]], [(1,), (-1,)], "degenerate synthetic pairing"),
+    ([[[2]]], [(1,), (-1,)], "parity corrector failed"),
+    ([[[1]]], [(1,), (-1,), (1,), (-1,)], "seed classes collided"),
+], ids=["squares", "degenerate", "parity", "collision"])
+def test_closed_model_guards(blocks, seeds, message):
+    with pytest.raises(ScenarioError, match=message):
+        _closed_model(blocks, {}, seeds)
+
+
+def test_closed_model_rejects_classes_off_dimension_zero(monkeypatch):
+    # The Euler number puts the primal seed squares at d = 0, so only a ledger
+    # whose dual squares disagree with them reaches this guard.
+    exact = swledger._dual_square
+    monkeypatch.setattr(swledger, "_dual_square", lambda g, k: exact(g, k) + 8)
+    with pytest.raises(ScenarioError, match="not in dimension zero"):
+        _closed_model([[[1]]], {}, [(1,), (-1,)])
 
 
 # -- count lemma -------------------------------------------------------------------------

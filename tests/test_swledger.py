@@ -116,16 +116,18 @@ def test_simple_type_vacuous_on_empty():
 
 def test_simple_type_k3_like():
     m = ManifoldModel(lat([[-2]]), euler=24, signature=-16, b2plus=3)
-    assert is_simple_type(m, [(0,)])
-    assert is_simple_type(m, [(0,)], convention="k2")
+    beta = BasicClassSet.from_primal(m.lattice, [(0,)])
+    assert is_simple_type(m, beta)
+    assert is_simple_type(m, beta, convention="k2")
 
 
 def test_simple_type_fails_both_conventions():
     m = ManifoldModel(lat([[4]]), euler=4, signature=0, b2plus=2)
+    beta = BasicClassSet.from_primal(m.lattice, [(1,), (-1,)])
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")   # d = -1 is odd, flagged
-        assert not is_simple_type(m, [(1,)])
-        assert not is_simple_type(m, [(1,)], convention="k2")
+        assert not is_simple_type(m, beta)
+        assert not is_simple_type(m, beta, convention="k2")
 
 
 # -- blow-up formula ---------------------------------------------------------------
