@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import lru_cache
 from pathlib import Path
 from typing import Sequence
 
@@ -324,7 +325,9 @@ def _cmd_check(args) -> dict:
 # -- parser ------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
+    # built once per process: parse_args reads the parser and never mutates it
     top = argparse.ArgumentParser(
         prog="kirbycalc",
         description="Kirby calculus and Seiberg-Witten bookkeeping on .hbd diagrams")

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .handles import HandleDecomposition
@@ -338,11 +337,6 @@ def invert_rational(m: IntMatrix) -> tuple[tuple[Fraction, ...], ...]:
                 f = a[r][col]
                 a[r] = [x - f * y for x, y in zip(a[r], a[col])]
     return tuple(tuple(row[n:]) for row in a)
-
-
-@lru_cache(maxsize=None)
-def _cached_inverse(m: IntMatrix) -> tuple[tuple[Fraction, ...], ...]:
-    return invert_rational(m)
 
 
 # -- homology of handle decompositions ---------------------------------------

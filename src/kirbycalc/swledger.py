@@ -5,8 +5,8 @@ the tuple of pairings of K against the lattice basis.  Every transformation
 below consumes only such pairings, and evaluation coordinates survive a
 rational blowdown (where the descended class is exactly its restriction to a
 complement basis), so this is the uniform representation.  Squares of
-classes are recovered exactly through the rational inverse of the pairing
-matrix and must come out integral.
+classes are recovered exactly from the integer adjugate and determinant of
+the pairing matrix, divided exactly, and must come out integral.
 
 The ledger transforms declared basic-class data; it does not compute SW
 invariants from geometry.
@@ -17,12 +17,13 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property
 from math import gcd
+from operator import mul
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
-from .homology import IntMatrix, _cached_inverse
+from .homology import IntMatrix
 
 Vector = tuple[int, ...]
 
@@ -36,7 +37,7 @@ def _vec(x: Sequence[int]) -> Vector:
 
 
 def _dot(a: Sequence[int], b: Sequence[int]) -> int:
-    return sum(x * y for x, y in zip(a, b))
+    return sum(map(mul, a, b))
 
 
 def _unit(rank: int, idx: int) -> Vector:
@@ -92,32 +93,55 @@ class IntersectionLattice:
     def dual_square(self, kappa: Sequence[int]) -> int:
         """Square of a class given in evaluation coordinates.
 
-        Computed as kappa^T G^{-1} kappa over Q; the result must be an
-        integer for any class that restricts from an honest lattice, and a
-        non-integral value signals an inconsistent model.
+        This is kappa^T G^{-1} kappa, computed from the integer adjugate and
+        determinant of G, divided exactly.  The result must be an integer
+        for any class that restricts from an honest lattice; a non-integral
+        value signals an inconsistent model.
         """
         if len(kappa) != self.rank:
             raise LedgerError("vector length does not match lattice rank")
-        return _dual_square(self.pairing, tuple(kappa))
+        det, adj = self._adjugate
+        num = sum(k * _dot(row, kappa) for k, row in zip(kappa, adj) if k)
+        square, rem = divmod(num, det)
+        if rem:
+            raise LedgerError(
+                f"non-integral square {Fraction(num, det)} for {tuple(kappa)}")
+        return square
 
     def is_characteristic_dual(self, kappa: Sequence[int]) -> bool:
         g = self.pairing
         return all((kappa[i] - g[i, i]) % 2 == 0 for i in range(self.rank))
 
+    @cached_property
+    def _adjugate(self) -> tuple[int, tuple[Vector, ...]]:
+        """(det G, adj G) by fraction-free Gauss-Jordan elimination of [G | I].
 
-@lru_cache(maxsize=65536)
-def _dual_square(pairing: IntMatrix, kappa: Vector) -> int:
-    try:
-        inv = _cached_inverse(pairing)
-    except ZeroDivisionError as exc:
-        raise LedgerError("degenerate pairing has no dual squares") from exc
-    total = Fraction(0)
-    for i, row in enumerate(inv):
-        if kappa[i]:
-            total += kappa[i] * sum(f * k for f, k in zip(row, kappa))
-    if total.denominator != 1:
-        raise LedgerError(f"non-integral square {total} for {kappa}")
-    return int(total)
+        Each step divides exactly by the previous pivot (Bareiss), so every
+        entry stays an integer minor of [G | I].  At the end the left block
+        is d I and the right block d G^{-1}, where d = +-det G carries the
+        sign of the row swaps.  Computed on the first dual square, so a
+        degenerate pairing can still be constructed and inspected.
+        """
+        n = self.rank
+        a = [list(row) + [int(i == j) for j in range(n)]
+             for i, row in enumerate(self.pairing.entries)]
+        sign, prev = 1, 1
+        for k in range(n):
+            piv = next((i for i in range(k, n) if a[i][k]), None)
+            if piv is None:
+                raise LedgerError("degenerate pairing has no dual squares")
+            if piv != k:
+                a[k], a[piv] = a[piv], a[k]
+                sign = -sign
+            pk = a[k]
+            d = pk[k]
+            for i in range(n):
+                if i != k:
+                    ai = a[i]
+                    f = ai[k]
+                    a[i] = [(d * x - f * y) // prev for x, y in zip(ai, pk)]
+            prev = d
+        return sign * prev, tuple(tuple(sign * x for x in row[n:]) for row in a)
 
 
 def is_characteristic(lattice: IntersectionLattice, k: Sequence[int]) -> bool:
@@ -166,6 +190,7 @@ class BasicClassSet:
             if not self.lattice.is_characteristic_dual(kappa):
                 raise LedgerError(f"class {kappa} is not characteristic")
         object.__setattr__(self, "weights", MappingProxyType(dict(sorted(w.items()))))
+        object.__setattr__(self, "_squares", {})
 
     @classmethod
     def from_primal(cls, lattice: IntersectionLattice,
@@ -189,7 +214,14 @@ class BasicClassSet:
         return len(self.weights)
 
     def squares(self) -> dict[Vector, int]:
-        return {k: self.lattice.dual_square(k) for k in self.members}
+        return {k: self._square(k) for k in self.members}
+
+    def _square(self, kappa: Vector) -> int:
+        """Dual square of a member, computed once per set."""
+        memo = self._squares
+        if kappa not in memo:
+            memo[kappa] = self.lattice.dual_square(kappa)
+        return memo[kappa]
 
 
 # -- pointwise invariants --------------------------------------------------------
@@ -232,7 +264,7 @@ def is_simple_type(model: ManifoldModel, beta: BasicClassSet,
     if convention not in ("d0", "k2"):
         raise LedgerError(f"unknown simple-type convention {convention!r}")
     for kappa in beta.members:
-        square = beta.lattice.dual_square(kappa)
+        square = beta._square(kappa)
         d = d_invariant(model, kappa, square=square)
         if convention == "d0" and d != 0:
             return False

@@ -225,6 +225,27 @@ def test_cli_sw_commands(capsys):
     assert code == 0 and payload["pairwise_distinct"] is True
 
 
+def test_cli_append_options_do_not_leak_between_calls(tmp_path, capsys):
+    # one parser serves every run_command call in the process
+    code, payload = run_json(capsys, "scenario", "knottedcork", "--knot", "2,3",
+                             "--knot", "2,5")
+    assert code == 0 and payload["knots"] == [[2, 3], [2, 5]]
+    code, payload = run_json(capsys, "scenario", "knottedcork", "--knot", "2,7")
+    assert payload["knots"] == [[2, 7]]
+    f = tmp_path / "two.hbd"
+    f.write_text("manifold V\n2h a framing 0\n2h b framing 0\n")
+    code, payload = run_json(capsys, "blowup", str(f), "--attach", "a=1", "--id", "e")
+    assert code == 0
+    assert parse_hbd(payload["document"]).decomposition.framing("a") == -1
+    code, payload = run_json(capsys, "blowup", str(f), "--attach", "b=1", "--id", "e")
+    assert code == 0
+    out = parse_hbd(payload["document"]).decomposition
+    assert (out.framing("a"), out.framing("b")) == (0, -1)
+    code, payload = run_json(capsys, "blowup", str(f), "--id", "e")
+    out = parse_hbd(payload["document"]).decomposition
+    assert (out.framing("a"), out.framing("b")) == (0, 0)
+
+
 def test_cli_scenario_stein_and_corkhomology(capsys):
     code, payload = run_json(capsys, "scenario", "run", "--name", "stein")
     assert code == 0 and payload["ok"] is True

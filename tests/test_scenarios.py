@@ -2,11 +2,11 @@
 
 import hashlib
 import json
+import time
 from pathlib import Path
 
 import pytest
 
-from kirbycalc import swledger
 from kirbycalc.handles import blow_down, dot_zero_swap, handle_slide
 from kirbycalc.homology import boundary_group_order, homology, is_homology_trivial
 from kirbycalc.scenarios import (
@@ -30,6 +30,7 @@ from kirbycalc.scenarios import (
 )
 from kirbycalc.swledger import (
     adjunction_check,
+    IntersectionLattice,
     knot_surgery_basic_classes,
     LaurentPolynomial,
     rbd_lift_eligible,
@@ -239,8 +240,9 @@ def test_closed_model_guards(blocks, seeds, message):
 def test_closed_model_rejects_classes_off_dimension_zero(monkeypatch):
     # The Euler number puts the primal seed squares at d = 0, so only a ledger
     # whose dual squares disagree with them reaches this guard.
-    exact = swledger._dual_square
-    monkeypatch.setattr(swledger, "_dual_square", lambda g, k: exact(g, k) + 8)
+    exact = IntersectionLattice.dual_square
+    monkeypatch.setattr(IntersectionLattice, "dual_square",
+                        lambda lat, k: exact(lat, k) + 8)
     with pytest.raises(ScenarioError, match="not in dimension zero"):
         _closed_model([[[1]]], {}, [(1,), (-1,)])
 
@@ -266,6 +268,19 @@ def test_count_lemma_multi_chain(p_list, index):
 def test_count_lemma_counts_distinguish_distinct_p():
     counts = {verify_count_lemma((p,), 0, 2).ni for p in (2, 3, 4, 5)}
     assert len(counts) == 4
+
+
+@pytest.mark.parametrize("run", [
+    lambda: verify_count_lemma((11,), 0, 4),
+    lambda: genus_obstruction_Nn(11, 2),
+], ids=["count-p11", "genus-n11"])
+def test_ledger_ladder_rung_within_budget(run):
+    # 2^11 classes on a cold lattice: one exact adjugate per lattice keeps
+    # each rung well under 2 s, where Fraction squares took 3-8 s
+    start = time.perf_counter()
+    report = run()
+    assert report.ok
+    assert time.perf_counter() - start < 2.0
 
 
 # -- restriction lemma ----------------------------------------------------------------------

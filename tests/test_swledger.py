@@ -6,7 +6,7 @@ from itertools import product
 
 import pytest
 
-from kirbycalc.homology import IntMatrix
+from kirbycalc.homology import IntMatrix, det, invert_rational
 from kirbycalc.swledger import (
     BasicClassSet,
     IntersectionLattice,
@@ -70,6 +70,53 @@ def test_dual_square_matches_primal():
         assert L.dual_square(L.dual(v)) == L.square(v)
 
 
+def test_dual_square_matches_rational_inverse():
+    # independent oracle: kappa^T G^{-1} kappa in Fraction arithmetic
+    rng = random.Random(4)
+    swapped = big_det = 0
+    for trial in range(120):
+        n = rng.randrange(1, 13)
+        rows = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                rows[i][j] = rows[j][i] = rng.randrange(-3, 4)
+        if trial % 3 == 0:
+            rows[0][0] = 0          # elimination must swap rows
+        L = lat(rows)
+        try:
+            inv = invert_rational(L.pairing)
+        except ZeroDivisionError:
+            with pytest.raises(LedgerError, match="degenerate pairing"):
+                L.dual_square((0,) * n)
+            continue
+        swapped += rows[0][0] == 0
+        big_det += abs(det(L.pairing)) > 1
+        assert L._adjugate[0] == det(L.pairing)
+        for _ in range(3):
+            v = tuple(rng.randrange(-3, 4) for _ in range(n))
+            for kappa in (v, L.dual(v)):
+                q = sum(k * sum(x * y for x, y in zip(row, kappa))
+                        for k, row in zip(kappa, inv))
+                if q.denominator == 1:
+                    assert L.dual_square(kappa) == q
+                else:
+                    with pytest.raises(LedgerError, match=f"non-integral square {q} "):
+                        L.dual_square(kappa)
+    assert swapped >= 10 and big_det >= 30
+
+
+def test_dual_square_non_integral_message():
+    with pytest.raises(LedgerError, match=r"^non-integral square 1/2 for \(1,\)$"):
+        lat([[2]]).dual_square((1,))
+
+
+def test_dual_square_degenerate_raises_on_first_use():
+    L = lat([[0]])                  # constructing a degenerate pairing is fine
+    assert L.rank == 1
+    with pytest.raises(LedgerError, match="degenerate pairing has no dual squares"):
+        L.dual_square((0,))
+
+
 # -- d-invariant ----------------------------------------------------------------
 
 def test_d_invariant_odd_value_warns():
@@ -128,6 +175,16 @@ def test_simple_type_fails_both_conventions():
         warnings.simplefilter("ignore")   # d = -1 is odd, flagged
         assert not is_simple_type(m, beta)
         assert not is_simple_type(m, beta, convention="k2")
+
+
+def test_simple_type_warns_on_every_call():
+    # squares are kept per set; the odd-d warning must not be kept with them
+    m = ManifoldModel(lat([[4]]), euler=4, signature=0, b2plus=2)
+    beta = BasicClassSet.from_primal(m.lattice, [(1,), (-1,)])
+    for _ in range(2):
+        with pytest.warns(UserWarning, match="d-invariant -1 is odd"):
+            assert not is_simple_type(m, beta)
+    assert beta.squares() == {(-4,): 4, (4,): 4}
 
 
 # -- blow-up formula ---------------------------------------------------------------
