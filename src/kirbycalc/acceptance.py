@@ -30,6 +30,7 @@ from .homology import (
     boundary_first_homology,
     boundary_group_order,
     det,
+    signature,
     smith_normal_form,
 )
 from .hbd import DiagramDocument, print_hbd
@@ -53,6 +54,7 @@ from .scenarios import (
 from .swledger import (
     BasicClassSet,
     IntersectionLattice,
+    LaurentPolynomial,
     ManifoldModel,
     alexander_polynomial_torus,
     blow_up_basic_classes,
@@ -219,7 +221,6 @@ def criterion_8_knot_surgery(seed: int = 0) -> tuple[bool, str]:
            "trefoil polynomial wrong", failures)
     # division oracle, run backwards: multiplying by the denominator must
     # reproduce the numerator exactly
-    from .swledger import LaurentPolynomial
     lhs = trefoil * LaurentPolynomial({3: 1, 0: -1}) * LaurentPolynomial({2: 1, 0: -1})
     rhs = LaurentPolynomial({5: 1, -1: -1}) * LaurentPolynomial({1: 1, 0: -1})
     _check(lhs == rhs, "division oracle mismatch for the trefoil", failures)
@@ -340,8 +341,7 @@ def criterion_11_d_conservation(seed: int = 0) -> tuple[bool, str]:
             continue                       # degenerate pairing, resample
         k = random_characteristic_vector(base, rng)
         square = base.square(k)
-        from .homology import signature as sig_of
-        sigma = sig_of(m)
+        sigma = signature(m)
         if (square - 3 * sigma) % 2:       # parity corrector block
             rows2 = [row + [0] for row in rows] + [[0] * n + [-2]]
             base = IntersectionLattice(IntMatrix.from_rows(rows2, n + 1))

@@ -22,7 +22,7 @@ from .handles import (
     handle_slide,
     rational_blowdown_splice,
 )
-from .hbd import DiagramDocument, HbdParseError, parse_hbd, print_hbd
+from .hbd import _ID, DiagramDocument, HbdParseError, parse_hbd, print_hbd
 from .homology import boundary_first_homology, boundary_group_order, homology
 from .legendrian import FrontError, stein_check
 from .scenarios import (
@@ -132,6 +132,8 @@ def _cmd_slide(args) -> dict:
 
 
 def _cmd_blowup(args) -> dict:
+    if args.id is not None and not _ID.fullmatch(args.id):
+        raise UserError(f"--id {args.id!r} is not a valid .hbd identifier")
     doc = _load(args.file)
     attach = []
     for item in args.attach or []:
@@ -331,15 +333,10 @@ def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="kirbycalc",
         description="Kirby calculus and Seiberg-Witten bookkeeping on .hbd diagrams")
-    top.add_argument("--verbose", action="store_true", help="extra stderr output")
-    # the same flag is accepted after the subcommand; SUPPRESS keeps the
-    # subparser from clobbering a value parsed at the top level
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--verbose", action="store_true", default=argparse.SUPPRESS)
     sub = top.add_subparsers(dest="command", required=True)
 
     def add(name, fn, help_text):
-        p = sub.add_parser(name, help=help_text, parents=[common])
+        p = sub.add_parser(name, help=help_text)
         p.set_defaults(handler=fn)
         return p
 
@@ -379,22 +376,22 @@ def _build_parser() -> argparse.ArgumentParser:
     sw = sub.add_parser("sw", help="basic-class transformations on built-in models")
     swsub = sw.add_subparsers(dest="sw_command", required=True)
 
-    q = swsub.add_parser(parents=[common], name="blowup")
+    q = swsub.add_parser("blowup")
     q.set_defaults(handler=_cmd_sw_blowup)
     q.add_argument("--n", type=int, required=True)
     q.add_argument("--count", type=int, default=2, help="declared class count")
 
-    q = swsub.add_parser(parents=[common], name="descend")
+    q = swsub.add_parser("descend")
     q.set_defaults(handler=_cmd_sw_descend)
     q.add_argument("--p", type=int, required=True)
     q.add_argument("--count", type=int, default=2)
 
-    q = swsub.add_parser(parents=[common], name="adjunction")
+    q = swsub.add_parser("adjunction")
     q.set_defaults(handler=_cmd_sw_adjunction)
     q.add_argument("--p", type=int, nargs="+", required=True)
     q.add_argument("--count", type=int, default=2)
 
-    q = swsub.add_parser(parents=[common], name="genusbound")
+    q = swsub.add_parser("genusbound")
     q.set_defaults(handler=_cmd_sw_genusbound)
     q.add_argument("--n", type=int, required=True)
     q.add_argument("--k", type=int, required=True)
@@ -402,36 +399,38 @@ def _build_parser() -> argparse.ArgumentParser:
     sc = sub.add_parser("scenario", help="run a named verification scenario")
     scsub = sc.add_subparsers(dest="scenario_name", required=True)
 
-    q = scsub.add_parser(parents=[common], name="count")
+    q = scsub.add_parser("count")
     q.set_defaults(handler=_cmd_scenario_count)
     q.add_argument("--p", type=int, nargs="+", required=True)
     q.add_argument("--index", type=int, default=0)
     q.add_argument("--count", type=int, default=2, help="declared class count N0")
 
-    q = scsub.add_parser(parents=[common], name="restriction")
+    q = scsub.add_parser("restriction")
     q.set_defaults(handler=_cmd_scenario_restriction)
     q.add_argument("--p", type=int, nargs="+", required=True)
     q.add_argument("--index", type=int, default=0)
     q.add_argument("--count", type=int, default=4, help="declared class count N0")
 
-    q = scsub.add_parser(parents=[common], name="knottedcork")
+    q = scsub.add_parser("knottedcork")
     q.set_defaults(handler=_cmd_scenario_knottedcork)
     q.add_argument("--knot", action="append", required=True, metavar="P,Q")
 
-    q = scsub.add_parser(parents=[common], name="list")
+    q = scsub.add_parser("list")
     q.set_defaults(handler=_cmd_scenario_list)
 
-    q = scsub.add_parser(parents=[common], name="export")
+    q = scsub.add_parser("export")
     q.set_defaults(handler=_cmd_scenario_export)
     q.add_argument("--name", required=True)
 
-    q = scsub.add_parser(parents=[common], name="run")
+    q = scsub.add_parser("run")
     q.set_defaults(handler=_cmd_scenario_run)
     q.add_argument("--name", required=True)
 
     p = add("check", _cmd_check, "run the full acceptance suite")
     p.add_argument("--seed", type=int, default=acceptance.DEFAULT_SEED,
                    help="seed for randomized checks")
+    p.add_argument("--verbose", action="store_true",
+                   help="one PASS/FAIL line per criterion on stderr")
 
     return top
 

@@ -13,6 +13,10 @@ the usual front convention, and crossing signs follow the right-hand rule on
 the resolved oriented diagram.  With `O<i>+` the upper strand born at the
 cusp is directed rightward; components without a marker orient the upper
 strand of their first cusp rightward.
+
+A front is analysed once, when it is constructed: components are numbered
+by their first left cusp in the word, and every query (component count,
+writhe, tb, rotation, reversal) reads that one analysis.
 """
 
 from __future__ import annotations
@@ -44,7 +48,9 @@ class FrontDiagram:
     events: tuple[FrontEvent, ...]
 
     def __post_init__(self) -> None:
-        _analyze(self)  # validates strand bookkeeping
+        # validates the word; kept outside the fields, so equality, hash and
+        # repr see only the events
+        object.__setattr__(self, "_analysis", _Analysis(self.events))
 
     @property
     def word(self) -> str:
@@ -79,231 +85,145 @@ def parse_front(text: str) -> FrontDiagram:
     return FrontDiagram(tuple(events))
 
 
-# -- internal structure --------------------------------------------------------
-
-@dataclass(frozen=True)
-class _Cusp:
-    side: str          # 'L' or 'R'
-    upper: int
-    lower: int
-    orientation: str | None
-
-
-@dataclass(frozen=True)
-class _Crossing:
-    over_in: int       # enters at the upper slot, descends, passes in front
-    over_out: int
-    under_in: int
-    under_out: int
-
+# -- analysis -------------------------------------------------------------------
 
 class _Analysis:
-    """Segments, cusps, crossings, components and traversal directions."""
+    """What the queries read: (writhe, tb, rotation) of each component, and
+    the marker each left cusp carries in the reversed front.
 
-    def __init__(self, front: FrontDiagram):
-        self.cusps: list[_Cusp] = []
-        self.crossings: list[_Crossing] = []
-        # (kind, index) arriving at each segment end
-        right_end: dict[int, tuple[str, int, str]] = {}
-        left_end: dict[int, tuple[str, int, str]] = {}
-        parent = {}
+    A segment is a strand piece between two events.  Walking segment s
+    rightward is the half-edge 2s + 1, leftward 2s; `step` maps each
+    half-edge to the one the walk takes next, turning at a cusp and going
+    straight on at a crossing.  Components are numbered by their first left
+    cusp and walked from its upper strand going rightward.  Only the two
+    tuples are kept: every front carries them for its lifetime.
+    """
 
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
+    __slots__ = ("components", "reversal")
 
-        def union(a, b):
-            parent[find(a)] = find(b)
-
-        segs = 0
-
-        def new_seg():
-            nonlocal segs
-            parent[segs] = segs
-            segs += 1
-            return segs - 1
-
+    def __init__(self, events: tuple[FrontEvent, ...]):
+        step: list[int] = []
+        left_cusps: list[tuple[int, str | None]] = []   # (upper segment, marker)
+        right_cusps: list[int] = []                     # upper segment
+        crossings: list[tuple[int, int]] = []           # (over_in, under_in)
         current: list[int] = []
-        for n_event, ev in enumerate(front.events):
+        for n_event, ev in enumerate(events):
             count = len(current)
+            if not 1 <= ev.pos <= (count + 1 if ev.kind == "L" else count - 1):
+                raise FrontError(
+                    f"invalid position {ev.kind}{ev.pos} with {count} strands "
+                    f"(event {n_event + 1})")
+            i = ev.pos - 1
             if ev.kind == "L":
-                if not 1 <= ev.pos <= count + 1:
-                    raise FrontError(
-                        f"invalid position L{ev.pos} with {count} strands "
-                        f"(event {n_event + 1})")
-                s1, s2 = new_seg(), new_seg()
-                union(s1, s2)
-                left_end[s1] = left_end[s2] = ("C", len(self.cusps), "")
-                self.cusps.append(_Cusp("L", s1, s2, ev.orientation))
-                current[ev.pos - 1:ev.pos - 1] = [s1, s2]
+                # a segment's rightward step (0 here) is set by the event
+                # that ends it
+                s = len(step) // 2
+                step += [2 * s + 3, 0, 2 * s + 1, 0]
+                left_cusps.append((s, ev.orientation))
+                current[i:i] = [s, s + 1]
             elif ev.kind == "R":
-                if not 1 <= ev.pos <= count - 1:
-                    raise FrontError(
-                        f"invalid position R{ev.pos} with {count} strands "
-                        f"(event {n_event + 1})")
-                s1, s2 = current[ev.pos - 1], current[ev.pos]
-                union(s1, s2)
-                right_end[s1] = right_end[s2] = ("C", len(self.cusps), "")
-                self.cusps.append(_Cusp("R", s1, s2, None))
-                del current[ev.pos - 1:ev.pos + 1]
+                a, b = current[i], current[i + 1]
+                step[2 * a + 1], step[2 * b + 1] = 2 * b, 2 * a
+                right_cusps.append(a)
+                del current[i:i + 2]
             else:
-                if not 1 <= ev.pos <= count - 1:
-                    raise FrontError(
-                        f"invalid position X{ev.pos} with {count} strands "
-                        f"(event {n_event + 1})")
-                o_in, u_in = current[ev.pos - 1], current[ev.pos]
-                o_out, u_out = new_seg(), new_seg()
-                union(o_in, o_out)
-                union(u_in, u_out)
-                k = len(self.crossings)
-                right_end[o_in] = ("X", k, "over")
-                right_end[u_in] = ("X", k, "under")
-                left_end[o_out] = ("X", k, "over")
-                left_end[u_out] = ("X", k, "under")
-                self.crossings.append(_Crossing(o_in, o_out, u_in, u_out))
-                current[ev.pos - 1] = u_out
-                current[ev.pos] = o_out
+                # the upper strand descends and passes in front
+                over, under = current[i], current[i + 1]
+                s = len(step) // 2
+                step[2 * over + 1], step[2 * under + 1] = 2 * s + 3, 2 * s + 1
+                step += [2 * under, 0, 2 * over, 0]
+                crossings.append((over, under))
+                current[i], current[i + 1] = s, s + 1
         if current:
             raise FrontError(f"front ends with {len(current)} open strands")
 
-        self.n_segments = segs
-        roots = {}
-        self.component_of: dict[int, int] = {}
-        for s in range(segs):
-            r = find(s)
-            if r not in roots:
-                roots[r] = len(roots)
-            self.component_of[s] = roots[r]
-        self.n_components = len(roots)
+        n_seg = len(step) // 2
+        comp: list[int] = [-1] * n_seg
+        rightward = [False] * n_seg
+        starts: list[int] = []      # first left cusp of each component
+        for s, _ in left_cusps:
+            if comp[s] < 0:
+                h = 2 * s + 1
+                while comp[h >> 1] < 0:
+                    comp[h >> 1], rightward[h >> 1] = len(starts), bool(h & 1)
+                    h = step[h]
+                starts.append(s)
+        n = len(starts)
 
-        # traversal: orient each component from its first left cusp
-        self.direction: dict[int, int] = {}   # +1 rightward, -1 leftward
-        for comp in range(self.n_components):
-            first = next(c for c in self.cusps
-                         if c.side == "L" and self.component_of[c.upper] == comp)
-            seg, direction = first.upper, +1
-            while seg not in self.direction:
-                self.direction[seg] = direction
-                if direction == +1:
-                    kind, k, role = right_end[seg]
-                    if kind == "C":
-                        c = self.cusps[k]
-                        seg = c.lower if seg == c.upper else c.upper
-                        direction = -1
-                    else:
-                        x = self.crossings[k]
-                        seg = x.over_out if role == "over" else x.under_out
-                else:
-                    kind, k, role = left_end[seg]
-                    if kind == "C":
-                        c = self.cusps[k]
-                        seg = c.lower if seg == c.upper else c.upper
-                        direction = +1
-                    else:
-                        x = self.crossings[k]
-                        seg = x.over_in if role == "over" else x.under_in
-            # apply orientation markers; conflicting markers are an error
-            flips = set()
-            for c in self.cusps:
-                if c.side == "L" and c.orientation and self.component_of[c.upper] == comp:
-                    want = +1 if c.orientation == "+" else -1
-                    flips.add(self.direction[c.upper] != want)
-            if flips == {True, False}:
-                raise FrontError("conflicting orientation markers on one component")
-            if flips == {True}:
-                for s, r in self.component_of.items():
-                    if r == comp:
-                        self.direction[s] = -self.direction[s]
+        flipped: list[bool | None] = [None] * n
+        for s, mark in left_cusps:
+            if mark:
+                flip = rightward[s] != (mark == "+")
+                if flipped[comp[s]] not in (None, flip):
+                    raise FrontError("conflicting orientation markers on one component")
+                flipped[comp[s]] = flip
 
-    def crossing_sign(self, x: _Crossing) -> int:
-        # +1 when the two strands traverse the crossing in the same direction
-        return self.direction[x.over_in] * self.direction[x.under_in]
+        # reversing a component keeps the sign of its self-crossings, so the
+        # walk's directions give the writhe before any marker flip
+        writhe = [0] * n
+        for over, under in crossings:
+            if comp[over] == comp[under]:
+                writhe[comp[over]] += 1 if rightward[over] == rightward[under] else -1
+        right = [0] * n
+        turn = [0] * n          # down cusps minus up cusps along the walk
+        for s, _ in left_cusps:
+            turn[comp[s]] += -1 if rightward[s] else 1
+        for s in right_cusps:
+            right[comp[s]] += 1
+            turn[comp[s]] += 1 if rightward[s] else -1
+        assert all(t % 2 == 0 for t in turn)
 
-    def cusp_is_up(self, c: _Cusp) -> bool:
-        d = self.direction[c.upper]
-        return d == +1 if c.side == "L" else d == -1
-
-
-def _analyze(front: FrontDiagram) -> _Analysis:
-    return _Analysis(front)
+        self.components = tuple(
+            (w, w - r, -t // 2 if f else t // 2)
+            for w, r, t, f in zip(writhe, right, turn, flipped))
+        # each component's first left cusp starts rightward unless its
+        # markers flipped it; the reversal marks that cusp the other way
+        self.reversal = tuple(
+            None if starts[comp[s]] != s else "+" if flipped[comp[s]] else "-"
+            for s, _ in left_cusps)
 
 
 def component_count(front: FrontDiagram) -> int:
-    return _analyze(front).n_components
+    return len(front._analysis.components)
 
 
 def _select_component(an: _Analysis, component: int | None) -> int:
-    if an.n_components == 1:
+    n_components = len(an.components)
+    if n_components == 1:
         return 0
     if component is None:
         raise FrontError(
-            f"front has {an.n_components} components; pass component=<index>")
-    if not 0 <= component < an.n_components:
+            f"front has {n_components} components; pass component=<index>")
+    if not 0 <= component < n_components:
         raise FrontError(f"no component {component}")
     return component
 
 
-def _writhe(an: _Analysis, comp: int) -> int:
-    return sum(an.crossing_sign(x) for x in an.crossings
-               if an.component_of[x.over_in] == comp
-               and an.component_of[x.under_in] == comp)
-
-
 def writhe(front: FrontDiagram, component: int | None = None) -> int:
     """Signed self-crossing count of one component of the resolved diagram."""
-    an = _analyze(front)
-    return _writhe(an, _select_component(an, component))
+    an = front._analysis
+    return an.components[_select_component(an, component)][0]
 
 
 def thurston_bennequin(front: FrontDiagram, component: int | None = None) -> int:
     """tb = writhe minus the number of right cusps."""
-    an = _analyze(front)
-    comp = _select_component(an, component)
-    r = sum(1 for c in an.cusps
-            if c.side == "R" and an.component_of[c.upper] == comp)
-    return _writhe(an, comp) - r
+    an = front._analysis
+    return an.components[_select_component(an, component)][1]
 
 
 def rotation_number(front: FrontDiagram, component: int | None = None) -> int:
     """(down cusps - up cusps) / 2 under the component's orientation."""
-    an = _analyze(front)
-    comp = _select_component(an, component)
-    up = down = 0
-    for c in an.cusps:
-        if an.component_of[c.upper] != comp:
-            continue
-        if an.cusp_is_up(c):
-            up += 1
-        else:
-            down += 1
-    assert (down - up) % 2 == 0
-    return (down - up) // 2
+    an = front._analysis
+    return an.components[_select_component(an, component)][2]
 
 
 def reverse_orientation(front: FrontDiagram) -> FrontDiagram:
     """Same front with every component's orientation reversed."""
-    an = _analyze(front)
-    flipped_first: dict[int, str] = {}
-    for c in an.cusps:
-        comp = an.component_of[c.upper]
-        if c.side == "L" and comp not in flipped_first:
-            flipped_first[comp] = "-" if an.direction[c.upper] == +1 else "+"
-    events = []
-    seen: set[int] = set()
-    cusp_idx = 0
-    for ev in front.events:
-        if ev.kind == "L":
-            comp = an.component_of[an.cusps[cusp_idx].upper]
-            mark = flipped_first[comp] if comp not in seen else None
-            seen.add(comp)
-            events.append(FrontEvent("L", ev.pos, mark))
-        else:
-            events.append(FrontEvent(ev.kind, ev.pos))
-        if ev.kind in "LR":
-            cusp_idx += 1
-    return FrontDiagram(tuple(events))
+    marks = iter(front._analysis.reversal)
+    return FrontDiagram(tuple(
+        FrontEvent("L", ev.pos, next(marks)) if ev.kind == "L"
+        else FrontEvent(ev.kind, ev.pos)
+        for ev in front.events))
 
 
 # -- torus knots ----------------------------------------------------------------

@@ -11,7 +11,8 @@ rather than declared.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Sequence
 
@@ -37,6 +38,7 @@ from .swledger import (
     ManifoldModel,
     Vector,
     _direct_sum,
+    _dot,
     _unit,
     alexander_polynomial_torus,
     blow_up_basic_classes,
@@ -103,9 +105,7 @@ def build_Wsum(ks: Sequence[int]) -> HandleDecomposition:
     out = build_Wn(ks[0], prefix="w1.")
     for j, k in enumerate(ks[1:], start=2):
         out = boundary_sum(out, build_Wn(k, prefix=f"w{j}."))
-    name = "W(" + ",".join(str(k) for k in ks) + ")"
-    return HandleDecomposition(out.one_handles, out.two_handles, dict(out.links),
-                               dict(out.run_through), out.three_handles, name)
+    return replace(out, name="W(" + ",".join(str(k) for k in ks) + ")")
 
 
 def build_Mn_Nn(n: int) -> tuple[HandleDecomposition, HandleDecomposition, Vector]:
@@ -122,9 +122,7 @@ def build_Mn_Nn(n: int) -> tuple[HandleDecomposition, HandleDecomposition, Vecto
                               links={("K", "c2"): n},
                               run_through={("c2", "c1"): 1},
                               name=f"M{n}")
-    n_n = dot_zero_swap(m_n, "c1", "c2")
-    n_n = HandleDecomposition(n_n.one_handles, n_n.two_handles, dict(n_n.links),
-                              dict(n_n.run_through), n_n.three_handles, f"N{n}")
+    n_n = replace(dot_zero_swap(m_n, "c1", "c2"), name=f"N{n}")
     alpha = (-n, 1)
     return m_n, n_n, alpha
 
@@ -331,8 +329,9 @@ def _closed_model(blocks: Sequence[Sequence[Sequence[int]]],
     one value that puts the (equal) seed squares in dimension zero.
     """
     lattice = IntersectionLattice(IntMatrix.from_rows(_direct_sum(blocks)), names)
-    square = lattice.square(seeds[0])
-    if any(lattice.square(s) != square for s in seeds):
+    duals = [lattice.dual(s) for s in seeds]
+    square = _dot(duals[0], seeds[0])
+    if any(_dot(k, s) != square for k, s in zip(duals, seeds)):
         raise ScenarioError("seed squares disagree")
     pos_idx, neg_idx, zero_idx = inertia(lattice.pairing)
     if zero_idx:
@@ -343,7 +342,7 @@ def _closed_model(blocks: Sequence[Sequence[Sequence[int]]],
     euler = (square - 3 * sig) // 2        # forces d = 0 on every seed
 
     model = ManifoldModel(lattice, euler, sig, pos_idx)
-    classes = BasicClassSet.from_primal(lattice, seeds)
+    classes = BasicClassSet(lattice, Counter(duals))
     if classes.count != len(seeds):
         raise ScenarioError("seed classes collided")
     if not is_simple_type(model, classes):

@@ -167,6 +167,28 @@ def test_cli_blowup_blowdown(tmp_path, capsys):
     assert parse_hbd(payload["document"]).decomposition == parse_hbd(f.read_text()).decomposition
 
 
+@pytest.mark.parametrize("bad_id", ["q r", "e#1", "e*"])
+def test_cli_blowup_rejects_ids_the_format_cannot_read(tmp_path, capsys, bad_id):
+    f = tmp_path / "c3.hbd"
+    f.write_text(C3_TEXT)
+    code, payload = run_json(capsys, "blowup", str(f), "--id", bad_id)
+    assert code == 1
+    assert repr(bad_id) in payload["error"]
+    code, payload = run_json(capsys, "blowup", str(f), "--id", "e")
+    assert code == 0
+    out = parse_hbd(payload["document"])
+    assert out.decomposition.framing("e") == -1
+    assert print_hbd(out) == payload["document"]
+
+
+def test_cli_verbose_belongs_to_check_alone(tmp_path, capsys):
+    f = tmp_path / "c3.hbd"
+    f.write_text(C3_TEXT)
+    assert run_command(["homology", "--verbose", str(f)]) == 1
+    assert run_command(["--verbose", "homology", str(f)]) == 1
+    capsys.readouterr()
+
+
 def test_cli_corktwist(tmp_path, capsys):
     f = tmp_path / "w1.hbd"
     f.write_text(W1_TEXT)
@@ -316,7 +338,11 @@ def test_cli_scenario_unknown_name(capsys, command):
 
 
 def test_cli_check_runs_acceptance(capsys):
-    code, payload = run_json(capsys, "check", "--seed", "7")
+    code = run_command(["check", "--seed", "7", "--verbose"])
+    captured = capsys.readouterr()
+    payload = json.loads(captured.out)
+    assert [line.split()[:2] for line in captured.err.splitlines()] == \
+        [["PASS", str(n)] for n in PINNED]
     assert code == 0
     assert payload["ok"] is True
     assert [(c["number"], c["title"], c["ok"], c["detail"])

@@ -1,9 +1,15 @@
 """Fronts: parsing, tb/rotation, torus-knot generators, Stein verdicts."""
 
+import dataclasses
+import json
+from pathlib import Path
+
 import pytest
 
+from kirbycalc import legendrian
 from kirbycalc.handles import HandleDecomposition
 from kirbycalc.legendrian import (
+    FrontDiagram,
     FrontError,
     component_count,
     max_tb_torus_knot,
@@ -16,6 +22,7 @@ from kirbycalc.legendrian import (
     torus_knot_front,
     writhe,
 )
+from kirbycalc.scenarios import annotated_Dp_tilde_sum
 
 UNKNOT = "L1 R1"
 KINK = "L1 X1 R1"
@@ -63,6 +70,41 @@ def test_word_round_trip():
         assert parse_front(w).word == w
 
 
+def test_events_are_the_only_field():
+    # the analysis is kept beside the fields: equality, hash and repr see
+    # only the events
+    assert [f.name for f in dataclasses.fields(FrontDiagram)] == ["events"]
+    f, g = parse_front(TREFOIL), parse_front(TREFOIL)
+    assert f == g and hash(f) == hash(g)
+    assert repr(f) == f"FrontDiagram({TREFOIL!r})"
+
+
+def test_fronts_match_pinned():
+    """Every query on a seeded corpus of fronts, against recorded answers."""
+    pinned = json.loads((Path(__file__).parent / "fronts.json").read_text())
+    for entry in pinned:
+        try:
+            f = parse_front(entry["word"])
+        except FrontError as exc:
+            got = {"word": entry["word"], "error": str(exc)}
+        else:
+            n = component_count(f)
+            got = {"word": entry["word"], "components": n,
+                   "writhe": [writhe(f, c) for c in range(n)],
+                   "tb": [thurston_bennequin(f, c) for c in range(n)],
+                   "rotation": [rotation_number(f, c) for c in range(n)],
+                   "reversed": reverse_orientation(f).word}
+        assert got == entry
+
+
+def test_conflicting_markers_on_one_component():
+    with pytest.raises(FrontError,
+                       match="^conflicting orientation markers on one component$"):
+        parse_front("L1 O1+ L2 O2- X1 X1 X1 R2 R1")
+    # marking the second cusp + instead agrees with the first marker
+    assert rotation_number(parse_front("L1 O1+ L2 O2+ X1 X1 X1 R2 R1")) == 0
+
+
 def test_tb_unknot():
     assert thurston_bennequin(parse_front(UNKNOT)) == -1
 
@@ -87,6 +129,42 @@ def test_multi_component_needs_selector():
         thurston_bennequin(f)
     assert thurston_bennequin(f, component=0) == -1
     assert thurston_bennequin(f, component=1) == -1
+
+
+def test_crossings_between_components_count_toward_neither_writhe():
+    # a kink, then an unknot whose lower strand crosses the kink twice
+    f = parse_front("L1 X1 L1 X2 X2 R1 R1")
+    assert [e.kind for e in f.events].count("X") == 3
+    assert component_count(f) == 2
+    assert (writhe(f, component=0), writhe(f, component=1)) == (-1, 0)
+    assert (thurston_bennequin(f, component=0),
+            thurston_bennequin(f, component=1)) == (-2, -1)
+
+
+def test_rotation_of_each_component():
+    f = parse_front("L1 O1- X1 R1 L1 X1 R1")     # two kinks, the first reversed
+    assert (rotation_number(f, component=0), rotation_number(f, component=1)) == (1, -1)
+    with pytest.raises(FrontError, match="pass component=<index>"):
+        rotation_number(f)
+    with pytest.raises(FrontError, match="no component 2"):
+        rotation_number(f, component=2)
+
+
+@pytest.mark.parametrize("word,reversed_word", [
+    ("L1 O1- X1 R1 L1 X1 R1", "L1 O1+ X1 R1 L1 O1- X1 R1"),
+    # the marker sits on the trefoil's second left cusp; the reversal marks
+    # the first left cusp of every component
+    ("L1 L2 O2- X1 X1 X1 R2 R1 L1 O1+ R1", "L1 O1+ L2 X1 X1 X1 R2 R1 L1 O1- R1"),
+])
+def test_reverse_orientation_of_marked_multi_component_front(word, reversed_word):
+    f = parse_front(word)
+    g = reverse_orientation(f)
+    assert g.word == reversed_word
+    for c in range(component_count(f)):
+        assert thurston_bennequin(g, c) == thurston_bennequin(f, c)
+        assert rotation_number(g, c) == -rotation_number(f, c)
+    assert [rotation_number(reverse_orientation(g), c) for c in range(2)] == \
+        [rotation_number(f, c) for c in range(2)]
 
 
 def test_rotation_standard_unknot():
@@ -159,3 +237,20 @@ def test_stein_check_requires_full_annotation():
     d = HandleDecomposition(two_handles=(("k", 0), ("m", -2)))
     with pytest.raises(FrontError):
         stein_check(d, {"k": parse_front(TREFOIL)})
+
+
+def test_stein_check_runs_no_front_analysis(monkeypatch):
+    d, annotation = annotated_Dp_tilde_sum([2, 3])
+    built = []
+
+    class Counting(legendrian._Analysis):
+        __slots__ = ()
+
+        def __init__(self, events):
+            built.append(events)
+            super().__init__(events)
+
+    monkeypatch.setattr(legendrian, "_Analysis", Counting)
+    assert len(annotation) == 8
+    assert stein_check(d, annotation).ok
+    assert built == []

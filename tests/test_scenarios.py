@@ -84,6 +84,7 @@ def test_wn_contractible(n):
 
 def test_wsum_contractible():
     d = build_Wsum((1, 2, 3, 4, 5))
+    assert d.name == "W(1,2,3,4,5)"
     assert is_homology_trivial(d)
     assert boundary_group_order(d) == 1
 
@@ -97,6 +98,7 @@ def test_contractibility_catalog():
 
 def test_mn_nn_profiles():
     m_n, n_n, alpha = build_Mn_Nn(3)
+    assert (m_n.name, n_n.name) == ("M3", "N3")
     pm, pn = homology(m_n), homology(n_n)
     assert pm.h1_trivial and pn.h1_trivial
     assert pm.h2_rank == 1 and pn.h2_rank == 1
@@ -235,6 +237,19 @@ def test_genus_model_matches_pinned(pinned):
 def test_closed_model_guards(blocks, seeds, message):
     with pytest.raises(ScenarioError, match=message):
         _closed_model(blocks, {}, seeds)
+
+
+def test_closed_model_takes_one_dual_per_seed(monkeypatch):
+    calls = []
+    dual = IntersectionLattice.dual
+
+    def counting(lat, x):
+        calls.append(x)
+        return dual(lat, x)
+
+    monkeypatch.setattr(IntersectionLattice, "dual", counting)
+    build_genus_model.__wrapped__(6)         # 2^6 seeds, bypassing the cache
+    assert len(calls) == 64
 
 
 def test_closed_model_rejects_classes_off_dimension_zero(monkeypatch):
