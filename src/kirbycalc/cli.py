@@ -23,7 +23,7 @@ from .handles import (
     rational_blowdown_splice,
 )
 from .hbd import _ID, DiagramDocument, HbdParseError, parse_hbd, print_hbd
-from .homology import boundary_first_homology, boundary_group_order, homology
+from .homology import _group_order, boundary_first_homology, homology
 from .legendrian import FrontError, stein_check
 from .scenarios import (
     ScenarioError,
@@ -79,6 +79,7 @@ def _document_payload(doc: DiagramDocument, new_d, dropped: set[str]) -> str:
 def _cmd_homology(args) -> dict:
     doc = _load(args.file)
     prof = homology(doc.decomposition)
+    factors = boundary_first_homology(doc.decomposition)
     return {
         "command": "homology",
         "name": doc.name,
@@ -86,19 +87,19 @@ def _cmd_homology(args) -> dict:
                "free_rank": prof.h1_free_rank},
         "h2": {"rank": prof.h2_rank,
                "intersection_form": prof.intersection_form.to_lists()},
-        "boundary": {"invariant_factors": list(boundary_first_homology(doc.decomposition)),
-                     "order": boundary_group_order(doc.decomposition)},
+        "boundary": {"invariant_factors": list(factors), "order": _group_order(factors)},
         "ok": True,
     }
 
 
 def _cmd_boundary(args) -> dict:
     doc = _load(args.file)
+    factors = boundary_first_homology(doc.decomposition)
     return {
         "command": "boundary",
         "name": doc.name,
-        "invariant_factors": list(boundary_first_homology(doc.decomposition)),
-        "order": boundary_group_order(doc.decomposition),
+        "invariant_factors": list(factors),
+        "order": _group_order(factors),
         "ok": True,
     }
 

@@ -62,14 +62,14 @@ class HandleDecomposition:
             raise HandleError(f"duplicate handle identifiers in {all_ids}")
         if self.three_handles < 0:
             raise HandleError("three_handles must be non-negative")
-        two_set = set(two_ids)
+        framings = dict(twos)
         one_set = set(ones)
 
         links: dict[tuple[str, str], int] = {}
         for (a, b), v in self.links.items():
             if a == b:
                 raise HandleError(f"self-linking of {a!r}: use the framing")
-            if a not in two_set or b not in two_set:
+            if a not in framings or b not in framings:
                 raise HandleError(f"link {a!r}-{b!r} names a missing 2-handle")
             if v:
                 key = _pair(a, b)
@@ -78,7 +78,7 @@ class HandleDecomposition:
                 links[key] = int(v)
         rt: dict[tuple[str, str], int] = {}
         for (k, h), v in self.run_through.items():
-            if k not in two_set:
+            if k not in framings:
                 raise HandleError(f"run-through names missing 2-handle {k!r}")
             if h not in one_set:
                 raise HandleError(f"run-through names missing 1-handle {h!r}")
@@ -86,6 +86,9 @@ class HandleDecomposition:
                 rt[(k, h)] = int(v)
         object.__setattr__(self, "links", MappingProxyType(dict(sorted(links.items()))))
         object.__setattr__(self, "run_through", MappingProxyType(dict(sorted(rt.items()))))
+        # lookup tables, not fields: equality, repr and replace() ignore them
+        object.__setattr__(self, "_framings", framings)
+        object.__setattr__(self, "_one_set", one_set)
 
     # -- accessors ---------------------------------------------------------
 
@@ -98,28 +101,28 @@ class HandleDecomposition:
         return self.one_handles + self.two_handle_ids
 
     def is_one_handle(self, h: str) -> bool:
-        return h in self.one_handles
+        return h in self._one_set
 
     def is_two_handle(self, k: str) -> bool:
-        return any(i == k for i, _ in self.two_handles)
+        return k in self._framings
 
     def framing(self, k: str) -> int:
-        for i, f in self.two_handles:
-            if i == k:
-                return f
-        raise HandleError(f"unknown 2-handle {k!r}")
+        f = self._framings.get(k)
+        if f is None:
+            raise HandleError(f"unknown 2-handle {k!r}")
+        return f
 
     def link(self, a: str, b: str) -> int:
-        if not (self.is_two_handle(a) and self.is_two_handle(b)):
+        if a not in self._framings or b not in self._framings:
             raise HandleError(f"link requires two 2-handles, got {a!r}, {b!r}")
         if a == b:
             raise HandleError("self-linking is the framing")
         return self.links.get(_pair(a, b), 0)
 
     def run_through_count(self, k: str, h: str) -> int:
-        if not self.is_two_handle(k):
+        if k not in self._framings:
             raise HandleError(f"unknown 2-handle {k!r}")
-        if not self.is_one_handle(h):
+        if h not in self._one_set:
             raise HandleError(f"unknown 1-handle {h!r}")
         return self.run_through.get((k, h), 0)
 

@@ -9,10 +9,11 @@ a handlebody presented by its run-through and linking data.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from math import prod
+from operator import mul
 from typing import Iterable, Sequence
 
-from .handles import HandleDecomposition
+from .handles import HandleDecomposition, _pair
 
 
 @dataclass(frozen=True)
@@ -203,10 +204,12 @@ def smith_normal_form(m: IntMatrix) -> SmithNormalForm:
 
 def cokernel_invariants(m: IntMatrix) -> tuple[tuple[int, ...], int]:
     """(torsion invariant factors >= 2, free rank) of Z^rows / im(M)."""
-    snf = smith_normal_form(m)
-    torsion = tuple(d for d in snf.invariant_factors if d >= 2)
-    free = m.rows - len(snf.invariant_factors)
-    return torsion, free
+    return _cokernel(m, smith_normal_form(m))
+
+
+def _cokernel(m: IntMatrix, snf: SmithNormalForm) -> tuple[tuple[int, ...], int]:
+    factors = snf.invariant_factors
+    return tuple(d for d in factors if d >= 2), m.rows - len(factors)
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -270,20 +273,34 @@ def kernel_basis(m: IntMatrix) -> tuple[tuple[int, ...], ...]:
     """Canonical basis (as rows) of the integer kernel {x : M x = 0}."""
     if m.rows == 0:
         return hermite_row_basis(IntMatrix.identity(m.cols).entries, m.cols)
-    snf = smith_normal_form(m)
-    vt = snf.v.transpose()
-    vecs = [vt.row(j) for j in range(m.cols)
-            if j >= m.rows or snf.s[j, j] == 0]
+    return _kernel(m, smith_normal_form(m))
+
+
+def _kernel(m: IntMatrix, snf: SmithNormalForm) -> tuple[tuple[int, ...], ...]:
+    """Kernel of M from its SNF: the columns of V past the nonzero pivots."""
+    diag = snf.diagonal
+    vecs = [col for j, col in enumerate(zip(*snf.v.entries))
+            if j >= len(diag) or diag[j] == 0]
     return hermite_row_basis(vecs, m.cols)
 
 
 def inertia(m: IntMatrix) -> tuple[int, int, int]:
-    """(positive, negative, zero) inertia indices of a symmetric form."""
+    """(positive, negative, zero) inertia indices of a symmetric form.
+
+    Symmetric elimination in integers (Bareiss): after each pivot the
+    trailing block is the previous pivot times the Schur complement, so every
+    update divides exactly, and the i-th pivot of the LDL^T factorisation is
+    d / prev.  A zero diagonal is first replaced by a nonzero one (swap), or
+    by 2*a_ij (add row and column j); a zero row counts toward `zero`.
+    These congruences act on the trailing block only and commute with the
+    elimination, so exactness survives them.
+    """
     if not m.is_symmetric():
         raise ValueError("inertia needs a symmetric matrix")
     n = m.rows
-    a = [[Fraction(x) for x in row] for row in m.entries]
+    a = m.to_lists()
     pos = neg = zero = 0
+    prev = 1
     for i in range(n):
         if a[i][i] == 0:
             swap = next((j for j in range(i + 1, n) if a[j][j] != 0), None)
@@ -300,16 +317,17 @@ def inertia(m: IntMatrix) -> tuple[int, int, int]:
                 for row in a:
                     row[i] = row[i] + row[j]
         d = a[i][i]
-        if d > 0:
+        if (d > 0) == (prev > 0):
             pos += 1
         else:
             neg += 1
+        pivot_row = a[i][i + 1:]
         for j in range(i + 1, n):
-            f = a[j][i] / d
-            if f:
-                a[j] = [x - f * y for x, y in zip(a[j], a[i])]
-                for row in a:
-                    row[j] = row[j] - f * row[i]
+            row = a[j]
+            f = row[i]
+            row[i + 1:] = [(d * x - f * y) // prev
+                           for x, y in zip(row[i + 1:], pivot_row)]
+        prev = d
     return pos, neg, zero
 
 
@@ -318,41 +336,23 @@ def signature(m: IntMatrix) -> int:
     return p - q
 
 
-def invert_rational(m: IntMatrix) -> tuple[tuple[Fraction, ...], ...]:
-    """Exact inverse over Q; raises ZeroDivisionError if singular."""
-    if m.rows != m.cols:
-        raise ValueError("inverse of a non-square matrix")
-    n = m.rows
-    a = [[Fraction(x) for x in row] + [Fraction(i == j) for j in range(n)]
-         for i, row in enumerate(m.entries)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            raise ZeroDivisionError("matrix is singular")
-        a[col], a[piv] = a[piv], a[col]
-        d = a[col][col]
-        a[col] = [x / d for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col]:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return tuple(tuple(row[n:]) for row in a)
-
-
 # -- homology of handle decompositions ---------------------------------------
 
 
 def run_through_matrix(d: HandleDecomposition) -> IntMatrix:
     """Differential C_2 -> C_1: rows are 1-handles, columns are 2-handles."""
-    rows = [[d.run_through_count(k, h) for k in d.two_handle_ids]
-            for h in d.one_handles]
-    return IntMatrix.from_rows(rows, cols=len(d.two_handle_ids))
+    ids = d.two_handle_ids
+    rt = d.run_through
+    rows = [[rt.get((k, h), 0) for k in ids] for h in d.one_handles]
+    return IntMatrix.from_rows(rows, cols=len(ids))
 
 
 def linking_matrix(d: HandleDecomposition) -> IntMatrix:
     """Framings on the diagonal, linking numbers off it, on the 2-handles."""
     ids = d.two_handle_ids
-    rows = [[d.framing(a) if a == b else d.link(a, b) for b in ids] for a in ids]
+    links = d.links
+    rows = [[f if a == b else links.get(_pair(a, b), 0) for b in ids]
+            for a, f in d.two_handles]
     return IntMatrix.from_rows(rows, cols=len(ids))
 
 
@@ -362,15 +362,13 @@ def surgery_presentation(d: HandleDecomposition) -> IntMatrix:
     Basis: the 2-handles followed by the 1-handles-turned-0-framed-2-handles;
     dotted circles are pairwise unlinked, so their block is zero.
     """
-    q = linking_matrix(d)
-    r = run_through_matrix(d)
-    n2, n1 = q.rows, r.rows
-    rows = []
-    for i in range(n2):
-        rows.append(list(q.row(i)) + [r[h, i] for h in range(n1)])
-    for h in range(n1):
-        rows.append(list(r.row(h)) + [0] * n1)
-    return IntMatrix.from_rows(rows, cols=n2 + n1)
+    q = linking_matrix(d).entries
+    r = run_through_matrix(d).entries
+    n1 = len(r)
+    r_cols = zip(*r) if r else [()] * len(q)
+    rows = [q_row + r_col for q_row, r_col in zip(q, r_cols)]
+    rows += [r_row + (0,) * n1 for r_row in r]
+    return IntMatrix.from_rows(rows, cols=len(q) + n1)
 
 
 @dataclass(frozen=True)
@@ -396,13 +394,12 @@ def homology(d: HandleDecomposition) -> HomologyProfile:
     kernel basis, so repeated runs produce identical matrices.
     """
     r = run_through_matrix(d)
-    torsion, free = cokernel_invariants(r)
-    basis = kernel_basis(r)
-    q = linking_matrix(d)
-    form_rows = []
-    for vi in basis:
-        qv = [sum(q[a, b] * vi[a] for a in range(q.rows)) for b in range(q.cols)]
-        form_rows.append([sum(x * y for x, y in zip(qv, vj)) for vj in basis])
+    snf = smith_normal_form(r)
+    torsion, free = _cokernel(r, snf)
+    basis = _kernel(r, snf)
+    q = linking_matrix(d).entries  # symmetric, so row a of Q is column a
+    qb = [[sum(map(mul, row, v)) for row in q] for v in basis]
+    form_rows = [[sum(map(mul, qv, w)) for w in basis] for qv in qb]
     form = IntMatrix.from_rows(form_rows, cols=len(basis))
     return HomologyProfile(torsion, free, len(basis), form, basis)
 
@@ -415,13 +412,12 @@ def boundary_first_homology(d: HandleDecomposition) -> tuple[int, ...]:
 
 def boundary_group_order(d: HandleDecomposition) -> int | None:
     """|H_1(boundary)| when finite, None when there is a free part."""
-    factors = boundary_first_homology(d)
-    if 0 in factors:
-        return None
-    order = 1
-    for f in factors:
-        order *= f
-    return order
+    return _group_order(boundary_first_homology(d))
+
+
+def _group_order(factors: Sequence[int]) -> int | None:
+    """Order of the group with these invariant factors; None if a 0 (a Z) is among them."""
+    return None if 0 in factors else prod(factors)
 
 
 def is_homology_trivial(d: HandleDecomposition) -> bool:

@@ -109,8 +109,12 @@ class IntersectionLattice:
         return square
 
     def is_characteristic_dual(self, kappa: Sequence[int]) -> bool:
-        g = self.pairing
-        return all((kappa[i] - g[i, i]) % 2 == 0 for i in range(self.rank))
+        diag = self._diagonal
+        return all((kappa[i] - diag[i]) % 2 == 0 for i in range(self.rank))
+
+    @cached_property
+    def _diagonal(self) -> Vector:
+        return tuple(row[i] for i, row in enumerate(self.pairing.entries))
 
     @cached_property
     def _adjugate(self) -> tuple[int, tuple[Vector, ...]]:

@@ -1,6 +1,7 @@
 """Kirby moves: frozen examples plus boundary-invariance oracles."""
 
 import random
+from dataclasses import fields, replace
 
 import pytest
 
@@ -83,6 +84,31 @@ def test_zero_entries_normalized_away():
 
 
 # -- handle slide -------------------------------------------------------------
+
+def test_lookup_tables_leave_equality_repr_and_replace_alone():
+    d = HandleDecomposition(("h",), (("a", -1), ("b", 2)), {("b", "a"): 3},
+                            {("a", "h"): 1})
+    assert [f.name for f in fields(d)] == [
+        "one_handles", "two_handles", "links", "run_through", "three_handles", "name"]
+    assert repr(d) == ("HandleDecomposition(name='', one=['h'], two=[('a', -1), ('b', 2)], "
+                       "links={('a', 'b'): 3}, rt={('a', 'h'): 1})")
+    same = HandleDecomposition(("h",), (("a", -1), ("b", 2)), {("a", "b"): 3},
+                               {("a", "h"): 1, ("b", "h"): 0})
+    assert same == d and replace(d) == d
+    assert d != replace(d, name="x")
+    # replace() rebuilds the tables from the new fields
+    e = replace(d, one_handles=("g",), two_handles=(("a", 5), ("c", 0)),
+                links={}, run_through={})
+    assert e.framing("a") == 5 and e.is_two_handle("c") and not e.is_two_handle("b")
+    assert e.is_one_handle("g") and not e.is_one_handle("h")
+    assert d.framing("a") == -1 and d.link("a", "b") == 3 and d.run_through_count("a", "h") == 1
+    for call, message in ((lambda: e.framing("b"), "unknown 2-handle 'b'"),
+                          (lambda: e.link("a", "b"), "link requires two 2-handles"),
+                          (lambda: e.run_through_count("a", "h"), "unknown 1-handle 'h'"),
+                          (lambda: e.run_through_count("g", "g"), "unknown 2-handle 'g'")):
+        with pytest.raises(HandleError, match=message):
+            call()
+
 
 def test_slide_framing_update():
     d = two_unknots()

@@ -1,6 +1,7 @@
 """The .hbd format and the command-line interface."""
 
 import json
+from importlib import import_module
 
 import pytest
 
@@ -10,6 +11,7 @@ from kirbycalc.handles import HandleDecomposition
 from kirbycalc.hbd import DiagramDocument, HbdParseError, parse_hbd, print_hbd
 from kirbycalc.homology import is_homology_trivial
 from kirbycalc.legendrian import parse_front, torus_knot_front
+from kirbycalc.scenarios import build_Bp
 from test_acceptance import PINNED
 
 W1_TEXT = """manifold W1
@@ -179,6 +181,26 @@ def test_cli_blowup_rejects_ids_the_format_cannot_read(tmp_path, capsys, bad_id)
     out = parse_hbd(payload["document"])
     assert out.decomposition.framing("e") == -1
     assert print_hbd(out) == payload["document"]
+
+
+def test_cli_computes_each_boundary_snf_once(tmp_path, capsys, monkeypatch):
+    H = import_module("kirbycalc.homology")
+    snf = H.smith_normal_form
+    calls = []
+
+    def counting(m):
+        calls.append(m)
+        return snf(m)
+    monkeypatch.setattr(H, "smith_normal_form", counting)
+    f = tmp_path / "b3.hbd"
+    f.write_text(print_hbd(DiagramDocument(build_Bp(3), {})))
+    code, payload = run_json(capsys, "homology", str(f))
+    assert code == 0 and payload["boundary"] == {"invariant_factors": [9], "order": 9}
+    assert len(calls) == 2  # one for homology(), one for the boundary
+    calls.clear()
+    code, payload = run_json(capsys, "boundary", str(f))
+    assert code == 0 and payload["order"] == 9
+    assert len(calls) == 1
 
 
 def test_cli_verbose_belongs_to_check_alone(tmp_path, capsys):

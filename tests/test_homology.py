@@ -1,6 +1,8 @@
 """Smith normal form against a gcd-of-minors oracle; homology profiles."""
 
 import random
+import time
+from importlib import import_module
 from itertools import combinations
 from math import gcd
 
@@ -8,20 +10,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kirbycalc import scenarios as S
 from kirbycalc.handles import HandleDecomposition
 from kirbycalc.homology import (
     IntMatrix,
     boundary_first_homology,
     boundary_group_order,
+    cokernel_invariants,
     det,
     hermite_row_basis,
     homology,
     inertia,
-    invert_rational,
     is_homology_trivial,
     kernel_basis,
+    linking_matrix,
     smith_normal_form,
 )
+from _oracles import invert_rational
 from test_handles import cp_chain, nn_model, wn_model
 
 
@@ -112,6 +117,108 @@ def test_inertia_examples():
     assert inertia(m) == (0, 3, 0)
 
 
+def _inertia_by_charpoly(rows):
+    """(pos, neg, zero) from sympy's characteristic polynomial.
+
+    A symmetric matrix has only real eigenvalues, so Descartes' rule of signs
+    is exact: sign changes of p(x) count the positive roots, sign changes of
+    p(-x) the negative ones, and the trailing zero coefficients the root 0.
+    """
+    sympy = pytest.importorskip("sympy")
+    n = len(rows)
+    coeffs = [int(c) for c in sympy.Matrix(rows).charpoly().all_coeffs()] if n else [1]
+
+    def changes(cs):
+        signs = [c > 0 for c in cs if c]
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+
+    zero = next(k for k, c in enumerate(reversed(coeffs)) if c)
+    flipped = [c * (-1) ** (n - k) for k, c in enumerate(coeffs)]
+    return changes(coeffs), changes(flipped), zero
+
+
+def _seeded_forms(count, seed):
+    """Symmetric forms, n <= 12: dense, zero-diagonal, hyperbolic, singular."""
+    rng = random.Random(seed)
+    for t in range(count):
+        n = rng.randrange(0, 13)
+        kind = t % 4
+        if kind == 2:
+            # hyperbolic blocks plus a diagonal, hidden by a unimodular congruence
+            a = [[0] * n for _ in range(n)]
+            for i in range(0, n - 1, 2):
+                if rng.random() < 0.7:
+                    a[i][i + 1] = a[i + 1][i] = 1
+                else:
+                    a[i][i] = rng.choice((-1, 1, 2))
+            e = [[int(i == j) for j in range(n)] for i in range(n)]
+            for _ in range(n):
+                i, j = rng.sample(range(n), 2) if n > 1 else (0, 0)
+                if i != j:
+                    e[i] = [x + rng.choice((-1, 1)) * y for x, y in zip(e[i], e[j])]
+            a = [[sum(e[i][k] * a[k][l] * e[j][l] for k in range(n) for l in range(n))
+                  for j in range(n)] for i in range(n)]
+        elif kind == 3:
+            # B^T D B has rank at most k < n
+            k = rng.randrange(0, max(n, 1))
+            b = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(k)]
+            dd = [rng.choice((-3, -1, 1, 2)) for _ in range(k)]
+            a = [[sum(b[r][i] * dd[r] * b[r][j] for r in range(k)) for j in range(n)]
+                 for i in range(n)]
+        else:
+            a = [[0] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i, n):
+                    a[i][j] = a[j][i] = rng.randint(-4, 4)
+                if kind == 1:
+                    a[i][i] = 0
+        yield a
+
+
+def test_inertia_matches_charpoly_on_seeded_forms():
+    kinds = [0, 0, 0]
+    for a in _seeded_forms(300, 2026):
+        n = len(a)
+        expected = _inertia_by_charpoly(a)
+        assert sum(expected) == n
+        assert inertia(IntMatrix.from_rows(a, n)) == expected, a
+        kinds[0] += expected[2] > 0
+        kinds[1] += n > 0 and all(a[i][i] == 0 for i in range(n))
+        kinds[2] += expected[0] > 0 and expected[1] > 0
+    # the draw really contains singular, zero-diagonal and indefinite forms
+    assert min(kinds) >= 50, kinds
+
+
+def test_inertia_matches_charpoly_on_catalog_forms():
+    decompositions = [S.build_Cp(p) for p in range(2, 9)]
+    decompositions += [S.build_Bp(p) for p in range(2, 9)]
+    decompositions += [S.build_Dp(p) for p in range(2, 9)]
+    decompositions += [S.build_Wn(n) for n in range(1, 4)]
+    decompositions += [S.build_Wsum((1, 2, 3)), *S.build_Mn_Nn(3)[:2]]
+    decompositions += [d for _, d, _ in S.stein_catalog()]
+    forms = [homology(d).intersection_form for d in decompositions]
+    forms += [linking_matrix(d) for d in decompositions]
+    forms += [S.build_X0_model((2, 3)).model.lattice.pairing,
+              S.build_genus_model(4)[0].lattice.pairing]
+    for m in forms:
+        assert inertia(m) == _inertia_by_charpoly(m.to_lists()), m
+
+
+def test_inertia_dense_60_within_budget():
+    rng = random.Random(60)
+    n = 60
+    a = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            a[i][j] = a[j][i] = rng.randint(-9, 9)
+    m = IntMatrix.from_rows(a, n)
+    start = time.perf_counter()
+    pos, neg, zero = inertia(m)
+    assert time.perf_counter() - start < 0.5
+    assert pos + neg + zero == n and zero == 0  # |det| != 0 for this draw
+    assert det(m) != 0
+
+
 def test_invert_rational_round_trip():
     m = IntMatrix.from_rows([[2, 1], [1, 1]])
     inv = invert_rational(m)
@@ -179,6 +286,25 @@ def test_no_one_handles_form_is_linking_matrix():
         assert prof.intersection_form.to_lists() == [
             [d.framing(a) if a == b else d.link(a, b)
              for b in d.two_handle_ids] for a in d.two_handle_ids]
+
+
+def test_homology_runs_one_smith_normal_form(monkeypatch):
+    # the package re-exports the function `homology` over the submodule name
+    H = import_module("kirbycalc.homology")
+    calls = []
+
+    def counting(m):
+        calls.append(m)
+        return smith_normal_form(m)
+    monkeypatch.setattr(H, "smith_normal_form", counting)
+    for d in (wn_model(), nn_model(3), cp_chain(4), HandleDecomposition()):
+        calls.clear()
+        prof = homology(d)
+        assert len(calls) == 1
+        # the one SNF gives the same answer as the separate entry points
+        r = calls[0]
+        assert prof.h2_basis == kernel_basis(r)
+        assert (prof.h1_invariant_factors, prof.h1_free_rank) == cokernel_invariants(r)
 
 
 @pytest.mark.parametrize("p", range(2, 11))

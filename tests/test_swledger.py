@@ -6,7 +6,7 @@ from itertools import product
 
 import pytest
 
-from kirbycalc.homology import IntMatrix, det, invert_rational
+from kirbycalc.homology import IntMatrix, det
 from kirbycalc.swledger import (
     BasicClassSet,
     IntersectionLattice,
@@ -27,6 +27,8 @@ from kirbycalc.swledger import (
     rbd_lift_eligible,
     restriction_profile,
 )
+
+from _oracles import invert_rational
 
 
 def lat(rows, names=None):
