@@ -2,8 +2,8 @@
 
 Everything here runs on arbitrary-precision Python integers: Smith normal
 form with its unimodular transforms, canonical (Hermite) kernel bases,
-Bareiss determinants, exact inertia of symmetric forms, and the homology of
-a handlebody presented by its run-through and linking data.
+Bareiss determinants and adjugates, exact inertia of symmetric forms, and
+the homology of a handlebody presented by its run-through and linking data.
 """
 
 from __future__ import annotations
@@ -25,17 +25,16 @@ class IntMatrix:
     entries: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        entries = tuple(tuple(int(x) for x in row) for row in self.entries)
+        entries = tuple(tuple(map(int, row)) for row in self.entries)
         object.__setattr__(self, "entries", entries)
         if len(entries) != self.rows or any(len(r) != self.cols for r in entries):
             raise ValueError(f"entry grid does not match shape {self.rows}x{self.cols}")
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]], cols: int | None = None) -> "IntMatrix":
-        rows = [list(r) for r in rows]
         if cols is None:
             cols = len(rows[0]) if rows else 0
-        return cls(len(rows), cols, tuple(tuple(r) for r in rows))
+        return cls(len(rows), cols, rows)
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
@@ -60,15 +59,8 @@ class IntMatrix:
         if self.cols != other.rows:
             raise ValueError("shape mismatch in matrix product")
         ot = list(zip(*other.entries)) if other.entries else [()] * other.cols
-        rows = tuple(tuple(sum(a * b for a, b in zip(row, col)) for col in ot)
-                     for row in self.entries)
-        if self.rows == 0 or other.cols == 0:
-            return IntMatrix.zeros(self.rows, other.cols)
+        rows = tuple(tuple(_dot(row, col) for col in ot) for row in self.entries)
         return IntMatrix(self.rows, other.cols, rows)
-
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix(self.cols, self.rows, tuple(zip(*self.entries))
-                         if self.entries else tuple(() for _ in range(self.cols)))
 
     def is_symmetric(self) -> bool:
         return self.rows == self.cols and all(
@@ -80,6 +72,10 @@ class IntMatrix:
 
     def row(self, i: int) -> tuple[int, ...]:
         return self.entries[i]
+
+
+def _dot(a: Sequence[int], b: Sequence[int]) -> int:
+    return sum(map(mul, a, b))
 
 
 def det(m: IntMatrix) -> int:
@@ -107,6 +103,38 @@ def det(m: IntMatrix) -> int:
             a[i][k] = 0
         prev = a[k][k]
     return sign * a[n - 1][n - 1]
+
+
+def adjugate(m: IntMatrix) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """(det M, adj M) by fraction-free Gauss-Jordan elimination of [M | I].
+
+    Each step divides exactly by the previous pivot (Bareiss), so every
+    entry stays an integer minor of [M | I].  At the end the left block is
+    d I and the right block d M^{-1}, where d = +-det M carries the sign of
+    the row swaps.  Raises ValueError for a non-square or singular matrix.
+    """
+    if m.rows != m.cols:
+        raise ValueError("adjugate of a non-square matrix")
+    n = m.rows
+    a = [list(row) + [int(i == j) for j in range(n)]
+         for i, row in enumerate(m.entries)]
+    sign, prev = 1, 1
+    for k in range(n):
+        piv = next((i for i in range(k, n) if a[i][k]), None)
+        if piv is None:
+            raise ValueError("adjugate of a singular matrix")
+        if piv != k:
+            a[k], a[piv] = a[piv], a[k]
+            sign = -sign
+        pk = a[k]
+        d = pk[k]
+        for i in range(n):
+            if i != k:
+                ai = a[i]
+                f = ai[k]
+                a[i] = [(d * x - f * y) // prev for x, y in zip(ai, pk)]
+        prev = d
+    return sign * prev, tuple(tuple(sign * x for x in row[n:]) for row in a)
 
 
 @dataclass(frozen=True)
@@ -186,8 +214,9 @@ def smith_normal_form(m: IntMatrix) -> SmithNormalForm:
             if any(s[i][t] for i in range(t + 1, nr)):
                 continue
             pivot = s[t][t]
+            # columns <= t of the rows below t are zero by now
             offender = next((i for i in range(t + 1, nr)
-                             if any(x % pivot for x in s[i])), None)
+                             if any(x % pivot for x in s[i][t + 1:])), None)
             if offender is None:
                 break
             row_sub(t, offender, -1)  # pull the offending row into row t
@@ -398,8 +427,8 @@ def homology(d: HandleDecomposition) -> HomologyProfile:
     torsion, free = _cokernel(r, snf)
     basis = _kernel(r, snf)
     q = linking_matrix(d).entries  # symmetric, so row a of Q is column a
-    qb = [[sum(map(mul, row, v)) for row in q] for v in basis]
-    form_rows = [[sum(map(mul, qv, w)) for w in basis] for qv in qb]
+    qb = [[_dot(row, v) for row in q] for v in basis]
+    form_rows = [[_dot(qv, w) for w in basis] for qv in qb]
     form = IntMatrix.from_rows(form_rows, cols=len(basis))
     return HomologyProfile(torsion, free, len(basis), form, basis)
 

@@ -19,6 +19,7 @@ from typing import Sequence
 from .handles import HandleDecomposition, boundary_sum, dot_zero_swap
 from .homology import (
     IntMatrix,
+    _dot,
     boundary_group_order,
     det,
     inertia,
@@ -38,7 +39,6 @@ from .swledger import (
     ManifoldModel,
     Vector,
     _direct_sum,
-    _dot,
     _unit,
     alexander_polynomial_torus,
     blow_up_basic_classes,
@@ -473,8 +473,8 @@ def verify_restriction_lemma(p_list: Sequence[int], index: int = 0,
     alpha_orth = all(lat.pair(alpha, u) == 0 for u in chain)
     eval_ok = True
     for kappa in x0.classes.members:
-        lhs = sum(a * b for a, b in zip(kappa, alpha))
-        rhs = (1 - p) * sum(a * b for a, b in zip(kappa, e_vec))
+        lhs = _dot(kappa, alpha)
+        rhs = (1 - p) * _dot(kappa, e_vec)
         eval_ok = eval_ok and lhs == rhs
     eligible = all(rbd_lift_eligible(kappa, chain) for kappa in x0.classes.members)
 
@@ -482,10 +482,7 @@ def verify_restriction_lemma(p_list: Sequence[int], index: int = 0,
     profiles = [restriction_profile(kappa, complement) for kappa in x0.classes.members]
     distinct = len(set(profiles)) == len(profiles)
 
-    chain_gram = IntMatrix.from_rows([[lat.pair(a, b) for b in chain] for a in chain])
-    comp_gram = IntMatrix.from_rows(
-        [[lat.pair(a, b) for b in complement] for a in complement])
-    product = det(chain_gram) * det(comp_gram)
+    product = det(lat.gram(chain)) * det(lat.gram(complement))
     full = det(lat.pairing)
     index_sq, rem = divmod(product, full)
     mv_index = _isqrt_exact(index_sq) if rem == 0 and index_sq > 0 else -1
@@ -546,8 +543,7 @@ def genus_obstruction_Nn(n: int, k: int) -> GenusObstructionReport:
     """Adjunction bound for k copies of the square-zero generator."""
     model, classes, alpha = build_genus_model(n)
     k_alpha = tuple(k * x for x in alpha)
-    max_pairing = max(abs(sum(a * b for a, b in zip(kappa, k_alpha)))
-                      for kappa in classes.members)
+    max_pairing = max(abs(_dot(kappa, k_alpha)) for kappa in classes.members)
     bound = min_genus_bound(model, classes, k_alpha)
     forces = k == 0 or bound >= n
     expected_pairing = abs(k) * (2 * n - 2)

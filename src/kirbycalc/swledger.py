@@ -19,11 +19,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import gcd
-from operator import mul
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
-from .homology import IntMatrix
+from .homology import IntMatrix, _dot, adjugate, smith_normal_form
 
 Vector = tuple[int, ...]
 
@@ -34,10 +33,6 @@ class LedgerError(ValueError):
 
 def _vec(x: Sequence[int]) -> Vector:
     return tuple(int(v) for v in x)
-
-
-def _dot(a: Sequence[int], b: Sequence[int]) -> int:
-    return sum(map(mul, a, b))
 
 
 def _unit(rank: int, idx: int) -> Vector:
@@ -116,36 +111,23 @@ class IntersectionLattice:
     def _diagonal(self) -> Vector:
         return tuple(row[i] for i, row in enumerate(self.pairing.entries))
 
+    def gram(self, vectors: Sequence[Sequence[int]]) -> IntMatrix:
+        """Pairing matrix <v_i, v_j> of primal vectors, one dual per vector."""
+        duals = [self.dual(v) for v in vectors]
+        return IntMatrix.from_rows([[_dot(gv, w) for w in vectors] for gv in duals],
+                                   len(duals))
+
     @cached_property
     def _adjugate(self) -> tuple[int, tuple[Vector, ...]]:
-        """(det G, adj G) by fraction-free Gauss-Jordan elimination of [G | I].
+        """(det G, adj G), computed on the first dual square.
 
-        Each step divides exactly by the previous pivot (Bareiss), so every
-        entry stays an integer minor of [G | I].  At the end the left block
-        is d I and the right block d G^{-1}, where d = +-det G carries the
-        sign of the row swaps.  Computed on the first dual square, so a
-        degenerate pairing can still be constructed and inspected.
+        A degenerate pairing can still be constructed and inspected; only
+        its dual squares raise.
         """
-        n = self.rank
-        a = [list(row) + [int(i == j) for j in range(n)]
-             for i, row in enumerate(self.pairing.entries)]
-        sign, prev = 1, 1
-        for k in range(n):
-            piv = next((i for i in range(k, n) if a[i][k]), None)
-            if piv is None:
-                raise LedgerError("degenerate pairing has no dual squares")
-            if piv != k:
-                a[k], a[piv] = a[piv], a[k]
-                sign = -sign
-            pk = a[k]
-            d = pk[k]
-            for i in range(n):
-                if i != k:
-                    ai = a[i]
-                    f = ai[k]
-                    a[i] = [(d * x - f * y) // prev for x, y in zip(ai, pk)]
-            prev = d
-        return sign * prev, tuple(tuple(sign * x for x in row[n:]) for row in a)
+        try:
+            return adjugate(self.pairing)
+        except ValueError:
+            raise LedgerError("degenerate pairing has no dual squares") from None
 
 
 def is_characteristic(lattice: IntersectionLattice, k: Sequence[int]) -> bool:
@@ -413,13 +395,11 @@ def rational_blowdown_descend(
     if len(complement_basis) != lat.rank - (p - 1):
         raise LedgerError(
             f"complement basis must have rank {lat.rank - (p - 1)}")
-    for c in complement_basis:
-        for u in chain:
-            if lat.pair(c, u) != 0:
-                raise LedgerError("complement basis vector pairs with the chain")
-    gram = IntMatrix.from_rows(
-        [[lat.pair(a, b) for b in complement_basis] for a in complement_basis],
-        len(complement_basis))
+    for u in chain:
+        gu = lat.dual(u)
+        if any(_dot(gu, c) for c in complement_basis):
+            raise LedgerError("complement basis vector pairs with the chain")
+    gram = lat.gram(complement_basis)
 
     new_weights: dict[Vector, int] = {}
     for kappa, w in beta.weights.items():
@@ -488,45 +468,22 @@ class LaurentPolynomial:
         return " ".join(parts)
 
 
-def _poly_mul(a: list[int], b: list[int]) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
-
-
-def _poly_divide_exact(num: list[int], den: list[int]) -> list[int]:
-    num = list(num)
-    q = [0] * (len(num) - len(den) + 1)
-    for i in range(len(q) - 1, -1, -1):
-        c = num[i + len(den) - 1]
-        if c % den[-1]:
-            raise ArithmeticError("non-exact polynomial division")
-        q[i] = c // den[-1]
-        if q[i]:
-            for j, y in enumerate(den):
-                num[i + j] -= q[i] * y
-    if any(num):
-        raise ArithmeticError("non-exact polynomial division")
-    return q
-
-
 def alexander_polynomial_torus(p: int, q: int) -> LaurentPolynomial:
-    """Symmetrized (t^{pq}-1)(t-1) / ((t^p-1)(t^q-1)) of the (p,q) torus knot."""
+    """Symmetrized (t^{pq}-1)(t-1) / ((t^p-1)(t^q-1)) of the (p,q) torus knot.
+
+    The quotient is (1 - t) times the series of the semigroup S = <p, q>,
+    so the coefficient of t^n is [n in S] - [n-1 in S] for
+    0 <= n <= (p-1)(q-1), the degree; S holds every n from there on.
+    """
     if p < 2 or q < 2 or gcd(p, q) != 1:
         raise LedgerError(f"({p},{q}) is not a coprime torus-knot pair")
-
-    def cyc(n: int) -> list[int]:   # t^n - 1 as a dense coefficient list
-        out = [0] * (n + 1)
-        out[0], out[n] = -1, 1
-        return out
-
-    num = _poly_mul(cyc(p * q), cyc(1))
-    quotient = _poly_divide_exact(_poly_divide_exact(num, cyc(p)), cyc(q))
-    shift = (p - 1) * (q - 1) // 2
-    return LaurentPolynomial({e - shift: c for e, c in enumerate(quotient)})
+    degree = (p - 1) * (q - 1)
+    in_s = [True] + [False] * degree
+    for n in range(1, degree + 1):
+        in_s[n] = (n >= p and in_s[n - p]) or (n >= q and in_s[n - q])
+    shift = degree // 2
+    return LaurentPolynomial({n - shift: in_s[n] - (n > 0 and in_s[n - 1])
+                              for n in range(degree + 1)})
 
 
 def knot_surgery_basic_classes(model: ManifoldModel, beta: BasicClassSet,
@@ -558,44 +515,20 @@ def knot_surgery_basic_classes(model: ManifoldModel, beta: BasicClassSet,
 # -- random generation helpers (used by property and acceptance tests) ----------------
 
 
-def _solve_mod2(matrix: list[list[int]], rhs: list[int]) -> list[int] | None:
-    """One solution of A x = b over F_2, or None."""
-    rows = len(matrix)
-    cols = len(matrix[0]) if rows else 0
-    a = [[matrix[i][j] & 1 for j in range(cols)] + [rhs[i] & 1] for i in range(rows)]
-    pivots = []
-    r = 0
-    for c in range(cols):
-        piv = next((i for i in range(r, rows) if a[i][c]), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        for i in range(rows):
-            if i != r and a[i][c]:
-                a[i] = [(x + y) & 1 for x, y in zip(a[i], a[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    for i in range(r, rows):
-        if a[i][cols]:
-            return None
-    x = [0] * cols
-    for i, c in enumerate(pivots):
-        x[c] = a[i][cols]
-    return x
-
-
 def random_characteristic_vector(lattice: IntersectionLattice, rng) -> Vector:
     """A random primal characteristic vector of the lattice.
 
     The parity system G x = diag(G) mod 2 is always solvable for a symmetric
-    integer matrix; a random even vector is added on top of one solution.
+    integer matrix.  With U G V = S in Smith normal form it reads
+    S y = U diag(G) mod 2 for x = V y: set y_i = (U diag(G))_i mod 2 where
+    s_i is odd and 0 elsewhere.  That solution is reduced mod 2, and a
+    random even vector is added on top.
     """
-    n = lattice.rank
-    g = lattice.pairing
-    base = _solve_mod2([list(g.row(i)) for i in range(n)],
-                       [g[i, i] for i in range(n)])
-    if base is None:   # cannot happen for symmetric G; guard anyway
+    snf = smith_normal_form(lattice.pairing)
+    s = snf.diagonal
+    u_diag = [_dot(row, lattice._diagonal) for row in snf.u.entries]
+    y = [b % 2 if s_i % 2 else 0 for b, s_i in zip(u_diag, s)]
+    base = tuple(_dot(row, y) % 2 for row in snf.v.entries)
+    if not is_characteristic(lattice, base):   # cannot happen for symmetric G
         raise LedgerError("lattice admits no characteristic vector")
     return tuple(b + 2 * rng.randrange(-2, 3) for b in base)

@@ -14,6 +14,7 @@ from kirbycalc import scenarios as S
 from kirbycalc.handles import HandleDecomposition
 from kirbycalc.homology import (
     IntMatrix,
+    adjugate,
     boundary_first_homology,
     boundary_group_order,
     cokernel_invariants,
@@ -226,6 +227,39 @@ def test_invert_rational_round_trip():
     prod = [[sum(inv[i][k] * m[k, j] for k in range(n)) for j in range(n)]
             for i in range(n)]
     assert prod == [[1, 0], [0, 1]]
+
+
+def test_adjugate_against_rational_inverse():
+    rng = random.Random(17)
+    checked = 0
+    for trial in range(150):
+        n = rng.randrange(1, 8)
+        m = IntMatrix.from_rows([[rng.randrange(-5, 6) for _ in range(n)]
+                                 for _ in range(n)], n)
+        if trial % 4 == 0:
+            m = IntMatrix.from_rows([(0,) + m.row(0)[1:]] + list(m.entries[1:]), n)
+        try:
+            inv = invert_rational(m)
+        except ZeroDivisionError:
+            with pytest.raises(ValueError, match="singular"):
+                adjugate(m)
+            continue
+        d, adj = adjugate(m)
+        assert d == det(m)
+        assert [[d * x for x in row] for row in inv] == [list(row) for row in adj]
+        assert (m @ IntMatrix.from_rows(adj, n)).to_lists() == \
+            IntMatrix.diagonal([d] * n).to_lists()
+        checked += 1
+    assert checked >= 100
+
+
+def test_adjugate_edge_cases():
+    assert adjugate(IntMatrix.identity(0)) == (1, ())
+    assert adjugate(IntMatrix.from_rows([[0, 1], [1, 0]])) == (-1, ((0, -1), (-1, 0)))
+    with pytest.raises(ValueError, match="singular"):
+        adjugate(IntMatrix.from_rows([[1, 2], [2, 4]]))
+    with pytest.raises(ValueError, match="non-square"):
+        adjugate(IntMatrix.zeros(2, 3))
 
 
 def test_hermite_basis_is_canonical():

@@ -3,10 +3,12 @@
 import random
 import warnings
 from itertools import product
+from math import gcd
 
 import pytest
 
-from kirbycalc.homology import IntMatrix, det
+from kirbycalc import swledger
+from kirbycalc.homology import IntMatrix, adjugate, det
 from kirbycalc.swledger import (
     BasicClassSet,
     IntersectionLattice,
@@ -117,6 +119,46 @@ def test_dual_square_degenerate_raises_on_first_use():
     assert L.rank == 1
     with pytest.raises(LedgerError, match="degenerate pairing has no dual squares"):
         L.dual_square((0,))
+
+
+def test_lattice_runs_one_adjugate(monkeypatch):
+    calls = []
+
+    def counting(m):
+        calls.append(m)
+        return adjugate(m)
+    monkeypatch.setattr(swledger, "adjugate", counting)
+    L = lat([[2, 1, 0], [1, -3, 1], [0, 1, 2]])
+    for v in product(range(-2, 3), repeat=3):
+        L.dual_square(L.dual(v))
+    assert calls == [L.pairing]
+
+
+def test_gram_matches_pairs_with_one_dual_per_vector(monkeypatch):
+    rng = random.Random(8)
+    dual = IntersectionLattice.dual
+    calls = []
+
+    def counting(self, x):
+        calls.append(x)
+        return dual(self, x)
+    for _ in range(20):
+        n = rng.randrange(1, 7)
+        rows = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                rows[i][j] = rows[j][i] = rng.randrange(-4, 5)
+        L = lat(rows)
+        vectors = [tuple(rng.randrange(-3, 4) for _ in range(n))
+                   for _ in range(rng.randrange(0, 5))]
+        expected = [[L.pair(a, b) for b in vectors] for a in vectors]
+        calls.clear()
+        with monkeypatch.context() as mp:
+            mp.setattr(IntersectionLattice, "dual", counting)
+            g = L.gram(vectors)
+        assert len(calls) == len(vectors)
+        assert (g.rows, g.cols) == (len(vectors), len(vectors))
+        assert g.to_lists() == expected
 
 
 # -- d-invariant ----------------------------------------------------------------
@@ -377,6 +419,9 @@ def test_descend_rejects_ineligible():
     beta = BasicClassSet.from_primal(L, [(3, 0, 0, 0, 0), (-3, 0, 0, 0, 0)])
     with pytest.raises(LedgerError):
         rational_blowdown_descend(p3_model(L), beta, chain, complement)
+    not_orthogonal = complement[:2] + [(0, 0, 1, 0, 1)]    # pairs -2 with u_1
+    with pytest.raises(LedgerError, match="pairs with the chain"):
+        rational_blowdown_descend(p3_model(L), BasicClassSet(L), chain, not_orthogonal)
 
 
 # -- Alexander polynomials --------------------------------------------------------------
@@ -397,7 +442,8 @@ def test_alexander_symmetric_and_unit(p, q):
     assert poly(1) in (1, -1)
 
 
-@pytest.mark.parametrize("p,q", [(3, 2), (5, 2), (4, 3), (5, 4)])
+@pytest.mark.parametrize("p,q", [(p, q) for p in range(3, 21) for q in range(2, p)
+                                 if gcd(p, q) == 1])
 def test_alexander_against_multiplication_oracle(p, q):
     # independent route: multiply back by the denominator and compare
     poly = alexander_polynomial_torus(p, q)
@@ -480,3 +526,8 @@ def test_random_characteristic_vectors_are_characteristic():
         L = lat(rows)
         v = random_characteristic_vector(L, rng)
         assert is_characteristic(L, v)
+    # degenerate and even forms: zero and even pivots in the Smith form
+    for rows in ([[0]], [[2]], [[0, 1], [1, 0]], [[0] * 3] * 3):
+        L = lat(rows)
+        for _ in range(5):
+            assert is_characteristic(L, random_characteristic_vector(L, rng))
