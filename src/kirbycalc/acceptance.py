@@ -37,8 +37,7 @@ from .hbd import DiagramDocument, print_hbd
 from .legendrian import FrontDiagram, thurston_bennequin, torus_knot_front
 from .scenarios import (
     ScenarioError,
-    annotated_Wn,
-    annotated_Wsum,
+    _cork_pieces,
     build_Bp,
     build_Cp,
     build_Mn_Nn,
@@ -71,7 +70,6 @@ class CriterionResult:
     ok: bool
     detail: str
     seconds: float
-    budget_seconds: float
 
 
 def _check(flag: bool, message: str, failures: list[str]) -> None:
@@ -82,7 +80,7 @@ def _check(flag: bool, message: str, failures: list[str]) -> None:
 # -- 1 -----------------------------------------------------------------------
 
 
-def criterion_1_lens_space_orders(seed: int = 0) -> tuple[bool, str]:
+def criterion_1_lens_space_orders(seed: int) -> tuple[bool, str]:
     failures: list[str] = []
     for p in range(2, 11):
         _check(boundary_group_order(build_Cp(p)) == p * p,
@@ -95,7 +93,7 @@ def criterion_1_lens_space_orders(seed: int = 0) -> tuple[bool, str]:
 # -- 2 -----------------------------------------------------------------------
 
 
-def criterion_2_cork_homology(seed: int = 0) -> tuple[bool, str]:
+def criterion_2_cork_homology(seed: int) -> tuple[bool, str]:
     failures = [f"{name} not homology trivial with a homology-sphere boundary"
                 for name in verify_contractibility().failed]
     return not failures, "; ".join(failures) or "H1 = H2 = 0 for all cork pieces"
@@ -107,7 +105,7 @@ _H2 = IntersectionLattice(IntMatrix.from_rows(
     [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]))
 
 
-def criterion_3_blow_up_formula(seed: int = 0) -> tuple[bool, str]:
+def criterion_3_blow_up_formula(seed: int) -> tuple[bool, str]:
     rng = random.Random(seed + 3)
     failures: list[str] = []
     trials = 0
@@ -145,7 +143,7 @@ def criterion_3_blow_up_formula(seed: int = 0) -> tuple[bool, str]:
 # -- 4 -----------------------------------------------------------------------
 
 
-def criterion_4_count_lemma(seed: int = 0) -> tuple[bool, str]:
+def criterion_4_count_lemma(seed: int) -> tuple[bool, str]:
     failures: list[str] = []
     for p in range(2, 7):
         for n0 in (2, 4):
@@ -159,7 +157,7 @@ def criterion_4_count_lemma(seed: int = 0) -> tuple[bool, str]:
 # -- 5 -----------------------------------------------------------------------
 
 
-def criterion_5_restriction_lemma(seed: int = 0) -> tuple[bool, str]:
+def criterion_5_restriction_lemma(seed: int) -> tuple[bool, str]:
     failures: list[str] = []
     for p in range(2, 7):
         report = verify_restriction_lemma((p,), 0, 4)
@@ -173,7 +171,7 @@ def criterion_5_restriction_lemma(seed: int = 0) -> tuple[bool, str]:
 # -- 6 -----------------------------------------------------------------------
 
 
-def criterion_6_stein_checks(seed: int = 0) -> tuple[bool, str]:
+def criterion_6_stein_checks(seed: int) -> tuple[bool, str]:
     failures = [f"{name} fails framing = tb - 1 on "
                 + ", ".join(v.handle for v in report.verdicts if not v.ok)
                 for name, report in verify_stein_catalog().reports
@@ -189,7 +187,7 @@ def criterion_6_stein_checks(seed: int = 0) -> tuple[bool, str]:
 # -- 7 -----------------------------------------------------------------------
 
 
-def criterion_7_genus_obstruction(seed: int = 0) -> tuple[bool, str]:
+def criterion_7_genus_obstruction(seed: int) -> tuple[bool, str]:
     failures: list[str] = []
     for n in range(2, 9):
         for k in range(-5, 6):
@@ -207,7 +205,7 @@ def criterion_7_genus_obstruction(seed: int = 0) -> tuple[bool, str]:
 # -- 8 -----------------------------------------------------------------------
 
 
-def criterion_8_knot_surgery(seed: int = 0) -> tuple[bool, str]:
+def criterion_8_knot_surgery(seed: int) -> tuple[bool, str]:
     failures: list[str] = []
     knots = [(2, 3), (2, 5), (2, 7), (3, 4), (3, 5)]
     report = knotted_cork_scenario(knots)
@@ -243,7 +241,7 @@ def _random_decomposition(rng: random.Random) -> HandleDecomposition:
     return HandleDecomposition(ones, twos, links, rt)
 
 
-def criterion_9_move_invariance(seed: int = 0) -> tuple[bool, str]:
+def criterion_9_move_invariance(seed: int) -> tuple[bool, str]:
     rng = random.Random(seed + 9)
     failures: list[str] = []
     slides = 0
@@ -290,7 +288,7 @@ def _minor_gcds(m: IntMatrix) -> list[int]:
     return out
 
 
-def criterion_10_snf(seed: int = 0) -> tuple[bool, str]:
+def criterion_10_snf(seed: int) -> tuple[bool, str]:
     rng = random.Random(seed + 10)
     failures: list[str] = []
     for _ in range(500):
@@ -323,7 +321,7 @@ def criterion_10_snf(seed: int = 0) -> tuple[bool, str]:
 # -- 11 ----------------------------------------------------------------------
 
 
-def criterion_11_d_conservation(seed: int = 0) -> tuple[bool, str]:
+def criterion_11_d_conservation(seed: int) -> tuple[bool, str]:
     rng = random.Random(seed + 11)
     failures: list[str] = []
     # blow-up: random characteristic classes on random models
@@ -420,11 +418,6 @@ def _lens_documents() -> tuple[Document, ...]:
         tuple((f"B{p}", build_Bp(p), {}) for p in range(2, 6))
 
 
-def _cork_documents() -> tuple[Document, ...]:
-    return tuple((f"W{n}", *annotated_Wn(n)) for n in (1, 2, 3)) + \
-        (("W(1,2,3)", *annotated_Wsum((1, 2, 3))),)
-
-
 def _genus_documents() -> tuple[Document, ...]:
     return tuple((d.name, d, {}) for d in
                  [build_Mn_Nn(n)[1] for n in (2, 3)])
@@ -442,7 +435,7 @@ CLAIMS: tuple[Claim, ...] = (
           1.0, criterion_2_cork_homology,
           ({"check": "H1 = H2 = 0, boundary a homology sphere",
             "value": True, "basis": "derived"},),
-          _cork_documents),
+          _cork_pieces),
     Claim(3, "blowup-formula", "blow-up formula vs enumeration",
           "blowing up n times multiplies the class count by 2^n",
           5.0, criterion_3_blow_up_formula,
@@ -514,7 +507,7 @@ def run_criterion(number: int, seed: int = DEFAULT_SEED) -> CriterionResult:
             start = time.perf_counter()
             ok, detail = c.check(seed)
             elapsed = time.perf_counter() - start
-            return CriterionResult(c.number, c.title, ok, detail, elapsed, c.budget)
+            return CriterionResult(c.number, c.title, ok, detail, elapsed)
     raise ValueError(f"no acceptance criterion {number}")
 
 

@@ -445,17 +445,14 @@ def run_command(argv: Sequence[str]) -> int:
         return 1 if exc.code else 0
     try:
         payload = {"schema": SCHEMA, **args.handler(args)}
+        code = 0 if payload.get("ok", True) else 1
     except (UserError, HbdParseError, HandleError, FrontError, LedgerError,
             ScenarioError) as exc:
-        print(json.dumps({"schema": SCHEMA, "error": str(exc), "ok": False},
-                         indent=2))
-        return 1
+        payload, code = {"schema": SCHEMA, "error": str(exc), "ok": False}, 1
     except Exception as exc:      # internal invariant violation
-        print(json.dumps({"schema": SCHEMA, "internal_error": repr(exc),
-                          "ok": False}, indent=2))
-        return 2
+        payload, code = {"schema": SCHEMA, "internal_error": repr(exc), "ok": False}, 2
     print(json.dumps(payload, indent=2))
-    return 0 if payload.get("ok", True) else 1
+    return code
 
 
 def main() -> int:

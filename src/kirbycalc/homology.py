@@ -300,8 +300,6 @@ def hermite_row_basis(vectors: Iterable[Sequence[int]], width: int) -> tuple[tup
 
 def kernel_basis(m: IntMatrix) -> tuple[tuple[int, ...], ...]:
     """Canonical basis (as rows) of the integer kernel {x : M x = 0}."""
-    if m.rows == 0:
-        return hermite_row_basis(IntMatrix.identity(m.cols).entries, m.cols)
     return _kernel(m, smith_normal_form(m))
 
 

@@ -9,7 +9,7 @@ A front is a left-to-right word of events on horizontal strands, numbered
     O<i>+ / O<i>-   orientation marker, directly after its left cusp
 
 Crossings are resolved with the descending (lesser-slope) strand in front,
-the usual front convention, and crossing signs follow the right-hand rule on
+as fronts are usually drawn, and crossing signs follow the right-hand rule on
 the resolved oriented diagram.  With `O<i>+` the upper strand born at the
 cusp is directed rightward; components without a marker orient the upper
 strand of their first cusp rightward.

@@ -138,14 +138,11 @@ def _unknot_front() -> FrontDiagram:
     return parse_front("L1 R1")
 
 
-def annotated_Wn(n: int) -> tuple[HandleDecomposition, dict[str, FrontDiagram]]:
-    d = build_Wn(n)
-    return d, {"k": _tb_one_front()}
-
-
-def annotated_Wsum(ks: Sequence[int]) -> tuple[HandleDecomposition, dict[str, FrontDiagram]]:
-    d = build_Wsum(ks)
-    return d, {k: _tb_one_front() for k in d.two_handle_ids}
+def _cork_pieces() -> list[tuple[str, HandleDecomposition, dict[str, FrontDiagram]]]:
+    """W1, W2, W3 and W(1,2,3), with a tb = 1 trefoil front on every 2-handle."""
+    pieces = [build_Wn(n) for n in (1, 2, 3)] + [build_Wsum((1, 2, 3))]
+    return [(d.name, d, {k: _tb_one_front() for k in d.two_handle_ids})
+            for d in pieces]
 
 
 def annotated_cusp_piece() -> tuple[HandleDecomposition, dict[str, FrontDiagram]]:
@@ -204,12 +201,7 @@ def annotated_Nn_tilde(n: int) -> tuple[HandleDecomposition, dict[str, FrontDiag
 
 
 def stein_catalog() -> list[tuple[str, HandleDecomposition, dict[str, FrontDiagram]]]:
-    out = []
-    for n in (1, 2, 3):
-        d, fronts = annotated_Wn(n)
-        out.append((d.name, d, fronts))
-    d, fronts = annotated_Wsum((1, 2, 3))
-    out.append((d.name, d, fronts))
+    out = _cork_pieces()
     d, fronts = annotated_cusp_piece()
     out.append((d.name, d, fronts))
     for ps in ((2,), (3,), (2, 3), (4, 5)):
@@ -470,7 +462,8 @@ def verify_restriction_lemma(p_list: Sequence[int], index: int = 0,
     chain = x0.chain_vectors(index)
     e_vec = lat.names[f"e{index + 1}"]
 
-    alpha_orth = all(lat.pair(alpha, u) == 0 for u in chain)
+    alpha_dual = lat.dual(alpha)
+    alpha_orth = all(_dot(alpha_dual, u) == 0 for u in chain)
     eval_ok = True
     for kappa in x0.classes.members:
         lhs = _dot(kappa, alpha)
@@ -566,8 +559,7 @@ class KnottedCorkReport:
     ok: bool
 
 
-def knotted_cork_scenario(knots: Sequence[tuple[int, int]],
-                          seed_count: int = 2) -> KnottedCorkReport:
+def knotted_cork_scenario(knots: Sequence[tuple[int, int]]) -> KnottedCorkReport:
     """Surgery along the cusp torus with each knot; all outputs must differ.
 
     The twisted model has empty basic-class set (its SW invariants vanish
@@ -575,7 +567,7 @@ def knotted_cork_scenario(knots: Sequence[tuple[int, int]],
     separates the surgered filling from it; distinct polynomials separate
     the surgered manifolds from each other.
     """
-    base = build_X0_model((), seed_count)
+    base = build_X0_model(())
     torus = base.torus()
     vanishing = BasicClassSet(base.lattice)     # the cork-twisted side
     polys = []
@@ -608,11 +600,14 @@ class ContractibilityReport:
     ok: bool
 
 
-def verify_contractibility(max_n: int = 10, max_k: int = 5) -> ContractibilityReport:
-    """Homology-level check of every declared-contractible catalog piece."""
-    pieces = [build_Wn(n) for n in range(1, max_n + 1)]
-    ks = [tuple((j % max_k) + 1 for j in range(n)) for n in range(1, max_n + 1)]
-    pieces += [build_Wsum(k) for k in ks]
+def verify_contractibility() -> ContractibilityReport:
+    """Homology-level check of every declared-contractible catalog piece.
+
+    The pieces are W_1 ... W_10 and the boundary sums W(1), W(1,2), ...,
+    W(1,2,3,4,5,1,2,3,4,5), whose summand indices cycle through 1..5.
+    """
+    pieces = [build_Wn(n) for n in range(1, 11)]
+    pieces += [build_Wsum(tuple(j % 5 + 1 for j in range(n))) for n in range(1, 11)]
     bad = [d.name for d in pieces
            if not (is_homology_trivial(d) and boundary_group_order(d) == 1)]
     return ContractibilityReport(tuple(d.name for d in pieces), tuple(bad), not bad)

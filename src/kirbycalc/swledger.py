@@ -15,6 +15,7 @@ invariants from geometry.
 from __future__ import annotations
 
 import warnings
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -180,16 +181,9 @@ class BasicClassSet:
 
     @classmethod
     def from_primal(cls, lattice: IntersectionLattice,
-                    vectors: Iterable[Sequence[int]],
-                    weights: Iterable[int] | None = None) -> "BasicClassSet":
-        vectors = [_vec(v) for v in vectors]
-        if weights is None:
-            weights = [1] * len(vectors)
-        acc: dict[Vector, int] = {}
-        for v, w in zip(vectors, weights):
-            kappa = lattice.dual(v)
-            acc[kappa] = acc.get(kappa, 0) + w
-        return cls(lattice, acc)
+                    vectors: Iterable[Sequence[int]]) -> "BasicClassSet":
+        """Classes given as primal vectors, each of weight 1 (repeats add up)."""
+        return cls(lattice, Counter(lattice.dual(_vec(v)) for v in vectors))
 
     @property
     def members(self) -> tuple[Vector, ...]:
@@ -239,24 +233,10 @@ def d_invariant_primal(model: ManifoldModel, k: Sequence[int]) -> int:
                        square=model.lattice.square(k))
 
 
-def is_simple_type(model: ManifoldModel, beta: BasicClassSet,
-                   convention: str = "d0") -> bool:
-    """Simple-type predicate over all basic classes.
-
-    `convention="d0"` is the standard condition d(K) = 0; `convention="k2"`
-    is the literal alternative K^2 = d(K).  Both are kept because sources
-    state them differently; the default is the standard one.
-    """
-    if convention not in ("d0", "k2"):
-        raise LedgerError(f"unknown simple-type convention {convention!r}")
-    for kappa in beta.members:
-        square = beta._square(kappa)
-        d = d_invariant(model, kappa, square=square)
-        if convention == "d0" and d != 0:
-            return False
-        if convention == "k2" and square != d:
-            return False
-    return True
+def is_simple_type(model: ManifoldModel, beta: BasicClassSet) -> bool:
+    """Simple type: d(K) = 0, i.e. K^2 = 2e + 3sigma, for every basic class."""
+    return all(d_invariant(model, kappa, square=beta._square(kappa)) == 0
+               for kappa in beta.members)
 
 
 # -- blow-up ---------------------------------------------------------------------
@@ -442,9 +422,10 @@ class LaurentPolynomial:
         return LaurentPolynomial(acc)
 
     def __call__(self, value: int) -> int:
-        if value == 1:
-            return sum(self.coeffs.values())
-        return sum(c * value ** e for e, c in self.coeffs.items())
+        """Exact value at t = 1 or t = -1, where t^e = t^(e mod 2)."""
+        if value not in (1, -1):
+            raise LedgerError(f"evaluation is defined at t = +-1 only, not {value!r}")
+        return sum(c * value ** (e % 2) for e, c in self.coeffs.items())
 
     def is_symmetric(self) -> bool:
         return all(self.coeffs.get(-e, 0) == c for e, c in self.coeffs.items())

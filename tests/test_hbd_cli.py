@@ -1,10 +1,15 @@
 """The .hbd format and the command-line interface."""
 
 import json
+import string
 from importlib import import_module
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from kirbycalc import cli
 from kirbycalc.acceptance import CLAIMS
 from kirbycalc.cli import run_command
 from kirbycalc.handles import HandleDecomposition
@@ -99,6 +104,38 @@ def test_canonical_print_is_fixed_point():
     doc = parse_hbd(C3_TEXT)
     canonical = print_hbd(doc)
     assert print_hbd(parse_hbd(canonical)) == canonical
+
+
+_ID_CHARS = string.ascii_letters + string.digits + "_.~+'-"
+_FRONTS = (torus_knot_front(3, 2), parse_front("L1 R1"))   # trefoil, unknot
+
+
+@st.composite
+def documents(draw):
+    # empty names are left out: they print as `manifold unnamed`
+    ids = draw(st.lists(st.text(_ID_CHARS, min_size=1, max_size=4),
+                        unique=True, max_size=7))
+    n_ones = draw(st.integers(0, len(ids)))
+    ones, two_ids = ids[:n_ones], ids[n_ones:]
+    small = st.integers(-5, 5)
+    d = HandleDecomposition(
+        tuple(ones),
+        tuple((k, draw(small)) for k in two_ids),
+        {pair: draw(small) for pair in combinations(two_ids, 2) if draw(st.booleans())},
+        {(k, h): draw(small) for k in two_ids for h in ones if draw(st.booleans())},
+        draw(st.integers(0, 3)),
+        draw(st.text(_ID_CHARS + "(),", min_size=1, max_size=8)))
+    fronts = {k: draw(st.sampled_from(_FRONTS)) for k in two_ids
+              if draw(st.booleans())}
+    return DiagramDocument(d, fronts)
+
+
+@settings(max_examples=100, deadline=None)
+@given(documents())
+def test_print_parse_round_trip_property(doc):
+    text = print_hbd(doc)
+    assert parse_hbd(text) == doc
+    assert print_hbd(parse_hbd(text)) == text
 
 
 def test_document_validates_annotation_ids():
@@ -301,6 +338,22 @@ def test_cli_user_error_exit_code(tmp_path, capsys):
     code, payload = run_json(capsys, "homology", str(tmp_path / "missing.hbd"))
     assert code == 1
     assert "error" in payload
+
+
+def test_cli_internal_error_exit_code(tmp_path, capsys, monkeypatch):
+    def broken(d):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "homology", broken)
+    f = tmp_path / "c3.hbd"
+    f.write_text(C3_TEXT)
+    code = run_command(["homology", str(f)])
+    out = capsys.readouterr().out
+    assert code == 2
+    assert json.loads(out) == {"schema": 1, "internal_error": "RuntimeError('boom')",
+                               "ok": False}
+    assert out == '{\n  "schema": 1,\n  "internal_error": "RuntimeError(\'boom\')",' \
+        '\n  "ok": false\n}\n'
 
 
 def test_cli_parse_error_reports_location(tmp_path, capsys):

@@ -307,6 +307,21 @@ def test_restriction_lemma(p):
     assert report.mayer_vietoris_index == p * p
 
 
+def test_restriction_lemma_takes_one_dual_for_alpha(monkeypatch):
+    calls = []
+    dual = IntersectionLattice.dual
+
+    def counting(lat, x):
+        calls.append(x)
+        return dual(lat, x)
+
+    monkeypatch.setattr(IntersectionLattice, "dual", counting)
+    assert verify_restriction_lemma((9,), 0, 4).ok
+    # 4 seeds, alpha once, then one per vector of the chain (8) and of its
+    # complement (rank 19 - 8 = 11) in their Gram matrices
+    assert len(calls) == 4 + 1 + 8 + 11
+
+
 def test_restriction_lemma_multi_block():
     report = verify_restriction_lemma((3, 4), 1, 4)
     assert report.ok

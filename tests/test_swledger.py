@@ -209,7 +209,6 @@ def test_simple_type_k3_like():
     m = ManifoldModel(lat([[-2]]), euler=24, signature=-16, b2plus=3)
     beta = BasicClassSet.from_primal(m.lattice, [(0,)])
     assert is_simple_type(m, beta)
-    assert is_simple_type(m, beta, convention="k2")
 
 
 def test_simple_type_fails_both_conventions():
@@ -218,7 +217,6 @@ def test_simple_type_fails_both_conventions():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")   # d = -1 is odd, flagged
         assert not is_simple_type(m, beta)
-        assert not is_simple_type(m, beta, convention="k2")
 
 
 def test_simple_type_warns_on_every_call():
@@ -455,6 +453,27 @@ def test_alexander_against_multiplication_oracle(p, q):
     assert lhs == rhs
 
 
+def test_alexander_exact_at_plus_minus_one():
+    trefoil = alexander_polynomial_torus(3, 2)
+    assert trefoil(-1) == -3 and type(trefoil(-1)) is int
+    for p in range(3, 21):
+        for q in range(2, p):
+            if gcd(p, q) != 1:
+                continue
+            poly = alexander_polynomial_torus(p, q)
+            assert poly(1) in (1, -1), (p, q)
+            # independent route: |Delta(-1)| is the determinant of T(p,q),
+            # p when q is even, q when p is even and 1 when both are odd
+            det_pq = p if q % 2 == 0 else q if p % 2 == 0 else 1
+            assert abs(poly(-1)) == det_pq and type(poly(-1)) is int, (p, q)
+
+
+@pytest.mark.parametrize("t", [2, 0, -2])
+def test_laurent_evaluation_only_at_plus_minus_one(t):
+    with pytest.raises(LedgerError, match="t = \\+-1"):
+        alexander_polynomial_torus(3, 2)(t)
+
+
 def test_alexander_rejects_non_coprime():
     with pytest.raises(LedgerError):
         alexander_polynomial_torus(4, 2)
@@ -481,10 +500,9 @@ def test_surgery_with_trefoil_gives_six_classes():
     m, beta, torus = surgery_setup()
     out = knot_surgery_basic_classes(m, beta, torus, alexander_polynomial_torus(3, 2))
     assert out.count == 6
-    expected = BasicClassSet.from_primal(
-        HYPERBOLIC,
-        [(0, 2), (2, 2), (-2, 2), (0, -2), (2, -2), (-2, -2)],
-        [-1, 1, 1, -1, 1, 1])
+    primal = [(0, 2), (2, 2), (-2, 2), (0, -2), (2, -2), (-2, -2)]
+    expected = BasicClassSet(HYPERBOLIC, {HYPERBOLIC.dual(v): w for v, w in
+                                          zip(primal, [-1, 1, 1, -1, 1, 1])})
     assert out == expected
 
 
