@@ -11,7 +11,7 @@ import json
 import sys
 from functools import lru_cache
 from pathlib import Path
-from typing import Sequence
+from typing import Collection, Sequence
 
 from . import acceptance
 from .handles import (
@@ -67,7 +67,7 @@ def _knot(text: str) -> tuple[int, int]:
     return p, q
 
 
-def _document_payload(doc: DiagramDocument, new_d, dropped: set[str]) -> str:
+def _document_payload(doc: DiagramDocument, new_d, dropped: Collection[str] = ()) -> str:
     fronts = {k: f for k, f in doc.annotation.items()
               if k not in dropped and new_d.is_two_handle(k)}
     return print_hbd(DiagramDocument(new_d, fronts, doc.source))
@@ -76,40 +76,26 @@ def _document_payload(doc: DiagramDocument, new_d, dropped: set[str]) -> str:
 # -- subcommand handlers ----------------------------------------------------------
 
 
-def _cmd_homology(args) -> dict:
-    doc = _load(args.file)
+def _cmd_homology(doc, args) -> dict:
     prof = homology(doc.decomposition)
     factors = boundary_first_homology(doc.decomposition)
     return {
-        "command": "homology",
-        "name": doc.name,
         "h1": {"invariant_factors": list(prof.h1_invariant_factors),
                "free_rank": prof.h1_free_rank},
         "h2": {"rank": prof.h2_rank,
                "intersection_form": prof.intersection_form.to_lists()},
         "boundary": {"invariant_factors": list(factors), "order": _group_order(factors)},
-        "ok": True,
     }
 
 
-def _cmd_boundary(args) -> dict:
-    doc = _load(args.file)
+def _cmd_boundary(doc, args) -> dict:
     factors = boundary_first_homology(doc.decomposition)
-    return {
-        "command": "boundary",
-        "name": doc.name,
-        "invariant_factors": list(factors),
-        "order": _group_order(factors),
-        "ok": True,
-    }
+    return {"invariant_factors": list(factors), "order": _group_order(factors)}
 
 
-def _cmd_stein(args) -> dict:
-    doc = _load(args.file)
+def _cmd_stein(doc, args) -> dict:
     report = stein_check(doc.decomposition, dict(doc.annotation))
     return {
-        "command": "stein",
-        "name": doc.name,
         "handles": [{"id": v.handle, "framing": v.framing, "tb": v.tb,
                      "required_framing": v.tb - 1, "ok": v.ok}
                     for v in report.verdicts],
@@ -117,25 +103,20 @@ def _cmd_stein(args) -> dict:
     }
 
 
-def _cmd_slide(args) -> dict:
-    doc = _load(args.file)
+def _cmd_slide(doc, args) -> dict:
     out = handle_slide(doc.decomposition, args.a, args.b, args.sign)
     return {
-        "command": "slide",
-        "name": doc.name,
         "a": args.a,
         "b": args.b,
         "sign": args.sign,
         "framing_after": out.framing(args.a),
         "document": _document_payload(doc, out, {args.a}),
-        "ok": True,
     }
 
 
-def _cmd_blowup(args) -> dict:
+def _cmd_blowup(doc, args) -> dict:
     if args.id is not None and not _ID.fullmatch(args.id):
         raise UserError(f"--id {args.id!r} is not a valid .hbd identifier")
-    doc = _load(args.file)
     attach = []
     for item in args.attach or []:
         if "=" not in item:
@@ -146,65 +127,44 @@ def _cmd_blowup(args) -> dict:
         except ValueError as exc:
             raise UserError(f"bad multiplicity in {item!r}") from exc
     out = blow_up(doc.decomposition, attach, new_id=args.id)
-    new_id = out.two_handles[-1][0]
-    dropped = {k for k, m in attach if m}
     return {
-        "command": "blowup",
-        "name": doc.name,
-        "new_handle": new_id,
-        "document": _document_payload(doc, out, dropped),
-        "ok": True,
+        "new_handle": out.two_handles[-1][0],
+        "document": _document_payload(doc, out, {k for k, m in attach if m}),
     }
 
 
-def _cmd_blowdown(args) -> dict:
-    doc = _load(args.file)
+def _cmd_blowdown(doc, args) -> dict:
     d = doc.decomposition
-    dropped = {k for k in d.two_handle_ids if k != args.handle and d.link(k, args.handle)}
     out = blow_down(d, args.handle)
-    return {
-        "command": "blowdown",
-        "name": doc.name,
-        "removed": args.handle,
-        "document": _document_payload(doc, out, dropped),
-        "ok": True,
-    }
+    linked = {k for pair in d.links if args.handle in pair for k in pair}
+    return {"removed": args.handle, "document": _document_payload(doc, out, linked)}
 
 
-def _cmd_corktwist(args) -> dict:
-    doc = _load(args.file)
+def _cmd_corktwist(doc, args) -> dict:
     out = dot_zero_swap(doc.decomposition, args.one_handle, args.two_handle)
     return {
-        "command": "corktwist",
-        "name": doc.name,
         "dotted": args.two_handle,
         "zero_framed": args.one_handle,
-        "document": _document_payload(doc, out, {args.two_handle}),
-        "ok": True,
+        "document": _document_payload(doc, out),
     }
 
 
-def _cmd_rbd(args) -> dict:
-    doc = _load(args.file)
+def _cmd_rbd(doc, args) -> dict:
     chain = args.chain.split(",")
     out = rational_blowdown_splice(doc.decomposition, chain, args.p)
     return {
-        "command": "rbd",
-        "name": doc.name,
         "p": args.p,
         "removed_chain": chain,
-        "document": _document_payload(doc, out, set(chain)),
-        "ok": True,
+        "document": _document_payload(doc, out),
     }
 
 
-def _cmd_sw_blowup(args) -> dict:
+def _cmd_sw_blowup(doc, args) -> dict:
     base = build_X0_model((), args.count)
     model, classes = blow_up_basic_classes(base.model, base.classes, args.n)
     d_ok = is_simple_type(model, classes)
     ok = classes.count == (1 << args.n) * base.classes.count and d_ok
     return {
-        "command": "sw-blowup",
         "n": args.n,
         "count_before": base.classes.count,
         "count_after": classes.count,
@@ -213,13 +173,12 @@ def _cmd_sw_blowup(args) -> dict:
     }
 
 
-def _cmd_sw_descend(args) -> dict:
+def _cmd_sw_descend(doc, args) -> dict:
     x0 = build_X0_model((args.p,), args.count)
     m, b = rational_blowdown_descend(x0.model, x0.classes, x0.chain_vectors(0),
                                      x0.complement_basis(0))
     d_ok = is_simple_type(m, b)
     return {
-        "command": "sw-descend",
         "p": args.p,
         "count_before": x0.classes.count,
         "count_after": b.count,
@@ -228,11 +187,10 @@ def _cmd_sw_descend(args) -> dict:
     }
 
 
-def _cmd_sw_adjunction(args) -> dict:
+def _cmd_sw_adjunction(doc, args) -> dict:
     x0 = build_X0_model(tuple(args.p), args.count)
     report = adjunction_check(x0.model, x0.classes, x0.torus(), 1)
     return {
-        "command": "sw-adjunction",
         "p": list(args.p),
         "genus": 1,
         "torus_pairings_zero": report.ok,
@@ -240,10 +198,9 @@ def _cmd_sw_adjunction(args) -> dict:
     }
 
 
-def _cmd_sw_genusbound(args) -> dict:
+def _cmd_sw_genusbound(doc, args) -> dict:
     report = genus_obstruction_Nn(args.n, args.k)
     return {
-        "command": "sw-genusbound",
         "n": args.n,
         "k": args.k,
         "max_pairing": report.max_pairing,
@@ -253,7 +210,7 @@ def _cmd_sw_genusbound(args) -> dict:
     }
 
 
-def _cmd_scenario_count(args) -> dict:
+def _cmd_scenario_count(doc, args) -> dict:
     report = verify_count_lemma(tuple(args.p), args.index, args.count)
     return {
         "N0": report.n0,
@@ -262,7 +219,7 @@ def _cmd_scenario_count(args) -> dict:
     }
 
 
-def _cmd_scenario_restriction(args) -> dict:
+def _cmd_scenario_restriction(doc, args) -> dict:
     report = verify_restriction_lemma(tuple(args.p), args.index, args.count)
     return {
         "p": report.p,
@@ -275,7 +232,7 @@ def _cmd_scenario_restriction(args) -> dict:
     }
 
 
-def _cmd_scenario_knottedcork(args) -> dict:
+def _cmd_scenario_knottedcork(doc, args) -> dict:
     knots = [_knot(k) for k in args.knot]
     report = knotted_cork_scenario(knots)
     return {
@@ -288,27 +245,22 @@ def _cmd_scenario_knottedcork(args) -> dict:
     }
 
 
-def _cmd_scenario_list(args) -> dict:
-    return {
-        "scenarios": [{"name": c.name, "description": c.description}
-                      for c in acceptance.CLAIMS],
-        "ok": True,
-    }
+def _cmd_scenario_list(doc, args) -> dict:
+    return {"scenarios": [{"name": c.name, "description": c.description}
+                          for c in acceptance.CLAIMS]}
 
 
-def _cmd_scenario_export(args) -> dict:
-    payload = acceptance.claim_named(args.name).export()
-    payload["ok"] = True
-    return payload
+def _cmd_scenario_export(doc, args) -> dict:
+    return acceptance.claim_named(args.name).export()
 
 
-def _cmd_scenario_run(args) -> dict:
+def _cmd_scenario_run(doc, args) -> dict:
     claim = acceptance.claim_named(args.name)
     ok, detail = claim.check(acceptance.DEFAULT_SEED)
     return {"name": claim.name, "ok": ok, "detail": detail}
 
 
-def _cmd_check(args) -> dict:
+def _cmd_check(doc, args) -> dict:
     results = acceptance.run_all(args.seed)
     if args.verbose:
         for r in results:
@@ -316,7 +268,6 @@ def _cmd_check(args) -> dict:
             print(f"{status} {r.number:2d} {r.title} ({r.seconds:.2f}s)",
                   file=sys.stderr)
     return {
-        "command": "check",
         "seed": args.seed,
         "criteria": [{"number": r.number, "title": r.title, "ok": r.ok,
                       "seconds": round(r.seconds, 3), "detail": r.detail}
@@ -437,19 +388,36 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def run_command(argv: Sequence[str]) -> int:
-    """Dispatch one command; prints JSON to stdout and returns the exit code."""
+    """Dispatch one command; prints JSON to stdout and returns the exit code.
+
+    Handlers return only their own fields.  The payload starts with `schema`,
+    then `command` (diagram, sw and check commands) and `name` (when a
+    diagram was read), and carries `ok`, true unless the handler set it.
+    """
     parser = _build_parser()
     try:
         args = parser.parse_args(list(argv))
     except SystemExit as exc:     # argparse already printed the message
         return 1 if exc.code else 0
     try:
-        payload = {"schema": SCHEMA, **args.handler(args)}
-        code = 0 if payload.get("ok", True) else 1
+        payload = {"schema": SCHEMA}
+        if args.command == "sw":
+            payload["command"] = f"sw-{args.sw_command}"
+        elif args.command != "scenario":
+            payload["command"] = args.command
+        doc = None
+        if "file" in args:
+            doc = _load(args.file)
+            payload["name"] = doc.name
+        payload.update(args.handler(doc, args))
+        payload.setdefault("ok", True)
+        code = 0 if payload["ok"] else 1
     except (UserError, HbdParseError, HandleError, FrontError, LedgerError,
             ScenarioError) as exc:
         payload, code = {"schema": SCHEMA, "error": str(exc), "ok": False}, 1
     except Exception as exc:      # internal invariant violation
+        import traceback          # here, not at the top: it adds ~0.2 MB to every run
+        traceback.print_exc()
         payload, code = {"schema": SCHEMA, "internal_error": repr(exc), "ok": False}, 2
     print(json.dumps(payload, indent=2))
     return code

@@ -40,7 +40,8 @@ class HandleDecomposition:
     `two_handles` is an ordered tuple of (id, framing).  `links` maps sorted
     pairs of distinct 2-handle ids to linking numbers, `run_through` maps
     (2-handle id, 1-handle id) to the algebraic count through the dotted
-    circle.  Zero entries are dropped so that equal diagrams compare equal.
+    circle.  Zero entries are dropped and the rest sorted by key, so equal
+    diagrams compare equal and print alike; moves may pass zeros in.
     `three_handles` is bookkeeping only and never enters any computation.
     """
 
@@ -151,31 +152,18 @@ def handle_slide(d: HandleDecomposition, a: str, b: str, sign: int) -> HandleDec
     fa, fb = d.framing(a), d.framing(b)
     lk_ab = d.link(a, b)
 
-    new_fa = fa + fb + 2 * sign * lk_ab
     links = dict(d.links)
-    for c in d.two_handle_ids:
-        if c in (a, b):
-            continue
-        v = d.link(a, c) + sign * d.link(b, c)
-        key = _pair(a, c)
-        if v:
-            links[key] = v
-        else:
-            links.pop(key, None)
-    v_ab = lk_ab + sign * fb
-    if v_ab:
-        links[_pair(a, b)] = v_ab
-    else:
-        links.pop(_pair(a, b), None)
-
+    for (x, y), v in d.links.items():
+        if b in (x, y) and a not in (x, y):
+            key = _pair(a, y if x == b else x)
+            links[key] = links.get(key, 0) + sign * v
+    links[_pair(a, b)] = lk_ab + sign * fb
     rt = dict(d.run_through)
-    for h in d.one_handles:
-        v = d.run_through_count(a, h) + sign * d.run_through_count(b, h)
-        if v:
-            rt[(a, h)] = v
-        else:
-            rt.pop((a, h), None)
+    for (k, h), v in d.run_through.items():
+        if k == b:
+            rt[(a, h)] = rt.get((a, h), 0) + sign * v
 
+    new_fa = fa + fb + 2 * sign * lk_ab
     twos = tuple((i, new_fa if i == a else f) for i, f in d.two_handles)
     return HandleDecomposition(d.one_handles, twos, links, rt, d.three_handles, d.name)
 
@@ -196,30 +184,23 @@ def blow_up(d: HandleDecomposition,
             raise HandleError(f"unknown 2-handle {k!r} in blow-up attachments")
         if k in mult:
             raise HandleError(f"duplicate attachment for {k!r}")
-        if m:
-            mult[k] = int(m)
+        mult[k] = int(m)
+    mult = {k: m for k, m in mult.items() if m}
     e = new_id if new_id is not None else fresh_id("e1", d.all_ids)
     if e in d.all_ids:
         raise HandleError(f"identifier {e!r} already in use")
 
     links = dict(d.links)
-    two_ids = d.two_handle_ids
-    for i, x in enumerate(two_ids):
-        for y in two_ids[i + 1:]:
-            mx, my = mult.get(x, 0), mult.get(y, 0)
-            if mx and my:
-                key = _pair(x, y)
-                v = links.get(key, 0) - mx * my
-                if v:
-                    links[key] = v
-                else:
-                    links.pop(key, None)
-    for k, m in mult.items():
-        links[_pair(e, k)] = m
+    attached = list(mult.items())
+    for i, (x, mx) in enumerate(attached):
+        for y, my in attached[i + 1:]:
+            key = _pair(x, y)
+            links[key] = links.get(key, 0) - mx * my
+        links[_pair(e, x)] = mx
 
     twos = tuple((i, f - mult.get(i, 0) ** 2) for i, f in d.two_handles)
     twos += ((e, -1),)
-    return HandleDecomposition(d.one_handles, twos, links, dict(d.run_through),
+    return HandleDecomposition(d.one_handles, twos, links, d.run_through,
                                d.three_handles, d.name)
 
 
@@ -233,16 +214,16 @@ def blow_down(d: HandleDecomposition, e: str) -> HandleDecomposition:
         if d.run_through_count(e, h):
             raise HandleError(f"{e!r} runs through 1-handle {h!r}")
 
-    remaining = tuple(i for i in d.two_handle_ids if i != e)
-    links: dict[tuple[str, str], int] = {}
-    for i, x in enumerate(remaining):
-        for y in remaining[i + 1:]:
-            v = d.link(x, y) + d.link(x, e) * d.link(y, e)
-            if v:
-                links[_pair(x, y)] = v
-    twos = tuple((i, f + d.link(i, e) ** 2) for i, f in d.two_handles if i != e)
-    rt = {k: v for k, v in d.run_through.items() if k[0] != e}
-    return HandleDecomposition(d.one_handles, twos, links, rt, d.three_handles, d.name)
+    lk_e = {y if x == e else x: v for (x, y), v in d.links.items() if e in (x, y)}
+    links = {key: v for key, v in d.links.items() if e not in key}
+    linked = list(lk_e.items())
+    for i, (x, vx) in enumerate(linked):
+        for y, vy in linked[i + 1:]:
+            key = _pair(x, y)
+            links[key] = links.get(key, 0) + vx * vy
+    twos = tuple((i, f + lk_e.get(i, 0) ** 2) for i, f in d.two_handles if i != e)
+    return HandleDecomposition(d.one_handles, twos, links, d.run_through,
+                               d.three_handles, d.name)
 
 
 def dot_zero_swap(d: HandleDecomposition, h: str, k: str) -> HandleDecomposition:
@@ -320,7 +301,8 @@ def rational_blowdown_splice(d: HandleDecomposition, chain: Sequence[str],
     chain = list(chain)
     if len(chain) != p - 1:
         raise HandleError(f"chain must have {p - 1} handles, got {len(chain)}")
-    if len(set(chain)) != len(chain):
+    members = set(chain)
+    if len(members) != len(chain):
         raise HandleError("chain repeats a handle")
     for c in chain:
         if not d.is_two_handle(c):
@@ -340,11 +322,11 @@ def rational_blowdown_splice(d: HandleDecomposition, chain: Sequence[str],
             if d.run_through_count(c, h):
                 raise HandleError(f"chain member {c!r} runs through a 1-handle")
         for x in d.two_handle_ids:
-            if x not in chain and d.link(c, x):
+            if x not in members and d.link(c, x):
                 raise HandleError(
                     f"external handle {x!r} links the excised chain at {c!r}")
 
-    keep = set(d.two_handle_ids) - set(chain)
+    keep = set(d.two_handle_ids) - members
     taken = set(d.all_ids)
     b0 = fresh_id("b0", taken)
     b1 = fresh_id("b1", taken | {b0})

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Mapping
 
-from .handles import HandleDecomposition, HandleError
+from .handles import HandleDecomposition, HandleError, _pair
 from .legendrian import FrontDiagram, FrontError, parse_front
 
 _ID = re.compile(r"[A-Za-z0-9_.~+'-]+$")
@@ -116,7 +116,7 @@ def parse_hbd(text: str, source: str = "<string>") -> DiagramDocument:
             for x in (a, b):
                 if x not in declared_two:
                     raise err(f"lk names undeclared 2-handle {x!r}", line_no)
-            key = (a, b) if a <= b else (b, a)
+            key = _pair(a, b)
             if key in links:
                 warnings.warn(f"{source}:{line_no}: lk {a} {b} overrides an "
                               "earlier value", stacklevel=2)
@@ -170,8 +170,8 @@ def print_hbd(doc: DiagramDocument) -> str:
     lines = [f"manifold {d.name or 'unnamed'}"]
     lines.extend(f"1h {h}" for h in d.one_handles)
     lines.extend(f"2h {k} framing {f}" for k, f in d.two_handles)
-    lines.extend(f"lk {a} {b} {v}" for (a, b), v in sorted(d.links.items()))
-    lines.extend(f"rt {k} {h} {v}" for (k, h), v in sorted(d.run_through.items()))
+    lines.extend(f"lk {a} {b} {v}" for (a, b), v in d.links.items())
+    lines.extend(f"rt {k} {h} {v}" for (k, h), v in d.run_through.items())
     if d.three_handles:
         lines.append(f"3h {d.three_handles}")
     for k in sorted(doc.annotation):

@@ -1,9 +1,14 @@
 """Kirby moves: frozen examples plus boundary-invariance oracles."""
 
 import random
+import time
 from dataclasses import fields, replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from kirbycalc.acceptance import _random_decomposition
 
 from kirbycalc.handles import (
     HandleDecomposition,
@@ -16,11 +21,15 @@ from kirbycalc.handles import (
     rational_blowdown_splice,
 )
 from kirbycalc.homology import (
+    IntMatrix,
     boundary_first_homology,
     boundary_group_order,
     homology,
     is_homology_trivial,
+    linking_matrix,
+    run_through_matrix,
 )
+from kirbycalc.scenarios import build_Cp
 
 
 def two_unknots(fa=-1, fb=-1, lk=0):
@@ -206,6 +215,77 @@ def test_blow_down_preconditions():
         blow_down(d, "f")  # wrong framing
     with pytest.raises(HandleError):
         blow_down(d, "e")  # runs through the dotted circle
+    for bad in ("zz", "h"):
+        with pytest.raises(HandleError, match=f"unknown 2-handle {bad!r}"):
+            blow_down(d, bad)
+
+
+@pytest.mark.parametrize("attach", [[("a", 0), ("a", 1)], [("a", 1), ("a", 0)],
+                                    [("a", 0), ("a", 0)]])
+def test_blow_up_rejects_repeated_attachment_in_any_order(attach):
+    with pytest.raises(HandleError, match="duplicate attachment for 'a'"):
+        blow_up(two_unknots(), attach)
+
+
+def _transpose(m):
+    return IntMatrix.from_rows([list(col) for col in zip(*m.entries)], m.rows)
+
+
+def _minus_one_sum(q):
+    """Q plus a -1-framed unknot split from it: Q ⊕ <-1>."""
+    n = q.rows
+    return IntMatrix.from_rows([list(row) + [0] for row in q.entries] + [[0] * n + [-1]])
+
+
+def _blow_up_basis(m):
+    """P with x -> x + m_x e on the old handles and e -> -e on the new one."""
+    n = len(m)
+    rows = [[int(i == j) for j in range(n)] + [0] for i in range(n)]
+    return IntMatrix.from_rows(rows + [list(m) + [-1]])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2 ** 32).map(random.Random))
+def test_moves_are_congruences(rng):
+    # each move is a change of basis of H_2, checked by matrix products alone
+    d = _random_decomposition(rng)
+    ids, n = d.two_handle_ids, len(d.two_handles)
+    q, r = linking_matrix(d), run_through_matrix(d)
+
+    a, b = rng.sample(range(n), 2)
+    s = rng.choice((1, -1))
+    e = IntMatrix.from_rows([[int(i == j) + s * ((i, j) == (b, a)) for j in range(n)]
+                             for i in range(n)])
+    slid = handle_slide(d, ids[a], ids[b], s)
+    assert linking_matrix(slid) == _transpose(e) @ q @ e
+    assert run_through_matrix(slid) == r @ e
+
+    m = [rng.randrange(-2, 3) if rng.random() < 0.6 else 0 for _ in ids]
+    up = blow_up(d, list(zip(ids, m)))
+    p = _blow_up_basis(m)
+    assert linking_matrix(up) == _transpose(p) @ _minus_one_sum(q) @ p
+    assert run_through_matrix(up) == IntMatrix.from_rows(
+        [list(row) + [0] for row in r.entries], n + 1)
+    assert blow_down(up, up.two_handle_ids[-1]) == d
+
+    k = ids[-1]
+    dk = HandleDecomposition(d.one_handles, d.two_handles[:-1] + ((k, -1),), d.links,
+                             {key: v for key, v in d.run_through.items() if key[0] != k})
+    down = blow_down(dk, k)
+    p = _blow_up_basis([dk.link(x, k) for x in ids[:-1]])
+    assert linking_matrix(dk) == _transpose(p) @ _minus_one_sum(linking_matrix(down)) @ p
+    assert run_through_matrix(down) == IntMatrix.from_rows(
+        [row[:-1] for row in run_through_matrix(dk).entries], n - 1)
+
+
+def test_chain_moves_within_budget():
+    # the moves touch only the handles they involve, so a 399-handle chain is cheap
+    d = build_Cp(400)
+    start = time.perf_counter()
+    up = blow_up(d, [("u399", 1), ("u398", 1)], new_id="e")
+    down = blow_down(up, "e")
+    assert time.perf_counter() - start < 0.02
+    assert down == d
 
 
 # -- dot-zero swap -------------------------------------------------------------

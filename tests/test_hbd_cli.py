@@ -1,9 +1,11 @@
 """The .hbd format and the command-line interface."""
 
+import io
 import json
 import string
 from importlib import import_module
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -206,6 +208,25 @@ def test_cli_blowup_blowdown(tmp_path, capsys):
     assert parse_hbd(payload["document"]).decomposition == parse_hbd(f.read_text()).decomposition
 
 
+@pytest.mark.parametrize("attach", [("a=0", "a=1"), ("a=1", "a=0")])
+def test_cli_blowup_rejects_repeated_attachment(tmp_path, capsys, attach):
+    f = tmp_path / "one.hbd"
+    f.write_text("manifold U\n2h a framing 0\n")
+    code, payload = run_json(capsys, "blowup", str(f), "--attach", attach[0],
+                             "--attach", attach[1])
+    assert code == 1
+    assert payload["error"] == "duplicate attachment for 'a'"
+
+
+@pytest.mark.parametrize("handle", ["zz", "a"])
+def test_cli_blowdown_names_the_unknown_handle(tmp_path, capsys, handle):
+    f = tmp_path / "w.hbd"
+    f.write_text("manifold W\n1h a\n2h k framing 0\n2h e framing -1\nlk e k 1\n")
+    code, payload = run_json(capsys, "blowdown", str(f), handle)
+    assert code == 1
+    assert payload["error"] == f"unknown 2-handle {handle!r}"
+
+
 @pytest.mark.parametrize("bad_id", ["q r", "e#1", "e*"])
 def test_cli_blowup_rejects_ids_the_format_cannot_read(tmp_path, capsys, bad_id):
     f = tmp_path / "c3.hbd"
@@ -348,8 +369,10 @@ def test_cli_internal_error_exit_code(tmp_path, capsys, monkeypatch):
     f = tmp_path / "c3.hbd"
     f.write_text(C3_TEXT)
     code = run_command(["homology", str(f)])
-    out = capsys.readouterr().out
+    captured = capsys.readouterr()
+    out = captured.out
     assert code == 2
+    assert "in broken" in captured.err and "RuntimeError: boom" in captured.err
     assert json.loads(out) == {"schema": 1, "internal_error": "RuntimeError('boom')",
                                "ok": False}
     assert out == '{\n  "schema": 1,\n  "internal_error": "RuntimeError(\'boom\')",' \
@@ -423,3 +446,17 @@ def test_cli_check_runs_acceptance(capsys):
     assert [(c["number"], c["title"], c["ok"], c["detail"])
             for c in payload["criteria"]] == \
         [(n, title, True, detail) for n, (title, detail) in PINNED.items()]
+
+
+def test_cli_matches_golden(tmp_path, capsys, monkeypatch):
+    # argv, exit code and stdout of every subcommand but `check`, recorded from
+    # the CLI before its payload envelope moved into `run_command`
+    golden = json.loads((Path(__file__).parent / "cli_golden.json").read_text())
+    for name, text in golden["files"].items():
+        (tmp_path / name).write_text(text)
+    monkeypatch.chdir(tmp_path)
+    for run in golden["runs"]:
+        if "stdin" in run:
+            monkeypatch.setattr("sys.stdin", io.StringIO(golden["files"][run["stdin"]]))
+        code = run_command(run["argv"])
+        assert (code, capsys.readouterr().out) == (run["code"], run["stdout"]), run["argv"]
