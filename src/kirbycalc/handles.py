@@ -311,22 +311,33 @@ def rational_blowdown_splice(d: HandleDecomposition, chain: Sequence[str],
     actual = [d.framing(c) for c in chain]
     if actual != expected:
         raise HandleError(f"chain framings {actual} do not match {expected}")
-    for i, a in enumerate(chain):
-        for j in range(i + 1, len(chain)):
-            want = 1 if j == i + 1 else 0
-            if d.link(a, chain[j]) != want:
-                raise HandleError("chain linking pattern broken between "
-                                  f"{a!r} and {chain[j]!r}")
+    # only consecutive pairs and pairs that link can break the pattern;
+    # sorting the positions reports the first broken pair in chain order
+    position = {c: i for i, c in enumerate(chain)}
+    pairs = {(i, i + 1) for i in range(len(chain) - 1)}
+    pairs.update(tuple(sorted((position[a], position[b])))
+                 for a, b in d.links if a in members and b in members)
+    for i, j in sorted(pairs):
+        want = 1 if j == i + 1 else 0
+        if d.links.get(_pair(chain[i], chain[j]), 0) != want:
+            raise HandleError("chain linking pattern broken between "
+                              f"{chain[i]!r} and {chain[j]!r}")
+    ids = d.two_handle_ids
+    through = {k for k, _ in d.run_through if k in members}
+    outside: dict[str, set[str]] = {}  # chain member -> external handles linking it
+    for a, b in d.links:
+        if (a in members) != (b in members):
+            c, x = (a, b) if a in members else (b, a)
+            outside.setdefault(c, set()).add(x)
     for c in chain:
-        for h in d.one_handles:
-            if d.run_through_count(c, h):
-                raise HandleError(f"chain member {c!r} runs through a 1-handle")
-        for x in d.two_handle_ids:
-            if x not in members and d.link(c, x):
-                raise HandleError(
-                    f"external handle {x!r} links the excised chain at {c!r}")
+        if c in through:
+            raise HandleError(f"chain member {c!r} runs through a 1-handle")
+        if c in outside:
+            x = next(x for x in ids if x in outside[c])
+            raise HandleError(
+                f"external handle {x!r} links the excised chain at {c!r}")
 
-    keep = set(d.two_handle_ids) - members
+    keep = set(ids) - members
     taken = set(d.all_ids)
     b0 = fresh_id("b0", taken)
     b1 = fresh_id("b1", taken | {b0})

@@ -4,6 +4,12 @@ Everything here runs on arbitrary-precision Python integers: Smith normal
 form with its unimodular transforms, canonical (Hermite) kernel bases,
 Bareiss determinants and adjugates, exact inertia of symmetric forms, and
 the homology of a handlebody presented by its run-through and linking data.
+
+One elimination, `_diagonalize`, serves every Smith normal form entry point
+and builds only the transforms its caller reads: `cokernel_invariants` (and
+so `boundary_first_homology`) builds neither U nor V, `kernel_basis` builds
+V alone, and `smith_normal_form` and `homology` build both.  The run-through
+matrix that `homology` reduces has one row per 1-handle, so its U is small.
 """
 
 from __future__ import annotations
@@ -155,44 +161,52 @@ class SmithNormalForm:
         return tuple(d for d in self.diagonal if d != 0)
 
 
-def smith_normal_form(m: IntMatrix) -> SmithNormalForm:
-    """Diagonalize over Z by unimodular row and column operations.
+def _diagonalize(m: IntMatrix, want_u: bool, want_v: bool
+                 ) -> tuple[list[int], list[list[int]] | None, list[list[int]] | None]:
+    """The one Smith elimination: (diagonal, rows of U, columns of V).
 
-    The divisibility chain is enforced before each pivot is frozen, so the
-    diagonal always satisfies d1 | d2 | ... and is non-negative.
+    The diagonal lists the nonzero invariant factors d1 | d2 | ..., all
+    positive; S is that diagonal padded with zeros.  U is carried only when
+    `want_u` and V only when `want_v` (None otherwise): no transform feeds
+    back into S, so dropping one changes nothing else.
+
+    Each pivot is the first entry of least absolute value in row-major
+    order, so the search stops at the first +-1; a unit pivot divides every
+    entry, so its divisibility sweep is skipped.  Rows at or below t are zero
+    left of column t and rows above t are zero right of it, so operations on
+    S touch only the active block (rows and columns >= t).
     """
     nr, nc = m.rows, m.cols
     s = m.to_lists()
-    u = IntMatrix.identity(nr).to_lists()
-    v = IntMatrix.identity(nc).to_lists()
+    u = IntMatrix.identity(nr).to_lists() if want_u else None
+    vt = IntMatrix.identity(nc).to_lists() if want_v else None  # V, column by column
+    t = 0
 
     def row_sub(i: int, k: int, q: int) -> None:
-        s[i] = [x - q * y for x, y in zip(s[i], s[k])]
-        u[i] = [x - q * y for x, y in zip(u[i], u[k])]
+        s[i][t:] = [x - q * y for x, y in zip(s[i][t:], s[k][t:])]
+        if u is not None:
+            u[i] = [x - q * y for x, y in zip(u[i], u[k])]
 
     def col_sub(j: int, k: int, q: int) -> None:
-        for row in s:
+        for row in s[t:]:
             row[j] -= q * row[k]
-        for row in v:
-            row[j] -= q * row[k]
+        if vt is not None:
+            vt[j] = [x - q * y for x, y in zip(vt[j], vt[k])]
 
     def row_swap(i: int, k: int) -> None:
         s[i], s[k] = s[k], s[i]
-        u[i], u[k] = u[k], u[i]
+        if u is not None:
+            u[i], u[k] = u[k], u[i]
 
     def col_swap(j: int, k: int) -> None:
-        for row in s:
+        for row in s[t:]:
             row[j], row[k] = row[k], row[j]
-        for row in v:
-            row[j], row[k] = row[k], row[j]
+        if vt is not None:
+            vt[j], vt[k] = vt[k], vt[j]
 
-    t = 0
+    diag: list[int] = []
     while t < min(nr, nc):
-        best = None
-        for i in range(t, nr):
-            for j in range(t, nc):
-                if s[i][j] and (best is None or abs(s[i][j]) < abs(s[best[0]][best[1]])):
-                    best = (i, j)
+        best = _pivot(s, t)
         if best is None:
             break
         if best[0] != t:
@@ -214,30 +228,56 @@ def smith_normal_form(m: IntMatrix) -> SmithNormalForm:
             if any(s[i][t] for i in range(t + 1, nr)):
                 continue
             pivot = s[t][t]
+            if pivot in (1, -1):
+                break
             # columns <= t of the rows below t are zero by now
             offender = next((i for i in range(t + 1, nr)
                              if any(x % pivot for x in s[i][t + 1:])), None)
             if offender is None:
                 break
             row_sub(t, offender, -1)  # pull the offending row into row t
+        if s[t][t] < 0 and u is not None:
+            u[t] = [-x for x in u[t]]
+        diag.append(abs(s[t][t]))
         t += 1
+    return diag, u, vt
 
-    for i in range(min(nr, nc)):
-        if s[i][i] < 0:
-            s[i] = [-x for x in s[i]]
-            u[i] = [-x for x in u[i]]
-    return SmithNormalForm(IntMatrix.from_rows(s, nc),
-                           IntMatrix.from_rows(u, nr),
-                           IntMatrix.from_rows(v, nc))
+
+def _pivot(s: list[list[int]], t: int) -> tuple[int, int] | None:
+    """First entry of least absolute value in rows and columns >= t, row-major."""
+    best, least = None, 0
+    for i in range(t, len(s)):
+        row = s[i][t:]
+        if 1 in row or -1 in row:
+            return i, t + min(row.index(x) for x in (1, -1) if x in row)
+        for j, x in enumerate(row, t):
+            if x and (best is None or abs(x) < least):
+                best, least = (i, j), abs(x)
+    return best
+
+
+def smith_normal_form(m: IntMatrix) -> SmithNormalForm:
+    """Diagonalize over Z by unimodular row and column operations.
+
+    The divisibility chain is enforced before each pivot is frozen, so the
+    diagonal always satisfies d1 | d2 | ... and is non-negative.
+    """
+    diag, u, vt = _diagonalize(m, want_u=True, want_v=True)
+    s = [[0] * m.cols for _ in range(m.rows)]
+    for i, d in enumerate(diag):
+        s[i][i] = d
+    return SmithNormalForm(IntMatrix.from_rows(s, m.cols),
+                           IntMatrix.from_rows(u, m.rows),
+                           IntMatrix.from_rows(list(zip(*vt)), m.cols))
 
 
 def cokernel_invariants(m: IntMatrix) -> tuple[tuple[int, ...], int]:
     """(torsion invariant factors >= 2, free rank) of Z^rows / im(M)."""
-    return _cokernel(m, smith_normal_form(m))
+    diag, _, _ = _diagonalize(m, want_u=False, want_v=False)
+    return _cokernel(m, diag)
 
 
-def _cokernel(m: IntMatrix, snf: SmithNormalForm) -> tuple[tuple[int, ...], int]:
-    factors = snf.invariant_factors
+def _cokernel(m: IntMatrix, factors: Sequence[int]) -> tuple[tuple[int, ...], int]:
     return tuple(d for d in factors if d >= 2), m.rows - len(factors)
 
 
@@ -300,15 +340,14 @@ def hermite_row_basis(vectors: Iterable[Sequence[int]], width: int) -> tuple[tup
 
 def kernel_basis(m: IntMatrix) -> tuple[tuple[int, ...], ...]:
     """Canonical basis (as rows) of the integer kernel {x : M x = 0}."""
-    return _kernel(m, smith_normal_form(m))
+    diag, _, vt = _diagonalize(m, want_u=False, want_v=True)
+    return _kernel(m, len(diag), vt)
 
 
-def _kernel(m: IntMatrix, snf: SmithNormalForm) -> tuple[tuple[int, ...], ...]:
+def _kernel(m: IntMatrix, rank: int,
+            v_columns: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
     """Kernel of M from its SNF: the columns of V past the nonzero pivots."""
-    diag = snf.diagonal
-    vecs = [col for j, col in enumerate(zip(*snf.v.entries))
-            if j >= len(diag) or diag[j] == 0]
-    return hermite_row_basis(vecs, m.cols)
+    return hermite_row_basis(v_columns[rank:], m.cols)
 
 
 def inertia(m: IntMatrix) -> tuple[int, int, int]:
@@ -422,13 +461,37 @@ def homology(d: HandleDecomposition) -> HomologyProfile:
     """
     r = run_through_matrix(d)
     snf = smith_normal_form(r)
-    torsion, free = _cokernel(r, snf)
-    basis = _kernel(r, snf)
-    q = linking_matrix(d).entries  # symmetric, so row a of Q is column a
-    qb = [[_dot(row, v) for row in q] for v in basis]
-    form_rows = [[_dot(qv, w) for w in basis] for qv in qb]
-    form = IntMatrix.from_rows(form_rows, cols=len(basis))
+    factors = snf.invariant_factors
+    torsion, free = _cokernel(r, factors)
+    basis = _kernel(r, len(factors), list(zip(*snf.v.entries)))
+    form = IntMatrix.from_rows(_intersection_form(d, basis), cols=len(basis))
     return HomologyProfile(torsion, free, len(basis), form, basis)
+
+
+def _intersection_form(d: HandleDecomposition,
+             basis: Sequence[Sequence[int]]) -> list[list[int]]:
+    """B^T Q B for the linking matrix Q, summing only its nonzero terms.
+
+    Q is read from the framings and `d.links`, B from the supports of the
+    basis vectors, so the cost follows the links, not the square of the
+    number of 2-handles.
+    """
+    index = {k: i for i, (k, _) in enumerate(d.two_handles)}
+    linked: list[list[tuple[int, int]]] = [[] for _ in index]
+    for (a, b), lk in d.links.items():
+        linked[index[a]].append((index[b], lk))
+        linked[index[b]].append((index[a], lk))
+    framings = [f for _, f in d.two_handles]
+    supports = [[(a, x) for a, x in enumerate(v) if x] for v in basis]
+    qb = []
+    for support in supports:
+        qv = [0] * len(framings)
+        for a, x in support:
+            qv[a] += framings[a] * x
+            for b, lk in linked[a]:
+                qv[b] += lk * x
+        qb.append(qv)
+    return [[sum(qv[a] * x for a, x in support) for support in supports] for qv in qb]
 
 
 def boundary_first_homology(d: HandleDecomposition) -> tuple[int, ...]:

@@ -393,3 +393,42 @@ def test_splice_rejects_external_links():
                             links={("u1", "x"): 1})
     with pytest.raises(HandleError):
         rational_blowdown_splice(d, ["u1"], 2)
+
+
+def test_splice_reads_the_pattern_from_the_links(monkeypatch):
+    p = 120
+    calls = []
+    link = HandleDecomposition.link
+
+    def counting(self, a, b):
+        calls.append((a, b))
+        return link(self, a, b)
+    monkeypatch.setattr(HandleDecomposition, "link", counting)
+    d = build_Cp(p)
+    out = rational_blowdown_splice(d, [f"u{j}" for j in range(p - 1, 0, -1)], p)
+    assert calls == []
+    assert out.two_handles == (("b1", p - 1),) and out.run_through == {("b1", "b0"): p}
+
+
+def test_splice_reports_the_first_fault_in_chain_order():
+    chain = ["u4", "u3", "u2", "u1"]
+
+    def splice(links=(), twos=(), ones=(), rt=()):
+        base = cp_chain(5)
+        d = HandleDecomposition(ones, base.two_handles + tuple(twos),
+                                {**base.links, **dict(links)}, dict(rt))
+        with pytest.raises(HandleError) as err:
+            rational_blowdown_splice(d, chain, 5)
+        return str(err.value)
+    # a missing consecutive link and two extra ones: the earliest pair in chain order
+    assert splice({("u1", "u4"): 1, ("u2", "u4"): -1, ("u2", "u3"): 0}) == \
+        "chain linking pattern broken between 'u4' and 'u2'"
+    assert splice({("u2", "u3"): 0, ("u1", "u3"): 2}) == \
+        "chain linking pattern broken between 'u3' and 'u2'"
+    # per member in chain order: its run-through first, then the first external
+    # handle in diagram order
+    twos, ones = (("y", 0), ("x", 1)), ("h",)
+    assert splice({("u2", "x"): 1, ("u2", "y"): 1, ("u1", "x"): 1}, twos, ones,
+                  {("u1", "h"): 1}) == "external handle 'y' links the excised chain at 'u2'"
+    assert splice({("u2", "x"): 1}, twos, ones, {("u2", "h"): 1}) == \
+        "chain member 'u2' runs through a 1-handle"

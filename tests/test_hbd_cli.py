@@ -243,13 +243,13 @@ def test_cli_blowup_rejects_ids_the_format_cannot_read(tmp_path, capsys, bad_id)
 
 def test_cli_computes_each_boundary_snf_once(tmp_path, capsys, monkeypatch):
     H = import_module("kirbycalc.homology")
-    snf = H.smith_normal_form
+    eliminate = H._diagonalize
     calls = []
 
-    def counting(m):
+    def counting(m, **wants):
         calls.append(m)
-        return snf(m)
-    monkeypatch.setattr(H, "smith_normal_form", counting)
+        return eliminate(m, **wants)
+    monkeypatch.setattr(H, "_diagonalize", counting)
     f = tmp_path / "b3.hbd"
     f.write_text(print_hbd(DiagramDocument(build_Bp(3), {})))
     code, payload = run_json(capsys, "homology", str(f))

@@ -1,10 +1,13 @@
 """Smith normal form against a gcd-of-minors oracle; homology profiles."""
 
+import hashlib
+import json
 import random
 import time
 from importlib import import_module
 from itertools import combinations
 from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -26,6 +29,7 @@ from kirbycalc.homology import (
     kernel_basis,
     linking_matrix,
     smith_normal_form,
+    surgery_presentation,
 )
 from _oracles import invert_rational
 from test_handles import cp_chain, nn_model, wn_model
@@ -357,3 +361,164 @@ def test_zero_framed_unknot_boundary_is_free():
     d = HandleDecomposition(two_handles=(("a", 0),))
     assert boundary_first_homology(d) == (0,)
     assert boundary_group_order(d) is None
+
+
+# -- pinned outputs of the whole layer -------------------------------------------
+
+
+def _int_bytes(x):
+    """Length-prefixed two's-complement bytes: no decimal conversion, whatever the size."""
+    b = x.to_bytes((x.bit_length() + 8) // 8, "big", signed=True)
+    return len(b).to_bytes(4, "big") + b
+
+
+def _digest(*grids):
+    """SHA-256 over (rows, cols, entries) grids, shapes included."""
+    h = hashlib.sha256()
+    for rows, cols, entries in grids:
+        h.update(_int_bytes(rows) + _int_bytes(cols))
+        for row in entries:
+            h.update(b"".join(map(_int_bytes, row)))
+    return h.hexdigest()
+
+
+def _grid(m):
+    return m.rows, m.cols, m.entries
+
+
+def _pinned_matrices(rng):
+    """Dense n x m, 0 <= n, m <= 16: uniform, small-entry, sparse, rank-deficient, scaled."""
+    shapes = [(0, 0), (0, 3), (4, 0), (1, 1), (16, 16), (16, 1), (1, 16)]
+    shapes += [(rng.randint(0, 16), rng.randint(0, 16)) for _ in range(153)]
+    for t, (n, m) in enumerate(shapes):
+        kind = t % 5
+        if kind == 0:
+            rows = [[rng.randint(-9, 9) for _ in range(m)] for _ in range(n)]
+        elif kind == 1:
+            rows = [[rng.randint(-2, 2) for _ in range(m)] for _ in range(n)]
+        elif kind == 2:
+            rows = [[rng.randint(-5, 5) if rng.random() < 0.3 else 0 for _ in range(m)]
+                    for _ in range(n)]
+        elif kind == 3:
+            rows = [[rng.randint(-4, 4) for _ in range(m)] for _ in range(n)]
+            if n >= 2:
+                rows[rng.randrange(1, n)] = list(rows[0])
+                rows[rng.randrange(n)] = [0] * m
+        else:
+            rows = [[rng.choice((2, 3, 6)) * rng.randint(-3, 3) for _ in range(m)]
+                    for _ in range(n)]
+        yield f"{('uniform', 'small', 'sparse', 'deficient', 'scaled')[kind]} {n}x{m}", \
+            IntMatrix.from_rows(rows, m)
+
+
+def _pinned_plumbing(rng, n2, n1):
+    """Random plumbing tree of n2 framed unknots, with n1 dotted circles run through."""
+    twos = tuple((f"k{i}", rng.randint(-7, 3)) for i in range(n2))
+    links = {(f"k{rng.randrange(i)}", f"k{i}"): rng.choice((1, -1)) for i in range(1, n2)}
+    ones = tuple(f"h{j}" for j in range(n1))
+    rt = {(f"k{i}", h): rng.choice((-2, -1, 1, 2))
+          for h in ones for i in rng.sample(range(n2), min(3, n2))}
+    return HandleDecomposition(ones, twos, links, rt)
+
+
+def _pinned_diagrams(rng):
+    for t in range(24):
+        n2, n1 = rng.randint(1, 30), rng.randint(1, 3)
+        yield f"plumbing {t}: {n2} framed, {n1} dotted", _pinned_plumbing(rng, n2, n1)
+    catalog = [S.build_Cp(p) for p in range(2, 9)]
+    catalog += [S.build_Bp(p) for p in range(2, 9)]
+    catalog += [S.build_Dp(p) for p in range(2, 9)]
+    catalog += [S.build_Wn(n) for n in range(1, 4)]
+    catalog += [S.build_Wsum((1, 2, 3)), *S.build_Mn_Nn(3)[:2]]
+    catalog += [d for _, d, _ in S.stein_catalog()]
+    for d in catalog:
+        yield f"catalog {d.name}", d
+
+
+def homology_layer_records():
+    """What each entry point of the homology layer returns on a seeded corpus.
+
+    Matrices pin S, U and V by digest, the cokernel literally and the kernel
+    by digest; diagrams add their surgery presentation to the matrices and pin
+    the homology profile by digest, H_1 and H_2 rank literally, and the
+    boundary's invariant factors.  Digests hash integers as bytes, because U
+    and V entries outgrow the decimal conversion limit at n = 20.
+    """
+    rng = random.Random(1979)
+    matrices = list(_pinned_matrices(rng))
+    diagrams = list(_pinned_diagrams(rng))
+    matrices += [(f"presentation of {label}", surgery_presentation(d))
+                 for label, d in diagrams]
+    out = []
+    for label, m in matrices:
+        snf = smith_normal_form(m)
+        torsion, free = cokernel_invariants(m)
+        kernel = kernel_basis(m)
+        out.append({"matrix": label, "input": _digest(_grid(m)),
+                    "snf": _digest(_grid(snf.s), _grid(snf.u), _grid(snf.v)),
+                    "cokernel": [list(torsion), free],
+                    "kernel": _digest((len(kernel), m.cols, kernel))})
+    for label, d in diagrams:
+        prof = homology(d)
+        basis = prof.h2_basis
+        out.append({"diagram": label, "input": _digest(_grid(surgery_presentation(d))),
+                    "homology": _digest((1, len(prof.h1_invariant_factors),
+                                         [prof.h1_invariant_factors]),
+                                        (1, 2, [(prof.h1_free_rank, prof.h2_rank)]),
+                                        _grid(prof.intersection_form),
+                                        (len(basis), len(d.two_handles), basis)),
+                    "h1": [list(prof.h1_invariant_factors), prof.h1_free_rank,
+                           prof.h2_rank],
+                    "boundary": list(boundary_first_homology(d))})
+    return out
+
+
+def test_homology_layer_matches_pinned():
+    """Every entry point of the layer, against outputs recorded before it was last rewritten."""
+    pinned = json.loads((Path(__file__).parent / "homology_pinned.json").read_text())
+    got = homology_layer_records()
+    assert len(got) == len(pinned)
+    for record, expected in zip(got, pinned):
+        assert record == expected
+
+
+def test_invariant_factors_match_sympy():
+    """Diagonal and cokernel against sympy's invariant factors, an independent SNF."""
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import invariant_factors
+    rng = random.Random(1987)
+    for t in range(90):
+        n = rng.randint(1, 12)
+        c = n if t % 3 == 0 else rng.randint(1, 12)
+        rows = [[rng.randint(-6, 6) for _ in range(c)] for _ in range(n)]
+        if t % 3 == 2 and n >= 2:
+            rows[-1] = [x - 2 * y for x, y in zip(rows[0], rows[1])]  # singular
+        m = IntMatrix.from_rows(rows, c)
+        expected = tuple(abs(int(x)) for x in
+                         invariant_factors(sympy.Matrix(rows), domain=sympy.ZZ))
+        assert smith_normal_form(m).diagonal == expected, rows
+        nonzero = [x for x in expected if x]
+        assert cokernel_invariants(m) == (tuple(x for x in nonzero if x >= 2),
+                                          n - len(nonzero)), rows
+
+
+def test_each_entry_point_builds_only_the_transforms_it_reads(monkeypatch):
+    H = import_module("kirbycalc.homology")
+    eliminate = H._diagonalize
+    wants = []
+
+    def recording(m, *, want_u, want_v):
+        wants.append((want_u, want_v))
+        return eliminate(m, want_u=want_u, want_v=want_v)
+    monkeypatch.setattr(H, "_diagonalize", recording)
+    m = IntMatrix.from_rows([[2, 4, 4], [-6, 6, 12], [10, -4, -16]])
+
+    def built(call, *args):
+        wants.clear()
+        call(*args)
+        return wants
+    assert built(cokernel_invariants, m) == [(False, False)]
+    assert built(boundary_first_homology, cp_chain(5)) == [(False, False)]
+    assert built(kernel_basis, m) == [(False, True)]
+    assert built(smith_normal_form, m) == [(True, True)]
+    assert built(homology, nn_model(3)) == [(True, True)]
