@@ -7,9 +7,8 @@ the homology of a handlebody presented by its run-through and linking data.
 
 One elimination, `_diagonalize`, serves every Smith normal form entry point
 and builds only the transforms its caller reads: `cokernel_invariants` (and
-so `boundary_first_homology`) builds neither U nor V, `kernel_basis` builds
-V alone, and `smith_normal_form` and `homology` build both.  The run-through
-matrix that `homology` reduces has one row per 1-handle, so its U is small.
+so `boundary_first_homology`) builds neither U nor V, `kernel_basis` and
+`homology` build V alone, and only `smith_normal_form` builds both.
 """
 
 from __future__ import annotations
@@ -460,10 +459,9 @@ def homology(d: HandleDecomposition) -> HomologyProfile:
     kernel basis, so repeated runs produce identical matrices.
     """
     r = run_through_matrix(d)
-    snf = smith_normal_form(r)
-    factors = snf.invariant_factors
+    factors, _, v_columns = _diagonalize(r, want_u=False, want_v=True)
     torsion, free = _cokernel(r, factors)
-    basis = _kernel(r, len(factors), list(zip(*snf.v.entries)))
+    basis = _kernel(r, len(factors), v_columns)
     form = IntMatrix.from_rows(_intersection_form(d, basis), cols=len(basis))
     return HomologyProfile(torsion, free, len(basis), form, basis)
 

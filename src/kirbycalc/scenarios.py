@@ -14,6 +14,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from operator import add
 from typing import Sequence
 
 from .handles import HandleDecomposition, boundary_sum, dot_zero_swap
@@ -39,6 +40,7 @@ from .swledger import (
     ManifoldModel,
     Vector,
     _direct_sum,
+    _sign_sums,
     _unit,
     alexander_polynomial_torus,
     blow_up_basic_classes,
@@ -290,28 +292,6 @@ class SyntheticModel:
         return self.lattice.names["T"]
 
 
-def _seed_core_patterns(count: int, n_chains: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """Deterministic (core signs, chain signs) seed representatives.
-
-    Flipping an (f_j, g_j) pair keeps the square; distinct representatives
-    are kept only when their negatives have not been chosen already.
-    """
-    reps: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
-    chosen: set[tuple[tuple[int, ...], tuple[int, ...]]] = set()
-    for core_mask in range(8):
-        for delta_mask in range(1 << n_chains):
-            core = tuple(-1 if core_mask >> j & 1 else 1 for j in range(3))
-            delta = tuple(-1 if delta_mask >> j & 1 else 1 for j in range(n_chains))
-            neg = (tuple(-c for c in core), tuple(-s for s in delta))
-            if neg in chosen:
-                continue
-            chosen.add((core, delta))
-            reps.append((core, delta))
-            if len(reps) == count:
-                return reps
-    raise ScenarioError(f"cannot realize {2 * count} distinct seed classes")
-
-
 def _closed_model(blocks: Sequence[Sequence[Sequence[int]]],
                   names: dict[str, Vector],
                   seeds: Sequence[Vector]) -> tuple[ManifoldModel, BasicClassSet]:
@@ -350,6 +330,11 @@ def build_X0_model(p_list: Sequence[int], seed_count: int = 2) -> SyntheticModel
     the square-zero torus; seed classes evaluate to 0 on every u_j except
     u_{p-1}, where they give -p_i <K, e_i> = +-p_i.  The Euler number is set
     so every seed class has d = 0, making the model simple type.
+
+    Seeds are the sign combinations f3 + g3 +- (f1 + g1) +- (f2 + g2)
+    +- e_1 ... +- e_n (n chains), in the order of `_sign_sums` over
+    (-e_1, ..., -e_n, f1 + g1, f2 + g2): the first seed_count / 2 of them,
+    each followed by its negative.  At most 2^(n+2) such pairs exist.
     """
     p_list = tuple(int(p) for p in p_list)
     if any(p < 2 for p in p_list):
@@ -378,17 +363,12 @@ def build_X0_model(p_list: Sequence[int], seed_count: int = 2) -> SyntheticModel
         chain_indices.append(tuple(range(off + 2, off + 1 + p)))
         off += p + 1
 
-    seeds = []
-    for core, delta in _seed_core_patterns(seed_count // 2, n):
-        v = [0] * rank
-        v[0:3] = core
-        v[3:6] = core
-        pos = 8 + spheres
-        for i, p in enumerate(p_list):
-            v[pos] = -delta[i]             # block part is -delta * e_i
-            pos += p + 1
-        seeds.append(tuple(v))
-        seeds.append(tuple(-x for x in v))
+    fg = [tuple(map(add, names[f"f{j}"], names[f"g{j}"])) for j in (1, 2, 3)]
+    reps = _sign_sums(fg[2], [tuple(-x for x in names[f"e{i + 1}"]) for i in range(n)]
+                      + fg[:2])
+    if seed_count // 2 > len(reps):
+        raise ScenarioError(f"cannot realize {seed_count} distinct seed classes")
+    seeds = [s for v in reps[:seed_count // 2] for s in (v, tuple(-x for x in v))]
 
     model, classes = _closed_model(blocks, names, seeds)
     return SyntheticModel(model, classes, p_list, tuple(chain_indices))
@@ -517,16 +497,8 @@ def build_genus_model(n: int) -> tuple[ManifoldModel, BasicClassSet, Vector]:
     for i in range(n - 1):
         names[f"e{i + 1}"] = _unit(rank, 2 + i)
 
-    seeds = []
-    for bits in range(1 << n):
-        v = [0] * rank
-        s0 = -1 if bits & 1 else 1
-        for j in range(3):
-            v[1 + n + j] = s0
-            v[4 + n + j] = s0
-        for i in range(n - 1):
-            v[2 + i] = -1 if bits >> (i + 1) & 1 else 1
-        seeds.append(tuple(v))
+    core = (0,) * (rank - 6) + (1,) * 6            # f1 + f2 + f3 + g1 + g2 + g3
+    seeds = _sign_sums((0,) * rank, [core] + [names[f"e{i + 1}"] for i in range(n - 1)])
 
     model, classes = _closed_model([_genus_block(n), _CORE], names, seeds)
     return model, classes, names["alpha"]

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import gcd
+from operator import add
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
@@ -38,6 +39,19 @@ def _vec(x: Sequence[int]) -> Vector:
 
 def _unit(rank: int, idx: int) -> Vector:
     return tuple(1 if j == idx else 0 for j in range(rank))
+
+
+def _sign_sums(base: Sequence[int], gens: Sequence[Vector]) -> list[Vector]:
+    """base + s_1 g_1 + ... + s_n g_n for every sign vector s in {1, -1}^n.
+
+    Built by doubling, so entry i gives generator j the sign -1 exactly
+    where bit j of i is set.
+    """
+    out = [tuple(base)]
+    for g in gens:
+        neg = tuple(-x for x in g)
+        out = [tuple(map(add, v, h)) for h in (g, neg) for v in out]
+    return out
 
 
 def _direct_sum(blocks: Sequence[Sequence[Sequence[int]]]) -> list[list[int]]:
@@ -268,12 +282,9 @@ def blow_up_basic_classes(model: ManifoldModel, beta: BasicClassSet,
     if n == 0:
         return model, beta
     lattice = _extend_lattice(model.lattice, n)
-    new_weights: dict[Vector, int] = {}
-    for kappa, w in beta.weights.items():
-        for bits in range(1 << n):
-            # <K + sum s_i E_i, E_i> = -s_i
-            tail = tuple(-1 if bits >> i & 1 else 1 for i in range(n))
-            new_weights[kappa + tail] = w
+    # <K + sum s_i E_i, E_i> = -s_i, and the signs s run over all of {1, -1}^n
+    tails = _sign_sums((0,) * n, [_unit(n, i) for i in range(n)])
+    new_weights = {kappa + tail: w for kappa, w in beta.weights.items() for tail in tails}
     new_model = ManifoldModel(lattice, model.euler + n, model.signature - n,
                               model.b2plus)
     return new_model, BasicClassSet(lattice, new_weights)

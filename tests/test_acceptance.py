@@ -71,3 +71,20 @@ def test_stein_failure_names_the_diagram(monkeypatch):
     ok, detail = claim_named("stein").check(SEED)
     assert not ok
     assert detail == "W2 fails framing = tb - 1 on k"
+
+
+def test_d_conservation_raises_lattice_errors(monkeypatch):
+    # only a degenerate pairing may skip a blow-up trial; any other error surfaces
+    from kirbycalc.acceptance import criterion_11_d_conservation
+    from kirbycalc.swledger import IntersectionLattice
+
+    exact = IntersectionLattice.dual_square
+
+    def broken(lat, kappa):
+        if lat.rank <= 7:
+            raise RuntimeError("dual square failed")
+        return exact(lat, kappa)
+
+    monkeypatch.setattr(IntersectionLattice, "dual_square", broken)
+    with pytest.raises(RuntimeError):
+        criterion_11_d_conservation(SEED)

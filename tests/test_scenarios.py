@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from kirbycalc import scenarios
 from kirbycalc.handles import blow_down, dot_zero_swap, handle_slide
 from kirbycalc.homology import boundary_group_order, homology, is_homology_trivial
 from kirbycalc.scenarios import (
@@ -35,6 +36,8 @@ from kirbycalc.swledger import (
     LaurentPolynomial,
     rbd_lift_eligible,
 )
+
+from _oracles import genus_seeds, x0_seeds
 
 
 # -- handle-level builders ------------------------------------------------------
@@ -226,6 +229,37 @@ def test_genus_model_matches_pinned(pinned):
     model, classes, alpha = build_genus_model(pinned["n"])
     assert {"n": pinned["n"], "alpha": _sparse(alpha),
             **_model_summary(model, classes)} == pinned
+
+
+@pytest.mark.parametrize("p_list", [(), (2,), (2, 3), (2, 4, 5)], ids=str)
+def test_x0_model_matches_bitmask_seeds(p_list):
+    # every realizable seed count, against the enumeration the builder replaced
+    limit = 1 << (len(p_list) + 3)
+    for seed_count in range(2, limit + 1, 2):
+        x0 = build_X0_model(p_list, seed_count)
+        lat = x0.lattice
+        seeds = x0_seeds(p_list, lat.rank, seed_count)
+        oracle = _closed_model([lat.pairing.entries], dict(lat.names), seeds)
+        assert _model_summary(x0.model, x0.classes) == _model_summary(*oracle)
+    message = f"cannot realize {limit + 2} distinct seed classes"
+    with pytest.raises(ScenarioError, match=message):
+        x0_seeds(p_list, lat.rank, limit + 2)
+    with pytest.raises(ScenarioError, match=message):
+        build_X0_model(p_list, limit + 2)
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_genus_model_seeds_match_bitmask_seeds(n, monkeypatch):
+    closed = []
+    close = scenarios._closed_model
+
+    def recording(blocks, names, seeds):
+        closed.append(list(seeds))
+        return close(blocks, names, seeds)
+
+    monkeypatch.setattr(scenarios, "_closed_model", recording)
+    build_genus_model.__wrapped__(n)         # bypassing the cache
+    assert closed == [genus_seeds(n)]
 
 
 @pytest.mark.parametrize("blocks, seeds, message", [

@@ -231,6 +231,11 @@ def test_simple_type_warns_on_every_call():
 
 # -- blow-up formula ---------------------------------------------------------------
 
+def test_sign_sums_negate_generator_j_where_bit_j_is_set():
+    assert swledger._sign_sums((0, 0), [(1, 0), (0, 1)]) == \
+        [(1, 1), (-1, 1), (1, -1), (-1, -1)]
+
+
 def test_blow_up_two_classes_once():
     k = (0, 2)
     beta = BasicClassSet.from_primal(HYPERBOLIC, [k, (0, -2)])
