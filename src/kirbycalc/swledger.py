@@ -6,7 +6,11 @@ below consumes only such pairings, and evaluation coordinates survive a
 rational blowdown (where the descended class is exactly its restriction to a
 complement basis), so this is the uniform representation.  Squares of
 classes are recovered exactly from the integer adjugate and determinant of
-the pairing matrix, divided exactly, and must come out integral.
+the pairing matrix, divided exactly, and must come out integral.  The
+adjugate takes one factorization per connected block of the pairing, and
+pairing rows are kept as their nonzero entries: the model pairings are
+direct sums of small blocks, so duals, squares and characteristic checks
+cost the nonzeros, not the square of the rank.
 
 The ledger transforms declared basic-class data; it does not compute SW
 invariants from geometry.
@@ -19,8 +23,8 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import gcd
-from operator import add
+from math import gcd, prod
+from operator import add, neg
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
@@ -34,7 +38,10 @@ class LedgerError(ValueError):
 
 
 def _vec(x: Sequence[int]) -> Vector:
-    return tuple(int(v) for v in x)
+    """x as a tuple of ints; a tuple that already is one is not copied."""
+    if type(x) is tuple and all(type(v) is int for v in x):
+        return x
+    return tuple(map(int, x))
 
 
 def _unit(rank: int, idx: int) -> Vector:
@@ -94,11 +101,20 @@ class IntersectionLattice:
         return self.pair(x, x)
 
     def dual(self, x: Sequence[int]) -> Vector:
-        """Evaluation coordinates of a primal vector: (G x)_i = <x, b_i>."""
+        """Evaluation coordinates of a primal vector: (G x)_i = <x, b_i>.
+
+        Scattered column by column over the nonzero entries of x; column j
+        of the symmetric pairing is its row j.
+        """
         if len(x) != self.rank:
             raise LedgerError("vector length does not match lattice rank")
-        g = self.pairing
-        return tuple(_dot(g.row(i), x) for i in range(self.rank))
+        out = [0] * self.rank
+        rows = self._rows
+        for j, xj in enumerate(x):
+            if xj:
+                for i, g in rows[j]:
+                    out[i] += g * xj
+        return tuple(out)
 
     def dual_square(self, kappa: Sequence[int]) -> int:
         """Square of a class given in evaluation coordinates.
@@ -111,7 +127,13 @@ class IntersectionLattice:
         if len(kappa) != self.rank:
             raise LedgerError("vector length does not match lattice rank")
         det, adj = self._adjugate
-        num = sum(k * _dot(row, kappa) for k, row in zip(kappa, adj) if k)
+        num = 0
+        for k, row in zip(kappa, adj):
+            if k:
+                s = 0
+                for j, a in row:
+                    s += a * kappa[j]
+                num += k * s
         square, rem = divmod(num, det)
         if rem:
             raise LedgerError(
@@ -119,12 +141,17 @@ class IntersectionLattice:
         return square
 
     def is_characteristic_dual(self, kappa: Sequence[int]) -> bool:
-        diag = self._diagonal
-        return all((kappa[i] - diag[i]) % 2 == 0 for i in range(self.rank))
+        parity = self._diagonal_parity
+        return len(kappa) == len(parity) and all(
+            k & 1 == p for k, p in zip(kappa, parity))
 
     @cached_property
     def _diagonal(self) -> Vector:
         return tuple(row[i] for i, row in enumerate(self.pairing.entries))
+
+    @cached_property
+    def _diagonal_parity(self) -> Vector:
+        return tuple(g & 1 for g in self._diagonal)
 
     def gram(self, vectors: Sequence[Sequence[int]]) -> IntMatrix:
         """Pairing matrix <v_i, v_j> of primal vectors, one dual per vector."""
@@ -133,16 +160,57 @@ class IntersectionLattice:
                                    len(duals))
 
     @cached_property
-    def _adjugate(self) -> tuple[int, tuple[Vector, ...]]:
-        """(det G, adj G), computed on the first dual square.
+    def _rows(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Each pairing row as its nonzero (j, g_ij) pairs."""
+        return tuple(tuple((j, g) for j, g in enumerate(row) if g)
+                     for row in self.pairing.entries)
 
-        A degenerate pairing can still be constructed and inspected; only
-        its dual squares raise.
+    def _blocks(self) -> list[list[int]]:
+        """Index lists of the connected blocks of the pairing, by least index."""
+        rows = self._rows
+        seen = [False] * self.rank
+        blocks = []
+        for start in range(self.rank):
+            if seen[start]:
+                continue
+            seen[start] = True
+            block, stack = [], [start]
+            while stack:
+                i = stack.pop()
+                block.append(i)
+                for j, _ in rows[i]:
+                    if not seen[j]:
+                        seen[j] = True
+                        stack.append(j)
+            blocks.append(sorted(block))
+        return blocks
+
+    @cached_property
+    def _adjugate(self) -> tuple[int, tuple[tuple[tuple[int, int], ...], ...]]:
+        """(det G, each row of adj G as its nonzero (j, a_ij) pairs).
+
+        One adjugate runs per connected block b of G, on the first dual
+        square.  det G is the product of the det_b, and adj G is block
+        diagonal with block b equal to (det G / det_b) adj_b.  A degenerate
+        pairing can still be constructed and inspected; only its dual
+        squares raise.
         """
-        try:
-            return adjugate(self.pairing)
-        except ValueError:
-            raise LedgerError("degenerate pairing has no dual squares") from None
+        entries = self.pairing.entries
+        parts = []
+        for block in self._blocks():
+            sub = IntMatrix.from_rows([[entries[i][j] for j in block] for i in block],
+                                      len(block))
+            try:
+                parts.append((block, *adjugate(sub)))
+            except ValueError:
+                raise LedgerError("degenerate pairing has no dual squares") from None
+        total = prod(d for _, d, _ in parts)
+        rows: list[tuple[tuple[int, int], ...]] = [()] * self.rank
+        for block, d, adj in parts:
+            scale = total // d
+            for i, arow in zip(block, adj):
+                rows[i] = tuple((j, scale * a) for j, a in zip(block, arow) if a)
+        return total, tuple(rows)
 
 
 def is_characteristic(lattice: IntersectionLattice, k: Sequence[int]) -> bool:
@@ -178,20 +246,23 @@ class BasicClassSet:
 
     def __post_init__(self) -> None:
         w = {}
+        rank = self.lattice.rank
         for kappa, value in self.weights.items():
             kappa = _vec(kappa)
-            if len(kappa) != self.lattice.rank:
+            if len(kappa) != rank:
                 raise LedgerError("class length does not match lattice rank")
             if value == 0:
                 continue
             w[kappa] = int(value)
+        characteristic = self.lattice.is_characteristic_dual
         for kappa in w:
-            if tuple(-x for x in kappa) not in w:
+            if tuple(map(neg, kappa)) not in w:
                 raise LedgerError(f"set is not closed under negation at {kappa}")
-            if not self.lattice.is_characteristic_dual(kappa):
+            if not characteristic(kappa):
                 raise LedgerError(f"class {kappa} is not characteristic")
         object.__setattr__(self, "weights", MappingProxyType(dict(sorted(w.items()))))
         object.__setattr__(self, "_squares", {})
+        object.__setattr__(self, "_simple_type", set())
 
     @classmethod
     def from_primal(cls, lattice: IntersectionLattice,
@@ -243,14 +314,25 @@ def d_invariant(model: ManifoldModel, kappa: Sequence[int], *,
 
 
 def d_invariant_primal(model: ManifoldModel, k: Sequence[int]) -> int:
-    return d_invariant(model, model.lattice.dual(k),
-                       square=model.lattice.square(k))
+    kappa = model.lattice.dual(k)
+    return d_invariant(model, kappa, square=_dot(kappa, k))
 
 
 def is_simple_type(model: ManifoldModel, beta: BasicClassSet) -> bool:
-    """Simple type: d(K) = 0, i.e. K^2 = 2e + 3sigma, for every basic class."""
-    return all(d_invariant(model, kappa, square=beta._square(kappa)) == 0
-               for kappa in beta.members)
+    """Simple type: d(K) = 0, i.e. K^2 = 2e + 3sigma, for every basic class.
+
+    The verdict depends on the model only through 2e + 3sigma.  A passing
+    verdict is remembered on the set under that key; a failing one is not,
+    so its odd-d warnings repeat on every call.
+    """
+    key = 2 * model.euler + 3 * model.signature
+    if key in beta._simple_type:
+        return True
+    ok = all(d_invariant(model, kappa, square=beta._square(kappa)) == 0
+             for kappa in beta.members)
+    if ok:
+        beta._simple_type.add(key)
+    return ok
 
 
 # -- blow-up ---------------------------------------------------------------------
@@ -491,11 +573,11 @@ def knot_surgery_basic_classes(model: ManifoldModel, beta: BasicClassSet,
     lat = model.lattice
     model.require_sw_hypotheses()
     torus = _vec(torus)
-    if lat.square(torus) != 0:
+    t_dual = lat.dual(torus)
+    if _dot(t_dual, torus) != 0:
         raise LedgerError("knot surgery needs a square-zero torus class")
     if gcd(*torus) != 1:
         raise LedgerError("torus class must be primitive")
-    t_dual = lat.dual(torus)
     acc: dict[Vector, int] = {}
     for kappa, w in beta.weights.items():
         for j, aj in alexander.coeffs.items():

@@ -324,8 +324,8 @@ def test_count_lemma_counts_distinguish_distinct_p():
     lambda: genus_obstruction_Nn(11, 2),
 ], ids=["count-p11", "genus-n11"])
 def test_ledger_ladder_rung_within_budget(run):
-    # 2^11 classes on a cold lattice: one exact adjugate per lattice keeps
-    # each rung well under 2 s, where Fraction squares took 3-8 s
+    # 2^11 classes on a cold lattice: one exact adjugate per connected block
+    # keeps each rung well under 2 s, where Fraction squares took 3-8 s
     start = time.perf_counter()
     report = run()
     assert report.ok

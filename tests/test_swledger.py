@@ -1,13 +1,14 @@
 """SW ledger: characteristic classes, blow-up, descent, knot surgery."""
 
 import random
+import re
 import warnings
 from itertools import product
 from math import gcd
 
 import pytest
 
-from kirbycalc import swledger
+from kirbycalc import scenarios, swledger
 from kirbycalc.homology import IntMatrix, adjugate, det
 from kirbycalc.swledger import (
     BasicClassSet,
@@ -51,6 +52,7 @@ def test_characteristic_in_minus_one_lattice():
     L = lat([[-1]])
     assert is_characteristic(L, (1,))
     assert not is_characteristic(L, (0,))
+    assert not L.is_characteristic_dual(())     # wrong length
 
 
 def test_characteristic_in_c2_block():
@@ -74,6 +76,29 @@ def test_dual_square_matches_primal():
         assert L.dual_square(L.dual(v)) == L.square(v)
 
 
+def _check_dual_squares(L, inv, rng, tries):
+    """Check L's adjugate table against the dense adjugate of the whole
+    pairing, and dual squares of random primal and dual vectors against
+    kappa^T inv kappa; returns how many squares were non-integral."""
+    d, adj = adjugate(L.pairing)
+    assert L._adjugate == (d, tuple(tuple((j, a) for j, a in enumerate(row) if a)
+                                    for row in adj))
+    non_integral = 0
+    for _ in range(tries):
+        v = tuple(rng.randrange(-3, 4) for _ in range(L.rank))
+        for kappa in (v, L.dual(v)):
+            q = sum(k * sum(x * y for x, y in zip(row, kappa))
+                    for k, row in zip(kappa, inv))
+            if q.denominator == 1:
+                assert L.dual_square(kappa) == q
+            else:
+                non_integral += 1
+                message = f"non-integral square {q} for {kappa}"
+                with pytest.raises(LedgerError, match=f"^{re.escape(message)}$"):
+                    L.dual_square(kappa)
+    return non_integral
+
+
 def test_dual_square_matches_rational_inverse():
     # independent oracle: kappa^T G^{-1} kappa in Fraction arithmetic
     rng = random.Random(4)
@@ -95,17 +120,7 @@ def test_dual_square_matches_rational_inverse():
             continue
         swapped += rows[0][0] == 0
         big_det += abs(det(L.pairing)) > 1
-        assert L._adjugate[0] == det(L.pairing)
-        for _ in range(3):
-            v = tuple(rng.randrange(-3, 4) for _ in range(n))
-            for kappa in (v, L.dual(v)):
-                q = sum(k * sum(x * y for x, y in zip(row, kappa))
-                        for k, row in zip(kappa, inv))
-                if q.denominator == 1:
-                    assert L.dual_square(kappa) == q
-                else:
-                    with pytest.raises(LedgerError, match=f"non-integral square {q} "):
-                        L.dual_square(kappa)
+        _check_dual_squares(L, inv, rng, 3)
     assert swapped >= 10 and big_det >= 30
 
 
@@ -121,7 +136,7 @@ def test_dual_square_degenerate_raises_on_first_use():
         L.dual_square((0,))
 
 
-def test_lattice_runs_one_adjugate(monkeypatch):
+def test_lattice_runs_one_adjugate_per_block(monkeypatch):
     calls = []
 
     def counting(m):
@@ -132,6 +147,75 @@ def test_lattice_runs_one_adjugate(monkeypatch):
     for v in product(range(-2, 3), repeat=3):
         L.dual_square(L.dual(v))
     assert calls == [L.pairing]
+    # blocks {0, 2}, {1}, {3}, each run once, ordered by least index
+    calls.clear()
+    L = lat([[2, 0, 1, 0], [0, -3, 0, 0], [1, 0, 2, 0], [0, 0, 0, -1]])
+    for v in product(range(-1, 2), repeat=4):
+        L.dual_square(L.dual(v))
+    assert calls == [IntMatrix.from_rows([[2, 1], [1, 2]]),
+                     IntMatrix.from_rows([[-3]]), IntMatrix.from_rows([[-1]])]
+
+
+def _interleaved_blocks(rng, sizes, singular=None):
+    """Random connected symmetric blocks of the given sizes, each on a random
+    set of indices; block `singular` is made rank <= 1 instead."""
+    n = sum(sizes)
+    perm = list(range(n))
+    rng.shuffle(perm)
+    rows = [[0] * n for _ in range(n)]
+    off = 0
+    for b, size in enumerate(sizes):
+        idx = perm[off:off + size]
+        off += size
+        if b == singular:           # u u^T, connected since u has no zero entry
+            u = [rng.choice((-2, -1, 1, 2)) for _ in idx] if size > 1 else [0]
+            for a, i in enumerate(idx):
+                for c, j in enumerate(idx):
+                    rows[i][j] = u[a] * u[c]
+            continue
+        for a in range(size):
+            for c in range(a, size):
+                x = rng.randrange(-3, 4)
+                if c == a + 1 and x == 0:
+                    x = rng.choice((-1, 1))     # keep the block connected
+                rows[idx[a]][idx[c]] = rows[idx[c]][idx[a]] = x
+    return rows
+
+
+def test_dual_square_on_interleaved_blocks_matches_rational_inverse():
+    rng = random.Random(12)
+    degenerate = non_integral = singletons = 0
+    assert lat([]).dual_square(()) == 0
+    for trial in range(150):
+        sizes = [rng.randrange(1, 5) for _ in range(rng.randrange(0, 5))]
+        singular = rng.randrange(len(sizes)) if sizes and trial % 5 == 0 else None
+        rows = _interleaved_blocks(rng, sizes, singular)
+        n = len(rows)
+        singletons += sizes.count(1)
+        L = lat(rows)
+        assert L.rank == n and L.dual((1,) * n) == tuple(map(sum, rows))
+        try:
+            inv = invert_rational(L.pairing)
+        except ZeroDivisionError:
+            degenerate += 1
+            with pytest.raises(LedgerError, match="^degenerate pairing has no dual squares$"):
+                L.dual_square((0,) * n)
+            continue
+        non_integral += _check_dual_squares(L, inv, rng, 4)
+    assert degenerate >= 20 and non_integral >= 100 and singletons >= 50
+
+
+def test_x0_model_runs_one_adjugate_per_block(monkeypatch):
+    sizes = []
+
+    def recording(m):
+        sizes.append(m.rows)
+        return adjugate(m)
+    monkeypatch.setattr(swledger, "adjugate", recording)
+    scenarios.build_X0_model((9,), 4)
+    # six core singletons, the cusp, the parity sphere and the p = 9 chain;
+    # the whole rank-19 pairing is never eliminated at once
+    assert sorted(sizes) == [1] * 7 + [2, 10]
 
 
 def test_gram_matches_pairs_with_one_dual_per_vector(monkeypatch):
@@ -227,6 +311,30 @@ def test_simple_type_warns_on_every_call():
         with pytest.warns(UserWarning, match="d-invariant -1 is odd"):
             assert not is_simple_type(m, beta)
     assert beta.squares() == {(-4,): 4, (4,): 4}
+
+
+def test_simple_type_passing_verdict_is_kept_per_key(monkeypatch):
+    model, classes, _ = scenarios.build_genus_model(8)
+    calls = []
+    d_invariant = swledger.d_invariant
+
+    def counting(m, kappa, **kw):
+        calls.append(kappa)
+        return d_invariant(m, kappa, **kw)
+    monkeypatch.setattr(swledger, "d_invariant", counting)
+    assert all(scenarios.genus_obstruction_Nn(8, k).ok for k in range(-5, 6))
+    assert calls == []
+    # another (e, sigma) with the same 2e + 3sigma reuses the verdict
+    same = ManifoldModel(model.lattice, model.euler + 3, model.signature - 2,
+                         model.b2plus)
+    assert is_simple_type(same, classes) and calls == []
+    # another 2e + 3sigma is checked again, and its failure is not kept
+    other = ManifoldModel(model.lattice, model.euler - 4, model.signature,
+                          model.b2plus)
+    for _ in range(2):
+        calls.clear()
+        assert not is_simple_type(other, classes)
+        assert calls == [classes.members[0]]
 
 
 # -- blow-up formula ---------------------------------------------------------------
@@ -524,6 +632,23 @@ def test_surgery_requires_square_zero_primitive_torus():
         knot_surgery_basic_classes(m, beta, (1, 1), LaurentPolynomial.one())
     with pytest.raises(LedgerError):
         knot_surgery_basic_classes(m, beta, (2, 0), LaurentPolynomial.one())
+
+
+def test_one_dual_per_vector(monkeypatch):
+    m_k3 = ManifoldModel(lat([[-2]]), euler=24, signature=-16, b2plus=3)
+    m, beta, torus = surgery_setup()
+    dual = IntersectionLattice.dual
+    calls = []
+
+    def counting(self, x):
+        calls.append(tuple(x))
+        return dual(self, x)
+    monkeypatch.setattr(IntersectionLattice, "dual", counting)
+    assert d_invariant_primal(m_k3, (2,)) == -2
+    assert calls == [(2,)]
+    calls.clear()
+    out = knot_surgery_basic_classes(m, beta, torus, alexander_polynomial_torus(3, 2))
+    assert out.count == 6 and calls == [torus]
 
 
 def test_surgery_weight_cancellation_removes_classes():
