@@ -9,6 +9,7 @@
     3h <count>
 
 `#` starts a comment; identifiers must be declared before they are used.
+Front lines with the same word parse to one shared (immutable) diagram.
 Printing is canonical (sorted lk/rt lines), and parse(print(doc)) == doc for
 every valid document.
 """
@@ -62,6 +63,7 @@ def parse_hbd(text: str, source: str = "<string>") -> DiagramDocument:
     rt: dict[tuple[str, str], int] = {}
     three = 0
     fronts: dict[str, FrontDiagram] = {}
+    parsed: dict[str, FrontDiagram] = {}    # front word -> its one diagram
     declared_one: set[str] = set()
     declared_two: set[str] = set()
 
@@ -141,10 +143,13 @@ def parse_hbd(text: str, source: str = "<string>") -> DiagramDocument:
                 raise err(f"front names undeclared 2-handle {k!r}", line_no)
             if k in fronts:
                 raise err(f"duplicate front for {k!r}", line_no)
-            try:
-                fronts[k] = parse_front(" ".join(parts[3:]))
-            except FrontError as exc:
-                raise err(str(exc), line_no) from exc
+            word = " ".join(parts[3:])
+            if word not in parsed:
+                try:
+                    parsed[word] = parse_front(word)
+                except FrontError as exc:
+                    raise err(str(exc), line_no) from exc
+            fronts[k] = parsed[word]
         elif kw == "3h":
             if len(parts) != 2:
                 raise err("expected `3h <count>`", line_no)

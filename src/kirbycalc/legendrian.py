@@ -66,22 +66,34 @@ class FrontDiagram:
 
 
 def parse_front(text: str) -> FrontDiagram:
-    """Parse a whitespace-separated front word; rejects anything else."""
+    """Parse a whitespace-separated front word; rejects anything else.
+
+    Each distinct token is matched and built once per call, and its repeats
+    share that frozen event.  A marker token stands for the marked left cusp
+    that replaces the event before it.
+    """
     events: list[FrontEvent] = []
+    built: dict[str, FrontEvent] = {}
     for idx, tok in enumerate(text.split()):
-        m = _TOKEN.match(tok)
-        if not m:
-            raise FrontError(f"unrecognized front token {tok!r} (token {idx + 1})")
-        if m.group(1):
-            events.append(FrontEvent(m.group(1), int(m.group(2))))
-        else:
-            pos, sign = int(m.group(3)), m.group(4)
-            if not events or events[-1].kind != "L" or events[-1].pos != pos:
-                raise FrontError(
-                    f"marker {tok!r} must directly follow L{pos} (token {idx + 1})")
-            if events[-1].orientation is not None:
-                raise FrontError(f"duplicate marker at token {idx + 1}")
-            events[-1] = FrontEvent("L", pos, sign)
+        ev = built.get(tok)
+        if ev is None:
+            m = _TOKEN.match(tok)
+            if not m:
+                raise FrontError(f"unrecognized front token {tok!r} (token {idx + 1})")
+            if m.group(1):
+                ev = FrontEvent(m.group(1), int(m.group(2)))
+            else:
+                ev = FrontEvent("L", int(m.group(3)), m.group(4))
+            built[tok] = ev
+        if ev.orientation is None:
+            events.append(ev)
+            continue
+        if not events or events[-1].kind != "L" or events[-1].pos != ev.pos:
+            raise FrontError(
+                f"marker {tok!r} must directly follow L{ev.pos} (token {idx + 1})")
+        if events[-1].orientation is not None:
+            raise FrontError(f"duplicate marker at token {idx + 1}")
+        events[-1] = ev
     return FrontDiagram(tuple(events))
 
 
@@ -251,11 +263,10 @@ def seifert_genus_torus_knot(p: int, q: int) -> int:
 def torus_knot_front(p: int, q: int) -> FrontDiagram:
     """Standard maximal-tb front: the positive braid closure on min(p,q) strands."""
     long, s = _require_torus_params(p, q)
-    events = [FrontEvent("L", i) for i in range(1, s + 1)]
-    for _ in range(long):
-        events.extend(FrontEvent("X", i) for i in range(1, s))
-    events.extend(FrontEvent("R", i) for i in range(s, 0, -1))
-    return FrontDiagram(tuple(events))
+    twist = tuple(FrontEvent("X", i) for i in range(1, s))
+    return FrontDiagram(tuple(FrontEvent("L", i) for i in range(1, s + 1))
+                        + twist * long
+                        + tuple(FrontEvent("R", i) for i in range(s, 0, -1)))
 
 
 # -- Stein framing verification ---------------------------------------------------

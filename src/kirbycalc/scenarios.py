@@ -40,6 +40,7 @@ from .swledger import (
     ManifoldModel,
     Vector,
     _direct_sum,
+    _pairings,
     _sign_sums,
     _unit,
     alexander_polynomial_torus,
@@ -143,8 +144,8 @@ def _unknot_front() -> FrontDiagram:
 def _cork_pieces() -> list[tuple[str, HandleDecomposition, dict[str, FrontDiagram]]]:
     """W1, W2, W3 and W(1,2,3), with a tb = 1 trefoil front on every 2-handle."""
     pieces = [build_Wn(n) for n in (1, 2, 3)] + [build_Wsum((1, 2, 3))]
-    return [(d.name, d, {k: _tb_one_front() for k in d.two_handle_ids})
-            for d in pieces]
+    trefoil = _tb_one_front()
+    return [(d.name, d, dict.fromkeys(d.two_handle_ids, trefoil)) for d in pieces]
 
 
 def annotated_cusp_piece() -> tuple[HandleDecomposition, dict[str, FrontDiagram]]:
@@ -153,7 +154,8 @@ def annotated_cusp_piece() -> tuple[HandleDecomposition, dict[str, FrontDiagram]
                             two_handles=(("k", 0), ("c", 0), ("m", -2)),
                             run_through={("k", "h"): 1, ("m", "h"): 1},
                             name="S-stein")
-    fronts = {"k": _tb_one_front(), "c": _tb_one_front(), "m": _unknot_front()}
+    trefoil = _tb_one_front()
+    fronts = {"k": trefoil, "c": trefoil, "m": _unknot_front()}
     return d, fronts
 
 
@@ -169,13 +171,13 @@ def annotated_Dp_tilde(p: int, prefix: str = "") -> tuple[HandleDecomposition, d
     for a, b in zip(chain, chain[1:]):
         links[(a, b)] = 1
     fronts = {w: torus_knot_front(p + 1, p)}
-    for u in us:
-        fronts[u] = _unknot_front()
+    fronts.update(dict.fromkeys(us, _unknot_front()))
+    trefoil = _tb_one_front()
     for j, u in enumerate(us):                             # trefoil partners
         v = f"{prefix}v{j}"
         twos.append((v, 0))
         links[(v, u)] = 1
-        fronts[v] = _tb_one_front()
+        fronts[v] = trefoil
     d = HandleDecomposition(two_handles=tuple(twos), links=links,
                             name=f"D~{p}")
     return d, fronts
@@ -199,7 +201,7 @@ def annotated_Nn_tilde(n: int) -> tuple[HandleDecomposition, dict[str, FrontDiag
                             two_handles=(("c1", 0), ("K", 0)),
                             run_through={("c1", "c2"): 1, ("K", "c2"): n},
                             name=f"N~{n}")
-    return d, {"c1": _tb_one_front(), "K": _tb_one_front()}
+    return d, dict.fromkeys(("c1", "K"), _tb_one_front())
 
 
 def stein_catalog() -> list[tuple[str, HandleDecomposition, dict[str, FrontDiagram]]]:
@@ -317,6 +319,8 @@ def _closed_model(blocks: Sequence[Sequence[Sequence[int]]],
     classes = BasicClassSet(lattice, Counter(duals))
     if classes.count != len(seeds):
         raise ScenarioError("seed classes collided")
+    # every member is a seed's dual, of the checked square
+    classes._squares.update(dict.fromkeys(classes.members, square))
     if not is_simple_type(model, classes):
         raise ScenarioError("seed classes are not in dimension zero")
     return model, classes
@@ -508,7 +512,7 @@ def genus_obstruction_Nn(n: int, k: int) -> GenusObstructionReport:
     """Adjunction bound for k copies of the square-zero generator."""
     model, classes, alpha = build_genus_model(n)
     k_alpha = tuple(k * x for x in alpha)
-    max_pairing = max(abs(_dot(kappa, k_alpha)) for kappa in classes.members)
+    max_pairing = max(map(abs, _pairings(classes.members, k_alpha)))
     bound = min_genus_bound(model, classes, k_alpha)
     forces = k == 0 or bound >= n
     expected_pairing = abs(k) * (2 * n - 2)

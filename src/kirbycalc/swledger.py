@@ -388,6 +388,18 @@ def _require_simple_type(model: ManifoldModel, beta: BasicClassSet) -> None:
         raise LedgerError("adjunction needs a simple-type model")
 
 
+def _pairings(classes: Iterable[Vector], alpha: Sequence[int]) -> list[int]:
+    """<K, alpha> for each class K, summed over the nonzero entries of alpha."""
+    support = [(j, a) for j, a in enumerate(alpha) if a]
+    out = []
+    for kappa in classes:
+        s = 0
+        for j, a in support:
+            s += kappa[j] * a
+        out.append(s)
+    return out
+
+
 def adjunction_check(model: ManifoldModel, beta: BasicClassSet, alpha: Sequence[int],
                      genus: int) -> AdjunctionReport:
     """Check alpha^2 + |<K, alpha>| <= 2g - 2 for every basic class K."""
@@ -397,11 +409,10 @@ def adjunction_check(model: ManifoldModel, beta: BasicClassSet, alpha: Sequence[
     _require_simple_type(model, beta)
     a2 = model.lattice.square(alpha)
     bound = 2 * genus - 2
-    violators = []
-    for kappa in beta.members:
-        pairing = _dot(kappa, alpha)
-        if a2 + abs(pairing) > bound:
-            violators.append((kappa, pairing))
+    members = beta.members
+    violators = [(kappa, pairing)
+                 for kappa, pairing in zip(members, _pairings(members, alpha))
+                 if a2 + abs(pairing) > bound]
     return AdjunctionReport(not violators, genus, a2, tuple(violators))
 
 
@@ -418,7 +429,7 @@ def min_genus_bound(model: ManifoldModel, beta: BasicClassSet,
     if beta.count == 0:
         raise LedgerError("genus bound needs a non-empty basic-class set")
     a2 = model.lattice.square(alpha)
-    worst = max(a2 + abs(_dot(kappa, alpha)) + 2 for kappa in beta.members)
+    worst = a2 + max(map(abs, _pairings(beta.members, alpha))) + 2
     bound = -(-worst // 2)
     if bound < 1:
         if a2 < 0:

@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+from kirbycalc.legendrian import FrontDiagram, FrontEvent
 from kirbycalc.scenarios import ScenarioError
 
 
@@ -86,3 +87,20 @@ def genus_seeds(n: int) -> list[tuple[int, ...]]:
             v[2 + i] = -1 if bits >> (i + 1) & 1 else 1
         seeds.append(tuple(v))
     return seeds
+
+
+# -- fronts ------------------------------------------------------------------------
+
+
+def torus_knot_front_by_event(p: int, q: int) -> FrontDiagram:
+    """The maximal-tb (p,q) torus front built one new event per crossing.
+
+    The loop `legendrian.torus_knot_front` used before it repeated one
+    tuple of crossings; p and q must be coprime and at least 2.
+    """
+    long, s = max(p, q), min(p, q)
+    events = [FrontEvent("L", i) for i in range(1, s + 1)]
+    for _ in range(long):
+        events.extend(FrontEvent("X", i) for i in range(1, s))
+    events.extend(FrontEvent("R", i) for i in range(s, 0, -1))
+    return FrontDiagram(tuple(events))

@@ -93,6 +93,18 @@ def test_front_lines_parse():
     assert doc.annotation["k"] == parse_front("L1 L2 X1 X1 X1 R2 R1")
 
 
+@pytest.mark.parametrize("word,message", [
+    ("L1 Q2 R1", "unrecognized front token 'Q2' (token 2)"),
+    ("L1 R2", "invalid position R2 with 2 strands (event 2)"),
+])
+def test_repeated_bad_front_fails_on_its_first_line(word, message):
+    text = ("manifold m\n2h a framing 0\n2h b framing 0\n"
+            f"front a : {word}\nfront b : {word}\n")
+    with pytest.raises(HbdParseError) as exc:
+        parse_hbd(text, "m.hbd")
+    assert (exc.value.line, str(exc.value)) == (4, f"m.hbd:4:1: {message}")
+
+
 def test_print_parse_round_trip():
     for text in (W1_TEXT, C3_TEXT, STEIN_TEXT, CAPPED_TEXT):
         doc = parse_hbd(text)

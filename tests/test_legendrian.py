@@ -2,12 +2,14 @@
 
 import dataclasses
 import json
+from math import gcd
 from pathlib import Path
 
 import pytest
 
 from kirbycalc import legendrian
 from kirbycalc.handles import HandleDecomposition
+from kirbycalc.hbd import DiagramDocument, parse_hbd, print_hbd
 from kirbycalc.legendrian import (
     FrontDiagram,
     FrontError,
@@ -23,6 +25,8 @@ from kirbycalc.legendrian import (
     writhe,
 )
 from kirbycalc.scenarios import annotated_Dp_tilde_sum
+
+from _oracles import torus_knot_front_by_event
 
 UNKNOT = "L1 R1"
 KINK = "L1 X1 R1"
@@ -63,6 +67,32 @@ def test_marker_must_follow_its_cusp():
         parse_front("L1 R1 O1+")
     f = parse_front("L1 O1- R1")
     assert f.events[0].orientation == "-"
+
+
+def test_repeated_tokens_keep_marker_semantics():
+    f = parse_front("L1 O1+ R1 L1 R1")
+    assert [(e.kind, e.orientation) for e in f.events] == \
+        [("L", "+"), ("R", None), ("L", None), ("R", None)]
+    assert f.word == "L1 O1+ R1 L1 R1"
+    assert f.events[1] is f.events[3]        # one event per distinct token
+    assert rotation_number(f, component=1) == 0
+    # a repeated marker token marks the left cusp right before it
+    g = parse_front("L1 O1+ R1 L1 L1 O1+ R1 R1")
+    assert [e.orientation for e in g.events if e.kind == "L"] == ["+", None, "+"]
+
+
+@pytest.mark.parametrize("word,message", [
+    ("L1 O1+ O1+ R1", "duplicate marker at token 3"),
+    ("L1 O1+ R1 L1 O1- O1- R1", "duplicate marker at token 6"),
+    ("L1 O1+ R1 O1+", "marker 'O1+' must directly follow L1 (token 4)"),
+    ("L1 O1+ R1 L1 L2 O1+ R2 R1", "marker 'O1+' must directly follow L1 (token 6)"),
+    ("L1 R1 L1 R1 Q3", "unrecognized front token 'Q3' (token 5)"),
+    ("L1 Q3 R1 Q3", "unrecognized front token 'Q3' (token 2)"),
+])
+def test_repeated_tokens_raise_at_their_own_index(word, message):
+    with pytest.raises(FrontError) as exc:
+        parse_front(word)
+    assert str(exc.value) == message
 
 
 def test_word_round_trip():
@@ -195,6 +225,13 @@ def test_torus_front_realizes_max_tb(p, q):
     assert (thurston_bennequin(f) + rotation_number(f)) % 2 == 1
 
 
+def test_torus_front_matches_event_by_event_builder():
+    pairs = [(p, q) for p in range(2, 13) for q in range(2, 13) if gcd(p, q) == 1]
+    for p, q in pairs:
+        f, oracle = torus_knot_front(p, q), torus_knot_front_by_event(p, q)
+        assert f == oracle and f.word == oracle.word, (p, q)
+
+
 @pytest.mark.parametrize("p", range(2, 9))
 def test_p_plus_one_p_torus_tb(p):
     assert thurston_bennequin(torus_knot_front(p + 1, p)) == p * p - p - 1
@@ -239,8 +276,9 @@ def test_stein_check_requires_full_annotation():
         stein_check(d, {"k": parse_front(TREFOIL)})
 
 
-def test_stein_check_runs_no_front_analysis(monkeypatch):
-    d, annotation = annotated_Dp_tilde_sum([2, 3])
+@pytest.fixture
+def analyses(monkeypatch):
+    """The events of every front analysis run during the test, in order."""
     built = []
 
     class Counting(legendrian._Analysis):
@@ -251,6 +289,26 @@ def test_stein_check_runs_no_front_analysis(monkeypatch):
             super().__init__(events)
 
     monkeypatch.setattr(legendrian, "_Analysis", Counting)
+    return built
+
+
+def test_stein_check_runs_no_front_analysis(analyses):
+    d, annotation = annotated_Dp_tilde_sum([2, 3])
+    analyses.clear()
     assert len(annotation) == 8
     assert stein_check(d, annotation).ok
-    assert built == []
+    assert analyses == []
+
+
+def test_each_distinct_front_is_analysed_once_per_call(analyses):
+    d, annotation = annotated_Dp_tilde_sum([22, 23, 24])
+    assert len(annotation) == 135
+    # a torus front, an unknot and a trefoil per summand
+    assert len(analyses) <= 3 * 3
+    text = print_hbd(DiagramDocument(d, annotation))
+    analyses.clear()
+    doc = parse_hbd(text)
+    words = {f.word for f in annotation.values()}
+    assert len(words) == 5 and len(analyses) == 5
+    assert len({id(f) for f in doc.annotation.values()}) == 5
+    assert dict(doc.annotation) == annotation

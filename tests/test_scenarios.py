@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from kirbycalc import scenarios
+from kirbycalc import scenarios, swledger
 from kirbycalc.handles import blow_down, dot_zero_swap, handle_slide
 from kirbycalc.homology import boundary_group_order, homology, is_homology_trivial
 from kirbycalc.scenarios import (
@@ -287,13 +287,30 @@ def test_closed_model_takes_one_dual_per_seed(monkeypatch):
 
 
 def test_closed_model_rejects_classes_off_dimension_zero(monkeypatch):
-    # The Euler number puts the primal seed squares at d = 0, so only a ledger
-    # whose dual squares disagree with them reaches this guard.
-    exact = IntersectionLattice.dual_square
-    monkeypatch.setattr(IntersectionLattice, "dual_square",
-                        lambda lat, k: exact(lat, k) + 8)
+    # The Euler number puts the primal seed squares at d = 0, and the class
+    # set reads those squares, so only a ledger whose d-invariants disagree
+    # with them reaches this guard.
+    exact = swledger.d_invariant
+    monkeypatch.setattr(swledger, "d_invariant",
+                        lambda model, k, *, square: exact(model, k, square=square + 8))
     with pytest.raises(ScenarioError, match="not in dimension zero"):
         _closed_model([[[1]]], {}, [(1,), (-1,)])
+
+
+def test_closed_model_hands_seed_squares_to_the_class_set(monkeypatch):
+    calls = []
+    exact = IntersectionLattice.dual_square
+
+    def counting(lat, k):
+        calls.append(k)
+        return exact(lat, k)
+
+    monkeypatch.setattr(IntersectionLattice, "dual_square", counting)
+    build_genus_model.cache_clear()
+    model, classes, _ = build_genus_model(8)
+    assert calls == []
+    assert classes.squares() == {k: exact(model.lattice, k) for k in classes.members}
+    build_genus_model.cache_clear()
 
 
 # -- count lemma -------------------------------------------------------------------------

@@ -212,7 +212,10 @@ def test_x0_model_runs_one_adjugate_per_block(monkeypatch):
         sizes.append(m.rows)
         return adjugate(m)
     monkeypatch.setattr(swledger, "adjugate", recording)
-    scenarios.build_X0_model((9,), 4)
+    x0 = scenarios.build_X0_model((9,), 4)
+    # the seed squares come from the primal seeds, so building needs none
+    assert sizes == []
+    x0.lattice.dual_square(x0.classes.members[0])
     # six core singletons, the cusp, the parity sphere and the p = 9 chain;
     # the whole rank-19 pairing is never eliminated at once
     assert sorted(sizes) == [1] * 7 + [2, 10]
