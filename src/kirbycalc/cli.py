@@ -7,9 +7,9 @@ Exit codes: 0 when every requested assertion passes, 1 for user errors
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from functools import lru_cache
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Collection, Sequence
 
@@ -419,12 +419,80 @@ def run_command(argv: Sequence[str]) -> int:
         import traceback          # here, not at the top: it adds ~0.2 MB to every run
         traceback.print_exc()
         payload, code = {"schema": SCHEMA, "internal_error": repr(exc), "ok": False}, 2
-    print(json.dumps(payload, indent=2))
+    print(_dumps(payload))
     return code
 
 
 def main() -> int:
     return run_command(sys.argv[1:])
+
+
+# -- JSON output -----------------------------------------------------------------
+# The text `json.dumps(payload, indent=2)` writes, without calling it: with an
+# indent, the stdlib runs its pure-Python encoder, whose nested closures leave
+# a reference cycle behind on every call for the cyclic collector to free.
+
+_SPECIAL_FLOATS = {float("inf"): "Infinity", float("-inf"): "-Infinity"}
+
+
+def _dumps(payload: dict) -> str:
+    out: list[str] = []
+    _json_nested(payload, "", out)
+    return "".join(out)
+
+
+def _json_nested(o: dict | list | tuple, pad: str, out: list[str]) -> None:
+    """Append the text of a dict, list or tuple that opens on a line indented by `pad`."""
+    if not o:
+        out.append("{}" if isinstance(o, dict) else "[]")
+        return
+    deeper = pad + "  "
+    inner = sep = "\n" + deeper
+    if isinstance(o, dict):
+        out.append("{")
+        for k, v in o.items():
+            head = sep + _json_key(k) + ": "
+            if isinstance(v, (dict, list, tuple)):
+                out.append(head)
+                _json_nested(v, deeper, out)
+            else:
+                out.append(head + _json_scalar(v))
+            sep = "," + inner
+        out.append("\n" + pad + "}")
+    else:
+        out.append("[")
+        for v in o:
+            if isinstance(v, (dict, list, tuple)):
+                out.append(sep)
+                _json_nested(v, deeper, out)
+            else:
+                out.append(sep + _json_scalar(v))
+            sep = "," + inner
+        out.append("\n" + pad + "]")
+
+
+def _json_key(k: object) -> str:
+    if isinstance(k, str):
+        return encode_basestring_ascii(k)
+    if isinstance(k, (int, float)) or k is None:
+        return encode_basestring_ascii(_json_scalar(k))
+    raise TypeError(f"keys must be str, int, float, bool or None, not {k.__class__.__name__}")
+
+
+def _json_scalar(o: object) -> str:
+    if isinstance(o, str):
+        return encode_basestring_ascii(o)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        return "NaN" if o != o else _SPECIAL_FLOATS.get(o) or float.__repr__(o)
+    raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
 
 
 if __name__ == "__main__":

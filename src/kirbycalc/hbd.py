@@ -179,6 +179,11 @@ def print_hbd(doc: DiagramDocument) -> str:
     lines.extend(f"rt {k} {h} {v}" for (k, h), v in d.run_through.items())
     if d.three_handles:
         lines.append(f"3h {d.three_handles}")
+    words: dict[int, str] = {}  # lines share diagrams: render each one once
     for k in sorted(doc.annotation):
-        lines.append(f"front {k} : {doc.annotation[k].word}")
+        front = doc.annotation[k]
+        word = words.get(id(front))
+        if word is None:
+            word = words[id(front)] = front.word
+        lines.append(f"front {k} : {word}")
     return "\n".join(lines) + "\n"

@@ -8,7 +8,12 @@ the homology of a handlebody presented by its run-through and linking data.
 One elimination, `_diagonalize`, serves every Smith normal form entry point
 and builds only the transforms its caller reads: `cokernel_invariants` (and
 so `boundary_first_homology`) builds neither U nor V, `kernel_basis` and
-`homology` build V alone, and only `smith_normal_form` builds both.
+`homology` build V alone, and only `smith_normal_form` builds both.  It
+plays each Euclid run of quotient steps out on two scalars and applies the
+run to S and to the transforms as one 2x2 step, skips the rows a column
+step cannot change, and carries U and V as sparse rows; pivots, quotients
+and swaps are those of one row or column operation per quotient, so S, U
+and V are too.
 """
 
 from __future__ import annotations
@@ -56,6 +61,13 @@ class IntMatrix:
         return cls(n, n, tuple(tuple(diag[i] if i == j else 0 for j in range(n))
                                for i in range(n)))
 
+    def __repr__(self) -> str:
+        """The dataclass repr, with any entry too long to print in decimal
+        (past `sys.get_int_max_str_digits()`) written as its sign and bit
+        length, so that repr never raises."""
+        entries = _tuple_repr(_tuple_repr(map(_int_repr, row)) for row in self.entries)
+        return f"IntMatrix(rows={self.rows}, cols={self.cols}, entries={entries})"
+
     def __getitem__(self, key: tuple[int, int]) -> int:
         i, j = key
         return self.entries[i][j]
@@ -77,6 +89,19 @@ class IntMatrix:
 
     def row(self, i: int) -> tuple[int, ...]:
         return self.entries[i]
+
+
+def _tuple_repr(items: Iterable[str]) -> str:
+    """repr of a tuple whose items have these reprs."""
+    parts = list(items)
+    return f"({parts[0]},)" if len(parts) == 1 else f"({', '.join(parts)})"
+
+
+def _int_repr(x: int) -> str:
+    try:
+        return repr(x)
+    except ValueError:
+        return f"<{'-' if x < 0 else '+'}{x.bit_length()} bits>"
 
 
 def _dot(a: Sequence[int], b: Sequence[int]) -> int:
@@ -174,59 +199,84 @@ def _diagonalize(m: IntMatrix, want_u: bool, want_v: bool
     entry, so its divisibility sweep is skipped.  Rows at or below t are zero
     left of column t and rows above t are zero right of it, so operations on
     S touch only the active block (rows and columns >= t).
+
+    The pivot clears each entry of its column, then of its row, by a Euclid
+    run: subtract the floor quotient times the pivot, swap the two if a
+    remainder is left, repeat.  A run that ends after one exact quotient is
+    one subtraction.  A longer run is played out on the two scalars alone
+    (`_euclid_run`), and its 2x2 cofactor matrix is applied once to the two
+    rows (or columns) of S and of U (or V); exact integers make that equal to
+    the steps one by one.  Once the row sweep is done, column t is zero below
+    the pivot (`clean`).  A column subtraction adds a multiple of column t,
+    so while that holds it changes only the entry in row t, and the rows
+    below are skipped.  Only a folded column run, which mixes another column
+    into column t, can break it; column t is checked after each one, and if
+    it is no longer zero below the pivot the row sweep runs again.  U rows
+    and V columns are sparse {index: value} dicts, written out as lists once,
+    at return.
     """
     nr, nc = m.rows, m.cols
     s = m.to_lists()
-    u = IntMatrix.identity(nr).to_lists() if want_u else None
-    vt = IntMatrix.identity(nc).to_lists() if want_v else None  # V, column by column
-    t = 0
-
-    def row_sub(i: int, k: int, q: int) -> None:
-        s[i][t:] = [x - q * y for x, y in zip(s[i][t:], s[k][t:])]
-        if u is not None:
-            u[i] = [x - q * y for x, y in zip(u[i], u[k])]
-
-    def col_sub(j: int, k: int, q: int) -> None:
-        for row in s[t:]:
-            row[j] -= q * row[k]
-        if vt is not None:
-            vt[j] = [x - q * y for x, y in zip(vt[j], vt[k])]
-
-    def row_swap(i: int, k: int) -> None:
-        s[i], s[k] = s[k], s[i]
-        if u is not None:
-            u[i], u[k] = u[k], u[i]
-
-    def col_swap(j: int, k: int) -> None:
-        for row in s[t:]:
-            row[j], row[k] = row[k], row[j]
-        if vt is not None:
-            vt[j], vt[k] = vt[k], vt[j]
-
+    u = [{i: 1} for i in range(nr)] if want_u else None
+    vt = [{j: 1} for j in range(nc)] if want_v else None  # V, column by column
     diag: list[int] = []
+    t = 0
     while t < min(nr, nc):
         best = _pivot(s, t)
         if best is None:
             break
-        if best[0] != t:
-            row_swap(t, best[0])
-        if best[1] != t:
-            col_swap(t, best[1])
-
+        i, j = best
+        if i != t:
+            s[t], s[i] = s[i], s[t]
+            if u is not None:
+                u[t], u[i] = u[i], u[t]
+        if j != t:
+            for row in s[t:]:
+                row[t], row[j] = row[j], row[t]
+            if vt is not None:
+                vt[t], vt[j] = vt[j], vt[t]
+        st = s[t]
         while True:
             for i in range(t + 1, nr):
-                while s[i][t]:
-                    row_sub(i, t, s[i][t] // s[t][t])
-                    if s[i][t]:
-                        row_swap(i, t)
+                si = s[i]
+                if not si[t]:
+                    continue
+                q, r = divmod(si[t], st[t])
+                if not r:
+                    si[t:] = [x - q * y for x, y in zip(si[t:], st[t:])]
+                    if u is not None:
+                        _sub(u[i], u[t], q)
+                    continue
+                a, b, c, d = _euclid_run(st[t], si[t])
+                x, y = st[t:], si[t:]
+                st[t:] = [a * e + b * f for e, f in zip(x, y)]
+                si[t:] = [c * e + d * f for e, f in zip(x, y)]
+                if u is not None:
+                    u[t], u[i] = _mix(u[t], u[i], a, b, c, d)
+            clean = True  # column t is zero below the pivot
             for j in range(t + 1, nc):
-                while s[t][j]:
-                    col_sub(j, t, s[t][j] // s[t][t])
-                    if s[t][j]:
-                        col_swap(j, t)
-            if any(s[i][t] for i in range(t + 1, nr)):
+                if not st[j]:
+                    continue
+                q, r = divmod(st[j], st[t])
+                if not r:
+                    if clean:
+                        st[j] = 0
+                    else:
+                        for row in s[t:]:
+                            row[j] -= q * row[t]
+                    if vt is not None:
+                        _sub(vt[j], vt[t], q)
+                    continue
+                a, b, c, d = _euclid_run(st[t], st[j])
+                for row in s[t:]:
+                    e, f = row[t], row[j]
+                    row[t], row[j] = a * e + b * f, c * e + d * f
+                clean = not any(row[t] for row in s[t + 1:])
+                if vt is not None:
+                    vt[t], vt[j] = _mix(vt[t], vt[j], a, b, c, d)
+            if not clean:
                 continue
-            pivot = s[t][t]
+            pivot = st[t]
             if pivot in (1, -1):
                 break
             # columns <= t of the rows below t are zero by now
@@ -234,12 +284,62 @@ def _diagonalize(m: IntMatrix, want_u: bool, want_v: bool
                              if any(x % pivot for x in s[i][t + 1:])), None)
             if offender is None:
                 break
-            row_sub(t, offender, -1)  # pull the offending row into row t
-        if s[t][t] < 0 and u is not None:
-            u[t] = [-x for x in u[t]]
-        diag.append(abs(s[t][t]))
+            # pull the offending row into row t
+            st[t:] = [x + y for x, y in zip(st[t:], s[offender][t:])]
+            if u is not None:
+                _sub(u[t], u[offender], -1)
+        if st[t] < 0 and u is not None:
+            u[t] = {k: -x for k, x in u[t].items()}
+        diag.append(abs(st[t]))
         t += 1
-    return diag, u, vt
+    return diag, _dense(u, nr), _dense(vt, nc)
+
+
+def _euclid_run(a: int, b: int) -> tuple[int, int, int, int]:
+    """Cofactors (a', b', c', d') of the Euclid run that clears b against pivot a.
+
+    The run subtracts floor(b / a) times the pivot from b and swaps the two
+    while a remainder is left.  The pivot it ends with is a' a + b' b, and
+    c' a + d' b = 0 is what is left of b.
+    """
+    p, q, r, s = 1, 0, 0, 1
+    while b:
+        k = b // a
+        b -= k * a
+        r -= k * p
+        s -= k * q
+        if b:
+            a, b = b, a
+            p, q, r, s = r, s, p, q
+    return p, q, r, s
+
+
+def _sub(x: dict[int, int], y: dict[int, int], q: int) -> None:
+    """x -= q y on sparse rows, in place."""
+    for k, v in y.items():
+        x[k] = x.get(k, 0) - q * v
+
+
+def _mix(x: dict[int, int], y: dict[int, int], a: int, b: int, c: int, d: int
+         ) -> tuple[dict[int, int], dict[int, int]]:
+    """(a x + b y, c x + d y) on sparse rows, zeros dropped."""
+    gx, gy = x.get, y.get
+    keys = x.keys() | y.keys()
+    return ({k: z for k in keys if (z := a * gx(k, 0) + b * gy(k, 0))},
+            {k: z for k in keys if (z := c * gx(k, 0) + d * gy(k, 0))})
+
+
+def _dense(rows: list[dict[int, int]] | None, n: int) -> list[list[int]] | None:
+    """Sparse rows written out as length-n lists; None stays None."""
+    if rows is None:
+        return None
+    out = []
+    for row in rows:
+        z = [0] * n
+        for k, x in row.items():
+            z[k] = x
+        out.append(z)
+    return out
 
 
 def _pivot(s: list[list[int]], t: int) -> tuple[int, int] | None:

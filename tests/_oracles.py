@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+from kirbycalc.homology import IntMatrix, _pivot
 from kirbycalc.legendrian import FrontDiagram, FrontEvent
 from kirbycalc.scenarios import ScenarioError
 
@@ -28,6 +29,93 @@ def invert_rational(m) -> tuple[tuple[Fraction, ...], ...]:
                 f = a[r][col]
                 a[r] = [x - f * y for x, y in zip(a[r], a[col])]
     return tuple(tuple(row[n:]) for row in a)
+
+
+# -- Smith elimination, one row or column operation per quotient -------------------
+# The elimination `homology._diagonalize` ran before it folded each Euclid run
+# into one 2x2 step and carried U and V as sparse rows.
+
+
+def diagonalize_stepwise(m: IntMatrix, want_u: bool, want_v: bool
+                         ) -> tuple[list[int], list[list[int]] | None, list[list[int]] | None]:
+    """The one Smith elimination: (diagonal, rows of U, columns of V).
+
+    The diagonal lists the nonzero invariant factors d1 | d2 | ..., all
+    positive; S is that diagonal padded with zeros.  U is carried only when
+    `want_u` and V only when `want_v` (None otherwise): no transform feeds
+    back into S, so dropping one changes nothing else.
+
+    Each pivot is the first entry of least absolute value in row-major
+    order, so the search stops at the first +-1; a unit pivot divides every
+    entry, so its divisibility sweep is skipped.  Rows at or below t are zero
+    left of column t and rows above t are zero right of it, so operations on
+    S touch only the active block (rows and columns >= t).
+    """
+    nr, nc = m.rows, m.cols
+    s = m.to_lists()
+    u = IntMatrix.identity(nr).to_lists() if want_u else None
+    vt = IntMatrix.identity(nc).to_lists() if want_v else None  # V, column by column
+    t = 0
+
+    def row_sub(i: int, k: int, q: int) -> None:
+        s[i][t:] = [x - q * y for x, y in zip(s[i][t:], s[k][t:])]
+        if u is not None:
+            u[i] = [x - q * y for x, y in zip(u[i], u[k])]
+
+    def col_sub(j: int, k: int, q: int) -> None:
+        for row in s[t:]:
+            row[j] -= q * row[k]
+        if vt is not None:
+            vt[j] = [x - q * y for x, y in zip(vt[j], vt[k])]
+
+    def row_swap(i: int, k: int) -> None:
+        s[i], s[k] = s[k], s[i]
+        if u is not None:
+            u[i], u[k] = u[k], u[i]
+
+    def col_swap(j: int, k: int) -> None:
+        for row in s[t:]:
+            row[j], row[k] = row[k], row[j]
+        if vt is not None:
+            vt[j], vt[k] = vt[k], vt[j]
+
+    diag: list[int] = []
+    while t < min(nr, nc):
+        best = _pivot(s, t)
+        if best is None:
+            break
+        if best[0] != t:
+            row_swap(t, best[0])
+        if best[1] != t:
+            col_swap(t, best[1])
+
+        while True:
+            for i in range(t + 1, nr):
+                while s[i][t]:
+                    row_sub(i, t, s[i][t] // s[t][t])
+                    if s[i][t]:
+                        row_swap(i, t)
+            for j in range(t + 1, nc):
+                while s[t][j]:
+                    col_sub(j, t, s[t][j] // s[t][t])
+                    if s[t][j]:
+                        col_swap(j, t)
+            if any(s[i][t] for i in range(t + 1, nr)):
+                continue
+            pivot = s[t][t]
+            if pivot in (1, -1):
+                break
+            # columns <= t of the rows below t are zero by now
+            offender = next((i for i in range(t + 1, nr)
+                             if any(x % pivot for x in s[i][t + 1:])), None)
+            if offender is None:
+                break
+            row_sub(t, offender, -1)  # pull the offending row into row t
+        if s[t][t] < 0 and u is not None:
+            u[t] = [-x for x in u[t]]
+        diag.append(abs(s[t][t]))
+        t += 1
+    return diag, u, vt
 
 
 # -- seed enumerations of the closed models, by bitmask ---------------------------

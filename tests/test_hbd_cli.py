@@ -1,5 +1,6 @@
 """The .hbd format and the command-line interface."""
 
+import gc
 import io
 import json
 import string
@@ -17,8 +18,8 @@ from kirbycalc.cli import run_command
 from kirbycalc.handles import HandleDecomposition
 from kirbycalc.hbd import DiagramDocument, HbdParseError, parse_hbd, print_hbd
 from kirbycalc.homology import is_homology_trivial
-from kirbycalc.legendrian import parse_front, torus_knot_front
-from kirbycalc.scenarios import build_Bp
+from kirbycalc.legendrian import FrontDiagram, parse_front, torus_knot_front
+from kirbycalc.scenarios import annotated_Dp_tilde_sum, build_Bp
 from test_acceptance import PINNED
 
 W1_TEXT = """manifold W1
@@ -112,6 +113,24 @@ def test_print_parse_round_trip():
         assert reparsed.decomposition == doc.decomposition
         assert dict(reparsed.annotation) == dict(doc.annotation)
     assert parse_hbd(CAPPED_TEXT).decomposition.three_handles == 2
+
+
+def test_print_renders_each_distinct_front_once(monkeypatch):
+    word = FrontDiagram.word
+    renders = []
+
+    def counting(front):
+        renders.append(front)
+        return word.fget(front)
+    monkeypatch.setattr(FrontDiagram, "word", property(counting))
+    d, fronts = annotated_Dp_tilde_sum([22, 23, 24])
+    text = print_hbd(DiagramDocument(d, fronts))
+    # the builder makes one torus front, one unknot and one trefoil per summand
+    assert (len(fronts), len(renders)) == (135, 9)
+    doc = parse_hbd(text)   # three torus fronts, one unknot, one trefoil
+    renders.clear()
+    assert print_hbd(doc) == text
+    assert len(renders) == 5
 
 
 def test_canonical_print_is_fixed_point():
@@ -407,6 +426,25 @@ def test_cli_output_is_deterministic(tmp_path, capsys):
     run_command(["homology", str(f)])
     second = capsys.readouterr().out
     assert first == second
+
+
+def test_cli_leaves_no_reference_cycles(tmp_path, capsys):
+    f = tmp_path / "s.hbd"
+    f.write_text(print_hbd(DiagramDocument(*annotated_Dp_tilde_sum([2, 3]))))
+    for argv in (["stein", str(f)], ["homology", str(f)], ["scenario", "list"]):
+        gc.collect()
+        assert run_command(argv) == 0
+        assert gc.collect() == 0, argv
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("payload", [
+    {}, {"a": [], "b": {}}, {"a": [{}, []]}, {"a": [[1, [2.5, None]], {"x": {"y": True}}]},
+    {"é\n\"": "tab\t", 3: -7, 2.5: False, None: float("nan"), True: float("-inf")},
+    {"a": (1, (2,)), "b": -0.0},
+])
+def test_cli_json_text_is_the_stdlib_indent_2_text(payload):
+    assert cli._dumps(payload) == json.dumps(payload, indent=2)
 
 
 def test_cli_scenario_list_export_run(capsys):

@@ -31,7 +31,7 @@ from kirbycalc.homology import (
     smith_normal_form,
     surgery_presentation,
 )
-from _oracles import invert_rational
+from _oracles import diagonalize_stepwise, invert_rational
 from test_handles import cp_chain, nn_model, wn_model
 
 
@@ -523,3 +523,68 @@ def test_each_entry_point_builds_only_the_transforms_it_reads(monkeypatch):
     assert built(kernel_basis, m) == [(False, True)]
     assert built(smith_normal_form, m) == [(True, True)]
     assert built(homology, nn_model(3)) == [(False, True)]
+
+
+# -- the folded elimination against the stepwise one ---------------------------
+
+
+def _fibonacci_matrix(rng, rows, cols):
+    """Consecutive Fibonacci numbers down column 0, larger entries elsewhere.
+
+    The pivot is the least of them, and clearing each of the others against
+    it is a Euclid run as long as its index.
+    """
+    fib = [1, 2]
+    while len(fib) < 30 + rows:
+        fib.append(fib[-1] + fib[-2])
+    big = fib[-1]
+    return [[fib[-2 - i]] + [rng.choice((1, -1)) * rng.randint(big, 2 * big)
+                             for _ in range(cols - 1)] for i in range(rows)]
+
+
+def _differential_matrices(rng):
+    """Random r x c, 1 <= r, c <= 22, at densities 0.15, 0.4 and 1, with a
+    dependent last row on every third draw; zero and empty shapes; surgery
+    presentations of plumbings up to 40 handles; Fibonacci columns and rows."""
+    for t in range(96):
+        r, c = rng.randint(1, 22), rng.randint(1, 22)
+        density = (0.15, 0.4, 1)[t // 3 % 3]
+        rows = [[rng.randint(-9, 9) if rng.random() < density else 0 for _ in range(c)]
+                for _ in range(r)]
+        if t % 3 == 0 and r >= 3:
+            rows[-1] = [x - 3 * y for x, y in zip(rows[0], rows[1])]
+        yield IntMatrix.from_rows(rows, c)
+    for r, c in ((0, 0), (0, 5), (5, 0), (1, 1), (3, 4), (22, 22)):
+        yield IntMatrix.zeros(r, c)
+    for n2 in (5, 12, 20, 28, 34, 40):
+        yield surgery_presentation(_pinned_plumbing(rng, n2, rng.randint(1, 3)))
+    for r, c in ((2, 2), (6, 9), (14, 5)):
+        rows = _fibonacci_matrix(rng, r, c)
+        yield IntMatrix.from_rows(rows, c)
+        yield IntMatrix.from_rows([list(col) for col in zip(*rows)], r)
+
+
+def test_elimination_matches_the_stepwise_reference():
+    """Folded Euclid runs and sparse transform rows change no pivot, quotient or swap."""
+    H = import_module("kirbycalc.homology")
+    for m in _differential_matrices(random.Random(1938)):
+        for want_u, want_v in ((True, True), (False, True), (False, False)):
+            got = H._diagonalize(m, want_u=want_u, want_v=want_v)
+            assert got == diagonalize_stepwise(m, want_u, want_v), (m.rows, m.cols)
+
+
+def test_repr_of_entries_past_the_decimal_limit():
+    """U and V of a dense 20 x 20 draw outgrow the int-to-str limit; repr still works."""
+    rng = random.Random(20)
+    for _ in range(5):
+        rows = [[rng.randint(-9, 9) for _ in range(20)] for _ in range(20)]
+    snf = smith_normal_form(IntMatrix.from_rows(rows))
+    text = repr(snf)
+    assert text.startswith("SmithNormalForm(s=IntMatrix(rows=20, cols=20, entries=((1, 0, ")
+    assert "bits>" in text
+    huge = 1 << 20000
+    assert repr(IntMatrix.from_rows([[huge, -huge, 7]])) == \
+        "IntMatrix(rows=1, cols=3, entries=((<+20001 bits>, <-20001 bits>, 7),))"
+    assert repr(IntMatrix.from_rows([[1], [2]])) == \
+        "IntMatrix(rows=2, cols=1, entries=((1,), (2,)))"
+    assert repr(IntMatrix.zeros(0, 3)) == "IntMatrix(rows=0, cols=3, entries=())"
