@@ -380,17 +380,6 @@ def _cokernel(m: IntMatrix, factors: Sequence[int]) -> tuple[tuple[int, ...], in
     return tuple(d for d in factors if d >= 2), m.rows - len(factors)
 
 
-def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    x0, x1, y0, y1 = 1, 0, 0, 1
-    while b:
-        q, a, b = a // b, b, a % b
-        x0, x1 = x1, x0 - q * x1
-        y0, y1 = y1, y0 - q * y1
-    if a < 0:
-        a, x0, y0 = -a, -x0, -y0
-    return a, x0, y0
-
-
 def hermite_row_basis(vectors: Iterable[Sequence[int]], width: int) -> tuple[tuple[int, ...], ...]:
     """Canonical row basis (row HNF) of the lattice spanned by `vectors`.
 
@@ -418,9 +407,9 @@ def hermite_row_basis(vectors: Iterable[Sequence[int]], width: int) -> tuple[tup
                     q = b // a
                     v = [x - q * y for x, y in zip(v, r)]
                 else:
-                    g, x, y = _xgcd(a, b)
-                    rows[k] = [x * pq + y * qv for pq, qv in zip(r, v)]
-                    v = [-(b // g) * pq + (a // g) * qv for pq, qv in zip(r, v)]
+                    a, b, c, d = _euclid_run(a, b)
+                    rows[k] = [a * x + b * y for x, y in zip(r, v)]
+                    v = [c * x + d * y for x, y in zip(r, v)]
             else:
                 rows.insert(k, v)
                 pivots.insert(k, lead)

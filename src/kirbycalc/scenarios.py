@@ -21,17 +21,13 @@ from .handles import HandleDecomposition, boundary_sum, dot_zero_swap
 from .homology import (
     IntMatrix,
     _dot,
-    boundary_group_order,
     det,
     inertia,
-    is_homology_trivial,
     kernel_basis,
 )
 from .legendrian import (
     FrontDiagram,
-    SteinReport,
     parse_front,
-    stein_check,
     torus_knot_front,
 )
 from .swledger import (
@@ -133,19 +129,14 @@ def build_Mn_Nn(n: int) -> tuple[HandleDecomposition, HandleDecomposition, Vecto
 # -- Stein catalog ----------------------------------------------------------------
 
 
-def _tb_one_front() -> FrontDiagram:
-    return torus_knot_front(3, 2)
-
-
-def _unknot_front() -> FrontDiagram:
-    return parse_front("L1 R1")
+_TREFOIL = torus_knot_front(3, 2)  # tb = 1; shared, as fronts are immutable
+_UNKNOT = parse_front("L1 R1")
 
 
 def _cork_pieces() -> list[tuple[str, HandleDecomposition, dict[str, FrontDiagram]]]:
     """W1, W2, W3 and W(1,2,3), with a tb = 1 trefoil front on every 2-handle."""
     pieces = [build_Wn(n) for n in (1, 2, 3)] + [build_Wsum((1, 2, 3))]
-    trefoil = _tb_one_front()
-    return [(d.name, d, dict.fromkeys(d.two_handle_ids, trefoil)) for d in pieces]
+    return [(d.name, d, dict.fromkeys(d.two_handle_ids, _TREFOIL)) for d in pieces]
 
 
 def annotated_cusp_piece() -> tuple[HandleDecomposition, dict[str, FrontDiagram]]:
@@ -154,9 +145,7 @@ def annotated_cusp_piece() -> tuple[HandleDecomposition, dict[str, FrontDiagram]
                             two_handles=(("k", 0), ("c", 0), ("m", -2)),
                             run_through={("k", "h"): 1, ("m", "h"): 1},
                             name="S-stein")
-    trefoil = _tb_one_front()
-    fronts = {"k": trefoil, "c": trefoil, "m": _unknot_front()}
-    return d, fronts
+    return d, {"k": _TREFOIL, "c": _TREFOIL, "m": _UNKNOT}
 
 
 def annotated_Dp_tilde(p: int, prefix: str = "") -> tuple[HandleDecomposition, dict[str, FrontDiagram]]:
@@ -171,13 +160,12 @@ def annotated_Dp_tilde(p: int, prefix: str = "") -> tuple[HandleDecomposition, d
     for a, b in zip(chain, chain[1:]):
         links[(a, b)] = 1
     fronts = {w: torus_knot_front(p + 1, p)}
-    fronts.update(dict.fromkeys(us, _unknot_front()))
-    trefoil = _tb_one_front()
+    fronts.update(dict.fromkeys(us, _UNKNOT))
     for j, u in enumerate(us):                             # trefoil partners
         v = f"{prefix}v{j}"
         twos.append((v, 0))
         links[(v, u)] = 1
-        fronts[v] = trefoil
+        fronts[v] = _TREFOIL
     d = HandleDecomposition(two_handles=tuple(twos), links=links,
                             name=f"D~{p}")
     return d, fronts
@@ -201,7 +189,7 @@ def annotated_Nn_tilde(n: int) -> tuple[HandleDecomposition, dict[str, FrontDiag
                             two_handles=(("c1", 0), ("K", 0)),
                             run_through={("c1", "c2"): 1, ("K", "c2"): n},
                             name=f"N~{n}")
-    return d, dict.fromkeys(("c1", "K"), _tb_one_front())
+    return d, dict.fromkeys(("c1", "K"), _TREFOIL)
 
 
 def stein_catalog() -> list[tuple[str, HandleDecomposition, dict[str, FrontDiagram]]]:
@@ -215,18 +203,6 @@ def stein_catalog() -> list[tuple[str, HandleDecomposition, dict[str, FrontDiagr
         d, fronts = annotated_Nn_tilde(n)
         out.append((d.name, d, fronts))
     return out
-
-
-@dataclass(frozen=True)
-class CatalogSteinReport:
-    reports: tuple[tuple[str, SteinReport], ...]
-    ok: bool
-
-
-def verify_stein_catalog() -> CatalogSteinReport:
-    reports = tuple((name, stein_check(d, fronts))
-                    for name, d, fronts in stein_catalog())
-    return CatalogSteinReport(reports, all(r.ok for _, r in reports))
 
 
 # -- synthetic closed models --------------------------------------------------------
@@ -565,25 +541,3 @@ def knotted_cork_scenario(knots: Sequence[tuple[int, int]]) -> KnottedCorkReport
                              nonzero, distinct, vs_vanishing,
                              nonzero and distinct and vs_vanishing)
 
-
-# -- contractibility catalog ----------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ContractibilityReport:
-    names: tuple[str, ...]
-    failed: tuple[str, ...]
-    ok: bool
-
-
-def verify_contractibility() -> ContractibilityReport:
-    """Homology-level check of every declared-contractible catalog piece.
-
-    The pieces are W_1 ... W_10 and the boundary sums W(1), W(1,2), ...,
-    W(1,2,3,4,5,1,2,3,4,5), whose summand indices cycle through 1..5.
-    """
-    pieces = [build_Wn(n) for n in range(1, 11)]
-    pieces += [build_Wsum(tuple(j % 5 + 1 for j in range(n))) for n in range(1, 11)]
-    bad = [d.name for d in pieces
-           if not (is_homology_trivial(d) and boundary_group_order(d) == 1)]
-    return ContractibilityReport(tuple(d.name for d in pieces), tuple(bad), not bad)

@@ -1,5 +1,7 @@
 """Acceptance gate: one test per registered claim, printed pass/fail, timed."""
 
+import dataclasses
+
 import pytest
 
 from kirbycalc.acceptance import CLAIMS, run_criterion
@@ -75,7 +77,7 @@ def test_stein_failure_names_the_diagram(monkeypatch):
 
 def test_d_conservation_raises_lattice_errors(monkeypatch):
     # only a degenerate pairing may skip a blow-up trial; any other error surfaces
-    from kirbycalc.acceptance import criterion_11_d_conservation
+    from kirbycalc.acceptance import claim_named
     from kirbycalc.swledger import IntersectionLattice
 
     exact = IntersectionLattice.dual_square
@@ -87,4 +89,12 @@ def test_d_conservation_raises_lattice_errors(monkeypatch):
 
     monkeypatch.setattr(IntersectionLattice, "dual_square", broken)
     with pytest.raises(RuntimeError):
-        criterion_11_d_conservation(SEED)
+        claim_named("d-conservation").check(SEED)
+
+
+def test_check_joins_distinct_failures_in_order_found():
+    claim = CLAIMS[0]
+    failing = dataclasses.replace(claim, failures=lambda seed: iter(["a", "b", "a"]))
+    assert failing.check(0) == (False, "a; b")
+    passing = dataclasses.replace(claim, failures=lambda seed: iter(()))
+    assert passing.check(0) == (True, claim.summary)

@@ -125,8 +125,8 @@ def test_print_renders_each_distinct_front_once(monkeypatch):
     monkeypatch.setattr(FrontDiagram, "word", property(counting))
     d, fronts = annotated_Dp_tilde_sum([22, 23, 24])
     text = print_hbd(DiagramDocument(d, fronts))
-    # the builder makes one torus front, one unknot and one trefoil per summand
-    assert (len(fronts), len(renders)) == (135, 9)
+    # one torus front per summand, one shared unknot and one shared trefoil
+    assert (len(fronts), len(renders)) == (135, 5)
     doc = parse_hbd(text)   # three torus fronts, one unknot, one trefoil
     renders.clear()
     assert print_hbd(doc) == text

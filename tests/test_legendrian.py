@@ -303,8 +303,9 @@ def test_stein_check_runs_no_front_analysis(analyses):
 def test_each_distinct_front_is_analysed_once_per_call(analyses):
     d, annotation = annotated_Dp_tilde_sum([22, 23, 24])
     assert len(annotation) == 135
-    # a torus front, an unknot and a trefoil per summand
-    assert len(analyses) <= 3 * 3
+    # one torus front per summand; the unknot and trefoil are shared constants
+    assert len(analyses) == 3
+    assert len({id(f) for f in annotation.values()}) == 5
     text = print_hbd(DiagramDocument(d, annotation))
     analyses.clear()
     doc = parse_hbd(text)

@@ -24,10 +24,8 @@ from kirbycalc.scenarios import (
     build_genus_model,
     genus_obstruction_Nn,
     knotted_cork_scenario,
-    verify_contractibility,
     verify_count_lemma,
     verify_restriction_lemma,
-    verify_stein_catalog,
 )
 from kirbycalc.swledger import (
     adjunction_check,
@@ -93,8 +91,9 @@ def test_wsum_contractible():
 
 
 def test_contractibility_catalog():
-    report = verify_contractibility()
-    assert report.ok and report.failed == ()
+    from kirbycalc.acceptance import claim_named
+    claim = claim_named("cork-homology")
+    assert claim.check(2026) == (True, claim.summary)
 
 
 # -- twist pair -------------------------------------------------------------------
@@ -131,9 +130,11 @@ def test_swap_involution_on_mn():
 # -- Stein catalog ------------------------------------------------------------------
 
 def test_stein_catalog_all_pass():
-    report = verify_stein_catalog()
-    assert report.ok
-    names = [name for name, _ in report.reports]
+    from kirbycalc.legendrian import stein_check
+    from kirbycalc.scenarios import stein_catalog
+    catalog = stein_catalog()
+    assert all(stein_check(d, fronts).ok for _, d, fronts in catalog)
+    names = [name for name, _, _ in catalog]
     assert any(name.startswith("W") for name in names)
     assert any(name.startswith("D~") for name in names)
     assert any(name.startswith("N~") for name in names)
