@@ -23,7 +23,7 @@ from math import prod
 from operator import mul
 from typing import Iterable, Sequence
 
-from .handles import HandleDecomposition, _pair
+from .handles import HandleDecomposition
 
 
 @dataclass(frozen=True)
@@ -502,12 +502,18 @@ def run_through_matrix(d: HandleDecomposition) -> IntMatrix:
 
 
 def linking_matrix(d: HandleDecomposition) -> IntMatrix:
-    """Framings on the diagonal, linking numbers off it, on the 2-handles."""
-    ids = d.two_handle_ids
-    links = d.links
-    rows = [[f if a == b else links.get(_pair(a, b), 0) for b in ids]
-            for a, f in d.two_handles]
-    return IntMatrix.from_rows(rows, cols=len(ids))
+    """Framings on the diagonal, linking numbers off it, on the 2-handles.
+
+    Zero rows are filled from the nonzero entries: the framings and `d.links`.
+    """
+    index = {h: i for i, (h, _) in enumerate(d.two_handles)}
+    rows = [[0] * len(index) for _ in index]
+    for i, (_, f) in enumerate(d.two_handles):
+        rows[i][i] = f
+    for (a, b), v in d.links.items():
+        i, j = index[a], index[b]
+        rows[i][j] = rows[j][i] = v
+    return IntMatrix.from_rows(rows, cols=len(index))
 
 
 def surgery_presentation(d: HandleDecomposition) -> IntMatrix:

@@ -272,17 +272,27 @@ class SyntheticModel:
 
 def _closed_model(blocks: Sequence[Sequence[Sequence[int]]],
                   names: dict[str, Vector],
-                  seeds: Sequence[Vector]) -> tuple[ManifoldModel, BasicClassSet]:
+                  seeds: Sequence[Vector],
+                  gens: Sequence[Vector] = ()) -> tuple[ManifoldModel, BasicClassSet]:
     """Close a block-diagonal pairing into a model whose seed classes have d = 0.
 
+    The seed classes are the sign cube s +- g_1 +- ... +- g_n over the seeds
+    s and the generators g_i (primal vectors).  Their duals are taken by
+    linearity, one `dual` per nonzero seed and per generator.  A member's
+    square is s^2 + sum g_i^2 plus cross terms in <s, g_i> and <g_i, g_j>,
+    so the squares agree iff every s^2 agrees and every cross term is 0.
     The signature and b2+ are read off the pairing; the Euler number is the
-    one value that puts the (equal) seed squares in dimension zero.
+    one value that puts that square in dimension zero.
     """
     lattice = IntersectionLattice(IntMatrix.from_rows(_direct_sum(blocks)), names)
-    duals = [lattice.dual(s) for s in seeds]
-    square = _dot(duals[0], seeds[0])
-    if any(_dot(k, s) != square for k, s in zip(duals, seeds)):
+    duals = [lattice.dual(s) if any(s) else s for s in seeds]
+    gen_duals = [lattice.dual(g) for g in gens]
+    core_square = _dot(duals[0], seeds[0])
+    if any(_dot(k, s) != core_square for k, s in zip(duals, seeds)) or \
+            any(_dot(h, g) for h in duals for g in gens) or \
+            any(_dot(h, g) for i, h in enumerate(gen_duals) for g in gens[i + 1:]):
         raise ScenarioError("seed squares disagree")
+    square = core_square + sum(map(_dot, gen_duals, gens))
     pos_idx, neg_idx, zero_idx = inertia(lattice.pairing)
     if zero_idx:
         raise ScenarioError("degenerate synthetic pairing")
@@ -292,10 +302,10 @@ def _closed_model(blocks: Sequence[Sequence[Sequence[int]]],
     euler = (square - 3 * sig) // 2        # forces d = 0 on every seed
 
     model = ManifoldModel(lattice, euler, sig, pos_idx)
-    classes = BasicClassSet(lattice, Counter(duals))
-    if classes.count != len(seeds):
+    classes = BasicClassSet(lattice, Counter(duals), gen_duals)
+    if classes.count != len(seeds) << len(gens):
         raise ScenarioError("seed classes collided")
-    # every member is a seed's dual, of the checked square
+    # every member is a seed class, of the checked square
     classes._squares.update(dict.fromkeys(classes.members, square))
     if not is_simple_type(model, classes):
         raise ScenarioError("seed classes are not in dimension zero")
@@ -478,9 +488,9 @@ def build_genus_model(n: int) -> tuple[ManifoldModel, BasicClassSet, Vector]:
         names[f"e{i + 1}"] = _unit(rank, 2 + i)
 
     core = (0,) * (rank - 6) + (1,) * 6            # f1 + f2 + f3 + g1 + g2 + g3
-    seeds = _sign_sums((0,) * rank, [core] + [names[f"e{i + 1}"] for i in range(n - 1)])
+    gens = [core] + [names[f"e{i + 1}"] for i in range(n - 1)]
 
-    model, classes = _closed_model([_genus_block(n), _CORE], names, seeds)
+    model, classes = _closed_model([_genus_block(n), _CORE], names, [(0,) * rank], gens)
     return model, classes, names["alpha"]
 
 

@@ -12,15 +12,21 @@ pairing rows are kept as their nonzero entries: the model pairings are
 direct sums of small blocks, so duals, squares and characteristic checks
 cost the nonzeros, not the square of the rank.
 
+Basic-class sets are built and checked per sign cube, not per member: a
+set is cores times the signs of its generators (the E-cube of a blow-up,
+the cube +-K +- e_1 ... +- e_{n-1} of the genus model), and negation,
+parity and distinctness are checked once per core.
+
 The ledger transforms declared basic-class data; it does not compute SW
 invariants from geometry.
 """
 
 from __future__ import annotations
 
+import re
 import warnings
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, prod
@@ -39,9 +45,12 @@ class LedgerError(ValueError):
 
 def _vec(x: Sequence[int]) -> Vector:
     """x as a tuple of ints; a tuple that already is one is not copied."""
-    if type(x) is tuple and all(type(v) is int for v in x):
+    if type(x) is tuple and set(map(type, x)) <= {int}:
         return x
     return tuple(map(int, x))
+
+
+_ODD = (1).__and__                  # k & 1, called from map without a Python frame
 
 
 def _unit(rank: int, idx: int) -> Vector:
@@ -51,14 +60,20 @@ def _unit(rank: int, idx: int) -> Vector:
 def _sign_sums(base: Sequence[int], gens: Sequence[Vector]) -> list[Vector]:
     """base + s_1 g_1 + ... + s_n g_n for every sign vector s in {1, -1}^n.
 
-    Built by doubling, so entry i gives generator j the sign -1 exactly
-    where bit j of i is set.
+    Built column by column by doubling, so entry i gives generator j the
+    sign -1 exactly where bit j of i is set; a column where g_j is 0 is
+    repeated, and the rows are zipped from the columns at the end.
     """
-    out = [tuple(base)]
-    for g in gens:
-        neg = tuple(-x for x in g)
-        out = [tuple(map(add, v, h)) for h in (g, neg) for v in out]
-    return out
+    if not gens:
+        return [tuple(base)]
+    cols = []
+    for j, b in enumerate(base):
+        col = [b]
+        for g in gens:
+            x = g[j]
+            col = [v + x for v in col] + [v - x for v in col] if x else col * 2
+        cols.append(col)
+    return list(zip(*cols)) if cols else [()] * (1 << len(gens))
 
 
 def _direct_sum(blocks: Sequence[Sequence[Sequence[int]]]) -> list[list[int]]:
@@ -141,9 +156,7 @@ class IntersectionLattice:
         return square
 
     def is_characteristic_dual(self, kappa: Sequence[int]) -> bool:
-        parity = self._diagonal_parity
-        return len(kappa) == len(parity) and all(
-            k & 1 == p for k, p in zip(kappa, parity))
+        return tuple(map(_ODD, kappa)) == self._diagonal_parity
 
     @cached_property
     def _diagonal(self) -> Vector:
@@ -239,13 +252,23 @@ class BasicClassSet:
     Weights are the (formal) SW values; they default to +-1 and must be
     nonzero.  The set is closed under negation and every member is
     characteristic -- both are checked at construction time.
+
+    The set is built from a sign cube: each class c of `weights` is a core
+    standing for the 2^n members c + s_1 g_1 + ... + s_n g_n, s in
+    {1, -1}^n, of the core's weight, where g_1 ... g_n are the
+    `generators` (none by default, so the members are the cores).  Every
+    check runs once per core, not per member: the members are counted, so
+    none repeats; a cube of distinct members is closed under negation
+    exactly when its cores are; and every member of core c has the parity
+    of c + g_1 + ... + g_n.  A failed check names a member that breaks it.
     """
 
     lattice: IntersectionLattice
     weights: Mapping[Vector, int] = field(default_factory=dict)
+    generators: InitVar[Sequence[Sequence[int]]] = ()
 
-    def __post_init__(self) -> None:
-        w = {}
+    def __post_init__(self, generators: Sequence[Sequence[int]]) -> None:
+        cores = {}
         rank = self.lattice.rank
         for kappa, value in self.weights.items():
             kappa = _vec(kappa)
@@ -253,14 +276,30 @@ class BasicClassSet:
                 raise LedgerError("class length does not match lattice rank")
             if value == 0:
                 continue
-            w[kappa] = int(value)
+            cores[kappa] = int(value)
+        gens = [_vec(g) for g in generators]
+        if any(len(g) != rank for g in gens):
+            raise LedgerError("generator length does not match lattice rank")
+        pairs = [(kappa, value) for c, value in cores.items()
+                 for kappa in _sign_sums(c, gens)]
+        w = dict(pairs)
+        if len(w) != len(pairs):
+            seen = set()
+            for kappa, _ in pairs:
+                if kappa in seen:
+                    raise LedgerError(f"class {kappa} occurs more than once in the cube")
+                seen.add(kappa)
+        top = [sum(col) for col in zip(*gens)]      # c + top is a member of core c
         characteristic = self.lattice.is_characteristic_dual
-        for kappa in w:
-            if tuple(map(neg, kappa)) not in w:
-                raise LedgerError(f"set is not closed under negation at {kappa}")
+        for kappa in cores:
+            if tuple(map(neg, kappa)) not in cores:
+                bad = next(m for m in w if tuple(map(neg, m)) not in w)
+                raise LedgerError(f"set is not closed under negation at {bad}")
+            if gens:
+                kappa = tuple(map(add, kappa, top))
             if not characteristic(kappa):
                 raise LedgerError(f"class {kappa} is not characteristic")
-        object.__setattr__(self, "weights", MappingProxyType(dict(sorted(w.items()))))
+        object.__setattr__(self, "weights", MappingProxyType({k: w[k] for k in sorted(w)}))
         object.__setattr__(self, "_squares", {})
         object.__setattr__(self, "_simple_type", set())
 
@@ -339,10 +378,14 @@ def is_simple_type(model: ManifoldModel, beta: BasicClassSet) -> bool:
 
 
 def _extend_lattice(lattice: IntersectionLattice, n: int) -> IntersectionLattice:
+    """The lattice plus n orthogonal classes of square -1.
+
+    They are named after the largest existing E<k>, so no name is reused.
+    """
     r = lattice.rank
     rows = _direct_sum([lattice.pairing.entries] + [[[-1]]] * n)
     names = {k: v + (0,) * n for k, v in lattice.names.items()}
-    base = sum(1 for k in lattice.names if k.startswith("E"))
+    base = max((int(k[1:]) for k in names if re.fullmatch(r"E[0-9]+", k)), default=0)
     for i in range(n):
         names[f"E{base + i + 1}"] = _unit(r + n, r + i)
     return IntersectionLattice(IntMatrix.from_rows(rows, r + n), names)
@@ -354,7 +397,8 @@ def blow_up_basic_classes(model: ManifoldModel, beta: BasicClassSet,
 
     The lattice gains n orthogonal classes of square -1, the Euler number
     rises by n and the signature drops by n; weights are carried unchanged,
-    so the class count multiplies by exactly 2^n.
+    so the class count multiplies by exactly 2^n.  The new set is beta's
+    cores times the E-cube, and each member's square is K^2 - n.
     """
     if n < 0:
         raise LedgerError("cannot blow up a negative number of times")
@@ -363,13 +407,27 @@ def blow_up_basic_classes(model: ManifoldModel, beta: BasicClassSet,
     model.require_sw_hypotheses()
     if n == 0:
         return model, beta
+    r = model.lattice.rank
     lattice = _extend_lattice(model.lattice, n)
-    # <K + sum s_i E_i, E_i> = -s_i, and the signs s run over all of {1, -1}^n
-    tails = _sign_sums((0,) * n, [_unit(n, i) for i in range(n)])
-    new_weights = {kappa + tail: w for kappa, w in beta.weights.items() for tail in tails}
+    # <K + sum s_i E_i, E_j> = -s_j, so the generators are the duals -e_{r+j}
+    # of E_n ... E_1; in that order the cube comes out sorted
+    pad = (0,) * n
+    gens = [tuple(-x for x in _unit(r + n, r + j)) for j in reversed(range(n))]
+    out = BasicClassSet(lattice, {kappa + pad: w for kappa, w in beta.weights.items()},
+                        gens)
+    try:
+        squares = beta.squares()
+    except LedgerError:         # squares that do not exist stay uncomputed
+        pass
+    else:
+        # sorted members run core by core, as the E-coordinates come last
+        members, size = out.members, 1 << n
+        for i, kappa in enumerate(beta.members):
+            out._squares.update(dict.fromkeys(members[i * size:(i + 1) * size],
+                                              squares[kappa] - n))
     new_model = ManifoldModel(lattice, model.euler + n, model.signature - n,
                               model.b2plus)
-    return new_model, BasicClassSet(lattice, new_weights)
+    return new_model, out
 
 
 # -- adjunction and genus bounds ---------------------------------------------------

@@ -162,7 +162,7 @@ def x0_seeds(p_list, rank: int, seed_count: int) -> list[tuple[int, ...]]:
 
 
 def genus_seeds(n: int) -> list[tuple[int, ...]]:
-    """The primal seeds of `build_genus_model(n)`, in order."""
+    """The primal classes of `build_genus_model(n)`, one per bitmask."""
     rank = 2 + (n - 1) + 6
     seeds = []
     for bits in range(1 << n):

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from kirbycalc import scenarios, swledger
+from kirbycalc import swledger
 from kirbycalc.handles import blow_down, dot_zero_swap, handle_slide
 from kirbycalc.homology import boundary_group_order, homology, is_homology_trivial
 from kirbycalc.scenarios import (
@@ -249,18 +249,13 @@ def test_x0_model_matches_bitmask_seeds(p_list):
         build_X0_model(p_list, limit + 2)
 
 
-@pytest.mark.parametrize("n", range(2, 11))
-def test_genus_model_seeds_match_bitmask_seeds(n, monkeypatch):
-    closed = []
-    close = scenarios._closed_model
-
-    def recording(blocks, names, seeds):
-        closed.append(list(seeds))
-        return close(blocks, names, seeds)
-
-    monkeypatch.setattr(scenarios, "_closed_model", recording)
-    build_genus_model.__wrapped__(n)         # bypassing the cache
-    assert closed == [genus_seeds(n)]
+@pytest.mark.parametrize("n", range(2, 13))
+def test_genus_model_seeds_match_bitmask_seeds(n):
+    # the class set is the duals of the bitmask seeds, each of weight 1
+    model, classes, _ = build_genus_model(n)
+    expected = {model.lattice.dual(s): 1 for s in genus_seeds(n)}
+    assert len(expected) == 1 << n
+    assert list(classes.weights.items()) == sorted(expected.items())
 
 
 @pytest.mark.parametrize("blocks, seeds, message", [
@@ -274,7 +269,7 @@ def test_closed_model_guards(blocks, seeds, message):
         _closed_model(blocks, {}, seeds)
 
 
-def test_closed_model_takes_one_dual_per_seed(monkeypatch):
+def test_genus_model_takes_one_dual_per_generator(monkeypatch):
     calls = []
     dual = IntersectionLattice.dual
 
@@ -283,8 +278,8 @@ def test_closed_model_takes_one_dual_per_seed(monkeypatch):
         return dual(lat, x)
 
     monkeypatch.setattr(IntersectionLattice, "dual", counting)
-    build_genus_model.__wrapped__(6)         # 2^6 seeds, bypassing the cache
-    assert len(calls) == 64
+    build_genus_model.__wrapped__(6)         # 2^6 classes, bypassing the cache
+    assert len(calls) == 6                   # core, e_1 ... e_5; the base is 0
 
 
 def test_closed_model_rejects_classes_off_dimension_zero(monkeypatch):

@@ -3,6 +3,7 @@
 import random
 import re
 import warnings
+from collections import Counter
 from itertools import product
 from math import gcd
 
@@ -388,6 +389,114 @@ def test_blow_up_matches_brute_force_enumeration():
         for kappa in beta2.members:
             assert tuple(-x for x in kappa) in beta2.weights
             assert m2.lattice.is_characteristic_dual(kappa)
+
+
+def test_blow_up_checks_parity_once_per_core_and_takes_no_dual(monkeypatch):
+    beta = BasicClassSet.from_primal(HYPERBOLIC, [(0, 2), (0, -2), (2, 4), (-2, -4)])
+    duals, parities = [], []
+    dual = IntersectionLattice.dual
+    parity = IntersectionLattice.is_characteristic_dual
+    monkeypatch.setattr(IntersectionLattice, "dual",
+                        lambda L, x: duals.append(x) or dual(L, x))
+    monkeypatch.setattr(IntersectionLattice, "is_characteristic_dual",
+                        lambda L, k: parities.append(k) or parity(L, k))
+    m2, beta2 = blow_up_basic_classes(hyperbolic_model(), beta, 5)
+    assert duals == []
+    assert len(parities) == beta.count
+    assert beta2.count == 32 * beta.count
+    # the memo holds K^2 - n, which is each member's dual square
+    assert beta2.squares() == {k: m2.lattice.dual_square(k) for k in beta2.members}
+
+
+def test_blow_up_numbers_new_classes_after_the_largest_E():
+    L = lat([[0, 1], [1, 0]], {"E2": (1, 0), "E": (0, 1)})
+    beta = BasicClassSet.from_primal(L, [(0, 2), (0, -2)])
+    m2, _ = blow_up_basic_classes(ManifoldModel(L, 0, 0, 2), beta, 2)
+    assert dict(m2.lattice.names) == {"E2": (1, 0, 0, 0), "E": (0, 1, 0, 0),
+                                      "E3": (0, 0, 1, 0), "E4": (0, 0, 0, 1)}
+
+
+def test_blow_up_starts_at_E1_past_other_names_starting_with_E():
+    L = lat([[0, 1], [1, 0]], {"Euler_line": (1, 0)})
+    beta = BasicClassSet.from_primal(L, [(0, 2), (0, -2)])
+    m2, _ = blow_up_basic_classes(ManifoldModel(L, 0, 0, 2), beta, 1)
+    assert dict(m2.lattice.names) == {"Euler_line": (1, 0, 0), "E1": (0, 0, 1)}
+
+
+# -- sign cubes --------------------------------------------------------------------
+
+def _sign_cube(cores, gens):
+    """(member, weight) for each core and sign vector, repeats kept."""
+    return [(tuple(x + sum(s * g[j] for s, g in zip(signs, gens))
+                   for j, x in enumerate(core)), w)
+            for core, w in cores.items()
+            for signs in product((1, -1), repeat=len(gens))]
+
+
+def _named_class(message):
+    inner = re.search(r"\(([-0-9, ]*)\)", message).group(1)
+    return tuple(int(x) for x in inner.split(",") if x.strip())
+
+
+def test_zero_generator_sets_keep_their_messages():
+    with pytest.raises(LedgerError, match=r"^set is not closed under negation at \(0, 2\)$"):
+        BasicClassSet(HYPERBOLIC, {(0, 2): 1})
+    with pytest.raises(LedgerError, match=r"^class \(1, 0\) is not characteristic$"):
+        BasicClassSet(HYPERBOLIC, {(1, 0): 1, (-1, 0): 1})
+
+
+def test_cube_built_sets_match_member_by_member_sets():
+    rng = random.Random(1616)
+    outcomes = Counter()
+    for _ in range(600):
+        rank = rng.randrange(1, 4)
+        rows = [[0] * rank for _ in range(rank)]
+        for i in range(rank):
+            for j in range(i, rank):
+                rows[i][j] = rows[j][i] = rng.randrange(-2, 3)
+        L = lat(rows)
+        gens = [tuple(rng.randrange(-2, 3) for _ in range(rank))
+                for _ in range(rng.randrange(0, 4))]
+        # cores of the parity that makes c + sum g_i characteristic, mostly
+        shift = [(rows[j][j] + sum(g[j] for g in gens)) % 2 for j in range(rank)]
+        cores = {}
+        for _ in range(rng.randrange(1, 4)):
+            c = tuple(s + 2 * rng.randrange(-2, 3) for s in shift)
+            if rng.random() < 0.1:
+                c = (c[0] + 1,) + c[1:]
+            cores[c] = rng.choice((1, -1, 2))
+            if rng.random() < 0.9:
+                cores[tuple(-x for x in c)] = rng.choice((1, -1, 2))
+        members = _sign_cube(cores, gens)
+        kappas = [k for k, _ in members]
+        try:
+            cube = BasicClassSet(L, cores, gens)
+        except LedgerError as err:
+            message = str(err)
+            named = _named_class(message)
+            if "occurs more than once" in message:
+                assert kappas.count(named) > 1
+                outcomes["collision"] += 1
+                continue
+            assert len(set(kappas)) == len(kappas)
+            with pytest.raises(LedgerError):
+                BasicClassSet(L, dict(members))
+            assert named in kappas
+            if "closed under negation" in message:
+                assert tuple(-x for x in named) not in kappas
+                outcomes["negation"] += 1
+            else:
+                assert message.endswith("is not characteristic")
+                assert not L.is_characteristic_dual(named)
+                outcomes["parity"] += 1
+            continue
+        assert len(set(kappas)) == len(kappas)
+        by_member = BasicClassSet(L, dict(members))
+        assert cube == by_member
+        assert list(cube.weights.items()) == list(by_member.weights.items())
+        outcomes["equal"] += 1
+    assert min(outcomes[k] for k in ("collision", "negation", "parity", "equal")) >= 10, \
+        outcomes
 
 
 # -- adjunction --------------------------------------------------------------------
