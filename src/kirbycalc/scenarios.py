@@ -281,8 +281,10 @@ def _closed_model(blocks: Sequence[Sequence[Sequence[int]]],
     linearity, one `dual` per nonzero seed and per generator.  A member's
     square is s^2 + sum g_i^2 plus cross terms in <s, g_i> and <g_i, g_j>,
     so the squares agree iff every s^2 agrees and every cross term is 0.
-    The signature and b2+ are read off the pairing; the Euler number is the
-    one value that puts that square in dimension zero.
+    The signature and b2+ are read off the pairing, block by block (by
+    Sylvester's law the inertia of a direct sum is the sum of its blocks');
+    the Euler number is the one value that puts that square in dimension
+    zero.
     """
     lattice = IntersectionLattice(IntMatrix.from_rows(_direct_sum(blocks)), names)
     duals = [lattice.dual(s) if any(s) else s for s in seeds]
@@ -293,7 +295,8 @@ def _closed_model(blocks: Sequence[Sequence[Sequence[int]]],
             any(_dot(h, g) for i, h in enumerate(gen_duals) for g in gens[i + 1:]):
         raise ScenarioError("seed squares disagree")
     square = core_square + sum(map(_dot, gen_duals, gens))
-    pos_idx, neg_idx, zero_idx = inertia(lattice.pairing)
+    pos_idx, neg_idx, zero_idx = map(sum, zip(*(inertia(IntMatrix.from_rows(b))
+                                                for b in blocks)))
     if zero_idx:
         raise ScenarioError("degenerate synthetic pairing")
     sig = pos_idx - neg_idx
@@ -306,7 +309,7 @@ def _closed_model(blocks: Sequence[Sequence[Sequence[int]]],
     if classes.count != len(seeds) << len(gens):
         raise ScenarioError("seed classes collided")
     # every member is a seed class, of the checked square
-    classes._squares.update(dict.fromkeys(classes.members, square))
+    lattice._squares.update(dict.fromkeys(classes.members, square))
     if not is_simple_type(model, classes):
         raise ScenarioError("seed classes are not in dimension zero")
     return model, classes

@@ -17,6 +17,13 @@ set is cores times the signs of its generators (the E-cube of a blow-up,
 the cube +-K +- e_1 ... +- e_{n-1} of the genus model), and negation,
 parity and distinctness are checked once per core.
 
+Each lattice keeps one memo of squares, since a square depends only on the
+lattice and the class.  The closed-model builder and the blow-up seed it
+with the squares they already know (a seed square; K^2 - n), a set writes a
+member's square into it on first use, and `d_invariant` reads it before it
+takes a dual square.  Only squares of members of sets built on the lattice
+are ever written, so the memo is bounded by those sets.
+
 The ledger transforms declared basic-class data; it does not compute SW
 invariants from geometry.
 """
@@ -103,6 +110,7 @@ class IntersectionLattice:
             if len(v) != self.rank:
                 raise LedgerError(f"named vector {k!r} has wrong length")
         object.__setattr__(self, "names", MappingProxyType(names))
+        object.__setattr__(self, "_squares", {})     # class -> square, members only
 
     @property
     def rank(self) -> int:
@@ -167,10 +175,12 @@ class IntersectionLattice:
         return tuple(g & 1 for g in self._diagonal)
 
     def gram(self, vectors: Sequence[Sequence[int]]) -> IntMatrix:
-        """Pairing matrix <v_i, v_j> of primal vectors, one dual per vector."""
+        """Pairing matrix <v_i, v_j> of primal vectors, one dual per vector.
+
+        Row i pairs every v_j with the nonzero entries of the dual of v_i.
+        """
         duals = [self.dual(v) for v in vectors]
-        return IntMatrix.from_rows([[_dot(gv, w) for w in vectors] for gv in duals],
-                                   len(duals))
+        return IntMatrix.from_rows([_pairings(vectors, gv) for gv in duals], len(duals))
 
     @cached_property
     def _rows(self) -> tuple[tuple[tuple[int, int], ...], ...]:
@@ -300,7 +310,6 @@ class BasicClassSet:
             if not characteristic(kappa):
                 raise LedgerError(f"class {kappa} is not characteristic")
         object.__setattr__(self, "weights", MappingProxyType({k: w[k] for k in sorted(w)}))
-        object.__setattr__(self, "_squares", {})
         object.__setattr__(self, "_simple_type", set())
 
     @classmethod
@@ -321,11 +330,12 @@ class BasicClassSet:
         return {k: self._square(k) for k in self.members}
 
     def _square(self, kappa: Vector) -> int:
-        """Dual square of a member, computed once per set."""
-        memo = self._squares
-        if kappa not in memo:
-            memo[kappa] = self.lattice.dual_square(kappa)
-        return memo[kappa]
+        """Dual square of a member, computed once per lattice."""
+        memo = self.lattice._squares
+        square = memo.get(kappa)
+        if square is None:
+            square = memo[kappa] = self.lattice.dual_square(kappa)
+        return square
 
 
 # -- pointwise invariants --------------------------------------------------------
@@ -337,10 +347,13 @@ def d_invariant(model: ManifoldModel, kappa: Sequence[int], *,
 
     Raises when the numerator is not divisible by 4 (an inconsistent model);
     an odd result is returned but flagged with a warning, since for honest
-    closed models the value is even.
+    closed models the value is even.  Without `square`, a member's square is
+    read from the lattice's memo; any other class takes a dual square.
     """
     if square is None:
-        square = model.lattice.dual_square(kappa)
+        square = model.lattice._squares.get(_vec(kappa))
+        if square is None:
+            square = model.lattice.dual_square(kappa)
     num = square - 2 * model.euler - 3 * model.signature
     if num % 4:
         raise LedgerError(
@@ -360,18 +373,24 @@ def d_invariant_primal(model: ManifoldModel, k: Sequence[int]) -> int:
 def is_simple_type(model: ManifoldModel, beta: BasicClassSet) -> bool:
     """Simple type: d(K) = 0, i.e. K^2 = 2e + 3sigma, for every basic class.
 
-    The verdict depends on the model only through 2e + 3sigma.  A passing
-    verdict is remembered on the set under that key; a failing one is not,
-    so its odd-d warnings repeat on every call.
+    The verdict depends on the model only through 2e + 3sigma, and d on the
+    class only through its square, so d is taken once per distinct square,
+    for the first member that carries it.  A passing verdict is remembered
+    on the set under that key; a failing one is not, so its odd-d warning
+    repeats on every call.
     """
     key = 2 * model.euler + 3 * model.signature
     if key in beta._simple_type:
         return True
-    ok = all(d_invariant(model, kappa, square=beta._square(kappa)) == 0
-             for kappa in beta.members)
-    if ok:
-        beta._simple_type.add(key)
-    return ok
+    seen = set()
+    for kappa in beta.members:
+        square = beta._square(kappa)
+        if square not in seen:
+            seen.add(square)
+            if d_invariant(model, kappa, square=square):
+                return False
+    beta._simple_type.add(key)
+    return True
 
 
 # -- blow-up ---------------------------------------------------------------------
@@ -423,8 +442,8 @@ def blow_up_basic_classes(model: ManifoldModel, beta: BasicClassSet,
         # sorted members run core by core, as the E-coordinates come last
         members, size = out.members, 1 << n
         for i, kappa in enumerate(beta.members):
-            out._squares.update(dict.fromkeys(members[i * size:(i + 1) * size],
-                                              squares[kappa] - n))
+            lattice._squares.update(dict.fromkeys(members[i * size:(i + 1) * size],
+                                                  squares[kappa] - n))
     new_model = ManifoldModel(lattice, model.euler + n, model.signature - n,
                               model.b2plus)
     return new_model, out
@@ -538,16 +557,20 @@ def rational_blowdown_descend(
         raise LedgerError(
             f"complement basis must have rank {lat.rank - (p - 1)}")
     for u in chain:
-        gu = lat.dual(u)
-        if any(_dot(gu, c) for c in complement_basis):
+        if any(_pairings(complement_basis, lat.dual(u))):
             raise LedgerError("complement basis vector pairs with the chain")
     gram = lat.gram(complement_basis)
 
+    # each class's pairings with u_1 ... u_{p-1}, then with the complement,
+    # taken one vector at a time over that vector's nonzero entries
+    members = beta.members
+    cols = [_pairings(members, v) for v in chain + complement_basis]
+    rows = zip(*cols) if cols else [()] * len(members)
     new_weights: dict[Vector, int] = {}
-    for kappa, w in beta.weights.items():
-        if not rbd_lift_eligible(kappa, chain):
+    for (kappa, w), row in zip(beta.weights.items(), rows):
+        lift, rho = row[:p - 1], row[p - 1:]
+        if any(lift[:-1]) or abs(lift[-1]) != p:        # as in rbd_lift_eligible
             raise LedgerError(f"class {kappa} is not eligible for the blowdown")
-        rho = restriction_profile(kappa, complement_basis)
         if rho in new_weights and new_weights[rho] != w:
             raise LedgerError(
                 "restriction collision with differing SW values; model inconsistent")

@@ -268,6 +268,75 @@ def test_d_invariant_rejects_non_divisible():
         d_invariant_primal(m, (1,))  # 1 - 0 - 3 = -2 not divisible by 4
 
 
+def _count_pipeline(p, n0):
+    """The count lemma's chain: X0, descent of its one chain, p - 1 blow-ups."""
+    x0 = scenarios.build_X0_model((p,), n0)
+    m1, b1 = rational_blowdown_descend(x0.model, x0.classes, x0.chain_vectors(0),
+                                       x0.complement_basis(0))
+    return blow_up_basic_classes(m1, b1, p - 1)
+
+
+def test_d_invariants_after_a_blow_up_read_its_squares(monkeypatch):
+    m2, b2 = _count_pipeline(9, 4)
+    squares, adjugates = [], []
+    exact = IntersectionLattice.dual_square
+    monkeypatch.setattr(IntersectionLattice, "dual_square",
+                        lambda L, k: squares.append(k) or exact(L, k))
+    monkeypatch.setattr(swledger, "adjugate", lambda m: adjugates.append(m) or adjugate(m))
+    assert [d_invariant(m2, k) for k in b2.members] == [0] * 1024
+    # the blow-up stored every K^2 - n, so the blown-up lattice is never factored
+    assert squares == [] and adjugates == []
+    assert "_adjugate" not in vars(m2.lattice)
+
+
+@pytest.mark.parametrize("n0", (2, 4))
+def test_blown_up_d_invariants_match_a_memo_free_lattice(n0):
+    for p in range(2, 10):
+        m2, b2 = _count_pipeline(p, n0)
+        fresh = ManifoldModel(IntersectionLattice(m2.lattice.pairing), m2.euler,
+                              m2.signature, m2.b2plus)
+        assert [d_invariant(m2, k) for k in b2.members] == \
+            [d_invariant(fresh, k) for k in b2.members]
+        # the memo holds exactly the members' squares, each a dual square
+        assert m2.lattice._squares == {k: fresh.lattice.dual_square(k)
+                                       for k in b2.members}
+        assert fresh.lattice._squares == {}
+
+
+def test_d_invariant_of_non_members_leaves_the_memo_alone():
+    m2, b2 = _count_pipeline(5, 4)
+    L = m2.lattice
+    size = len(L._squares)
+    fresh = IntersectionLattice(L.pairing)
+    rng = random.Random(29)
+    tried = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")           # some of these d are odd
+        while tried < 100:
+            # a member plus twice a dual: characteristic, of integral square
+            x = L.dual([rng.randrange(-2, 3) for _ in range(L.rank)])
+            kappa = tuple(k + 2 * g for k, g in zip(rng.choice(b2.members), x))
+            if kappa in b2.weights:
+                continue
+            tried += 1
+            num = fresh.dual_square(kappa) - 2 * m2.euler - 3 * m2.signature
+            assert d_invariant(m2, kappa) == num // 4
+    assert len(L._squares) == size
+
+
+def test_d_invariant_takes_any_sequence():
+    m2, b2 = _count_pipeline(4, 2)
+    for kappa in b2.members:
+        assert d_invariant(m2, list(kappa)) == d_invariant(m2, kappa)
+    with pytest.raises(LedgerError, match="^vector length does not match lattice rank$"):
+        d_invariant(m2, list(b2.members[0][:-1]))
+    # a non-member list reaches the dual square and its message
+    m = ManifoldModel(lat([[2]]), euler=0, signature=1, b2plus=2)
+    BasicClassSet(m.lattice, {(2,): 1, (-2,): 1}).squares()
+    with pytest.raises(LedgerError, match=re.escape("non-integral square 1/2 for (1,)")):
+        d_invariant(m, [1])
+
+
 def test_d_preserved_by_blow_up_identity():
     # K^2 drops by 1, e rises by 1, sigma drops by 1: net change -1 - 2 + 3 = 0
     rng = random.Random(3)
@@ -339,6 +408,21 @@ def test_simple_type_passing_verdict_is_kept_per_key(monkeypatch):
         calls.clear()
         assert not is_simple_type(other, classes)
         assert calls == [classes.members[0]]
+
+
+def test_simple_type_takes_one_d_per_distinct_square(monkeypatch):
+    calls = []
+    exact = swledger.d_invariant
+    monkeypatch.setattr(swledger, "d_invariant",
+                        lambda m, k, **kw: calls.append(k) or exact(m, k, **kw))
+    _, classes, _ = scenarios.build_genus_model.__wrapped__(8)
+    assert classes.count == 256 and calls == [classes.members[0]]
+    # squares 9, 1, 1, 9 in member order: d(9) = 0, then d(1) = -2 fails
+    m = ManifoldModel(lat([[1]]), euler=3, signature=1, b2plus=2)
+    calls.clear()
+    assert not is_simple_type(m, BasicClassSet(m.lattice, dict.fromkeys(
+        [(3,), (1,), (-1,), (-3,)], 1)))
+    assert calls == [(-3,), (-1,)]
 
 
 # -- blow-up formula ---------------------------------------------------------------
@@ -645,6 +729,27 @@ def test_descend_rejects_ineligible():
     not_orthogonal = complement[:2] + [(0, 0, 1, 0, 1)]    # pairs -2 with u_1
     with pytest.raises(LedgerError, match="pairs with the chain"):
         rational_blowdown_descend(p3_model(L), BasicClassSet(L), chain, not_orthogonal)
+
+
+def test_descend_reports_the_first_failure_in_class_order():
+    # with c_1 repeated, classes that differ only in z restrict alike
+    L, chain, complement = p3_setup()
+    complement = [complement[0], complement[1], complement[0]]
+
+    def closed(weights):
+        return BasicClassSet(L, {**weights, **{tuple(-x for x in k): w
+                                               for k, w in weights.items()}})
+    collide = {(1, 0, 0, 3, 0): 1, (1, 0, 0, 3, 2): 2}
+    late, early = (1, 0, -2, 3, 0), (-3, 0, 2, 3, 0)      # <K, u_1> = -2 and 2
+    with pytest.raises(LedgerError, match="^restriction collision"):
+        rational_blowdown_descend(p3_model(L), closed({**collide, late: 1}),
+                                  chain, complement)
+    with pytest.raises(LedgerError, match=re.escape(f"class {early} is not eligible")):
+        rational_blowdown_descend(p3_model(L), closed({**collide, early: 1}),
+                                  chain, complement)
+    _, beta = rational_blowdown_descend(p3_model(L), closed({(1, 0, 0, 3, 0): 1}),
+                                        chain, complement)
+    assert dict(beta.weights) == {(-1, -3, -1): 1, (1, 3, 1): 1}
 
 
 # -- Alexander polynomials --------------------------------------------------------------
