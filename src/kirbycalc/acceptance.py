@@ -309,6 +309,11 @@ def criterion_10_snf(seed: int) -> Iterator[str]:
 # -- 11 ----------------------------------------------------------------------
 
 
+def _dual_d(model: ManifoldModel, kappa: Sequence[int]) -> int:
+    """d of a class from a fresh dual square, never from a stored one."""
+    return d_invariant(model, kappa, square=model.lattice.dual_square(kappa))
+
+
 def criterion_11_d_conservation(seed: int) -> Iterator[str]:
     rng = random.Random(seed + 11)
     # blow-up: random characteristic classes on random models
@@ -339,8 +344,8 @@ def criterion_11_d_conservation(seed: int) -> Iterator[str]:
         m2, beta2 = blow_up_basic_classes(model, beta, nb)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            before = {d_invariant(model, kk) for kk in beta.members}
-            after = {d_invariant(m2, kk) for kk in beta2.members}
+            before = {_dual_d(model, kk) for kk in beta.members}
+            after = {_dual_d(m2, kk) for kk in beta2.members}
         if not after == before == {target_d}:
             yield "d changed under blow-up"
     # descent: eligible classes on the synthetic blown-up models
@@ -348,10 +353,10 @@ def criterion_11_d_conservation(seed: int) -> Iterator[str]:
         p = rng.randrange(2, 6)
         n0 = rng.choice((2, 4))
         x0 = build_X0_model((p,), n0)
-        before = {d_invariant(x0.model, kk) for kk in x0.classes.members}
+        before = {_dual_d(x0.model, kk) for kk in x0.classes.members}
         m2, b2 = rational_blowdown_descend(
             x0.model, x0.classes, x0.chain_vectors(0), x0.complement_basis(0))
-        after = {d_invariant(m2, kk) for kk in b2.members}
+        after = {_dual_d(m2, kk) for kk in b2.members}
         if not after == before == {0}:
             yield "d changed under descent"
 

@@ -22,7 +22,8 @@ lattice and the class.  The closed-model builder and the blow-up seed it
 with the squares they already know (a seed square; K^2 - n), a set writes a
 member's square into it on first use, and `d_invariant` reads it before it
 takes a dual square.  Only squares of members of sets built on the lattice
-are ever written, so the memo is bounded by those sets.
+are ever written, so the memo holds at most the members of every set ever
+built on that lattice, and it lives as long as the lattice does.
 
 The ledger transforms declared basic-class data; it does not compute SW
 invariants from geometry.
@@ -351,7 +352,7 @@ def d_invariant(model: ManifoldModel, kappa: Sequence[int], *,
     read from the lattice's memo; any other class takes a dual square.
     """
     if square is None:
-        square = model.lattice._squares.get(_vec(kappa))
+        square = model.lattice._squares.get(tuple(kappa))
         if square is None:
             square = model.lattice.dual_square(kappa)
     num = square - 2 * model.euler - 3 * model.signature
@@ -519,15 +520,18 @@ def min_genus_bound(model: ManifoldModel, beta: BasicClassSet,
 # -- rational blowdown --------------------------------------------------------------
 
 
+def _lift_ok(vals: Sequence[int]) -> bool:
+    """The lift condition on the pairings <K, u_1> ... <K, u_{p-1}>."""
+    return not any(vals[:-1]) and abs(vals[-1]) == len(vals) + 1
+
+
 def rbd_lift_eligible(kappa: Sequence[int], chain: Sequence[Sequence[int]]) -> bool:
     """Lift condition: <K, u_1> = ... = <K, u_{p-2}> = 0 and <K, u_{p-1}> = +-p.
 
     `kappa` is in evaluation coordinates; `chain` lists the primal chain
     vectors u_1 ... u_{p-1} in order.
     """
-    p = len(chain) + 1
-    vals = [_dot(kappa, u) for u in chain]
-    return all(v == 0 for v in vals[:-1]) and abs(vals[-1]) == p
+    return _lift_ok([_dot(kappa, u) for u in chain])
 
 
 def restriction_profile(kappa: Sequence[int],
@@ -556,20 +560,22 @@ def rational_blowdown_descend(
     if len(complement_basis) != lat.rank - (p - 1):
         raise LedgerError(
             f"complement basis must have rank {lat.rank - (p - 1)}")
+    if any(len(v) != lat.rank for v in chain + complement_basis):
+        raise LedgerError("vector length does not match lattice rank")
     for u in chain:
         if any(_pairings(complement_basis, lat.dual(u))):
             raise LedgerError("complement basis vector pairs with the chain")
     gram = lat.gram(complement_basis)
 
-    # each class's pairings with u_1 ... u_{p-1}, then with the complement,
-    # taken one vector at a time over that vector's nonzero entries
+    # each class's pairings with u_1 ... u_{p-1}, then its restriction
+    # profile, taken one vector at a time over that vector's nonzero entries
     members = beta.members
     cols = [_pairings(members, v) for v in chain + complement_basis]
     rows = zip(*cols) if cols else [()] * len(members)
     new_weights: dict[Vector, int] = {}
     for (kappa, w), row in zip(beta.weights.items(), rows):
         lift, rho = row[:p - 1], row[p - 1:]
-        if any(lift[:-1]) or abs(lift[-1]) != p:        # as in rbd_lift_eligible
+        if not _lift_ok(lift):
             raise LedgerError(f"class {kappa} is not eligible for the blowdown")
         if rho in new_weights and new_weights[rho] != w:
             raise LedgerError(

@@ -337,6 +337,25 @@ def test_d_invariant_takes_any_sequence():
         d_invariant(m, [1])
 
 
+def test_d_invariant_reads_the_memo_only_for_an_equal_class(monkeypatch):
+    m2, b2 = _count_pipeline(3, 2)
+    kappa = b2.members[0]
+
+    class Asked(Exception):
+        pass
+
+    def refuse(L, k):
+        raise Asked(k)
+    monkeypatch.setattr(IntersectionLattice, "dual_square", refuse)
+    # equal entries of another type name the same class
+    assert d_invariant(m2, [float(x) for x in kappa]) == d_invariant(m2, kappa)
+    # a non-integral entry is not truncated onto the member's key
+    half = kappa[0] + (0.5 if kappa[0] >= 0 else -0.5)
+    assert int(half) == kappa[0]
+    with pytest.raises(Asked):
+        d_invariant(m2, (half,) + kappa[1:])
+
+
 def test_d_preserved_by_blow_up_identity():
     # K^2 drops by 1, e rises by 1, sigma drops by 1: net change -1 - 2 + 3 = 0
     rng = random.Random(3)
@@ -351,7 +370,9 @@ def test_d_preserved_by_blow_up_identity():
             warnings.simplefilter("ignore")
             before = {d_invariant(m, kk) for kk in beta.members}
             m2, beta2 = blow_up_basic_classes(m, beta, 3)
-            after = {d_invariant(m2, kk) for kk in beta2.members}
+            # from fresh dual squares on the blown-up lattice, not the stored K^2 - n
+            after = {d_invariant(m2, kk, square=m2.lattice.dual_square(kk))
+                     for kk in beta2.members}
         assert after == before
 
 
@@ -729,6 +750,20 @@ def test_descend_rejects_ineligible():
     not_orthogonal = complement[:2] + [(0, 0, 1, 0, 1)]    # pairs -2 with u_1
     with pytest.raises(LedgerError, match="pairs with the chain"):
         rational_blowdown_descend(p3_model(L), BasicClassSet(L), chain, not_orthogonal)
+
+
+@pytest.mark.parametrize("which, vector", [
+    ("complement", (1, -6, -3)), ("complement", (0, 0, 0, 0, 1, 0)),
+    ("chain", (0, 0, 1, 0)), ("chain", (0, 0, 1, 0, 0, 0))])
+def test_descend_rejects_vectors_of_the_wrong_length(which, vector):
+    L, chain, complement = p3_setup()
+    beta = BasicClassSet.from_primal(L, [(-1, 0, 0, 0, 0), (1, 0, 0, 0, 0)])
+    if which == "chain":
+        chain = [chain[0], vector]
+    else:
+        complement = [vector] + complement[1:]
+    with pytest.raises(LedgerError, match="^vector length does not match lattice rank$"):
+        rational_blowdown_descend(p3_model(L), beta, chain, complement)
 
 
 def test_descend_reports_the_first_failure_in_class_order():
