@@ -206,7 +206,7 @@ def _cmd_sw_genusbound(doc, args) -> dict:
         "max_pairing": report.max_pairing,
         "bound": report.genus_bound,
         "forces_zero_below_n": report.forces_zero_below_n,
-        "ok": report.ok,
+        "ok": not any(report.failures()),
     }
 
 
@@ -215,7 +215,7 @@ def _cmd_scenario_count(doc, args) -> dict:
     return {
         "N0": report.n0,
         "Ni": report.ni,
-        "ok": report.ok,
+        "ok": not any(report.failures()),
     }
 
 
@@ -228,7 +228,7 @@ def _cmd_scenario_restriction(doc, args) -> dict:
         "all_eligible": report.all_eligible,
         "restrictions_distinct": report.restrictions_distinct,
         "mayer_vietoris_index": report.mayer_vietoris_index,
-        "ok": report.ok,
+        "ok": not any(report.failures()),
     }
 
 
@@ -241,7 +241,7 @@ def _cmd_scenario_knottedcork(doc, args) -> dict:
         "alexander": list(report.alexander),
         "all_nonzero": report.all_nonzero,
         "pairwise_distinct": report.pairwise_distinct,
-        "ok": report.ok,
+        "ok": not any(report.failures()),
     }
 
 

@@ -14,8 +14,9 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from math import isqrt
 from operator import add
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .handles import HandleDecomposition, boundary_sum, dot_zero_swap
 from .homology import (
@@ -107,12 +108,12 @@ def build_Wsum(ks: Sequence[int]) -> HandleDecomposition:
     return replace(out, name="W(" + ",".join(str(k) for k in ks) + ")")
 
 
-def build_Mn_Nn(n: int) -> tuple[HandleDecomposition, HandleDecomposition, Vector]:
+def build_Mn_Nn(n: int) -> tuple[HandleDecomposition, HandleDecomposition]:
     """The twist pair: N_n is the dot-zero swap of M_n inside its W_1 piece.
 
-    Returns (M_n, N_n, alpha) where alpha generates H_2(N_n) = Z in the
-    (c1, K) handle basis; it is reached from K by sliding over c1 n times
-    and is represented by a genus-n surface (declared, not recomputed).
+    H_2(N_n) = Z is computed by `homology`, not declared: in the (c1, K)
+    handle basis its generator is (n, -1), of square 0, the class K reaches
+    by sliding over c1 n times.
     """
     if n < 2:
         raise ScenarioError("the twist pair needs n >= 2")
@@ -121,9 +122,7 @@ def build_Mn_Nn(n: int) -> tuple[HandleDecomposition, HandleDecomposition, Vecto
                               links={("K", "c2"): n},
                               run_through={("c2", "c1"): 1},
                               name=f"M{n}")
-    n_n = replace(dot_zero_swap(m_n, "c1", "c2"), name=f"N{n}")
-    alpha = (-n, 1)
-    return m_n, n_n, alpha
+    return m_n, replace(dot_zero_swap(m_n, "c1", "c2"), name=f"N{n}")
 
 
 # -- Stein catalog ----------------------------------------------------------------
@@ -381,14 +380,19 @@ def _model_with_chain(p_list: Sequence[int], index: int,
 
 @dataclass(frozen=True)
 class CountLemmaReport:
-    p_list: tuple[int, ...]
-    index: int
+    p: int
     n0: int
-    n_descended: int
     ni: int
-    expected: int
     d_preserved: bool
-    ok: bool
+
+    def failures(self) -> Iterator[str]:
+        # the blow-up multiplies the count by exactly 2^(p-1), so N_i also
+        # settles that the descent kept all N0 classes
+        case = f"p={self.p}, N0={self.n0}"
+        if self.ni != (1 << (self.p - 1)) * self.n0:
+            yield f"count lemma failed for {case}"
+        if not self.d_preserved:
+            yield f"d not preserved for {case}"
 
 
 def verify_count_lemma(p_list: Sequence[int], index: int = 0,
@@ -396,15 +400,10 @@ def verify_count_lemma(p_list: Sequence[int], index: int = 0,
     """Descend one chain, blow back up p-1 times, compare class counts."""
     x0 = _model_with_chain(p_list, index, seed_count)
     p = x0.p_list[index]
-    chain = x0.chain_vectors(index)
-    complement = x0.complement_basis(index)
-    m1, b1 = rational_blowdown_descend(x0.model, x0.classes, chain, complement)
+    m1, b1 = rational_blowdown_descend(x0.model, x0.classes, x0.chain_vectors(index),
+                                       x0.complement_basis(index))
     m2, b2 = blow_up_basic_classes(m1, b1, p - 1)
-    d_ok = is_simple_type(m2, b2)
-    expected = (1 << (p - 1)) * x0.classes.count
-    return CountLemmaReport(x0.p_list, index, x0.classes.count, b1.count,
-                            b2.count, expected, d_ok,
-                            b1.count == x0.classes.count and b2.count == expected and d_ok)
+    return CountLemmaReport(p, x0.classes.count, b2.count, is_simple_type(m2, b2))
 
 
 @dataclass(frozen=True)
@@ -415,7 +414,15 @@ class RestrictionLemmaReport:
     all_eligible: bool
     restrictions_distinct: bool
     mayer_vietoris_index: int
-    ok: bool
+
+    def failures(self) -> Iterator[str]:
+        for holds, what in ((self.alpha_orthogonal, "alpha not orthogonal to the chain"),
+                            (self.evaluation_identity, "alpha evaluation identity broken"),
+                            (self.all_eligible, "a class fails the lift condition"),
+                            (self.restrictions_distinct, "restrictions not distinct"),
+                            (self.mayer_vietoris_index == self.p ** 2, "index != p^2")):
+            if not holds:
+                yield f"{what} for p={self.p}"
 
 
 def verify_restriction_lemma(p_list: Sequence[int], index: int = 0,
@@ -434,32 +441,25 @@ def verify_restriction_lemma(p_list: Sequence[int], index: int = 0,
     alpha = x0.alpha(index)
     chain = x0.chain_vectors(index)
     e_vec = lat.names[f"e{index + 1}"]
+    members = x0.classes.members
 
     alpha_dual = lat.dual(alpha)
     alpha_orth = all(_dot(alpha_dual, u) == 0 for u in chain)
-    eval_ok = True
-    for kappa in x0.classes.members:
-        lhs = _dot(kappa, alpha)
-        rhs = (1 - p) * _dot(kappa, e_vec)
-        eval_ok = eval_ok and lhs == rhs
-    eligible = all(rbd_lift_eligible(kappa, chain) for kappa in x0.classes.members)
+    eval_ok = _pairings(members, alpha) == [(1 - p) * v for v in _pairings(members, e_vec)]
+    eligible = all(rbd_lift_eligible(kappa, chain) for kappa in members)
 
     complement = x0.complement_basis(index)
-    profiles = [restriction_profile(kappa, complement) for kappa in x0.classes.members]
+    profiles = [restriction_profile(kappa, complement) for kappa in members]
     distinct = len(set(profiles)) == len(profiles)
 
     product = det(lat.gram(chain)) * det(lat.gram(complement))
     full = det(lat.pairing)
     index_sq, rem = divmod(product, full)
     mv_index = _isqrt_exact(index_sq) if rem == 0 and index_sq > 0 else -1
-
-    ok = (alpha_orth and eval_ok and eligible and distinct and mv_index == p * p)
-    return RestrictionLemmaReport(p, alpha_orth, eval_ok, eligible, distinct,
-                                  mv_index, ok)
+    return RestrictionLemmaReport(p, alpha_orth, eval_ok, eligible, distinct, mv_index)
 
 
 def _isqrt_exact(n: int) -> int:
-    from math import isqrt
     r = isqrt(n)
     return r if r * r == n else -1
 
@@ -471,7 +471,16 @@ class GenusObstructionReport:
     max_pairing: int
     genus_bound: int
     forces_zero_below_n: bool
-    ok: bool
+
+    def failures(self) -> Iterator[str]:
+        # for k != 0 a bound of |k|(n - 1) + 1 is >= n|k| - (|k| - 1) and
+        # >= n, so genus below n forces k = 0
+        n, k = self.n, abs(self.k)
+        case = f"n={n}, k={self.k}"
+        if self.max_pairing != k * (2 * n - 2):
+            yield f"max pairing {self.max_pairing} != |k|(2n - 2) for {case}"
+        if k and self.genus_bound != k * (n - 1) + 1:
+            yield f"bound {self.genus_bound} != |k|(n - 1) + 1 for {case}"
 
 
 @lru_cache(maxsize=32)
@@ -503,11 +512,7 @@ def genus_obstruction_Nn(n: int, k: int) -> GenusObstructionReport:
     k_alpha = tuple(k * x for x in alpha)
     max_pairing = max(map(abs, _pairings(classes.members, k_alpha)))
     bound = min_genus_bound(model, classes, k_alpha)
-    forces = k == 0 or bound >= n
-    expected_pairing = abs(k) * (2 * n - 2)
-    ok = max_pairing == expected_pairing and forces and \
-        (k == 0 or bound == abs(k) * (n - 1) + 1)
-    return GenusObstructionReport(n, k, max_pairing, bound, forces, ok)
+    return GenusObstructionReport(n, k, max_pairing, bound, k == 0 or bound >= n)
 
 
 # -- knot surgery scenario ---------------------------------------------------------
@@ -520,8 +525,14 @@ class KnottedCorkReport:
     alexander: tuple[str, ...]
     all_nonzero: bool
     pairwise_distinct: bool
-    distinct_from_vanishing: bool
-    ok: bool
+
+    def failures(self) -> Iterator[str]:
+        # the twisted side's class set is empty, so "nonzero" already
+        # separates every output from it
+        if not self.all_nonzero:
+            yield "surgery outputs not all nonzero"
+        if not self.pairwise_distinct:
+            yield "surgery outputs not pairwise distinct"
 
 
 def knotted_cork_scenario(knots: Sequence[tuple[int, int]]) -> KnottedCorkReport:
@@ -534,7 +545,6 @@ def knotted_cork_scenario(knots: Sequence[tuple[int, int]]) -> KnottedCorkReport
     """
     base = build_X0_model(())
     torus = base.torus()
-    vanishing = BasicClassSet(base.lattice)     # the cork-twisted side
     polys = []
     outs = []
     for p, q in knots:
@@ -545,12 +555,9 @@ def knotted_cork_scenario(knots: Sequence[tuple[int, int]]) -> KnottedCorkReport
         outs.append(knot_surgery_basic_classes(base.model, base.classes,
                                                torus, delta))
     fingerprints = [tuple(sorted(o.weights.items())) for o in outs]
-    nonzero = all(o.count > 0 for o in outs)
-    distinct = len(set(fingerprints)) == len(fingerprints)
-    vs_vanishing = all(o.weights != vanishing.weights for o in outs)
     return KnottedCorkReport(tuple(tuple(k) for k in knots),
                              tuple(o.count for o in outs),
                              tuple(str(d) for d in polys),
-                             nonzero, distinct, vs_vanishing,
-                             nonzero and distinct and vs_vanishing)
+                             all(o.count > 0 for o in outs),
+                             len(set(fingerprints)) == len(fingerprints))
 

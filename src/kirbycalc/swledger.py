@@ -531,6 +531,8 @@ def rbd_lift_eligible(kappa: Sequence[int], chain: Sequence[Sequence[int]]) -> b
     `kappa` is in evaluation coordinates; `chain` lists the primal chain
     vectors u_1 ... u_{p-1} in order.
     """
+    if not chain:
+        raise LedgerError("rational blowdown needs p >= 2")
     return _lift_ok([_dot(kappa, u) for u in chain])
 
 
@@ -553,6 +555,8 @@ def rational_blowdown_descend(
     its pairing is the Gram matrix of the complement basis, so descended
     squares (hence d-invariants) are computed honestly rather than copied.
     """
+    if not chain:
+        raise LedgerError("rational blowdown needs p >= 2")
     p = len(chain) + 1
     lat = model.lattice
     chain = [_vec(u) for u in chain]
@@ -571,9 +575,8 @@ def rational_blowdown_descend(
     # profile, taken one vector at a time over that vector's nonzero entries
     members = beta.members
     cols = [_pairings(members, v) for v in chain + complement_basis]
-    rows = zip(*cols) if cols else [()] * len(members)
     new_weights: dict[Vector, int] = {}
-    for (kappa, w), row in zip(beta.weights.items(), rows):
+    for (kappa, w), row in zip(beta.weights.items(), zip(*cols)):
         lift, rho = row[:p - 1], row[p - 1:]
         if not _lift_ok(lift):
             raise LedgerError(f"class {kappa} is not eligible for the blowdown")

@@ -19,7 +19,7 @@ from kirbycalc.handles import HandleDecomposition
 from kirbycalc.hbd import DiagramDocument, HbdParseError, parse_hbd, print_hbd
 from kirbycalc.homology import is_homology_trivial
 from kirbycalc.legendrian import FrontDiagram, parse_front, torus_knot_front
-from kirbycalc.scenarios import annotated_Dp_tilde_sum, build_Bp
+from kirbycalc.scenarios import CountLemmaReport, annotated_Dp_tilde_sum, build_Bp
 from test_acceptance import PINNED
 
 W1_TEXT = """manifold W1
@@ -324,6 +324,14 @@ def test_cli_scenario_count_matches_contract(capsys):
     code, payload = run_json(capsys, "scenario", "count", "--p", "2", "--count", "2")
     assert code == 0
     assert payload == {"schema": 1, "N0": 2, "Ni": 4, "ok": True}
+
+
+def test_cli_scenario_ok_is_the_reports_judgement(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "verify_count_lemma",
+                        lambda *args: CountLemmaReport(p=3, n0=2, ni=4, d_preserved=True))
+    code, payload = run_json(capsys, "scenario", "count", "--p", "3", "--count", "2")
+    assert code == 1
+    assert payload == {"schema": 1, "N0": 2, "Ni": 4, "ok": False}
 
 
 @pytest.mark.parametrize("argv", [

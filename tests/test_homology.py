@@ -199,7 +199,7 @@ def test_inertia_matches_charpoly_on_catalog_forms():
     decompositions += [S.build_Bp(p) for p in range(2, 9)]
     decompositions += [S.build_Dp(p) for p in range(2, 9)]
     decompositions += [S.build_Wn(n) for n in range(1, 4)]
-    decompositions += [S.build_Wsum((1, 2, 3)), *S.build_Mn_Nn(3)[:2]]
+    decompositions += [S.build_Wsum((1, 2, 3)), *S.build_Mn_Nn(3)]
     decompositions += [d for _, d, _ in S.stein_catalog()]
     forms = [homology(d).intersection_form for d in decompositions]
     forms += [linking_matrix(d) for d in decompositions]
@@ -430,7 +430,7 @@ def _pinned_diagrams(rng):
     catalog += [S.build_Bp(p) for p in range(2, 9)]
     catalog += [S.build_Dp(p) for p in range(2, 9)]
     catalog += [S.build_Wn(n) for n in range(1, 4)]
-    catalog += [S.build_Wsum((1, 2, 3)), *S.build_Mn_Nn(3)[:2]]
+    catalog += [S.build_Wsum((1, 2, 3)), *S.build_Mn_Nn(3)]
     catalog += [d for _, d, _ in S.stein_catalog()]
     for d in catalog:
         yield f"catalog {d.name}", d

@@ -5,12 +5,18 @@ import json
 import time
 from pathlib import Path
 
+from dataclasses import replace
+
 import pytest
 
 from kirbycalc import swledger
 from kirbycalc.handles import blow_down, dot_zero_swap, handle_slide
 from kirbycalc.homology import boundary_group_order, homology, inertia, is_homology_trivial
 from kirbycalc.scenarios import (
+    CountLemmaReport,
+    GenusObstructionReport,
+    KnottedCorkReport,
+    RestrictionLemmaReport,
     ScenarioError,
     _closed_model,
     annotated_Dp_tilde,
@@ -99,18 +105,20 @@ def test_contractibility_catalog():
 # -- twist pair -------------------------------------------------------------------
 
 def test_mn_nn_profiles():
-    m_n, n_n, alpha = build_Mn_Nn(3)
-    assert (m_n.name, n_n.name) == ("M3", "N3")
-    pm, pn = homology(m_n), homology(n_n)
-    assert pm.h1_trivial and pn.h1_trivial
-    assert pm.h2_rank == 1 and pn.h2_rank == 1
-    assert pn.intersection_form.to_lists() == [[0]]   # square-zero generator
-    assert alpha == (-3, 1)
+    for n in (2, 3, 5):
+        m_n, n_n = build_Mn_Nn(n)
+        assert (m_n.name, n_n.name) == (f"M{n}", f"N{n}")
+        pm, pn = homology(m_n), homology(n_n)
+        assert pm.h1_trivial and pn.h1_trivial
+        assert pm.h2_rank == 1 and pn.h2_rank == 1
+        # the generator is computed, in the (c1, K) basis, and has square zero
+        assert pn.h2_basis == ((n, -1),)
+        assert pn.intersection_form.to_lists() == [[0]]
 
 
 def test_nn_generator_reached_by_slides():
     n = 4
-    _, n_n, _ = build_Mn_Nn(n)
+    _, n_n = build_Mn_Nn(n)
     d = n_n
     for _ in range(n):
         d = handle_slide(d, "K", "c1", -1)
@@ -119,7 +127,7 @@ def test_nn_generator_reached_by_slides():
 
 
 def test_swap_involution_on_mn():
-    m_n, n_n, _ = build_Mn_Nn(2)
+    m_n, n_n = build_Mn_Nn(2)
     again = dot_zero_swap(n_n, "c2", "c1")
     assert again.one_handles == m_n.one_handles
     assert again.two_handles == m_n.two_handles
@@ -326,7 +334,7 @@ def test_closed_model_hands_seed_squares_to_the_class_set(monkeypatch):
 @pytest.mark.parametrize("seed", (2, 4))
 def test_count_lemma_single_chain(p, seed):
     report = verify_count_lemma((p,), 0, seed)
-    assert report.ok
+    assert list(report.failures()) == []
     assert report.n0 == seed
     assert report.ni == (1 << (p - 1)) * seed
 
@@ -334,7 +342,7 @@ def test_count_lemma_single_chain(p, seed):
 @pytest.mark.parametrize("p_list,index", [((2, 3), 1), ((3, 4, 2), 2), ((5, 2), 0)])
 def test_count_lemma_multi_chain(p_list, index):
     report = verify_count_lemma(p_list, index, 2)
-    assert report.ok
+    assert list(report.failures()) == []
     assert report.ni == (1 << (p_list[index] - 1)) * 2
 
 
@@ -355,7 +363,7 @@ def test_ledger_ladder_rung_within_budget(run, budget):
     # built per sign cube keep 2^14 classes under 1 s
     start = time.perf_counter()
     report = run()
-    assert report.ok
+    assert list(report.failures()) == []
     assert time.perf_counter() - start < budget
 
 
@@ -364,7 +372,7 @@ def test_ledger_ladder_rung_within_budget(run, budget):
 @pytest.mark.parametrize("p", range(2, 7))
 def test_restriction_lemma(p):
     report = verify_restriction_lemma((p,), 0, 4)
-    assert report.ok
+    assert list(report.failures()) == []
     assert report.mayer_vietoris_index == p * p
 
 
@@ -377,7 +385,7 @@ def test_restriction_lemma_takes_one_dual_for_alpha(monkeypatch):
         return dual(lat, x)
 
     monkeypatch.setattr(IntersectionLattice, "dual", counting)
-    assert verify_restriction_lemma((9,), 0, 4).ok
+    assert list(verify_restriction_lemma((9,), 0, 4).failures()) == []
     # 4 seeds, alpha once, then one per vector of the chain (8) and of its
     # complement (rank 19 - 8 = 11) in their Gram matrices
     assert len(calls) == 4 + 1 + 8 + 11
@@ -385,7 +393,7 @@ def test_restriction_lemma_takes_one_dual_for_alpha(monkeypatch):
 
 def test_restriction_lemma_multi_block():
     report = verify_restriction_lemma((3, 4), 1, 4)
-    assert report.ok
+    assert list(report.failures()) == []
     assert report.mayer_vietoris_index == 16
 
 
@@ -407,7 +415,7 @@ def test_genus_model_pairings():
 @pytest.mark.parametrize("k", (-5, -2, -1, 0, 1, 3, 5))
 def test_genus_obstruction(n, k):
     report = genus_obstruction_Nn(n, k)
-    assert report.ok
+    assert list(report.failures()) == []
     if k == 0:
         assert report.genus_bound == 1
     else:
@@ -427,8 +435,58 @@ def test_genus_obstruction_specific_values():
 
 def test_knotted_cork_distinct_outputs():
     report = knotted_cork_scenario([(2, 3), (2, 5), (2, 7)])
-    assert report.ok
+    assert list(report.failures()) == []
     assert report.counts == (6, 10, 14)
+
+
+# -- one judge per lemma ---------------------------------------------------------------------
+
+_COUNT = CountLemmaReport(p=3, n0=2, ni=8, d_preserved=True)
+_RESTRICTION = RestrictionLemmaReport(3, True, True, True, True, mayer_vietoris_index=9)
+# n = 4, k = -2: pairing 2 * 6, bound 2 * 3 + 1 = 7 = n|k| - (|k| - 1)
+_GENUS = GenusObstructionReport(4, -2, max_pairing=12, genus_bound=7,
+                                forces_zero_below_n=True)
+_CORK = KnottedCorkReport(((2, 3), (2, 5)), (6, 10),
+                          ("t - 1 + t^-1", "t^2 - t + 1 - t^-1 + t^-2"),
+                          all_nonzero=True, pairwise_distinct=True)
+
+
+@pytest.mark.parametrize("report,expected", [
+    pytest.param(_COUNT, [], id="count-pass"),
+    pytest.param(replace(_COUNT, ni=4), ["count lemma failed for p=3, N0=2"], id="count-ni"),
+    pytest.param(replace(_COUNT, d_preserved=False), ["d not preserved for p=3, N0=2"],
+                 id="count-d"),
+    pytest.param(_RESTRICTION, [], id="restriction-pass"),
+    pytest.param(replace(_RESTRICTION, alpha_orthogonal=False),
+                 ["alpha not orthogonal to the chain for p=3"], id="restriction-orthogonal"),
+    pytest.param(replace(_RESTRICTION, evaluation_identity=False),
+                 ["alpha evaluation identity broken for p=3"], id="restriction-evaluation"),
+    pytest.param(replace(_RESTRICTION, all_eligible=False),
+                 ["a class fails the lift condition for p=3"], id="restriction-eligible"),
+    pytest.param(replace(_RESTRICTION, restrictions_distinct=False),
+                 ["restrictions not distinct for p=3"], id="restriction-distinct"),
+    pytest.param(replace(_RESTRICTION, mayer_vietoris_index=3), ["index != p^2 for p=3"],
+                 id="restriction-index"),
+    pytest.param(_GENUS, [], id="genus-pass"),
+    pytest.param(GenusObstructionReport(4, 0, 0, 1, True), [], id="genus-k0-pass"),
+    pytest.param(replace(_GENUS, max_pairing=10),
+                 ["max pairing 10 != |k|(2n - 2) for n=4, k=-2"], id="genus-pairing"),
+    # n|k| - |k| = 6 is below the claim's n|k| - (|k| - 1) = 7, though not below n
+    pytest.param(replace(_GENUS, genus_bound=6),
+                 ["bound 6 != |k|(n - 1) + 1 for n=4, k=-2"], id="genus-bound-low"),
+    pytest.param(replace(_GENUS, genus_bound=8),
+                 ["bound 8 != |k|(n - 1) + 1 for n=4, k=-2"], id="genus-bound-high"),
+    pytest.param(_CORK, [], id="cork-pass"),
+    pytest.param(replace(_CORK, counts=(0, 10), all_nonzero=False),
+                 ["surgery outputs not all nonzero"], id="cork-zero"),
+    pytest.param(replace(_CORK, pairwise_distinct=False),
+                 ["surgery outputs not pairwise distinct"], id="cork-alike"),
+    pytest.param(replace(_CORK, all_nonzero=False, pairwise_distinct=False),
+                 ["surgery outputs not all nonzero", "surgery outputs not pairwise distinct"],
+                 id="cork-both"),
+])
+def test_report_failures_name_each_broken_condition(report, expected):
+    assert list(report.failures()) == expected
 
 
 def test_knotted_cork_unknot_gives_no_distinction():

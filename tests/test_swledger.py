@@ -416,7 +416,8 @@ def test_simple_type_passing_verdict_is_kept_per_key(monkeypatch):
         calls.append(kappa)
         return d_invariant(m, kappa, **kw)
     monkeypatch.setattr(swledger, "d_invariant", counting)
-    assert all(scenarios.genus_obstruction_Nn(8, k).ok for k in range(-5, 6))
+    assert all(list(scenarios.genus_obstruction_Nn(8, k).failures()) == []
+               for k in range(-5, 6))
     assert calls == []
     # another (e, sigma) with the same 2e + 3sigma reuses the verdict
     same = ManifoldModel(model.lattice, model.euler + 3, model.signature - 2,
@@ -764,6 +765,16 @@ def test_descend_rejects_vectors_of_the_wrong_length(which, vector):
         complement = [vector] + complement[1:]
     with pytest.raises(LedgerError, match="^vector length does not match lattice rank$"):
         rational_blowdown_descend(p3_model(L), beta, chain, complement)
+
+
+def test_empty_chain_is_rejected_like_the_splice():
+    # p = 1: the message `rational_blowdown_splice` gives, not an IndexError
+    L = lat([[-1]])
+    beta = BasicClassSet.from_primal(L, [(1,), (-1,)])
+    with pytest.raises(LedgerError, match=r"^rational blowdown needs p >= 2$"):
+        rational_blowdown_descend(ManifoldModel(L, 0, -1, 2), beta, [], [(1,)])
+    with pytest.raises(LedgerError, match=r"^rational blowdown needs p >= 2$"):
+        rbd_lift_eligible((1,), [])
 
 
 def test_descend_reports_the_first_failure_in_class_order():
