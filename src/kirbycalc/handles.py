@@ -10,6 +10,7 @@ across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import index
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
@@ -20,6 +21,13 @@ class HandleError(ValueError):
 
 def _pair(a: str, b: str) -> tuple[str, str]:
     return (a, b) if a <= b else (b, a)
+
+
+def _integer(v: object, what: str) -> int:
+    try:
+        return index(v)
+    except TypeError:
+        raise HandleError(f"{what} must be an integer, got {v!r}") from None
 
 
 def fresh_id(base: str, taken: Iterable[str]) -> str:
@@ -54,7 +62,7 @@ class HandleDecomposition:
 
     def __post_init__(self) -> None:
         ones = tuple(self.one_handles)
-        twos = tuple((str(i), int(f)) for i, f in self.two_handles)
+        twos = tuple((str(i), _integer(f, f"framing of {i!r}")) for i, f in self.two_handles)
         object.__setattr__(self, "one_handles", ones)
         object.__setattr__(self, "two_handles", twos)
         two_ids = [i for i, _ in twos]
@@ -72,19 +80,19 @@ class HandleDecomposition:
                 raise HandleError(f"self-linking of {a!r}: use the framing")
             if a not in framings or b not in framings:
                 raise HandleError(f"link {a!r}-{b!r} names a missing 2-handle")
-            if v:
+            if v := _integer(v, f"link {a!r}-{b!r}"):
                 key = _pair(a, b)
                 if key in links and links[key] != v:
                     raise HandleError(f"conflicting link values for {key}")
-                links[key] = int(v)
+                links[key] = v
         rt: dict[tuple[str, str], int] = {}
         for (k, h), v in self.run_through.items():
             if k not in framings:
                 raise HandleError(f"run-through names missing 2-handle {k!r}")
             if h not in one_set:
                 raise HandleError(f"run-through names missing 1-handle {h!r}")
-            if v:
-                rt[(k, h)] = int(v)
+            if v := _integer(v, f"run-through {k!r}-{h!r}"):
+                rt[(k, h)] = v
         object.__setattr__(self, "links", MappingProxyType(dict(sorted(links.items()))))
         object.__setattr__(self, "run_through", MappingProxyType(dict(sorted(rt.items()))))
         # lookup tables, not fields: equality, repr and replace() ignore them

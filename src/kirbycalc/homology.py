@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import prod
-from operator import mul
+from operator import index, mul
 from typing import Iterable, Sequence
 
 from .handles import HandleDecomposition
@@ -35,7 +35,10 @@ class IntMatrix:
     entries: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        entries = tuple(tuple(map(int, row)) for row in self.entries)
+        try:
+            entries = tuple(tuple(map(index, row)) for row in self.entries)
+        except TypeError as exc:
+            raise ValueError(f"matrix entries must be integers: {exc}") from None
         object.__setattr__(self, "entries", entries)
         if len(entries) != self.rows or any(len(r) != self.cols for r in entries):
             raise ValueError(f"entry grid does not match shape {self.rows}x{self.cols}")

@@ -2,11 +2,11 @@
 
 Handle-level builders return the algebraic shadow of each named diagram
 (framings, linkings, run-throughs; the drawn geometry enters only through
-that data).  Closed-manifold stand-ins are synthetic lattices carrying
-exactly the declared pairing pattern; their Euler number is chosen so that
-the declared basic classes sit in dimension zero, the signature and b2+ are
-computed exactly from the pairing, and everything downstream is derived
-rather than declared.
+that data).  Closed-manifold stand-ins are lattices whose X0 chain blocks
+are read from D_p and whose other blocks are synthetic patterns; their Euler
+number is chosen so that the declared basic classes sit in dimension zero,
+the signature and b2+ are computed exactly from the pairing, and everything
+downstream is derived rather than declared.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from .handles import HandleDecomposition, boundary_sum, dot_zero_swap
 from .homology import (
     IntMatrix,
     _dot,
+    boundary_group_order,
     det,
     inertia,
     kernel_basis,
@@ -207,20 +208,6 @@ def stein_catalog() -> list[tuple[str, HandleDecomposition, dict[str, FrontDiagr
 # -- synthetic closed models --------------------------------------------------------
 
 
-def _chain_block(p: int) -> list[list[int]]:
-    """Gram of (e, u_0, ..., u_{p-1}): the blown-up chain pairing pattern."""
-    size = p + 1
-    m = [[0] * size for _ in range(size)]
-    m[0][0] = -1
-    m[0][p] = m[p][0] = p                      # e . u_{p-1}
-    for j in range(p):
-        idx = j + 1
-        m[idx][idx] = -(p + 2) if j == p - 1 else -2
-        if j < p - 1:
-            m[idx][idx + 1] = m[idx + 1][idx] = 1
-    return m
-
-
 def _genus_block(n: int) -> list[list[int]]:
     """Gram of (alpha, gamma, e_1, ..., e_{n-1}), as described in build_genus_model."""
     size = n + 1
@@ -317,11 +304,11 @@ def _closed_model(blocks: Sequence[Sequence[Sequence[int]]],
 def build_X0_model(p_list: Sequence[int], seed_count: int = 2) -> SyntheticModel:
     """Lattice model of the blown-up boundary-sum construction.
 
-    One chain block per p carries the pattern e_i.u_{p-1} = p_i,
-    u_j.u_{j+1} = 1 with everything else orthogonal; the cusp block carries
-    the square-zero torus; seed classes evaluate to 0 on every u_j except
-    u_{p-1}, where they give -p_i <K, e_i> = +-p_i.  The Euler number is set
-    so every seed class has d = 0, making the model simple type.
+    Chain block i is the pairing of `build_Dp(p_i)` on e, u0, ..., u{p-1}
+    (named e_i, u_i_0, ...): e_i.u_{p-1} = p_i, u_j.u_{j+1} = 1; `_CORE` and
+    the cusp block `_CUSP` (the square-zero torus) are synthetic.  Seed classes
+    give 0 on every u_j except u_{p-1}, where they give -p_i <K, e_i> = +-p_i.
+    The Euler number is set so every seed class has d = 0 (simple type).
 
     Seeds are the sign combinations f3 + g3 +- (f1 + g1) +- (f2 + g2)
     +- e_1 ... +- e_n (n chains), in the order of `_sign_sums` over
@@ -336,23 +323,23 @@ def build_X0_model(p_list: Sequence[int], seed_count: int = 2) -> SyntheticModel
     n = len(p_list)
     spheres = sum(p_list) % 2          # parity corrector, keeps d integral
 
-    blocks = [_CORE, _CUSP] + [[[-2]]] * spheres + [_chain_block(p) for p in p_list]
-    rank = sum(len(b) for b in blocks)
-
+    blocks = [_CORE, _CUSP] + [[[-2]]] * spheres
+    off = 8 + spheres
+    rank = off + sum(p_list) + n
     names = {nm: _unit(rank, j)
              for j, nm in enumerate(("f1", "f2", "f3", "g1", "g2", "g3", "T", "z"))}
-    off = 8 + spheres
     chain_indices = []
     for i, p in enumerate(p_list):
-        names[f"e{i + 1}"] = _unit(rank, off)
+        d, ids = build_Dp(p), ("e",) + tuple(f"u{j}" for j in range(p))
+        blocks.append([[d.framing(a) if a == b else d.link(a, b) for b in ids] for a in ids])
+        at = dict(zip(ids, range(off, off + p + 1)))
+        names[f"e{i + 1}"] = _unit(rank, at["e"])
+        alpha = list(names[f"e{i + 1}"])
         for j in range(p):
-            names[f"u{i + 1}_{j}"] = _unit(rank, off + 1 + j)
-        alpha = [0] * rank
-        alpha[off] = 1
-        for j in range(p):
-            alpha[off + 1 + j] = p - j     # coefficient p - j on u_j
+            names[f"u{i + 1}_{j}"] = _unit(rank, at[f"u{j}"])
+            alpha[at[f"u{j}"]] = p - j     # coefficient p - j on u_j
         names[f"alpha{i + 1}"] = tuple(alpha)
-        chain_indices.append(tuple(range(off + 2, off + 1 + p)))
+        chain_indices.append(tuple(at[f"u{j}"] for j in range(1, p)))
         off += p + 1
 
     fg = [tuple(map(add, names[f"f{j}"], names[f"g{j}"])) for j in (1, 2, 3)]
@@ -414,13 +401,15 @@ class RestrictionLemmaReport:
     all_eligible: bool
     restrictions_distinct: bool
     mayer_vietoris_index: int
+    boundary_order: int | None           # |H_1(boundary C_p)|, the gluing group
 
     def failures(self) -> Iterator[str]:
         for holds, what in ((self.alpha_orthogonal, "alpha not orthogonal to the chain"),
                             (self.evaluation_identity, "alpha evaluation identity broken"),
                             (self.all_eligible, "a class fails the lift condition"),
                             (self.restrictions_distinct, "restrictions not distinct"),
-                            (self.mayer_vietoris_index == self.p ** 2, "index != p^2")):
+                            (self.mayer_vietoris_index == self.boundary_order,
+                             "index != |H1(bd C_p)|")):
             if not holds:
                 yield f"{what} for p={self.p}"
 
@@ -432,8 +421,8 @@ def verify_restriction_lemma(p_list: Sequence[int], index: int = 0,
     alpha = e + u_{p-1} + 2 u_{p-2} + ... + p u_0 is orthogonal to the chain,
     evaluates on every class to (1-p) <K, e>, and distinct classes restrict
     differently to the chain complement.  The index of chain + complement
-    inside the full lattice is also checked to be p^2, the order of the
-    boundary gluing group.
+    inside the full lattice is also checked against |H_1(boundary C_p)|, the
+    order of the boundary gluing group, read from `build_Cp(p)` as in claim 1.
     """
     x0 = _model_with_chain(p_list, index, seed_count)
     p = x0.p_list[index]
@@ -455,13 +444,10 @@ def verify_restriction_lemma(p_list: Sequence[int], index: int = 0,
     product = det(lat.gram(chain)) * det(lat.gram(complement))
     full = det(lat.pairing)
     index_sq, rem = divmod(product, full)
-    mv_index = _isqrt_exact(index_sq) if rem == 0 and index_sq > 0 else -1
-    return RestrictionLemmaReport(p, alpha_orth, eval_ok, eligible, distinct, mv_index)
-
-
-def _isqrt_exact(n: int) -> int:
-    r = isqrt(n)
-    return r if r * r == n else -1
+    root = isqrt(index_sq) if rem == 0 and index_sq > 0 else -1
+    mv_index = root if root * root == index_sq else -1
+    return RestrictionLemmaReport(p, alpha_orth, eval_ok, eligible, distinct, mv_index,
+                                  boundary_group_order(build_Cp(p)))
 
 
 @dataclass(frozen=True)

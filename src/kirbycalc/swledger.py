@@ -38,7 +38,7 @@ from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, prod
-from operator import add, neg
+from operator import add, index, neg
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
@@ -55,7 +55,10 @@ def _vec(x: Sequence[int]) -> Vector:
     """x as a tuple of ints; a tuple that already is one is not copied."""
     if type(x) is tuple and set(map(type, x)) <= {int}:
         return x
-    return tuple(map(int, x))
+    try:
+        return tuple(map(index, x))
+    except TypeError as exc:
+        raise LedgerError(f"vector entries must be integers: {exc}") from None
 
 
 _ODD = (1).__and__                  # k & 1, called from map without a Python frame

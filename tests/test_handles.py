@@ -87,6 +87,18 @@ def test_self_link_rejected():
         HandleDecomposition(two_handles=(("a", 0),), links={("a", "a"): 1})
 
 
+@pytest.mark.parametrize("kwargs, what", [
+    ({"two_handles": (("a", 1.7),)}, "framing of 'a'"),
+    ({"two_handles": (("a", 0), ("b", 0)), "links": {("a", "b"): 0.5}}, "link 'a'-'b'"),
+    ({"one_handles": ("h",), "two_handles": (("a", 0),), "run_through": {("a", "h"): 2.0}},
+     "run-through 'a'-'h'"),
+], ids=["framing", "link", "run-through"])
+def test_non_integer_data_rejected(kwargs, what):
+    # rejected, never truncated (a 1.7 framing is not read as 1)
+    with pytest.raises(HandleError, match=f"{what} must be an integer"):
+        HandleDecomposition(**kwargs)
+
+
 def test_zero_entries_normalized_away():
     d = HandleDecomposition(two_handles=(("a", 0), ("b", 1)), links={("a", "b"): 0})
     assert dict(d.links) == {}

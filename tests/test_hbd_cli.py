@@ -1,8 +1,10 @@
 """The .hbd format and the command-line interface."""
 
+import ast
 import gc
 import io
 import json
+import re
 import string
 from importlib import import_module
 from itertools import combinations
@@ -20,6 +22,7 @@ from kirbycalc.hbd import DiagramDocument, HbdParseError, parse_hbd, print_hbd
 from kirbycalc.homology import is_homology_trivial
 from kirbycalc.legendrian import FrontDiagram, parse_front, torus_knot_front
 from kirbycalc.scenarios import CountLemmaReport, annotated_Dp_tilde_sum, build_Bp
+from kirbycalc.swledger import AdjunctionReport
 from test_acceptance import PINNED
 
 W1_TEXT = """manifold W1
@@ -364,6 +367,39 @@ def test_cli_sw_commands(capsys):
     code, payload = run_json(capsys, "scenario", "knottedcork", "--knot", "2,3",
                              "--knot", "2,5")
     assert code == 0 and payload["pairwise_distinct"] is True
+
+
+# each sw handler is the only judge of its transform: criterion 3 checks the
+# blow-up by enumeration and criterion 11 by fresh dual squares, on purpose
+@pytest.mark.parametrize("argv", [
+    ("blowup", "--n", "2"),
+    ("descend", "--p", "4"),
+    ("adjunction", "--p", "2", "3"),
+], ids=lambda argv: argv[0])
+def test_cli_sw_reports_a_failed_transform(capsys, monkeypatch, argv):
+    monkeypatch.setattr(cli, "is_simple_type", lambda model, classes: False)
+    monkeypatch.setattr(cli, "adjunction_check",
+                        lambda *args: AdjunctionReport(False, 1, 0, ()))
+    code, payload = run_json(capsys, "sw", *argv)
+    assert code == 1
+    assert payload["ok"] is False
+
+
+def test_readme_library_example_runs(tmp_path, monkeypatch):
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    hbd = re.search(r"```\n(manifold C3\n.*?)```", readme, re.S).group(1)
+    (tmp_path / "c3.hbd").write_text(hbd)
+    code = re.search(r"## Library\n\n```python\n(.*?)```", readme, re.S).group(1)
+    expected = [ast.literal_eval(v) for v in re.findall(r"# (\(\d+,\)|\d+)", code)]
+    assert expected == [9, (9,), 5, 16]
+    monkeypatch.chdir(tmp_path)
+    namespace, got = {}, []
+    for stmt in ast.parse(code).body:
+        if isinstance(stmt, ast.Expr):
+            got.append(eval(compile(ast.Expression(stmt.value), "README", "eval"), namespace))
+        else:
+            exec(compile(ast.Module([stmt], []), "README", "exec"), namespace)
+    assert got == expected
 
 
 def test_cli_append_options_do_not_leak_between_calls(tmp_path, capsys):

@@ -77,6 +77,14 @@ def test_snf_diag_2_3():
     assert snf.diagonal == (1, 6)
 
 
+@pytest.mark.parametrize("rows", [[[0.9]], [[1, 2.0]], [["3"]]],
+                         ids=["float", "integral-float", "str"])
+def test_int_matrix_takes_integers_only(rows):
+    # rejected, never truncated ([[0.9]] does not hold 0)
+    with pytest.raises(ValueError, match="matrix entries must be integers"):
+        IntMatrix.from_rows(rows)
+
+
 def test_snf_zero_matrix():
     snf = smith_normal_form(IntMatrix.zeros(2, 3))
     assert snf.s == IntMatrix.zeros(2, 3)

@@ -9,9 +9,15 @@ from dataclasses import replace
 
 import pytest
 
-from kirbycalc import swledger
+from kirbycalc import scenarios, swledger
 from kirbycalc.handles import blow_down, dot_zero_swap, handle_slide
-from kirbycalc.homology import boundary_group_order, homology, inertia, is_homology_trivial
+from kirbycalc.homology import (
+    boundary_group_order,
+    homology,
+    inertia,
+    is_homology_trivial,
+    linking_matrix,
+)
 from kirbycalc.scenarios import (
     CountLemmaReport,
     GenusObstructionReport,
@@ -233,6 +239,26 @@ def test_x0_model_matches_pinned(pinned):
             **_model_summary(x0.model, x0.classes)} == pinned
 
 
+def test_x0_chain_blocks_are_read_from_dp(monkeypatch):
+    def variant(p):
+        d = build_Dp(p)
+        return replace(d, two_handles=tuple((h, -4 if h == "u0" else f)
+                                            for h, f in d.two_handles))
+
+    monkeypatch.setattr(scenarios, "build_Dp", variant)
+    x0 = build_X0_model((2, 3))
+    lat = x0.lattice
+    for i, p in enumerate((2, 3)):
+        d = variant(p)
+        # D_p's linking matrix, permuted to the handle order e, u0, ..., u{p-1}
+        g = linking_matrix(d)
+        at = [d.two_handle_ids.index(h) for h in ["e"] + [f"u{j}" for j in range(p)]]
+        vecs = [lat.names[f"e{i + 1}"]] + [lat.names[f"u{i + 1}_{j}"] for j in range(p)]
+        assert [[lat.pair(x, y) for y in vecs] for x in vecs] == \
+            [[g[a, b] for b in at] for a in at]
+        assert lat.square(lat.names[f"u{i + 1}_0"]) == -4
+
+
 @pytest.mark.parametrize("pinned", PINNED_MODELS["genus"], ids=lambda m: f"n{m['n']}")
 def test_genus_model_matches_pinned(pinned):
     model, classes, alpha = build_genus_model(pinned["n"])
@@ -373,7 +399,7 @@ def test_ledger_ladder_rung_within_budget(run, budget):
 def test_restriction_lemma(p):
     report = verify_restriction_lemma((p,), 0, 4)
     assert list(report.failures()) == []
-    assert report.mayer_vietoris_index == p * p
+    assert report.mayer_vietoris_index == report.boundary_order == p * p
 
 
 def test_restriction_lemma_takes_one_dual_for_alpha(monkeypatch):
@@ -442,7 +468,8 @@ def test_knotted_cork_distinct_outputs():
 # -- one judge per lemma ---------------------------------------------------------------------
 
 _COUNT = CountLemmaReport(p=3, n0=2, ni=8, d_preserved=True)
-_RESTRICTION = RestrictionLemmaReport(3, True, True, True, True, mayer_vietoris_index=9)
+_RESTRICTION = RestrictionLemmaReport(3, True, True, True, True, mayer_vietoris_index=9,
+                                      boundary_order=9)
 # n = 4, k = -2: pairing 2 * 6, bound 2 * 3 + 1 = 7 = n|k| - (|k| - 1)
 _GENUS = GenusObstructionReport(4, -2, max_pairing=12, genus_bound=7,
                                 forces_zero_below_n=True)
@@ -465,8 +492,11 @@ _CORK = KnottedCorkReport(((2, 3), (2, 5)), (6, 10),
                  ["a class fails the lift condition for p=3"], id="restriction-eligible"),
     pytest.param(replace(_RESTRICTION, restrictions_distinct=False),
                  ["restrictions not distinct for p=3"], id="restriction-distinct"),
-    pytest.param(replace(_RESTRICTION, mayer_vietoris_index=3), ["index != p^2 for p=3"],
-                 id="restriction-index"),
+    pytest.param(replace(_RESTRICTION, mayer_vietoris_index=3),
+                 ["index != |H1(bd C_p)| for p=3"], id="restriction-index"),
+    # the index is judged against C_p's boundary order, not against p^2
+    pytest.param(replace(_RESTRICTION, boundary_order=4),
+                 ["index != |H1(bd C_p)| for p=3"], id="restriction-boundary-order"),
     pytest.param(_GENUS, [], id="genus-pass"),
     pytest.param(GenusObstructionReport(4, 0, 0, 1, True), [], id="genus-k0-pass"),
     pytest.param(replace(_GENUS, max_pairing=10),

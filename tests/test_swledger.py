@@ -551,6 +551,17 @@ def test_zero_generator_sets_keep_their_messages():
         BasicClassSet(HYPERBOLIC, {(1, 0): 1, (-1, 0): 1})
 
 
+def test_ledger_vectors_take_integers_only():
+    # rejected, never truncated ((1.5, 1) does not name the class (1, 1))
+    odd = lat([[1, 0], [0, 1]])
+    message = "vector entries must be integers"
+    with pytest.raises(LedgerError, match=message):
+        BasicClassSet(odd, {(1.5, 1): 1, (-1.5, -1): 1})
+    with pytest.raises(LedgerError, match=message):
+        lat([[1, 0], [0, 1]], {"x": (0.5, 1)})
+    assert BasicClassSet(odd, {(True, 1): 1, (-1, -1): 1}).members == ((-1, -1), (1, 1))
+
+
 def test_cube_built_sets_match_member_by_member_sets():
     rng = random.Random(1616)
     outcomes = Counter()
