@@ -55,14 +55,10 @@ from .swledger import (
     alexander_polynomial_torus,
     blow_up_basic_classes,
     d_invariant,
-    d_invariant_primal,
-    is_characteristic,
     is_simple_type,
     knot_surgery_basic_classes,
     min_genus_bound,
     rational_blowdown_descend,
-    rbd_lift_eligible,
-    restriction_profile,
 )
 
 __version__ = "0.1.0"
@@ -78,9 +74,8 @@ __all__ = [
     "max_tb_torus_knot", "seifert_genus_torus_knot", "torus_knot_front",
     "SteinReport", "stein_check",
     "IntersectionLattice", "ManifoldModel", "BasicClassSet", "LedgerError",
-    "is_characteristic", "d_invariant", "d_invariant_primal", "is_simple_type",
-    "blow_up_basic_classes", "adjunction_check", "min_genus_bound",
-    "rbd_lift_eligible", "restriction_profile", "rational_blowdown_descend",
+    "d_invariant", "is_simple_type", "blow_up_basic_classes", "adjunction_check",
+    "min_genus_bound", "rational_blowdown_descend",
     "LaurentPolynomial", "alexander_polynomial_torus",
     "knot_surgery_basic_classes",
     "DiagramDocument", "HbdParseError", "parse_hbd", "print_hbd",

@@ -192,7 +192,7 @@ def blow_up(d: HandleDecomposition,
             raise HandleError(f"unknown 2-handle {k!r} in blow-up attachments")
         if k in mult:
             raise HandleError(f"duplicate attachment for {k!r}")
-        mult[k] = int(m)
+        mult[k] = _integer(m, f"multiplicity of {k!r}")
     mult = {k: m for k, m in mult.items() if m}
     e = new_id if new_id is not None else fresh_id("e1", d.all_ids)
     if e in d.all_ids:

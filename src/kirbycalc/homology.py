@@ -183,10 +183,6 @@ class SmithNormalForm:
         n = min(self.s.rows, self.s.cols)
         return tuple(self.s[i, i] for i in range(n))
 
-    @property
-    def invariant_factors(self) -> tuple[int, ...]:
-        return tuple(d for d in self.diagonal if d != 0)
-
 
 def _diagonalize(m: IntMatrix, want_u: bool, want_v: bool
                  ) -> tuple[list[int], list[list[int]] | None, list[list[int]] | None]:

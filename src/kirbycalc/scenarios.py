@@ -11,6 +11,7 @@ downstream is derived rather than declared.
 
 from __future__ import annotations
 
+import operator
 from collections import Counter
 from dataclasses import dataclass, replace
 from functools import lru_cache
@@ -38,7 +39,9 @@ from .swledger import (
     ManifoldModel,
     Vector,
     _direct_sum,
+    _lift_ok,
     _pairings,
+    _restrictions,
     _sign_sums,
     _unit,
     alexander_polynomial_torus,
@@ -47,8 +50,6 @@ from .swledger import (
     knot_surgery_basic_classes,
     min_genus_bound,
     rational_blowdown_descend,
-    rbd_lift_eligible,
-    restriction_profile,
 )
 
 
@@ -182,14 +183,9 @@ def annotated_Dp_tilde_sum(p_list: Sequence[int]) -> tuple[HandleDecomposition, 
 
 
 def annotated_Nn_tilde(n: int) -> tuple[HandleDecomposition, dict[str, FrontDiagram]]:
-    """Stein-filling form of the twisted piece; only tb data is modeled."""
-    if n < 2:
-        raise ScenarioError("needs n >= 2")
-    d = HandleDecomposition(one_handles=("c2",),
-                            two_handles=(("c1", 0), ("K", 0)),
-                            run_through={("c1", "c2"): 1, ("K", "c2"): n},
-                            name=f"N~{n}")
-    return d, dict.fromkeys(("c1", "K"), _TREFOIL)
+    """Stein-filling form of the twisted piece N_n; only tb data is modeled."""
+    d = replace(build_Mn_Nn(n)[1], name=f"N~{n}")
+    return d, dict.fromkeys(d.two_handle_ids, _TREFOIL)
 
 
 def stein_catalog() -> list[tuple[str, HandleDecomposition, dict[str, FrontDiagram]]]:
@@ -315,7 +311,10 @@ def build_X0_model(p_list: Sequence[int], seed_count: int = 2) -> SyntheticModel
     (-e_1, ..., -e_n, f1 + g1, f2 + g2): the first seed_count / 2 of them,
     each followed by its negative.  At most 2^(n+2) such pairs exist.
     """
-    p_list = tuple(int(p) for p in p_list)
+    try:
+        p_list = tuple(map(operator.index, p_list))
+    except TypeError as exc:
+        raise ScenarioError(f"every p must be an integer: {exc}") from None
     if any(p < 2 for p in p_list):
         raise ScenarioError("every p must be >= 2")
     if seed_count < 2 or seed_count % 2:
@@ -435,11 +434,10 @@ def verify_restriction_lemma(p_list: Sequence[int], index: int = 0,
     alpha_dual = lat.dual(alpha)
     alpha_orth = all(_dot(alpha_dual, u) == 0 for u in chain)
     eval_ok = _pairings(members, alpha) == [(1 - p) * v for v in _pairings(members, e_vec)]
-    eligible = all(rbd_lift_eligible(kappa, chain) for kappa in members)
-
     complement = x0.complement_basis(index)
-    profiles = [restriction_profile(kappa, complement) for kappa in members]
-    distinct = len(set(profiles)) == len(profiles)
+    table = _restrictions(members, chain, complement)
+    eligible = all(_lift_ok(lift) for lift, _ in table)
+    distinct = len({rho for _, rho in table}) == len(table)
 
     product = det(lat.gram(chain)) * det(lat.gram(complement))
     full = det(lat.pairing)

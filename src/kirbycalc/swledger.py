@@ -18,12 +18,12 @@ the cube +-K +- e_1 ... +- e_{n-1} of the genus model), and negation,
 parity and distinctness are checked once per core.
 
 Each lattice keeps one memo of squares, since a square depends only on the
-lattice and the class.  The closed-model builder and the blow-up seed it
-with the squares they already know (a seed square; K^2 - n), a set writes a
-member's square into it on first use, and `d_invariant` reads it before it
-takes a dual square.  Only squares of members of sets built on the lattice
-are ever written, so the memo holds at most the members of every set ever
-built on that lattice, and it lives as long as the lattice does.
+lattice and the class.  It has two writers, the closed-model builder (a
+seed square) and the blow-up (K^2 - n), and each writes the squares of the
+one set it builds into the lattice it has just built, so a memo holds the
+members of one set and nothing more.  `d_invariant`, `is_simple_type` and
+`BasicClassSet.squares` read a square through one lookup: the stored
+square, else a dual square, which is not stored.
 
 The ledger transforms declared basic-class data; it does not compute SW
 invariants from geometry.
@@ -59,6 +59,14 @@ def _vec(x: Sequence[int]) -> Vector:
         return tuple(map(index, x))
     except TypeError as exc:
         raise LedgerError(f"vector entries must be integers: {exc}") from None
+
+
+def _int(x: object, what: str) -> int:
+    """x as an int, never truncated."""
+    try:
+        return index(x)
+    except TypeError:
+        raise LedgerError(f"{what} must be integers, got {x!r}") from None
 
 
 _ODD = (1).__and__                  # k & 1, called from map without a Python frame
@@ -114,7 +122,7 @@ class IntersectionLattice:
             if len(v) != self.rank:
                 raise LedgerError(f"named vector {k!r} has wrong length")
         object.__setattr__(self, "names", MappingProxyType(names))
-        object.__setattr__(self, "_squares", {})     # class -> square, members only
+        object.__setattr__(self, "_squares", {})     # the squares of one set built on it
 
     @property
     def rank(self) -> int:
@@ -240,11 +248,6 @@ class IntersectionLattice:
         return total, tuple(rows)
 
 
-def is_characteristic(lattice: IntersectionLattice, k: Sequence[int]) -> bool:
-    """True iff <K, x> = <x, x> mod 2 for every basis vector x."""
-    return lattice.is_characteristic_dual(lattice.dual(k))
-
-
 @dataclass(frozen=True)
 class ManifoldModel:
     """Closed-manifold stand-in: lattice plus Euler number, signature, b2+."""
@@ -290,7 +293,7 @@ class BasicClassSet:
                 raise LedgerError("class length does not match lattice rank")
             if value == 0:
                 continue
-            cores[kappa] = int(value)
+            cores[kappa] = _int(value, "weights")
         gens = [_vec(g) for g in generators]
         if any(len(g) != rank for g in gens):
             raise LedgerError("generator length does not match lattice rank")
@@ -331,34 +334,26 @@ class BasicClassSet:
         return len(self.weights)
 
     def squares(self) -> dict[Vector, int]:
-        return {k: self._square(k) for k in self.members}
-
-    def _square(self, kappa: Vector) -> int:
-        """Dual square of a member, computed once per lattice."""
-        memo = self.lattice._squares
-        square = memo.get(kappa)
-        if square is None:
-            square = memo[kappa] = self.lattice.dual_square(kappa)
-        return square
+        return {k: _square(self.lattice, k) for k in self.members}
 
 
 # -- pointwise invariants --------------------------------------------------------
 
 
-def d_invariant(model: ManifoldModel, kappa: Sequence[int], *,
-                square: int | None = None) -> int:
+def _square(lattice: IntersectionLattice, kappa: Sequence[int]) -> int:
+    """Square of a class: the one its set's builder stored, else a dual square."""
+    square = lattice._squares.get(tuple(kappa))
+    return lattice.dual_square(kappa) if square is None else square
+
+
+def d_invariant(model: ManifoldModel, kappa: Sequence[int]) -> int:
     """(K^2 - 2e - 3sigma) / 4 for a class in evaluation coordinates.
 
     Raises when the numerator is not divisible by 4 (an inconsistent model);
     an odd result is returned but flagged with a warning, since for honest
-    closed models the value is even.  Without `square`, a member's square is
-    read from the lattice's memo; any other class takes a dual square.
+    closed models the value is even.
     """
-    if square is None:
-        square = model.lattice._squares.get(tuple(kappa))
-        if square is None:
-            square = model.lattice.dual_square(kappa)
-    num = square - 2 * model.euler - 3 * model.signature
+    num = _square(model.lattice, kappa) - 2 * model.euler - 3 * model.signature
     if num % 4:
         raise LedgerError(
             f"K^2 - 2e - 3sigma = {num} is not divisible by 4; model is inconsistent")
@@ -367,11 +362,6 @@ def d_invariant(model: ManifoldModel, kappa: Sequence[int], *,
         warnings.warn(f"d-invariant {d} is odd; expected an even integer",
                       stacklevel=2)
     return d
-
-
-def d_invariant_primal(model: ManifoldModel, k: Sequence[int]) -> int:
-    kappa = model.lattice.dual(k)
-    return d_invariant(model, kappa, square=_dot(kappa, k))
 
 
 def is_simple_type(model: ManifoldModel, beta: BasicClassSet) -> bool:
@@ -388,10 +378,10 @@ def is_simple_type(model: ManifoldModel, beta: BasicClassSet) -> bool:
         return True
     seen = set()
     for kappa in beta.members:
-        square = beta._square(kappa)
+        square = _square(model.lattice, kappa)
         if square not in seen:
             seen.add(square)
-            if d_invariant(model, kappa, square=square):
+            if d_invariant(model, kappa):
                 return False
     beta._simple_type.add(key)
     return True
@@ -528,21 +518,18 @@ def _lift_ok(vals: Sequence[int]) -> bool:
     return not any(vals[:-1]) and abs(vals[-1]) == len(vals) + 1
 
 
-def rbd_lift_eligible(kappa: Sequence[int], chain: Sequence[Sequence[int]]) -> bool:
-    """Lift condition: <K, u_1> = ... = <K, u_{p-2}> = 0 and <K, u_{p-1}> = +-p.
+def _restrictions(classes: Sequence[Vector], chain: Sequence[Vector],
+                  complement_basis: Sequence[Vector]) -> list[tuple[Vector, Vector]]:
+    """(lift pairings, restriction profile) of each class, in order.
 
-    `kappa` is in evaluation coordinates; `chain` lists the primal chain
-    vectors u_1 ... u_{p-1} in order.
+    The lift pairings are <K, u_1> ... <K, u_{p-1}> over the primal chain
+    vectors, which `_lift_ok` judges; the profile is the evaluation of K on
+    the complement basis, which decides its restriction.  Each vector is
+    paired with every class at once, over the vector's nonzero entries.
     """
-    if not chain:
-        raise LedgerError("rational blowdown needs p >= 2")
-    return _lift_ok([_dot(kappa, u) for u in chain])
-
-
-def restriction_profile(kappa: Sequence[int],
-                        complement_basis: Sequence[Sequence[int]]) -> Vector:
-    """Evaluations of a class against a complement basis; decides restrictions."""
-    return tuple(_dot(kappa, c) for c in complement_basis)
+    cols = [_pairings(classes, v) for v in (*chain, *complement_basis)]
+    cut = len(chain)
+    return [(row[:cut], row[cut:]) for row in zip(*cols)]
 
 
 def rational_blowdown_descend(
@@ -560,6 +547,7 @@ def rational_blowdown_descend(
     """
     if not chain:
         raise LedgerError("rational blowdown needs p >= 2")
+    model.require_sw_hypotheses()
     p = len(chain) + 1
     lat = model.lattice
     chain = [_vec(u) for u in chain]
@@ -574,13 +562,9 @@ def rational_blowdown_descend(
             raise LedgerError("complement basis vector pairs with the chain")
     gram = lat.gram(complement_basis)
 
-    # each class's pairings with u_1 ... u_{p-1}, then its restriction
-    # profile, taken one vector at a time over that vector's nonzero entries
-    members = beta.members
-    cols = [_pairings(members, v) for v in chain + complement_basis]
     new_weights: dict[Vector, int] = {}
-    for (kappa, w), row in zip(beta.weights.items(), zip(*cols)):
-        lift, rho = row[:p - 1], row[p - 1:]
+    table = _restrictions(beta.members, chain, complement_basis)
+    for (kappa, w), (lift, rho) in zip(beta.weights.items(), table):
         if not _lift_ok(lift):
             raise LedgerError(f"class {kappa} is not eligible for the blowdown")
         if rho in new_weights and new_weights[rho] != w:
@@ -604,7 +588,8 @@ class LaurentPolynomial:
     coeffs: Mapping[int, int] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        cleaned = {int(e): int(c) for e, c in self.coeffs.items() if c}
+        cleaned = {_int(e, "exponents"): _int(c, "coefficients")
+                   for e, c in self.coeffs.items() if c}
         object.__setattr__(self, "coeffs", MappingProxyType(dict(sorted(cleaned.items()))))
 
     @classmethod
@@ -707,6 +692,6 @@ def random_characteristic_vector(lattice: IntersectionLattice, rng) -> Vector:
     u_diag = [_dot(row, lattice._diagonal) for row in snf.u.entries]
     y = [b % 2 if s_i % 2 else 0 for b, s_i in zip(u_diag, s)]
     base = tuple(_dot(row, y) % 2 for row in snf.v.entries)
-    if not is_characteristic(lattice, base):   # cannot happen for symmetric G
+    if not lattice.is_characteristic_dual(lattice.dual(base)):  # cannot happen for symmetric G
         raise LedgerError("lattice admits no characteristic vector")
     return tuple(b + 2 * rng.randrange(-2, 3) for b in base)

@@ -92,6 +92,29 @@ def test_d_conservation_raises_lattice_errors(monkeypatch):
         claim_named("d-conservation").check(SEED)
 
 
+def test_blow_up_criterion_leaves_the_shared_lattice_without_squares():
+    # only the closed-model builder and the blow-up store squares, each on
+    # the lattice it has just built, so a module-level lattice stays empty
+    from kirbycalc import acceptance
+
+    for seed in (2026, 7):
+        assert acceptance.claim_named("blowup-formula").check(seed)[0]
+        assert acceptance._H2._squares == {}
+
+
+def test_public_names_resolve_once():
+    import types
+
+    import kirbycalc
+
+    assert len(set(kirbycalc.__all__)) == len(kirbycalc.__all__)
+    for name in kirbycalc.__all__:
+        assert getattr(kirbycalc, name) is not None
+    exported = {name for name, value in vars(kirbycalc).items()
+                if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert exported == set(kirbycalc.__all__)
+
+
 def test_check_joins_distinct_failures_in_order_found():
     claim = CLAIMS[0]
     failing = dataclasses.replace(claim, failures=lambda seed: iter(["a", "b", "a"]))

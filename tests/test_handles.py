@@ -239,6 +239,13 @@ def test_blow_up_rejects_repeated_attachment_in_any_order(attach):
         blow_up(two_unknots(), attach)
 
 
+def test_blow_up_multiplicities_take_integers_only():
+    # rejected, never truncated (a multiplicity of 1.5 is not read as 1)
+    with pytest.raises(HandleError, match="multiplicity of 'u1' must be an integer, got 1.5"):
+        blow_up(build_Cp(3), [("u1", 1.5)])
+    assert blow_up(build_Cp(3), [("u1", True)]) == blow_up(build_Cp(3), [("u1", 1)])
+
+
 def _transpose(m):
     return IntMatrix.from_rows([list(col) for col in zip(*m.entries)], m.rows)
 

@@ -26,6 +26,7 @@ from kirbycalc.scenarios import (
     ScenarioError,
     _closed_model,
     annotated_Dp_tilde,
+    annotated_Nn_tilde,
     build_Bp,
     build_Cp,
     build_Dp,
@@ -44,7 +45,7 @@ from kirbycalc.swledger import (
     IntersectionLattice,
     knot_surgery_basic_classes,
     LaurentPolynomial,
-    rbd_lift_eligible,
+    _lift_ok,
 )
 
 from _oracles import genus_seeds, x0_seeds
@@ -154,6 +155,22 @@ def test_stein_catalog_all_pass():
     assert any(name.startswith("N~") for name in names)
 
 
+def test_nn_tilde_is_nn_renamed():
+    for n in range(2, 12):
+        d, fronts = annotated_Nn_tilde(n)
+        assert d == replace(build_Mn_Nn(n)[1], name=f"N~{n}")
+        # the hand-written statement it replaced, handle order included
+        assert d.one_handles == ("c2",) and d.two_handles == (("c1", 0), ("K", 0))
+        assert dict(d.run_through) == {("c1", "c2"): 1, ("K", "c2"): n} and not d.links
+        assert list(fronts) == ["c1", "K"]
+
+
+def test_x0_model_takes_integer_p_only():
+    # rejected, never truncated (p = 2.5 does not build the p = 2 model)
+    with pytest.raises(ScenarioError, match="every p must be an integer"):
+        build_X0_model((2.5,))
+
+
 def test_catalog_fronts_satisfy_parity():
     from kirbycalc.legendrian import rotation_number, thurston_bennequin
     from kirbycalc.scenarios import stein_catalog
@@ -169,7 +186,7 @@ def test_x0_seeds_are_eligible_lifts(p):
     x0 = build_X0_model((p,), 4)
     chain = x0.chain_vectors(0)
     for kappa in x0.classes.members:
-        assert rbd_lift_eligible(kappa, chain)
+        assert _lift_ok([sum(a * b for a, b in zip(kappa, u)) for u in chain])
 
 
 def test_x0_minimal_model_pairing_pattern():
@@ -321,8 +338,7 @@ def test_closed_model_rejects_classes_off_dimension_zero(monkeypatch):
     # set reads those squares, so only a ledger whose d-invariants disagree
     # with them reaches this guard.
     exact = swledger.d_invariant
-    monkeypatch.setattr(swledger, "d_invariant",
-                        lambda model, k, *, square: exact(model, k, square=square + 8))
+    monkeypatch.setattr(swledger, "d_invariant", lambda model, k: exact(model, k) + 2)
     with pytest.raises(ScenarioError, match="not in dimension zero"):
         _closed_model([[[1]]], {}, [(1,), (-1,)])
 

@@ -4,6 +4,7 @@ import random
 import re
 import warnings
 from collections import Counter
+from dataclasses import replace
 from itertools import product
 from math import gcd
 
@@ -21,15 +22,11 @@ from kirbycalc.swledger import (
     alexander_polynomial_torus,
     blow_up_basic_classes,
     d_invariant,
-    d_invariant_primal,
-    is_characteristic,
     is_simple_type,
     knot_surgery_basic_classes,
     min_genus_bound,
     random_characteristic_vector,
     rational_blowdown_descend,
-    rbd_lift_eligible,
-    restriction_profile,
 )
 
 from _oracles import invert_rational
@@ -41,6 +38,11 @@ def lat(rows, names=None):
 
 
 HYPERBOLIC = lat([[0, 1], [1, 0]])
+
+
+def is_characteristic(L, k):
+    """True iff the primal vector k pairs with each basis vector x as <x, x> mod 2."""
+    return L.is_characteristic_dual(L.dual(k))
 
 
 def hyperbolic_model(euler=0, signature=0, b2plus=2):
@@ -259,13 +261,13 @@ def test_d_invariant_odd_value_warns():
 
 def test_d_invariant_k3_numbers():
     m = ManifoldModel(lat([[-2]]), euler=24, signature=-16, b2plus=3)
-    assert d_invariant_primal(m, (0,)) == 0
+    assert d_invariant(m, m.lattice.dual((0,))) == 0
 
 
 def test_d_invariant_rejects_non_divisible():
     m = ManifoldModel(lat([[1]]), euler=0, signature=1, b2plus=2)
     with pytest.raises(LedgerError):
-        d_invariant_primal(m, (1,))  # 1 - 0 - 3 = -2 not divisible by 4
+        d_invariant(m, m.lattice.dual((1,)))  # 1 - 0 - 3 = -2 not divisible by 4
 
 
 def _count_pipeline(p, n0):
@@ -370,9 +372,9 @@ def test_d_preserved_by_blow_up_identity():
             warnings.simplefilter("ignore")
             before = {d_invariant(m, kk) for kk in beta.members}
             m2, beta2 = blow_up_basic_classes(m, beta, 3)
-            # from fresh dual squares on the blown-up lattice, not the stored K^2 - n
-            after = {d_invariant(m2, kk, square=m2.lattice.dual_square(kk))
-                     for kk in beta2.members}
+            # from fresh dual squares on the blown-up pairing, not the stored K^2 - n
+            fresh = replace(m2, lattice=IntersectionLattice(m2.lattice.pairing))
+            after = {d_invariant(fresh, kk) for kk in beta2.members}
         assert after == before
 
 
@@ -562,6 +564,26 @@ def test_ledger_vectors_take_integers_only():
     assert BasicClassSet(odd, {(True, 1): 1, (-1, -1): 1}).members == ((-1, -1), (1, 1))
 
 
+def test_class_weights_take_integers_only():
+    # rejected, never truncated (a weight of -0.7 is not stored as 0)
+    odd = lat([[1, 0], [0, 1]])
+    with pytest.raises(LedgerError, match="weights must be integers, got 1.5"):
+        BasicClassSet(odd, {(1, 1): 1.5, (-1, -1): -0.7})
+    with pytest.raises(LedgerError, match="weights must be integers, got -0.7"):
+        BasicClassSet(odd, {(1, 1): 1, (-1, -1): -0.7})
+    assert dict(BasicClassSet(odd, {(1, 1): True, (-1, -1): -1}).weights) == \
+        {(-1, -1): -1, (1, 1): 1}
+
+
+def test_laurent_polynomials_take_integers_only():
+    # rejected, never truncated ({1.5: 2} is not read as 2t)
+    with pytest.raises(LedgerError, match="coefficients must be integers, got 1.5"):
+        LaurentPolynomial({0: 1.5})
+    with pytest.raises(LedgerError, match="exponents must be integers, got 1.5"):
+        LaurentPolynomial({1.5: 2})
+    assert LaurentPolynomial({True: 2, 0: 0.0}) == LaurentPolynomial({1: 2})
+
+
 def test_cube_built_sets_match_member_by_member_sets():
     rng = random.Random(1616)
     outcomes = Counter()
@@ -680,11 +702,11 @@ def test_min_genus_bound_no_constraint_for_negative_square():
 
 def test_lift_eligibility():
     # chain vectors enter only through their pairings with K
-    k2 = (2,)
-    assert rbd_lift_eligible(k2, [(1,)])                  # p = 2, <K,u1> = 2
-    assert rbd_lift_eligible((0, 3), [(1, 0), (0, 1)])    # p = 3
-    assert not rbd_lift_eligible((1, 3), [(1, 0), (0, 1)])
-    assert not rbd_lift_eligible((0, 2), [(1, 0), (0, 1)])
+    assert swledger._lift_ok((2,))                 # p = 2, <K,u1> = 2
+    assert swledger._lift_ok((-2,))
+    assert swledger._lift_ok((0, 3))               # p = 3
+    assert not swledger._lift_ok((1, 3))
+    assert not swledger._lift_ok((0, 2))
 
 
 # basis (e, u_0, u_1, u_2, z): the p = 3 chain pattern with e.u_2 = 3, plus a
@@ -719,11 +741,10 @@ def test_p3_restrictions_distinguish_opposite_lifts():
     L, chain, complement = p3_setup()
     k_minus = L.dual((-1, 0, 0, 0, 0))     # -e
     k_plus = L.dual((1, 0, 0, 0, 0))       # +e
-    assert rbd_lift_eligible(k_minus, chain)
-    assert rbd_lift_eligible(k_plus, chain)
-    r1 = restriction_profile(k_minus, complement)
-    r2 = restriction_profile(k_plus, complement)
+    (lift1, r1), (lift2, r2) = swledger._restrictions([k_minus, k_plus], chain, complement)
+    assert swledger._lift_ok(lift1) and swledger._lift_ok(lift2)
     assert r1 != r2
+    assert (lift1, r1) == ((0, -3), (1, -3, 0)) and (lift2, r2) == ((0, 3), (-1, 3, 0))
     # alpha = e + u_2 + 2 u_1 + 3 u_0 lies in the complement span and separates them
     alpha = (1, 3, 2, 1, 0)
     assert all(L.pair(alpha, u) == 0 for u in chain)
@@ -784,8 +805,37 @@ def test_empty_chain_is_rejected_like_the_splice():
     beta = BasicClassSet.from_primal(L, [(1,), (-1,)])
     with pytest.raises(LedgerError, match=r"^rational blowdown needs p >= 2$"):
         rational_blowdown_descend(ManifoldModel(L, 0, -1, 2), beta, [], [(1,)])
-    with pytest.raises(LedgerError, match=r"^rational blowdown needs p >= 2$"):
-        rbd_lift_eligible((1,), [])
+
+
+def test_descend_requires_the_sw_hypotheses():
+    # like the blow-up of the same model, a b2+ = 1 model does not descend
+    L, chain, complement = p3_setup()
+    model = ManifoldModel(L, euler=4, signature=-3, b2plus=1)
+    beta = BasicClassSet.from_primal(L, [(-1, 0, 0, 0, 0), (1, 0, 0, 0, 0)])
+    for transform in (lambda: rational_blowdown_descend(model, beta, chain, complement),
+                      lambda: blow_up_basic_classes(model, beta, 1)):
+        with pytest.raises(LedgerError, match=r"^SW operations require b2\+ > 1$"):
+            transform()
+
+
+def test_only_the_builders_store_squares():
+    x0 = scenarios.build_X0_model((4,), 4)
+    stored = dict(x0.lattice._squares)
+    assert set(stored) == set(x0.classes.members)
+    m1, b1 = rational_blowdown_descend(x0.model, x0.classes, x0.chain_vectors(0),
+                                       x0.complement_basis(0))
+    m2, b2 = blow_up_basic_classes(m1, b1, 3)
+    # asking for squares and d-invariants reads them and stores none
+    assert is_simple_type(m1, b1) and is_simple_type(m2, b2)
+    fresh = IntersectionLattice(m1.lattice.pairing)
+    assert b1.squares() == {k: fresh.dual_square(k) for k in b1.members}
+    assert [d_invariant(m1, k) for k in b1.members] == [0] * b1.count
+    assert m1.lattice._squares == {} and x0.lattice._squares == stored
+    # each builder's memo holds the members of the one set it built
+    assert set(m2.lattice._squares) == set(b2.members)
+    beta = BasicClassSet.from_primal(HYPERBOLIC, [(0, 2), (0, -2)])
+    assert beta.squares() == {(-2, 0): 0, (2, 0): 0}
+    assert d_invariant(hyperbolic_model(), (2, 0)) == 0 and HYPERBOLIC._squares == {}
 
 
 def test_descend_reports_the_first_failure_in_class_order():
@@ -918,7 +968,7 @@ def test_one_dual_per_vector(monkeypatch):
         calls.append(tuple(x))
         return dual(self, x)
     monkeypatch.setattr(IntersectionLattice, "dual", counting)
-    assert d_invariant_primal(m_k3, (2,)) == -2
+    assert d_invariant(m_k3, m_k3.lattice.dual((2,))) == -2
     assert calls == [(2,)]
     calls.clear()
     out = knot_surgery_basic_classes(m, beta, torus, alexander_polynomial_torus(3, 2))
