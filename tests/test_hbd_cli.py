@@ -21,7 +21,17 @@ from kirbycalc.handles import HandleDecomposition
 from kirbycalc.hbd import DiagramDocument, HbdParseError, parse_hbd, print_hbd
 from kirbycalc.homology import is_homology_trivial
 from kirbycalc.legendrian import FrontDiagram, parse_front, torus_knot_front
-from kirbycalc.scenarios import CountLemmaReport, annotated_Dp_tilde_sum, build_Bp
+from kirbycalc.scenarios import (
+    CountLemmaReport,
+    annotated_Dp_tilde_sum,
+    build_Bp,
+    build_Cp,
+    build_Dp,
+    build_Mn_Nn,
+    build_Wn,
+    build_Wsum,
+    stein_catalog,
+)
 from kirbycalc.swledger import AdjunctionReport
 from test_acceptance import PINNED
 
@@ -172,6 +182,19 @@ def test_print_parse_round_trip_property(doc):
     text = print_hbd(doc)
     assert parse_hbd(text) == doc
     assert print_hbd(parse_hbd(text)) == text
+
+
+def test_library_documents_round_trip():
+    # every diagram the library builds, read back from a named file
+    docs = list(stein_catalog()) + [doc for c in CLAIMS for doc in c.documents()]
+    built = [f(p) for f in (build_Cp, build_Bp, build_Dp) for p in range(2, 8)]
+    built += [build_Wn(n) for n in range(1, 6)]
+    built += [build_Wsum(tuple(range(1, n + 1))) for n in range(1, 5)]
+    built += [d for n in range(2, 6) for d in build_Mn_Nn(n)]
+    docs += [(d.name, d, {}) for d in built]
+    for name, d, fronts in docs:
+        doc = DiagramDocument(d, fronts)
+        assert parse_hbd(print_hbd(doc), f"{name}.hbd") == doc, name
 
 
 def test_document_validates_annotation_ids():

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import re
 import time
 from pathlib import Path
 
@@ -10,7 +11,14 @@ from dataclasses import replace
 import pytest
 
 from kirbycalc import scenarios, swledger
-from kirbycalc.handles import blow_down, dot_zero_swap, handle_slide
+from kirbycalc.handles import (
+    HandleDecomposition,
+    HandleError,
+    blow_down,
+    dot_zero_swap,
+    handle_slide,
+    rational_blowdown_splice,
+)
 from kirbycalc.homology import (
     boundary_group_order,
     homology,
@@ -42,13 +50,15 @@ from kirbycalc.scenarios import (
 )
 from kirbycalc.swledger import (
     adjunction_check,
+    blow_up_basic_classes,
     IntersectionLattice,
     knot_surgery_basic_classes,
     LaurentPolynomial,
+    LedgerError,
     _lift_ok,
 )
 
-from _oracles import genus_seeds, x0_seeds
+from _oracles import genus_seeds, hand_written_Bp, hand_written_Dp_tilde, x0_seeds
 
 
 # -- handle-level builders ------------------------------------------------------
@@ -84,7 +94,6 @@ def test_dp_blow_down_yields_torus_knot_framing(p):
     assert out.framing(f"u{p - 1}") == p * p - p - 2
     if p > 2:
         assert out.link(f"u{p - 1}", f"u{p - 2}") == 1
-    # matches the declared blown-down diagram data
     dt, _ = annotated_Dp_tilde(p)
     assert dt.framing("w") == out.framing(f"u{p - 1}")
 
@@ -163,6 +172,49 @@ def test_nn_tilde_is_nn_renamed():
         assert d.one_handles == ("c2",) and d.two_handles == (("c1", 0), ("K", 0))
         assert dict(d.run_through) == {("c1", "c2"): 1, ("K", "c2"): n} and not d.links
         assert list(fronts) == ["c1", "K"]
+
+
+def test_bp_is_the_splice_of_cp():
+    for p in range(2, 40):
+        assert build_Bp(p) == hand_written_Bp(p)       # handle order included
+    with pytest.raises(ScenarioError, match=r"^C_p needs p >= 2$"):
+        build_Bp(1)
+
+
+def test_dp_tilde_is_the_blow_down_of_dp():
+    for p in range(2, 25):
+        for prefix in ("", "d2."):
+            assert annotated_Dp_tilde(p, prefix) == hand_written_Dp_tilde(p, prefix)
+    with pytest.raises(ScenarioError, match=r"^C_p needs p >= 2$"):
+        annotated_Dp_tilde(1)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: HandleDecomposition(three_handles=1.5), HandleError,
+     "three_handles must be an integer, got 1.5"),
+    (lambda: HandleDecomposition(three_handles="2"), HandleError,
+     "three_handles must be an integer, got '2'"),
+    (lambda: rational_blowdown_splice(build_Cp(3), ("u2", "u1"), 3.0), HandleError,
+     "p must be an integer, got 3.0"),
+    (lambda: adjunction_check(*build_genus_model(2), 1.5), LedgerError,
+     "genera must be integers, got 1.5"),
+    (lambda: blow_up_basic_classes(*build_genus_model(2)[:2], 1.0), LedgerError,
+     "blow-up counts must be integers, got 1.0"),
+    (lambda: build_Cp(2.5), ScenarioError, "p must be an integer, got 2.5"),
+    (lambda: build_Wn(2.5), ScenarioError, "n must be an integer, got 2.5"),
+    (lambda: build_X0_model((2,), 2.0), ScenarioError,
+     "the seed count must be an integer, got 2.0"),
+    (lambda: build_genus_model(3.0), ScenarioError, "n must be an integer, got 3.0"),
+    (lambda: genus_obstruction_Nn(3, 1.5), ScenarioError, "k must be an integer, got 1.5"),
+    (lambda: verify_count_lemma((2,), 0.0), ScenarioError,
+     "the chain index must be an integer, got 0.0"),
+], ids=["three-handles", "three-handles-str", "splice-p", "genus", "blow-ups", "Cp",
+        "Wn", "seed-count", "genus-model", "genus-k", "chain-index"])
+def test_counts_take_integers_only(call, error, message):
+    # rejected with the layer's own error, never truncated or carried as a float
+    build_genus_model(3)              # a cached n = 3 must not answer n = 3.0
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def test_x0_model_takes_integer_p_only():
