@@ -374,8 +374,19 @@ class Claim:
     documents: Callable[[], Sequence[Document]] = tuple
 
     def check(self, seed: int) -> tuple[bool, str]:
-        """(ok, detail): the distinct failures in the order found, or the summary."""
-        found = list(dict.fromkeys(self.failures(seed)))
+        """(ok, detail): the distinct failures in the order found, or the summary.
+
+        A kirbycalc error (a `ValueError`) raised while the criterion runs
+        fails the claim, its message the last failure; any other exception
+        is an internal fault and propagates.
+        """
+        found: list[str] = []
+        try:
+            for failure in self.failures(seed):
+                found.append(failure)
+        except ValueError as exc:
+            found.append(str(exc))
+        found = list(dict.fromkeys(found))
         return not found, "; ".join(found) or self.summary
 
     def export(self) -> dict:

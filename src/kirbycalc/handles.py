@@ -63,7 +63,8 @@ class HandleDecomposition:
 
     def __post_init__(self) -> None:
         ones = tuple(self.one_handles)
-        twos = tuple((str(i), _integer(f, f"framing of {i!r}")) for i, f in self.two_handles)
+        twos = tuple((str(i), f if type(f) is int else _integer(f, f"framing of {i!r}"))
+                     for i, f in self.two_handles)
         object.__setattr__(self, "one_handles", ones)
         object.__setattr__(self, "two_handles", twos)
         object.__setattr__(self, "three_handles", _integer(self.three_handles, "three_handles"))
@@ -84,7 +85,9 @@ class HandleDecomposition:
                 raise HandleError(f"self-linking of {a!r}: use the framing")
             if a not in framings or b not in framings:
                 raise HandleError(f"link {a!r}-{b!r} names a missing 2-handle")
-            if v := _integer(v, f"link {a!r}-{b!r}"):
+            if type(v) is not int:
+                v = _integer(v, f"link {a!r}-{b!r}")
+            if v:
                 key = _pair(a, b)
                 if key in links and links[key] != v:
                     raise HandleError(f"conflicting link values for {key}")
@@ -95,7 +98,9 @@ class HandleDecomposition:
                 raise HandleError(f"run-through names missing 2-handle {k!r}")
             if h not in one_set:
                 raise HandleError(f"run-through names missing 1-handle {h!r}")
-            if v := _integer(v, f"run-through {k!r}-{h!r}"):
+            if type(v) is not int:
+                v = _integer(v, f"run-through {k!r}-{h!r}")
+            if v:
                 rt[(k, h)] = v
         object.__setattr__(self, "links", MappingProxyType(dict(sorted(links.items()))))
         object.__setattr__(self, "run_through", MappingProxyType(dict(sorted(rt.items()))))

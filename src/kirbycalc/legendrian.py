@@ -16,12 +16,18 @@ strand of their first cusp rightward.
 
 A front is analysed once, when it is constructed: components are numbered
 by their first left cusp in the word, and every query (component count,
-writhe, tb, rotation, reversal) reads that one analysis.
+writhe, tb, rotation, reversal) reads that one analysis.  The analysis
+labels strands, the arcs from a left cusp to a right cusp: a crossing is a
+transposition of two labels in the current top-to-bottom order, and a
+right cusp pairs the two labels it closes.  Component and direction are
+constant along a strand, so one walk over the cusps finds the components,
+and the writhe is a sum over the distinct (over, under) strand pairs.
 """
 
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass
 from math import gcd
 from typing import Mapping
@@ -103,67 +109,67 @@ class _Analysis:
     """What the queries read: (writhe, tb, rotation) of each component, and
     the marker each left cusp carries in the reversed front.
 
-    A segment is a strand piece between two events.  Walking segment s
-    rightward is the half-edge 2s + 1, leftward 2s; `step` maps each
-    half-edge to the one the walk takes next, turning at a cusp and going
-    straight on at a crossing.  Components are numbered by their first left
-    cusp and walked from its upper strand going rightward.  Only the two
-    tuples are kept: every front carries them for its lifetime.
+    A strand is one arc from a left cusp to a right cusp.  Left cusp k
+    opens strands 2k (upper) and 2k + 1 (lower); `current` lists the strand
+    at each position, a crossing transposes two of its entries and records
+    (over, under), and a right cusp pairs the two strands it closes.  A
+    strand keeps its component and direction from end to end, so the
+    components are the cycles of the cusp graph: one walk per component,
+    numbered by its first left cusp and started on that cusp's upper strand
+    going rightward.  Only the two tuples are kept: every front carries
+    them for its lifetime.
     """
 
     __slots__ = ("components", "reversal")
 
     def __init__(self, events: tuple[FrontEvent, ...]):
-        step: list[int] = []
-        left_cusps: list[tuple[int, str | None]] = []   # (upper segment, marker)
-        right_cusps: list[int] = []                     # upper segment
-        crossings: list[tuple[int, int]] = []           # (over_in, under_in)
+        marks: list[str | None] = []        # marker of each left cusp
+        closes: list[int] = []              # strand each strand meets at its right cusp
+        right_cusps: list[int] = []         # upper strand of each right cusp
+        crossings: list[tuple[int, int]] = []   # (over, under)
         current: list[int] = []
         for n_event, ev in enumerate(events):
+            kind, i = ev.kind, ev.pos - 1
             count = len(current)
-            if not 1 <= ev.pos <= (count + 1 if ev.kind == "L" else count - 1):
+            if not 0 <= i <= (count if kind == "L" else count - 2):
                 raise FrontError(
-                    f"invalid position {ev.kind}{ev.pos} with {count} strands "
+                    f"invalid position {kind}{ev.pos} with {count} strands "
                     f"(event {n_event + 1})")
-            i = ev.pos - 1
-            if ev.kind == "L":
-                # a segment's rightward step (0 here) is set by the event
-                # that ends it
-                s = len(step) // 2
-                step += [2 * s + 3, 0, 2 * s + 1, 0]
-                left_cusps.append((s, ev.orientation))
-                current[i:i] = [s, s + 1]
-            elif ev.kind == "R":
-                a, b = current[i], current[i + 1]
-                step[2 * a + 1], step[2 * b + 1] = 2 * b, 2 * a
-                right_cusps.append(a)
-                del current[i:i + 2]
-            else:
+            if kind == "X":
                 # the upper strand descends and passes in front
                 over, under = current[i], current[i + 1]
-                s = len(step) // 2
-                step[2 * over + 1], step[2 * under + 1] = 2 * s + 3, 2 * s + 1
-                step += [2 * under, 0, 2 * over, 0]
                 crossings.append((over, under))
-                current[i], current[i + 1] = s, s + 1
+                current[i], current[i + 1] = under, over
+            elif kind == "L":
+                s = len(closes)
+                marks.append(ev.orientation)
+                closes += (-1, -1)
+                current[i:i] = (s, s + 1)
+            else:
+                a, b = current[i], current[i + 1]
+                closes[a], closes[b] = b, a
+                right_cusps.append(a)
+                del current[i:i + 2]
         if current:
             raise FrontError(f"front ends with {len(current)} open strands")
 
-        n_seg = len(step) // 2
-        comp: list[int] = [-1] * n_seg
-        rightward = [False] * n_seg
-        starts: list[int] = []      # first left cusp of each component
-        for s, _ in left_cusps:
-            if comp[s] < 0:
-                h = 2 * s + 1
-                while comp[h >> 1] < 0:
-                    comp[h >> 1], rightward[h >> 1] = len(starts), bool(h & 1)
-                    h = step[h]
-                starts.append(s)
+        uppers = range(0, len(closes), 2)      # upper strand of each left cusp
+        comp = [-1] * len(closes)
+        rightward = [False] * len(closes)
+        starts: list[int] = []      # upper strand of each component's first left cusp
+        for first in uppers:
+            if comp[first] < 0:
+                c, s = len(starts), first
+                while comp[s] < 0:
+                    comp[s], rightward[s] = c, True
+                    t = closes[s]
+                    comp[t] = c
+                    s = t ^ 1       # the other strand of t's left cusp
+                starts.append(first)
         n = len(starts)
 
         flipped: list[bool | None] = [None] * n
-        for s, mark in left_cusps:
+        for s, mark in zip(uppers, marks):
             if mark:
                 flip = rightward[s] != (mark == "+")
                 if flipped[comp[s]] not in (None, flip):
@@ -173,12 +179,12 @@ class _Analysis:
         # reversing a component keeps the sign of its self-crossings, so the
         # walk's directions give the writhe before any marker flip
         writhe = [0] * n
-        for over, under in crossings:
+        for (over, under), m in Counter(crossings).items():
             if comp[over] == comp[under]:
-                writhe[comp[over]] += 1 if rightward[over] == rightward[under] else -1
+                writhe[comp[over]] += m if rightward[over] == rightward[under] else -m
         right = [0] * n
         turn = [0] * n          # down cusps minus up cusps along the walk
-        for s, _ in left_cusps:
+        for s in uppers:
             turn[comp[s]] += -1 if rightward[s] else 1
         for s in right_cusps:
             right[comp[s]] += 1
@@ -192,7 +198,7 @@ class _Analysis:
         # markers flipped it; the reversal marks that cusp the other way
         self.reversal = tuple(
             None if starts[comp[s]] != s else "+" if flipped[comp[s]] else "-"
-            for s, _ in left_cusps)
+            for s in uppers)
 
 
 def component_count(front: FrontDiagram) -> int:

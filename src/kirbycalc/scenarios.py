@@ -127,6 +127,7 @@ def build_Mn_Nn(n: int) -> tuple[HandleDecomposition, HandleDecomposition]:
     handle basis its generator is (n, -1), of square 0, the class K reaches
     by sliding over c1 n times.
     """
+    n = _integer(n, "n", ScenarioError)
     if n < 2:
         raise ScenarioError("the twist pair needs n >= 2")
     m_n = HandleDecomposition(one_handles=("c1",),

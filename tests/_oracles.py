@@ -4,7 +4,7 @@ from fractions import Fraction
 
 from kirbycalc.handles import HandleDecomposition
 from kirbycalc.homology import IntMatrix, _pivot
-from kirbycalc.legendrian import FrontDiagram, FrontEvent, parse_front, torus_knot_front
+from kirbycalc.legendrian import FrontDiagram, FrontError, FrontEvent, parse_front, torus_knot_front
 from kirbycalc.scenarios import ScenarioError
 
 
@@ -193,6 +193,104 @@ def torus_knot_front_by_event(p: int, q: int) -> FrontDiagram:
         events.extend(FrontEvent("X", i) for i in range(1, s))
     events.extend(FrontEvent("R", i) for i in range(s, 0, -1))
     return FrontDiagram(tuple(events))
+
+
+# -- fronts by segments ------------------------------------------------------------
+# The walk `legendrian._Analysis` ran before it labelled strands: every
+# crossing opens two segments, and a half-edge `step` array is walked.
+
+
+def analyse_by_segments(events: tuple[FrontEvent, ...]
+                        ) -> tuple[tuple[tuple[int, int, int], ...], tuple[str | None, ...]]:
+    """(writhe, tb, rotation) per component and the reversal's markers.
+
+    A segment is a strand piece between two events.  Walking segment s
+    rightward is the half-edge 2s + 1, leftward 2s; `step` maps each
+    half-edge to the one the walk takes next, turning at a cusp and going
+    straight on at a crossing.  Components are numbered by their first left
+    cusp and walked from its upper strand going rightward.  Raises
+    `FrontError` with the library's messages, in its order.
+    """
+    step: list[int] = []
+    left_cusps: list[tuple[int, str | None]] = []   # (upper segment, marker)
+    right_cusps: list[int] = []                     # upper segment
+    crossings: list[tuple[int, int]] = []           # (over_in, under_in)
+    current: list[int] = []
+    for n_event, ev in enumerate(events):
+        count = len(current)
+        if not 1 <= ev.pos <= (count + 1 if ev.kind == "L" else count - 1):
+            raise FrontError(
+                f"invalid position {ev.kind}{ev.pos} with {count} strands "
+                f"(event {n_event + 1})")
+        i = ev.pos - 1
+        if ev.kind == "L":
+            # a segment's rightward step (0 here) is set by the event
+            # that ends it
+            s = len(step) // 2
+            step += [2 * s + 3, 0, 2 * s + 1, 0]
+            left_cusps.append((s, ev.orientation))
+            current[i:i] = [s, s + 1]
+        elif ev.kind == "R":
+            a, b = current[i], current[i + 1]
+            step[2 * a + 1], step[2 * b + 1] = 2 * b, 2 * a
+            right_cusps.append(a)
+            del current[i:i + 2]
+        else:
+            # the upper strand descends and passes in front
+            over, under = current[i], current[i + 1]
+            s = len(step) // 2
+            step[2 * over + 1], step[2 * under + 1] = 2 * s + 3, 2 * s + 1
+            step += [2 * under, 0, 2 * over, 0]
+            crossings.append((over, under))
+            current[i], current[i + 1] = s, s + 1
+    if current:
+        raise FrontError(f"front ends with {len(current)} open strands")
+
+    n_seg = len(step) // 2
+    comp: list[int] = [-1] * n_seg
+    rightward = [False] * n_seg
+    starts: list[int] = []      # first left cusp of each component
+    for s, _ in left_cusps:
+        if comp[s] < 0:
+            h = 2 * s + 1
+            while comp[h >> 1] < 0:
+                comp[h >> 1], rightward[h >> 1] = len(starts), bool(h & 1)
+                h = step[h]
+            starts.append(s)
+    n = len(starts)
+
+    flipped: list[bool | None] = [None] * n
+    for s, mark in left_cusps:
+        if mark:
+            flip = rightward[s] != (mark == "+")
+            if flipped[comp[s]] not in (None, flip):
+                raise FrontError("conflicting orientation markers on one component")
+            flipped[comp[s]] = flip
+
+    # reversing a component keeps the sign of its self-crossings, so the
+    # walk's directions give the writhe before any marker flip
+    writhe = [0] * n
+    for over, under in crossings:
+        if comp[over] == comp[under]:
+            writhe[comp[over]] += 1 if rightward[over] == rightward[under] else -1
+    right = [0] * n
+    turn = [0] * n          # down cusps minus up cusps along the walk
+    for s, _ in left_cusps:
+        turn[comp[s]] += -1 if rightward[s] else 1
+    for s in right_cusps:
+        right[comp[s]] += 1
+        turn[comp[s]] += 1 if rightward[s] else -1
+    assert all(t % 2 == 0 for t in turn)
+
+    components = tuple(
+        (w, w - r, -t // 2 if f else t // 2)
+        for w, r, t, f in zip(writhe, right, turn, flipped))
+    # each component's first left cusp starts rightward unless its
+    # markers flipped it; the reversal marks that cusp the other way
+    reversal = tuple(
+        None if starts[comp[s]] != s else "+" if flipped[comp[s]] else "-"
+        for s, _ in left_cusps)
+    return components, reversal
 
 
 # -- catalog pieces, written out by hand -------------------------------------------

@@ -92,6 +92,25 @@ def test_d_conservation_raises_lattice_errors(monkeypatch):
         claim_named("d-conservation").check(SEED)
 
 
+def test_a_raising_criterion_fails_only_its_claim(monkeypatch, capsys):
+    # a library error inside one criterion is that claim's failure detail;
+    # every other claim still reports its own verdict
+    import json
+
+    from kirbycalc import scenarios
+    from kirbycalc.cli import run_command
+    from kirbycalc.swledger import LaurentPolynomial
+
+    monkeypatch.setattr(scenarios, "alexander_polynomial_torus",
+                        lambda p, q: LaurentPolynomial({0: 1, 1: 1}))
+    code = run_command(["check", "--seed", str(SEED)])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 1 and payload["ok"] is False
+    assert [(c["number"], c["ok"], c["detail"]) for c in payload["criteria"]] == \
+        [(n, n != 8, "bad Alexander normalization for (2,3)" if n == 8 else detail)
+         for n, (_, detail) in PINNED.items()]
+
+
 def test_blow_up_criterion_leaves_the_shared_lattice_without_squares():
     # only the closed-model builder and the blow-up store squares, each on
     # the lattice it has just built, so a module-level lattice stays empty

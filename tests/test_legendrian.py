@@ -6,6 +6,8 @@ from math import gcd
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kirbycalc import legendrian
 from kirbycalc.handles import HandleDecomposition
@@ -13,6 +15,7 @@ from kirbycalc.hbd import DiagramDocument, parse_hbd, print_hbd
 from kirbycalc.legendrian import (
     FrontDiagram,
     FrontError,
+    FrontEvent,
     component_count,
     max_tb_torus_knot,
     parse_front,
@@ -26,7 +29,7 @@ from kirbycalc.legendrian import (
 )
 from kirbycalc.scenarios import annotated_Dp_tilde_sum
 
-from _oracles import torus_knot_front_by_event
+from _oracles import analyse_by_segments, torus_knot_front_by_event
 
 UNKNOT = "L1 R1"
 KINK = "L1 X1 R1"
@@ -125,6 +128,55 @@ def test_fronts_match_pinned():
                    "rotation": [rotation_number(f, c) for c in range(n)],
                    "reversed": reverse_orientation(f).word}
         assert got == entry
+
+
+@st.composite
+def front_events(draw):
+    """A closed front, marked at random, then perhaps mutated: one position
+    moved, one event dropped (which leaves strands open or breaks a later
+    position), or a marker on every left cusp (which often conflicts)."""
+    events, count = [], 0
+    for _ in range(draw(st.integers(0, 30))):
+        kind = draw(st.sampled_from("LXXR" if count else "L"))
+        if kind == "L":
+            pos = draw(st.integers(1, count + 1))
+            events.append(FrontEvent("L", pos, draw(st.sampled_from((None, None, "+", "-")))))
+            count += 2
+        else:
+            events.append(FrontEvent(kind, draw(st.integers(1, count - 1))))
+            count -= 2 if kind == "R" else 0
+    while count:
+        events.append(FrontEvent("R", draw(st.integers(1, count - 1))))
+        count -= 2
+    mutation = draw(st.sampled_from(("none", "position", "drop", "markers")))
+    if events and mutation in ("position", "drop"):
+        j = draw(st.integers(0, len(events) - 1))
+        if mutation == "drop":
+            del events[j]
+        else:
+            events[j] = dataclasses.replace(events[j], pos=draw(st.integers(0, 9)))
+    elif mutation == "markers":
+        events = [FrontEvent("L", e.pos, draw(st.sampled_from("+-"))) if e.kind == "L" else e
+                  for e in events]
+    return tuple(events)
+
+
+def _outcome(analyse, events):
+    try:
+        return analyse(events)
+    except FrontError as exc:
+        return str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(front_events())
+def test_strand_analysis_matches_the_segment_walk(events):
+    """Components, writhe, tb, rotation and reversal, or the same error."""
+    def by_strands(evs):
+        an = legendrian._Analysis(evs)
+        return an.components, an.reversal
+
+    assert _outcome(by_strands, events) == _outcome(analyse_by_segments, events)
 
 
 def test_conflicting_markers_on_one_component():

@@ -7,7 +7,7 @@ broken case.
 
 from dataclasses import replace
 
-from kirbycalc import handles, scenarios
+from kirbycalc import handles, legendrian, scenarios
 from kirbycalc.acceptance import run_criterion
 
 
@@ -30,6 +30,18 @@ def test_blow_down_with_a_framing_off_by_one_fails_claim_6(monkeypatch):
                                               for k, f in out.two_handles))
 
     monkeypatch.setattr(scenarios, "blow_down", blow_down)
+    result = run_criterion(6)
+    assert not result.ok
+    assert result.detail.startswith("D~(2) fails framing = tb - 1 on d1.w;")
+
+
+def test_torus_front_with_one_zig_zag_fails_claim_6(monkeypatch):
+    # L2 R1 right after the first L1 is a stabilization: one component, tb - 1
+    def torus_knot_front(p, q):
+        word = legendrian.torus_knot_front(p, q).word
+        return legendrian.parse_front(word.replace("L1", "L1 L2 R1", 1))
+
+    monkeypatch.setattr(scenarios, "torus_knot_front", torus_knot_front)
     result = run_criterion(6)
     assert not result.ok
     assert result.detail.startswith("D~(2) fails framing = tb - 1 on d1.w;")

@@ -205,11 +205,12 @@ def test_dp_tilde_is_the_blow_down_of_dp():
     (lambda: build_X0_model((2,), 2.0), ScenarioError,
      "the seed count must be an integer, got 2.0"),
     (lambda: build_genus_model(3.0), ScenarioError, "n must be an integer, got 3.0"),
+    (lambda: build_Mn_Nn(2.5), ScenarioError, "n must be an integer, got 2.5"),
     (lambda: genus_obstruction_Nn(3, 1.5), ScenarioError, "k must be an integer, got 1.5"),
     (lambda: verify_count_lemma((2,), 0.0), ScenarioError,
      "the chain index must be an integer, got 0.0"),
 ], ids=["three-handles", "three-handles-str", "splice-p", "genus", "blow-ups", "Cp",
-        "Wn", "seed-count", "genus-model", "genus-k", "chain-index"])
+        "Wn", "seed-count", "genus-model", "twist-pair", "genus-k", "chain-index"])
 def test_counts_take_integers_only(call, error, message):
     # rejected with the layer's own error, never truncated or carried as a float
     build_genus_model(3)              # a cached n = 3 must not answer n = 3.0
