@@ -17,9 +17,9 @@ import random
 import time
 import warnings
 from dataclasses import dataclass, replace
-from itertools import accumulate, combinations, product
+from itertools import accumulate, combinations, groupby, product
 from math import gcd
-from operator import mul
+from operator import itemgetter, mul
 from typing import Callable, Iterator, Mapping, Sequence
 
 from . import scenarios
@@ -213,33 +213,43 @@ def _random_decomposition(rng: random.Random) -> HandleDecomposition:
     return HandleDecomposition(ones, twos, links, rt)
 
 
-def criterion_9_move_invariance(seed: int) -> Iterator[str]:
-    rng = random.Random(seed + 9)
+def _move_failures(rng: random.Random) -> Iterator[tuple[str, str]]:
+    """(kind of move, failure naming the case) for every broken move case."""
     slides = 0
     while slides < 1000:
         d = _random_decomposition(rng)
         base = boundary_first_homology(d)
         for _ in range(10):
             a, b = rng.sample(d.two_handle_ids, 2)
-            d = handle_slide(d, a, b, rng.choice((1, -1)))
+            sign = rng.choice((1, -1))
+            d = handle_slide(d, a, b, sign)
             slides += 1
             if boundary_first_homology(d) != base:
-                yield "boundary invariant factors changed by a slide"
+                yield "slide", (f"boundary invariant factors changed by slide {slides} "
+                                f"({a} over {b}, sign {sign:+d})")
                 break
     for _ in range(50):
         d = _random_decomposition(rng)
         attach = [(k, rng.randrange(-2, 3)) for k in d.two_handle_ids
                   if rng.random() < 0.6]
         if blow_down(blow_up(d, attach, new_id="e*"), "e*") != d:
-            yield "blow-up/blow-down round trip differs"
-    for _ in range(50):
+            yield "blow-up", ("blow-up/blow-down round trip differs with attachments "
+                              + (", ".join(f"{k}={m}" for k, m in attach) or "none"))
+    for case in range(1, 51):
         d = _random_decomposition(rng)
         extra = HandleDecomposition(
             d.one_handles + ("hh",), d.two_handles + (("kk", 0),),
             dict(d.links), {**dict(d.run_through),
                             ("kk", "hh"): rng.randrange(-2, 3)})
         if dot_zero_swap(dot_zero_swap(extra, "hh", "kk"), "kk", "hh") != extra:
-            yield "dot-zero swap is not an involution"
+            yield "swap", f"dot-zero swap of hh and kk is not an involution in case {case}"
+
+
+def criterion_9_move_invariance(seed: int) -> Iterator[str]:
+    # the first failure of each kind of move keeps the detail short; the rest
+    # are still drawn, so every later case is the one a passing run checks
+    for _, found in groupby(_move_failures(random.Random(seed + 9)), key=itemgetter(0)):
+        yield next(found)[1]
 
 
 # -- 10 ----------------------------------------------------------------------
@@ -339,6 +349,9 @@ def criterion_11_d_conservation(seed: int) -> Iterator[str]:
         before = {d_invariant(model, kk) for kk in x0.classes.members}
         m2, b2 = rational_blowdown_descend(
             x0.model, x0.classes, x0.chain_vectors(0), x0.complement_basis(0))
+        rank, want = m2.lattice.rank, x0.lattice.rank - (p - 1)
+        if rank != want:
+            yield f"descent from rank {x0.lattice.rank} gave {rank}, not {want}, for p={p}"
         m2 = _memo_free(m2)
         after = {d_invariant(m2, kk) for kk in b2.members}
         if not after == before == {0}:

@@ -7,9 +7,9 @@ Exit codes: 0 when every requested assertion passes, 1 for user errors
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from functools import lru_cache
-from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Collection, Sequence
 
@@ -78,13 +78,12 @@ def _document_payload(doc: DiagramDocument, new_d, dropped: Collection[str] = ()
 
 def _cmd_homology(doc, args) -> dict:
     prof = homology(doc.decomposition)
-    factors = boundary_first_homology(doc.decomposition)
     return {
         "h1": {"invariant_factors": list(prof.h1_invariant_factors),
                "free_rank": prof.h1_free_rank},
         "h2": {"rank": prof.h2_rank,
                "intersection_form": prof.intersection_form.to_lists()},
-        "boundary": {"invariant_factors": list(factors), "order": _group_order(factors)},
+        "boundary": _cmd_boundary(doc, args),
     }
 
 
@@ -287,39 +286,39 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Kirby calculus and Seiberg-Witten bookkeeping on .hbd diagrams")
     sub = top.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, help_text):
-        p = sub.add_parser(name, help=help_text)
+    def add(parent, name, fn, help_text):
+        p = parent.add_parser(name, help=help_text)
         p.set_defaults(handler=fn)
         return p
 
-    p = add("homology", _cmd_homology, "homology profile of a diagram")
+    p = add(sub, "homology", _cmd_homology, "homology profile of a diagram")
     p.add_argument("file")
-    p = add("boundary", _cmd_boundary, "first homology of the boundary")
+    p = add(sub, "boundary", _cmd_boundary, "first homology of the boundary")
     p.add_argument("file")
-    p = add("stein", _cmd_stein, "check framing = tb - 1 on every 2-handle")
+    p = add(sub, "stein", _cmd_stein, "check framing = tb - 1 on every 2-handle")
     p.add_argument("file")
 
-    p = add("slide", _cmd_slide, "slide one 2-handle over another")
+    p = add(sub, "slide", _cmd_slide, "slide one 2-handle over another")
     p.add_argument("file")
     p.add_argument("a")
     p.add_argument("b")
     p.add_argument("--sign", type=int, choices=(1, -1), default=1)
 
-    p = add("blowup", _cmd_blowup, "introduce a -1-framed circle")
+    p = add(sub, "blowup", _cmd_blowup, "introduce a -1-framed circle")
     p.add_argument("file")
     p.add_argument("--attach", action="append", metavar="ID=MULT")
     p.add_argument("--id", default=None, help="identifier for the new handle")
 
-    p = add("blowdown", _cmd_blowdown, "delete a -1-framed 2-handle")
+    p = add(sub, "blowdown", _cmd_blowdown, "delete a -1-framed 2-handle")
     p.add_argument("file")
     p.add_argument("handle")
 
-    p = add("corktwist", _cmd_corktwist, "exchange a dot with a zero framing")
+    p = add(sub, "corktwist", _cmd_corktwist, "exchange a dot with a zero framing")
     p.add_argument("file")
     p.add_argument("one_handle")
     p.add_argument("two_handle")
 
-    p = add("rbd", _cmd_rbd, "rational blowdown of a linear chain")
+    p = add(sub, "rbd", _cmd_rbd, "rational blowdown of a linear chain")
     p.add_argument("file")
     p.add_argument("--chain", required=True,
                    help="comma-separated 2-handle ids, heavy end first")
@@ -328,57 +327,49 @@ def _build_parser() -> argparse.ArgumentParser:
     sw = sub.add_parser("sw", help="basic-class transformations on built-in models")
     swsub = sw.add_subparsers(dest="sw_command", required=True)
 
-    q = swsub.add_parser("blowup")
-    q.set_defaults(handler=_cmd_sw_blowup)
+    q = add(swsub, "blowup", _cmd_sw_blowup, "blow up n times; class count and d")
     q.add_argument("--n", type=int, required=True)
     q.add_argument("--count", type=int, default=2, help="declared class count")
 
-    q = swsub.add_parser("descend")
-    q.set_defaults(handler=_cmd_sw_descend)
+    q = add(swsub, "descend", _cmd_sw_descend, "rationally blow down the chain of X0(p)")
     q.add_argument("--p", type=int, required=True)
     q.add_argument("--count", type=int, default=2)
 
-    q = swsub.add_parser("adjunction")
-    q.set_defaults(handler=_cmd_sw_adjunction)
+    q = add(swsub, "adjunction", _cmd_sw_adjunction, "adjunction check of the cusp torus")
     q.add_argument("--p", type=int, nargs="+", required=True)
     q.add_argument("--count", type=int, default=2)
 
-    q = swsub.add_parser("genusbound")
-    q.set_defaults(handler=_cmd_sw_genusbound)
+    q = add(swsub, "genusbound", _cmd_sw_genusbound, "adjunction genus bound in N_n")
     q.add_argument("--n", type=int, required=True)
     q.add_argument("--k", type=int, required=True)
 
     sc = sub.add_parser("scenario", help="run a named verification scenario")
     scsub = sc.add_subparsers(dest="scenario_name", required=True)
 
-    q = scsub.add_parser("count")
-    q.set_defaults(handler=_cmd_scenario_count)
+    q = add(scsub, "count", _cmd_scenario_count, "descend, then blow up p-1 times")
     q.add_argument("--p", type=int, nargs="+", required=True)
     q.add_argument("--index", type=int, default=0)
     q.add_argument("--count", type=int, default=2, help="declared class count N0")
 
-    q = scsub.add_parser("restriction")
-    q.set_defaults(handler=_cmd_scenario_restriction)
+    q = add(scsub, "restriction", _cmd_scenario_restriction,
+            "restriction lemma on one chain of X0")
     q.add_argument("--p", type=int, nargs="+", required=True)
     q.add_argument("--index", type=int, default=0)
     q.add_argument("--count", type=int, default=4, help="declared class count N0")
 
-    q = scsub.add_parser("knottedcork")
-    q.set_defaults(handler=_cmd_scenario_knottedcork)
+    q = add(scsub, "knottedcork", _cmd_scenario_knottedcork,
+            "knot-surgery class counts and Alexander polynomials")
     q.add_argument("--knot", action="append", required=True, metavar="P,Q")
 
-    q = scsub.add_parser("list")
-    q.set_defaults(handler=_cmd_scenario_list)
+    add(scsub, "list", _cmd_scenario_list, "list the acceptance claims")
 
-    q = scsub.add_parser("export")
-    q.set_defaults(handler=_cmd_scenario_export)
+    q = add(scsub, "export", _cmd_scenario_export, "print a claim's documents")
     q.add_argument("--name", required=True)
 
-    q = scsub.add_parser("run")
-    q.set_defaults(handler=_cmd_scenario_run)
+    q = add(scsub, "run", _cmd_scenario_run, "check one claim at the default seed")
     q.add_argument("--name", required=True)
 
-    p = add("check", _cmd_check, "run the full acceptance suite")
+    p = add(sub, "check", _cmd_check, "run the full acceptance suite")
     p.add_argument("--seed", type=int, default=acceptance.DEFAULT_SEED,
                    help="seed for randomized checks")
     p.add_argument("--verbose", action="store_true",
@@ -419,80 +410,12 @@ def run_command(argv: Sequence[str]) -> int:
         import traceback          # here, not at the top: it adds ~0.2 MB to every run
         traceback.print_exc()
         payload, code = {"schema": SCHEMA, "internal_error": repr(exc), "ok": False}, 2
-    print(_dumps(payload))
+    print(json.dumps(payload, indent=2))
     return code
 
 
 def main() -> int:
     return run_command(sys.argv[1:])
-
-
-# -- JSON output -----------------------------------------------------------------
-# The text `json.dumps(payload, indent=2)` writes, without calling it: with an
-# indent, the stdlib runs its pure-Python encoder, whose nested closures leave
-# a reference cycle behind on every call for the cyclic collector to free.
-
-_SPECIAL_FLOATS = {float("inf"): "Infinity", float("-inf"): "-Infinity"}
-
-
-def _dumps(payload: dict) -> str:
-    out: list[str] = []
-    _json_nested(payload, "", out)
-    return "".join(out)
-
-
-def _json_nested(o: dict | list | tuple, pad: str, out: list[str]) -> None:
-    """Append the text of a dict, list or tuple that opens on a line indented by `pad`."""
-    if not o:
-        out.append("{}" if isinstance(o, dict) else "[]")
-        return
-    deeper = pad + "  "
-    inner = sep = "\n" + deeper
-    if isinstance(o, dict):
-        out.append("{")
-        for k, v in o.items():
-            head = sep + _json_key(k) + ": "
-            if isinstance(v, (dict, list, tuple)):
-                out.append(head)
-                _json_nested(v, deeper, out)
-            else:
-                out.append(head + _json_scalar(v))
-            sep = "," + inner
-        out.append("\n" + pad + "}")
-    else:
-        out.append("[")
-        for v in o:
-            if isinstance(v, (dict, list, tuple)):
-                out.append(sep)
-                _json_nested(v, deeper, out)
-            else:
-                out.append(sep + _json_scalar(v))
-            sep = "," + inner
-        out.append("\n" + pad + "]")
-
-
-def _json_key(k: object) -> str:
-    if isinstance(k, str):
-        return encode_basestring_ascii(k)
-    if isinstance(k, (int, float)) or k is None:
-        return encode_basestring_ascii(_json_scalar(k))
-    raise TypeError(f"keys must be str, int, float, bool or None, not {k.__class__.__name__}")
-
-
-def _json_scalar(o: object) -> str:
-    if isinstance(o, str):
-        return encode_basestring_ascii(o)
-    if o is None:
-        return "null"
-    if o is True:
-        return "true"
-    if o is False:
-        return "false"
-    if isinstance(o, int):
-        return int.__repr__(o)
-    if isinstance(o, float):
-        return "NaN" if o != o else _SPECIAL_FLOATS.get(o) or float.__repr__(o)
-    raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
 
 
 if __name__ == "__main__":

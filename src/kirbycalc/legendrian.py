@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Mapping
 
-from .handles import HandleDecomposition
+from .handles import HandleDecomposition, _integer
 
 
 class FrontError(ValueError):
@@ -145,11 +145,13 @@ class _Analysis:
                 marks.append(ev.orientation)
                 closes += (-1, -1)
                 current[i:i] = (s, s + 1)
-            else:
+            elif kind == "R":
                 a, b = current[i], current[i + 1]
                 closes[a], closes[b] = b, a
                 right_cusps.append(a)
                 del current[i:i + 2]
+            else:
+                raise FrontError(f"unknown front event {kind}{ev.pos} (event {n_event + 1})")
         if current:
             raise FrontError(f"front ends with {len(current)} open strands")
 
@@ -247,6 +249,7 @@ def reverse_orientation(front: FrontDiagram) -> FrontDiagram:
 # -- torus knots ----------------------------------------------------------------
 
 def _require_torus_params(p: int, q: int) -> tuple[int, int]:
+    p, q = _integer(p, "p", FrontError), _integer(q, "q", FrontError)
     if p < 2 or q < 2:
         raise FrontError("torus knot parameters must both be >= 2")
     if gcd(p, q) != 1:

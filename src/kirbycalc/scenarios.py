@@ -36,6 +36,7 @@ from .homology import (
     det,
     inertia,
     kernel_basis,
+    signature,
 )
 from .legendrian import (
     FrontDiagram,
@@ -373,6 +374,8 @@ class CountLemmaReport:
     n0: int
     ni: int
     d_preserved: bool
+    rank_drop: int          # rank of X0 minus rank of the descended lattice
+    signature_rise: int     # read from the descended pairing, not the declared sigma
 
     def failures(self) -> Iterator[str]:
         # the blow-up multiplies the count by exactly 2^(p-1), so N_i also
@@ -382,6 +385,10 @@ class CountLemmaReport:
             yield f"count lemma failed for {case}"
         if not self.d_preserved:
             yield f"d not preserved for {case}"
+        if self.rank_drop != self.p - 1:
+            yield f"descent dropped rank by {self.rank_drop}, not p - 1, for {case}"
+        if self.signature_rise != self.p - 1:
+            yield f"descent raised signature by {self.signature_rise}, not p - 1, for {case}"
 
 
 def verify_count_lemma(p_list: Sequence[int], index: int = 0,
@@ -392,7 +399,9 @@ def verify_count_lemma(p_list: Sequence[int], index: int = 0,
     m1, b1 = rational_blowdown_descend(x0.model, x0.classes, x0.chain_vectors(index),
                                        x0.complement_basis(index))
     m2, b2 = blow_up_basic_classes(m1, b1, p - 1)
-    return CountLemmaReport(p, x0.classes.count, b2.count, is_simple_type(m2, b2))
+    return CountLemmaReport(p, x0.classes.count, b2.count, is_simple_type(m2, b2),
+                            x0.lattice.rank - m1.lattice.rank,
+                            signature(m1.lattice.pairing) - x0.model.signature)
 
 
 @dataclass(frozen=True)

@@ -640,6 +640,7 @@ def alexander_polynomial_torus(p: int, q: int) -> LaurentPolynomial:
     so the coefficient of t^n is [n in S] - [n-1 in S] for
     0 <= n <= (p-1)(q-1), the degree; S holds every n from there on.
     """
+    p, q = _int(p, "torus-knot parameters"), _int(q, "torus-knot parameters")
     if p < 2 or q < 2 or gcd(p, q) != 1:
         raise LedgerError(f"({p},{q}) is not a coprime torus-knot pair")
     degree = (p - 1) * (q - 1)

@@ -60,6 +60,12 @@ def test_parse_rejects_unknown_token():
         parse_front("L1 Q3 R1")
 
 
+def test_events_of_unknown_kind_are_rejected():
+    # built directly, an event never passes through the token pattern
+    with pytest.raises(FrontError, match=r"unknown front event Q1 \(event 2\)"):
+        FrontDiagram((FrontEvent("L", 1), FrontEvent("Q", 1)))
+
+
 def test_parse_rejects_open_strands():
     with pytest.raises(FrontError):
         parse_front("L1 L1")

@@ -7,7 +7,7 @@ broken case.
 
 from dataclasses import replace
 
-from kirbycalc import handles, legendrian, scenarios
+from kirbycalc import acceptance, handles, legendrian, scenarios
 from kirbycalc.acceptance import run_criterion
 
 
@@ -45,3 +45,29 @@ def test_torus_front_with_one_zig_zag_fails_claim_6(monkeypatch):
     result = run_criterion(6)
     assert not result.ok
     assert result.detail.startswith("D~(2) fails framing = tb - 1 on d1.w;")
+
+
+def test_identity_descent_fails_claims_4_and_11(monkeypatch):
+    # claim 5 cannot catch it by design: the restriction lemma never descends
+    def descend(model, beta, chain, complement):
+        return model, beta
+
+    monkeypatch.setattr(scenarios, "rational_blowdown_descend", descend)
+    monkeypatch.setattr(acceptance, "rational_blowdown_descend", descend)
+    result = run_criterion(4)
+    assert not result.ok
+    assert result.detail.startswith("descent dropped rank by 0, not p - 1, for p=2, N0=2; "
+                                    "descent raised signature by 0, not p - 1, for p=2, N0=2;")
+    result = run_criterion(11)
+    assert not result.ok
+    assert result.detail.startswith("descent from rank 15 gave 15, not 11, for p=5;")
+
+
+def test_slide_that_keeps_the_run_throughs_fails_claim_9(monkeypatch):
+    def handle_slide(d, a, b, sign):
+        return replace(handles.handle_slide(d, a, b, sign), run_through=d.run_through)
+
+    monkeypatch.setattr(acceptance, "handle_slide", handle_slide)
+    result = run_criterion(9)
+    assert not result.ok
+    assert result.detail == "boundary invariant factors changed by slide 11 (k4 over k2, sign -1)"

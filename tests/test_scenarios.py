@@ -26,6 +26,12 @@ from kirbycalc.homology import (
     is_homology_trivial,
     linking_matrix,
 )
+from kirbycalc.legendrian import (
+    FrontError,
+    max_tb_torus_knot,
+    seifert_genus_torus_knot,
+    torus_knot_front,
+)
 from kirbycalc.scenarios import (
     CountLemmaReport,
     GenusObstructionReport,
@@ -50,6 +56,7 @@ from kirbycalc.scenarios import (
 )
 from kirbycalc.swledger import (
     adjunction_check,
+    alexander_polynomial_torus,
     blow_up_basic_classes,
     IntersectionLattice,
     knot_surgery_basic_classes,
@@ -209,8 +216,14 @@ def test_dp_tilde_is_the_blow_down_of_dp():
     (lambda: genus_obstruction_Nn(3, 1.5), ScenarioError, "k must be an integer, got 1.5"),
     (lambda: verify_count_lemma((2,), 0.0), ScenarioError,
      "the chain index must be an integer, got 0.0"),
+    (lambda: torus_knot_front(2.0, 3), FrontError, "p must be an integer, got 2.0"),
+    (lambda: max_tb_torus_knot(3, 2.0), FrontError, "q must be an integer, got 2.0"),
+    (lambda: seifert_genus_torus_knot(3.0, 2), FrontError, "p must be an integer, got 3.0"),
+    (lambda: alexander_polynomial_torus(3.0, 2), LedgerError,
+     "torus-knot parameters must be integers, got 3.0"),
 ], ids=["three-handles", "three-handles-str", "splice-p", "genus", "blow-ups", "Cp",
-        "Wn", "seed-count", "genus-model", "twist-pair", "genus-k", "chain-index"])
+        "Wn", "seed-count", "genus-model", "twist-pair", "genus-k", "chain-index",
+        "torus-front", "torus-tb", "torus-genus", "torus-alexander"])
 def test_counts_take_integers_only(call, error, message):
     # rejected with the layer's own error, never truncated or carried as a float
     build_genus_model(3)              # a cached n = 3 must not answer n = 3.0
@@ -536,7 +549,7 @@ def test_knotted_cork_distinct_outputs():
 
 # -- one judge per lemma ---------------------------------------------------------------------
 
-_COUNT = CountLemmaReport(p=3, n0=2, ni=8, d_preserved=True)
+_COUNT = CountLemmaReport(p=3, n0=2, ni=8, d_preserved=True, rank_drop=2, signature_rise=2)
 _RESTRICTION = RestrictionLemmaReport(3, True, True, True, True, mayer_vietoris_index=9,
                                       boundary_order=9)
 # n = 4, k = -2: pairing 2 * 6, bound 2 * 3 + 1 = 7 = n|k| - (|k| - 1)
@@ -586,6 +599,14 @@ _CORK = KnottedCorkReport(((2, 3), (2, 5)), (6, 10),
 ])
 def test_report_failures_name_each_broken_condition(report, expected):
     assert list(report.failures()) == expected
+
+
+@pytest.mark.parametrize("change,expected", [
+    ({"rank_drop": 0}, "descent dropped rank by 0, not p - 1, for p=3, N0=2"),
+    ({"signature_rise": -2}, "descent raised signature by -2, not p - 1, for p=3, N0=2"),
+], ids=["rank", "signature"])
+def test_count_report_judges_the_size_of_the_descent(change, expected):
+    assert list(replace(_COUNT, **change).failures()) == [expected]
 
 
 def test_knotted_cork_unknot_gives_no_distinction():
