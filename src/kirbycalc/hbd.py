@@ -9,7 +9,9 @@
     3h <count>
 
 `#` starts a comment; identifiers must be declared before they are used.
-Front lines with the same word parse to one shared (immutable) diagram.
+Front lines with the same word parse to one shared (immutable) diagram, and
+`parse_front`'s word memo shares it with the other documents parsed in the
+process while the word stays among its last 64.
 Printing is canonical (sorted lk/rt lines), and parse(print(doc)) == doc for
 every valid document.
 """
@@ -70,7 +72,8 @@ def parse_hbd(text: str, source: str = "<string>") -> DiagramDocument:
         return HbdParseError(msg, source, line_no, col)
 
     def want_id(tok: str, line_no: int) -> str:
-        if not _ID.match(tok):
+        # a declared identifier has matched the pattern already
+        if tok not in declared_two and tok not in declared_one and not _ID.match(tok):
             raise err(f"bad identifier {tok!r}", line_no)
         return tok
 

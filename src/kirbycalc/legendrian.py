@@ -16,7 +16,11 @@ strand of their first cusp rightward.
 
 A front is analysed once, when it is constructed: components are numbered
 by their first left cusp in the word, and every query (component count,
-writhe, tb, rotation, reversal) reads that one analysis.  The analysis
+writhe, tb, rotation, reversal) reads that one analysis.  `parse_front` and
+`torus_knot_front` keep the fronts of the last 64 distinct words they built
+(`functools.lru_cache`, keyed by the whitespace-normalised word), so a word
+is parsed and analysed once per process while it stays among them; fronts
+are immutable, so every caller may share one.  The analysis
 labels strands, the arcs from a left cusp to a right cusp: a crossing is a
 transposition of two labels in the current top-to-bottom order, and a
 right cusp pairs the two labels it closes.  Component and direction are
@@ -29,6 +33,7 @@ from __future__ import annotations
 import re
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 from math import gcd
 from typing import Mapping
 
@@ -40,6 +45,7 @@ class FrontError(ValueError):
 
 
 _TOKEN = re.compile(r"([LRX])(\d+)$|O(\d+)([+-])$")
+_KINDS = frozenset("LRX")
 
 
 @dataclass(frozen=True)
@@ -48,24 +54,41 @@ class FrontEvent:
     pos: int                  # 1-based strand position
     orientation: str | None = None   # '+'/'-' marker on a left cusp
 
+    def __post_init__(self) -> None:
+        if type(self.pos) is not int:
+            object.__setattr__(self, "pos", _integer(self.pos, "front event position",
+                                                     FrontError))
+        if self.orientation is not None:
+            if self.orientation not in ("+", "-"):
+                raise FrontError(
+                    f"orientation marker must be '+' or '-', got {self.orientation!r}")
+            if self.kind != "L":
+                raise FrontError(f"only a left cusp carries an orientation marker, "
+                                 f"not {self.kind}{self.pos}")
+
 
 @dataclass(frozen=True)
 class FrontDiagram:
     events: tuple[FrontEvent, ...]
 
     def __post_init__(self) -> None:
-        # validates the word; kept outside the fields, so equality, hash and
-        # repr see only the events
+        # validates the word; the analysis and the rendered word are kept
+        # outside the fields, so equality, hash and repr see only the events
         object.__setattr__(self, "_analysis", _Analysis(self.events))
+        object.__setattr__(self, "_word", None)
 
     @property
     def word(self) -> str:
-        parts = []
-        for e in self.events:
-            parts.append(f"{e.kind}{e.pos}")
-            if e.kind == "L" and e.orientation:
-                parts.append(f"O{e.pos}{e.orientation}")
-        return " ".join(parts)
+        word = self._word
+        if word is None:
+            parts = []
+            for e in self.events:
+                parts.append(f"{e.kind}{e.pos}")
+                if e.orientation:
+                    parts.append(f"O{e.pos}{e.orientation}")
+            word = " ".join(parts)
+            object.__setattr__(self, "_word", word)
+        return word
 
     def __repr__(self) -> str:
         return f"FrontDiagram({self.word!r})"
@@ -74,13 +97,29 @@ class FrontDiagram:
 def parse_front(text: str) -> FrontDiagram:
     """Parse a whitespace-separated front word; rejects anything else.
 
-    Each distinct token is matched and built once per call, and its repeats
-    share that frozen event.  A marker token stands for the marked left cusp
-    that replaces the event before it.
+    Words are memoised once per process, up to 64 distinct words, so a
+    repeated word returns the same (immutable) front without parsing or
+    analysing it again.  An invalid word raises every time and is never
+    stored.  Within a word each distinct token is matched and built once,
+    and its repeats share that frozen event.  A marker token stands for the
+    marked left cusp that replaces the event before it.
     """
-    events: list[FrontEvent] = []
+    return _front_of_word(" ".join(text.split()))
+
+
+@lru_cache(maxsize=64)
+def _front_of_word(word: str) -> FrontDiagram:
+    tokens = word.split()
     built: dict[str, FrontEvent] = {}
-    for idx, tok in enumerate(text.split()):
+    for tok in dict.fromkeys(tokens):
+        m = _TOKEN.match(tok)
+        if not m or not m.group(1):
+            break           # a marker or a bad token: read the word in order
+        built[tok] = FrontEvent(m.group(1), int(m.group(2)))
+    else:
+        return FrontDiagram(tuple(map(built.__getitem__, tokens)))
+    events: list[FrontEvent] = []
+    for idx, tok in enumerate(tokens):
         ev = built.get(tok)
         if ev is None:
             m = _TOKEN.match(tok)
@@ -131,6 +170,8 @@ class _Analysis:
         for n_event, ev in enumerate(events):
             kind, i = ev.kind, ev.pos - 1
             count = len(current)
+            if kind not in _KINDS:
+                raise FrontError(f"unknown front event {kind}{ev.pos} (event {n_event + 1})")
             if not 0 <= i <= (count if kind == "L" else count - 2):
                 raise FrontError(
                     f"invalid position {kind}{ev.pos} with {count} strands "
@@ -145,13 +186,11 @@ class _Analysis:
                 marks.append(ev.orientation)
                 closes += (-1, -1)
                 current[i:i] = (s, s + 1)
-            elif kind == "R":
+            else:
                 a, b = current[i], current[i + 1]
                 closes[a], closes[b] = b, a
                 right_cusps.append(a)
                 del current[i:i + 2]
-            else:
-                raise FrontError(f"unknown front event {kind}{ev.pos} (event {n_event + 1})")
         if current:
             raise FrontError(f"front ends with {len(current)} open strands")
 
@@ -241,8 +280,7 @@ def reverse_orientation(front: FrontDiagram) -> FrontDiagram:
     """Same front with every component's orientation reversed."""
     marks = iter(front._analysis.reversal)
     return FrontDiagram(tuple(
-        FrontEvent("L", ev.pos, next(marks)) if ev.kind == "L"
-        else FrontEvent(ev.kind, ev.pos)
+        FrontEvent("L", ev.pos, next(marks)) if ev.kind == "L" else ev
         for ev in front.events))
 
 
@@ -272,10 +310,10 @@ def seifert_genus_torus_knot(p: int, q: int) -> int:
 def torus_knot_front(p: int, q: int) -> FrontDiagram:
     """Standard maximal-tb front: the positive braid closure on min(p,q) strands."""
     long, s = _require_torus_params(p, q)
-    twist = tuple(FrontEvent("X", i) for i in range(1, s))
-    return FrontDiagram(tuple(FrontEvent("L", i) for i in range(1, s + 1))
-                        + twist * long
-                        + tuple(FrontEvent("R", i) for i in range(s, 0, -1)))
+    twist = " ".join(f"X{i}" for i in range(1, s))
+    return _front_of_word(" ".join([*(f"L{i}" for i in range(1, s + 1)),
+                                    *[twist] * long,
+                                    *(f"R{i}" for i in range(s, 0, -1))]))
 
 
 # -- Stein framing verification ---------------------------------------------------

@@ -93,6 +93,34 @@ def test_parse_requires_declaration_before_use():
         parse_hbd("manifold X\nlk a b 1\n")
 
 
+@pytest.mark.parametrize("line,message", [
+    ("lk a b@ 1", "bad identifier 'b@'"),
+    ("lk a@ b 1", "bad identifier 'a@'"),
+    ("lk c d@ 1", "bad identifier 'd@'"),
+    ("lk a c 1", "lk names undeclared 2-handle 'c'"),
+    ("lk c a 1", "lk names undeclared 2-handle 'c'"),
+    ("lk a h 1", "lk names undeclared 2-handle 'h'"),
+    ("lk h a 1", "lk names undeclared 2-handle 'h'"),
+    ("rt a@ h 1", "bad identifier 'a@'"),
+    ("rt a h@ 1", "bad identifier 'h@'"),
+    ("rt c h 1", "rt names undeclared 2-handle 'c'"),
+    ("rt a g 1", "rt names undeclared 1-handle 'g'"),
+    ("rt h h 1", "rt names undeclared 2-handle 'h'"),
+    ("rt a a 1", "rt names undeclared 1-handle 'a'"),
+    ("front a@ : L1 R1", "bad identifier 'a@'"),
+    ("front c : L1 R1", "front names undeclared 2-handle 'c'"),
+    ("front h : L1 R1", "front names undeclared 2-handle 'h'"),
+])
+def test_identifier_errors_name_the_first_bad_identifier(line, message):
+    # declared identifiers skip the identifier pattern; the messages, their
+    # order and their location are those of a full check
+    text = f"manifold m\n1h h\n2h a framing 0\n2h b framing 0\n{line}\n"
+    with pytest.raises(HbdParseError) as exc:
+        parse_hbd(text, "m.hbd")
+    assert (exc.value.line, exc.value.column, str(exc.value)) == \
+        (5, 1, f"m.hbd:5:1: {message}")
+
+
 def test_duplicate_lk_warns_and_last_wins():
     text = "manifold X\n2h a framing 0\n2h b framing 0\nlk a b 1\nlk a b 2\n"
     with pytest.warns(UserWarning):

@@ -97,6 +97,7 @@ def test_repeated_tokens_keep_marker_semantics():
     ("L1 O1+ R1 L1 L2 O1+ R2 R1", "marker 'O1+' must directly follow L1 (token 6)"),
     ("L1 R1 L1 R1 Q3", "unrecognized front token 'Q3' (token 5)"),
     ("L1 Q3 R1 Q3", "unrecognized front token 'Q3' (token 2)"),
+    ("L1 R1 O1+ Q3", "marker 'O1+' must directly follow L1 (token 3)"),
 ])
 def test_repeated_tokens_raise_at_their_own_index(word, message):
     with pytest.raises(FrontError) as exc:
@@ -336,7 +337,9 @@ def test_stein_check_requires_full_annotation():
 
 @pytest.fixture
 def analyses(monkeypatch):
-    """The events of every front analysis run during the test, in order."""
+    """The events of every front analysis run during the test, in order;
+    the word memo starts empty, and is emptied again afterwards."""
+    legendrian._front_of_word.cache_clear()
     built = []
 
     class Counting(legendrian._Analysis):
@@ -347,7 +350,8 @@ def analyses(monkeypatch):
             super().__init__(events)
 
     monkeypatch.setattr(legendrian, "_Analysis", Counting)
-    return built
+    yield built
+    legendrian._front_of_word.cache_clear()
 
 
 def test_stein_check_runs_no_front_analysis(analyses):
@@ -358,7 +362,7 @@ def test_stein_check_runs_no_front_analysis(analyses):
     assert analyses == []
 
 
-def test_each_distinct_front_is_analysed_once_per_call(analyses):
+def test_each_distinct_front_is_analysed_once_per_process(analyses):
     d, annotation = annotated_Dp_tilde_sum([22, 23, 24])
     assert len(annotation) == 135
     # one torus front per summand; the unknot and trefoil are shared constants
@@ -367,7 +371,71 @@ def test_each_distinct_front_is_analysed_once_per_call(analyses):
     text = print_hbd(DiagramDocument(d, annotation))
     analyses.clear()
     doc = parse_hbd(text)
-    words = {f.word for f in annotation.values()}
-    assert len(words) == 5 and len(analyses) == 5
+    # the torus words are in the memo; the constants were built before it emptied
+    assert len({f.word for f in annotation.values()}) == 5 and len(analyses) == 2
     assert len({id(f) for f in doc.annotation.values()}) == 5
     assert dict(doc.annotation) == annotation
+    torus = {id(annotation[k]) for k in ("d1.w", "d2.w", "d3.w")}
+    assert {id(doc.annotation[k]) for k in ("d1.w", "d2.w", "d3.w")} == torus
+    analyses.clear()
+    assert dict(parse_hbd(text).annotation) == dict(doc.annotation)
+    assert analyses == []
+
+
+def test_word_memo_is_bounded():
+    maxsize = legendrian._front_of_word.cache_info().maxsize
+    assert maxsize == 64
+    words = [" ".join(["L1"] + ["X1"] * k + ["R1"]) for k in range(2 * maxsize)]
+    first = parse_front(words[0])
+    for w in words:
+        parse_front(w)
+    assert legendrian._front_of_word.cache_info().currsize <= maxsize
+    again = parse_front(words[0])       # evicted: parsed afresh, and equal
+    assert again is not first
+    assert again == first and again.word == words[0]
+    assert writhe(again) == 0 and thurston_bennequin(again) == -1
+
+
+def test_word_memo_keys_on_the_normalised_word():
+    assert parse_front("  L1\tL2 X1 X1\nX1 R2 R1 ") is parse_front(TREFOIL)
+    assert torus_knot_front(2, 3) is parse_front(TREFOIL)
+    f = parse_front("L1 O1+ R1")
+    assert f.word is f.word         # rendered once, on first read
+
+
+def test_invalid_words_raise_every_time_and_are_never_stored():
+    legendrian._front_of_word.cache_clear()
+    for _ in range(2):
+        with pytest.raises(FrontError) as exc:
+            parse_front("L1 X1 R2 Q4")
+        assert str(exc.value) == "unrecognized front token 'Q4' (token 4)"
+        with pytest.raises(FrontError) as exc:
+            parse_front("L1 X1 R2")
+        assert str(exc.value) == "invalid position R2 with 2 strands (event 3)"
+    assert legendrian._front_of_word.cache_info().currsize == 0
+
+
+def test_torus_front_rejects_non_integer_parameters():
+    with pytest.raises(FrontError, match="p must be an integer, got 3.0"):
+        torus_knot_front(3.0, 2)
+
+
+def test_front_events_check_position_and_marker():
+    assert FrontEvent("L", True).pos == 1 and type(FrontEvent("L", True).pos) is int
+    for pos in (1.0, "1"):
+        with pytest.raises(FrontError, match="front event position must be an integer"):
+            FrontEvent("L", pos)
+    with pytest.raises(FrontError, match="only a left cusp carries an orientation marker, not R1"):
+        FrontEvent("R", 1, "+")
+    with pytest.raises(FrontError, match="orientation marker must be '\\+' or '-', got 'x'"):
+        FrontEvent("L", 1, "x")
+    with pytest.raises(FrontError, match=r"^unknown front event Q1 \(event 1\)$"):
+        FrontDiagram((FrontEvent("Q", 1),))
+
+
+def test_reversal_reuses_unmarked_events():
+    f = parse_front("L1 O1- X1 R1")
+    g = reverse_orientation(f)
+    assert g.word == "L1 O1+ X1 R1"
+    assert g.events[1:] == f.events[1:]
+    assert all(a is b for a, b in zip(g.events[1:], f.events[1:]))
