@@ -35,11 +35,9 @@ from .legendrian import (
     FrontError,
     SteinReport,
     component_count,
-    max_tb_torus_knot,
     parse_front,
     reverse_orientation,
     rotation_number,
-    seifert_genus_torus_knot,
     stein_check,
     thurston_bennequin,
     torus_knot_front,
@@ -71,7 +69,7 @@ __all__ = [
     "boundary_group_order", "is_homology_trivial",
     "FrontDiagram", "FrontError", "parse_front", "thurston_bennequin",
     "rotation_number", "writhe", "component_count", "reverse_orientation",
-    "max_tb_torus_knot", "seifert_genus_torus_knot", "torus_knot_front",
+    "torus_knot_front",
     "SteinReport", "stein_check",
     "IntersectionLattice", "ManifoldModel", "BasicClassSet", "LedgerError",
     "d_invariant", "is_simple_type", "blow_up_basic_classes", "adjunction_check",

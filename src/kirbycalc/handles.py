@@ -164,6 +164,8 @@ def handle_slide(d: HandleDecomposition, a: str, b: str, sign: int) -> HandleDec
     """
     if a == b:
         raise HandleError("cannot slide a handle over itself")
+    if type(sign) is not int:
+        sign = _integer(sign, "sign")
     if sign not in (1, -1):
         raise HandleError("sign must be +1 or -1")
     fa, fb = d.framing(a), d.framing(b)

@@ -9,11 +9,12 @@
     3h <count>
 
 `#` starts a comment; identifiers must be declared before they are used.
-Front lines with the same word parse to one shared (immutable) diagram, and
-`parse_front`'s word memo shares it with the other documents parsed in the
-process while the word stays among its last 64.
-Printing is canonical (sorted lk/rt lines), and parse(print(doc)) == doc for
-every valid document.
+A front line's word is looked up in `parse_front`'s word memo, the one table
+from word to front: lines and documents with the same word share one
+(immutable) diagram while the word stays among the memo's last 64, and always
+parse to equal diagrams.  Printing reads each front's own `word`; it is
+canonical (sorted lk/rt lines), and parse(print(doc)) == doc for every valid
+document.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from types import MappingProxyType
 from typing import Mapping
 
 from .handles import HandleDecomposition, HandleError, _pair
-from .legendrian import FrontDiagram, FrontError, parse_front
+from .legendrian import FrontDiagram, FrontError, _front_of_word
 
 _ID = re.compile(r"[A-Za-z0-9_.~+'-]+$")
 _INT = re.compile(r"[+-]?\d+$")
@@ -58,22 +59,19 @@ class DiagramDocument:
 
 def parse_hbd(text: str, source: str = "<string>") -> DiagramDocument:
     name: str | None = None
-    ones: list[str] = []
-    twos: list[tuple[str, int]] = []
+    ones: dict[str, None] = {}      # declared 1-handle ids, in order
+    twos: dict[str, int] = {}       # declared 2-handle id -> framing
     links: dict[tuple[str, str], int] = {}
     rt: dict[tuple[str, str], int] = {}
     three = 0
     fronts: dict[str, FrontDiagram] = {}
-    parsed: dict[str, FrontDiagram] = {}    # front word -> its one diagram
-    declared_one: set[str] = set()
-    declared_two: set[str] = set()
 
     def err(msg: str, line_no: int, col: int = 1) -> HbdParseError:
         return HbdParseError(msg, source, line_no, col)
 
     def want_id(tok: str, line_no: int) -> str:
         # a declared identifier has matched the pattern already
-        if tok not in declared_two and tok not in declared_one and not _ID.match(tok):
+        if tok not in twos and tok not in ones and not _ID.match(tok):
             raise err(f"bad identifier {tok!r}", line_no)
         return tok
 
@@ -99,18 +97,16 @@ def parse_hbd(text: str, source: str = "<string>") -> DiagramDocument:
             if len(parts) != 2:
                 raise err("expected `1h <id>`", line_no)
             h = want_id(parts[1], line_no)
-            if h in declared_one or h in declared_two:
+            if h in ones or h in twos:
                 raise err(f"duplicate identifier {h!r}", line_no)
-            declared_one.add(h)
-            ones.append(h)
+            ones[h] = None
         elif kw == "2h":
             if len(parts) != 4 or parts[2] != "framing":
                 raise err("expected `2h <id> framing <int>`", line_no)
             k = want_id(parts[1], line_no)
-            if k in declared_one or k in declared_two:
+            if k in ones or k in twos:
                 raise err(f"duplicate identifier {k!r}", line_no)
-            declared_two.add(k)
-            twos.append((k, want_int(parts[3], line_no)))
+            twos[k] = want_int(parts[3], line_no)
         elif kw == "lk":
             if len(parts) != 4:
                 raise err("expected `lk <id> <id> <int>`", line_no)
@@ -118,7 +114,7 @@ def parse_hbd(text: str, source: str = "<string>") -> DiagramDocument:
             if a == b:
                 raise err("self-linking is forbidden; use the framing", line_no)
             for x in (a, b):
-                if x not in declared_two:
+                if x not in twos:
                     raise err(f"lk names undeclared 2-handle {x!r}", line_no)
             key = _pair(a, b)
             if key in links:
@@ -129,9 +125,9 @@ def parse_hbd(text: str, source: str = "<string>") -> DiagramDocument:
             if len(parts) != 4:
                 raise err("expected `rt <2h-id> <1h-id> <int>`", line_no)
             k, h = want_id(parts[1], line_no), want_id(parts[2], line_no)
-            if k not in declared_two:
+            if k not in twos:
                 raise err(f"rt names undeclared 2-handle {k!r}", line_no)
-            if h not in declared_one:
+            if h not in ones:
                 raise err(f"rt names undeclared 1-handle {h!r}", line_no)
             if (k, h) in rt:
                 warnings.warn(f"{source}:{line_no}: rt {k} {h} overrides an "
@@ -141,17 +137,14 @@ def parse_hbd(text: str, source: str = "<string>") -> DiagramDocument:
             if len(parts) < 3 or parts[2] != ":":
                 raise err("expected `front <2h-id> : <tokens>`", line_no)
             k = want_id(parts[1], line_no)
-            if k not in declared_two:
+            if k not in twos:
                 raise err(f"front names undeclared 2-handle {k!r}", line_no)
             if k in fronts:
                 raise err(f"duplicate front for {k!r}", line_no)
-            word = " ".join(parts[3:])
-            if word not in parsed:
-                try:
-                    parsed[word] = parse_front(word)
-                except FrontError as exc:
-                    raise err(str(exc), line_no) from exc
-            fronts[k] = parsed[word]
+            try:    # the split tokens joined once are already the memo's key
+                fronts[k] = _front_of_word(" ".join(parts[3:]))
+            except FrontError as exc:
+                raise err(str(exc), line_no) from exc
         elif kw == "3h":
             if len(parts) != 2:
                 raise err("expected `3h <count>`", line_no)
@@ -165,7 +158,7 @@ def parse_hbd(text: str, source: str = "<string>") -> DiagramDocument:
         raise HbdParseError("missing manifold header", source,
                             max(1, text.count("\n") + 1))
     try:
-        decomposition = HandleDecomposition(tuple(ones), tuple(twos), links, rt,
+        decomposition = HandleDecomposition(tuple(ones), tuple(twos.items()), links, rt,
                                             three, name)
     except HandleError as exc:
         raise HbdParseError(str(exc), source, 1) from exc
@@ -181,11 +174,5 @@ def print_hbd(doc: DiagramDocument) -> str:
     lines.extend(f"rt {k} {h} {v}" for (k, h), v in d.run_through.items())
     if d.three_handles:
         lines.append(f"3h {d.three_handles}")
-    words: dict[int, str] = {}  # lines share diagrams: render each one once
-    for k in sorted(doc.annotation):
-        front = doc.annotation[k]
-        word = words.get(id(front))
-        if word is None:
-            word = words[id(front)] = front.word
-        lines.append(f"front {k} : {word}")
+    lines.extend(f"front {k} : {doc.annotation[k].word}" for k in sorted(doc.annotation))
     return "\n".join(lines) + "\n"

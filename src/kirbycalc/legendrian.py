@@ -286,30 +286,14 @@ def reverse_orientation(front: FrontDiagram) -> FrontDiagram:
 
 # -- torus knots ----------------------------------------------------------------
 
-def _require_torus_params(p: int, q: int) -> tuple[int, int]:
+def torus_knot_front(p: int, q: int) -> FrontDiagram:
+    """Standard maximal-tb front: the positive braid closure on min(p,q) strands."""
     p, q = _integer(p, "p", FrontError), _integer(q, "q", FrontError)
     if p < 2 or q < 2:
         raise FrontError("torus knot parameters must both be >= 2")
     if gcd(p, q) != 1:
         raise FrontError(f"({p},{q}) is not coprime")
-    return (max(p, q), min(p, q))
-
-
-def max_tb_torus_knot(p: int, q: int) -> int:
-    """Maximal Thurston-Bennequin number pq - p - q of the (p,q) torus knot."""
-    p, q = _require_torus_params(p, q)
-    return p * q - p - q
-
-
-def seifert_genus_torus_knot(p: int, q: int) -> int:
-    """(p-1)(q-1)/2, the Seifert genus of the (p,q) torus knot."""
-    p, q = _require_torus_params(p, q)
-    return (p - 1) * (q - 1) // 2
-
-
-def torus_knot_front(p: int, q: int) -> FrontDiagram:
-    """Standard maximal-tb front: the positive braid closure on min(p,q) strands."""
-    long, s = _require_torus_params(p, q)
+    long, s = max(p, q), min(p, q)
     twist = " ".join(f"X{i}" for i in range(1, s))
     return _front_of_word(" ".join([*(f"L{i}" for i in range(1, s + 1)),
                                     *[twist] * long,

@@ -178,6 +178,9 @@ def annotated_Dp_tilde(p: int, prefix: str = "") -> tuple[HandleDecomposition, d
 
 
 def annotated_Dp_tilde_sum(p_list: Sequence[int]) -> tuple[HandleDecomposition, dict[str, FrontDiagram]]:
+    """Boundary sum of D~_{p_1}, ..., D~_{p_n}, the i-th summand's ids prefixed `d<i>.`."""
+    if not p_list:
+        raise ScenarioError("boundary sum needs at least one summand")
     pieces = [annotated_Dp_tilde(p, prefix=f"d{i + 1}.")
               for i, p in enumerate(p_list)]
     d, fronts = pieces[0]

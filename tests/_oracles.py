@@ -181,6 +181,17 @@ def genus_seeds(n: int) -> list[tuple[int, ...]]:
 # -- fronts ------------------------------------------------------------------------
 
 
+def max_tb_torus_knot(p: int, q: int) -> int:
+    """Maximal Thurston-Bennequin number pq - p - q of the positive (p,q) torus
+    knot; p and q must be coprime and at least 2."""
+    return p * q - p - q
+
+
+def seifert_genus_torus_knot(p: int, q: int) -> int:
+    """(p-1)(q-1)/2, the Seifert genus of the (p,q) torus knot."""
+    return (p - 1) * (q - 1) // 2
+
+
 def torus_knot_front_by_event(p: int, q: int) -> FrontDiagram:
     """The maximal-tb (p,q) torus front built one new event per crossing.
 

@@ -160,17 +160,40 @@ def test_print_renders_each_distinct_front_once(monkeypatch):
     renders = []
 
     def counting(front):
-        renders.append(front)
+        if front._word is None:
+            renders.append(front)
         return word.fget(front)
     monkeypatch.setattr(FrontDiagram, "word", property(counting))
+
+    def printed(doc):
+        # forget the words earlier tests rendered on these shared fronts
+        for front in doc.annotation.values():
+            object.__setattr__(front, "_word", None)
+        renders.clear()
+        return print_hbd(doc)
     d, fronts = annotated_Dp_tilde_sum([22, 23, 24])
-    text = print_hbd(DiagramDocument(d, fronts))
+    text = printed(DiagramDocument(d, fronts))
     # one torus front per summand, one shared unknot and one shared trefoil
     assert (len(fronts), len(renders)) == (135, 5)
     doc = parse_hbd(text)   # three torus fronts, one unknot, one trefoil
-    renders.clear()
-    assert print_hbd(doc) == text
+    assert printed(doc) == text
     assert len(renders) == 5
+
+
+def test_document_with_more_words_than_the_memo_round_trips():
+    # 70 distinct words, the first one again on the last line: by then the
+    # 64-word memo has dropped it, so the two lines get equal, unshared fronts
+    words = [" ".join(["L1", *["X1"] * j, "R1"]) for j in range(70)] + ["L1 R1"]
+    text = "".join(["manifold many\n",
+                    *(f"2h k{i:02d} framing 0\n" for i in range(len(words))),
+                    *(f"front k{i:02d} : {w}\n" for i, w in enumerate(words))])
+    doc = parse_hbd(text)
+    first, last = doc.annotation["k00"], doc.annotation["k70"]
+    assert first == last and first is not last
+    assert print_hbd(doc) == text
+    reparsed = parse_hbd(print_hbd(doc))
+    assert reparsed.decomposition == doc.decomposition
+    assert dict(reparsed.annotation) == dict(doc.annotation)
 
 
 def test_canonical_print_is_fixed_point():

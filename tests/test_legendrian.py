@@ -17,11 +17,9 @@ from kirbycalc.legendrian import (
     FrontError,
     FrontEvent,
     component_count,
-    max_tb_torus_knot,
     parse_front,
     reverse_orientation,
     rotation_number,
-    seifert_genus_torus_knot,
     stein_check,
     thurston_bennequin,
     torus_knot_front,
@@ -29,7 +27,12 @@ from kirbycalc.legendrian import (
 )
 from kirbycalc.scenarios import annotated_Dp_tilde_sum
 
-from _oracles import analyse_by_segments, torus_knot_front_by_event
+from _oracles import (
+    analyse_by_segments,
+    max_tb_torus_knot,
+    seifert_genus_torus_knot,
+    torus_knot_front_by_event,
+)
 
 UNKNOT = "L1 R1"
 KINK = "L1 X1 R1"
@@ -304,10 +307,12 @@ def test_torus_formulas():
     p = 5
     assert max_tb_torus_knot(p + 1, p) == p * p - p - 1
     assert seifert_genus_torus_knot(p + 1, p) == p * (p - 1) // 2
-    with pytest.raises(FrontError):
-        max_tb_torus_knot(4, 2)
-    with pytest.raises(FrontError):
-        seifert_genus_torus_knot(6, 3)
+    with pytest.raises(FrontError, match=r"^\(4,2\) is not coprime$"):
+        torus_knot_front(4, 2)
+    with pytest.raises(FrontError, match=r"^\(6,3\) is not coprime$"):
+        torus_knot_front(6, 3)
+    with pytest.raises(FrontError, match="^torus knot parameters must both be >= 2$"):
+        torus_knot_front(1, 2)
 
 
 def test_stein_check_passes_on_contact_minus_one():
@@ -418,6 +423,8 @@ def test_invalid_words_raise_every_time_and_are_never_stored():
 def test_torus_front_rejects_non_integer_parameters():
     with pytest.raises(FrontError, match="p must be an integer, got 3.0"):
         torus_knot_front(3.0, 2)
+    with pytest.raises(FrontError, match="q must be an integer, got 2.0"):
+        torus_knot_front(3, 2.0)
 
 
 def test_front_events_check_position_and_marker():

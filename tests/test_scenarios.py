@@ -26,12 +26,7 @@ from kirbycalc.homology import (
     is_homology_trivial,
     linking_matrix,
 )
-from kirbycalc.legendrian import (
-    FrontError,
-    max_tb_torus_knot,
-    seifert_genus_torus_knot,
-    torus_knot_front,
-)
+from kirbycalc.legendrian import FrontError, torus_knot_front
 from kirbycalc.scenarios import (
     CountLemmaReport,
     GenusObstructionReport,
@@ -40,6 +35,7 @@ from kirbycalc.scenarios import (
     ScenarioError,
     _closed_model,
     annotated_Dp_tilde,
+    annotated_Dp_tilde_sum,
     annotated_Nn_tilde,
     build_Bp,
     build_Cp,
@@ -203,6 +199,8 @@ def test_dp_tilde_is_the_blow_down_of_dp():
      "three_handles must be an integer, got '2'"),
     (lambda: rational_blowdown_splice(build_Cp(3), ("u2", "u1"), 3.0), HandleError,
      "p must be an integer, got 3.0"),
+    (lambda: handle_slide(build_Cp(3), "u1", "u2", 1.0), HandleError,
+     "sign must be an integer, got 1.0"),
     (lambda: adjunction_check(*build_genus_model(2), 1.5), LedgerError,
      "genera must be integers, got 1.5"),
     (lambda: blow_up_basic_classes(*build_genus_model(2)[:2], 1.0), LedgerError,
@@ -217,18 +215,27 @@ def test_dp_tilde_is_the_blow_down_of_dp():
     (lambda: verify_count_lemma((2,), 0.0), ScenarioError,
      "the chain index must be an integer, got 0.0"),
     (lambda: torus_knot_front(2.0, 3), FrontError, "p must be an integer, got 2.0"),
-    (lambda: max_tb_torus_knot(3, 2.0), FrontError, "q must be an integer, got 2.0"),
-    (lambda: seifert_genus_torus_knot(3.0, 2), FrontError, "p must be an integer, got 3.0"),
     (lambda: alexander_polynomial_torus(3.0, 2), LedgerError,
      "torus-knot parameters must be integers, got 3.0"),
-], ids=["three-handles", "three-handles-str", "splice-p", "genus", "blow-ups", "Cp",
-        "Wn", "seed-count", "genus-model", "twist-pair", "genus-k", "chain-index",
-        "torus-front", "torus-tb", "torus-genus", "torus-alexander"])
+], ids=["three-handles", "three-handles-str", "splice-p", "slide-sign", "genus",
+        "blow-ups", "Cp", "Wn", "seed-count", "genus-model", "twist-pair", "genus-k",
+        "chain-index", "torus-front", "torus-alexander"])
 def test_counts_take_integers_only(call, error, message):
     # rejected with the layer's own error, never truncated or carried as a float
     build_genus_model(3)              # a cached n = 3 must not answer n = 3.0
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         call()
+
+
+def test_slide_takes_true_as_plus_one():
+    c3 = build_Cp(3)
+    assert handle_slide(c3, "u1", "u2", True) == handle_slide(c3, "u1", "u2", 1)
+
+
+def test_boundary_sums_need_a_summand():
+    for build in (build_Wsum, annotated_Dp_tilde_sum):
+        with pytest.raises(ScenarioError, match="^boundary sum needs at least one summand$"):
+            build([])
 
 
 def test_x0_model_takes_integer_p_only():
