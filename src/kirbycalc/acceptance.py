@@ -256,39 +256,57 @@ def criterion_9_move_invariance(seed: int) -> Iterator[str]:
 
 
 def _minor_gcds(m: IntMatrix) -> list[int]:
+    """gcd of the k x k minors of M, for k = 1 .. min(rows, cols).
+
+    Each k x k minor is the Laplace expansion of its first row over the
+    (k-1) x (k-1) minors of the rows below it, kept by (row subset, column
+    subset) from the step before, so this oracle shares no code with the
+    Smith elimination or with `det`.
+    """
+    a = m.entries
     out = []
+    minors = {((), ()): 1}
     for k in range(1, min(m.rows, m.cols) + 1):
+        expanded = {}
         g = 0
         for rows in combinations(range(m.rows), k):
+            top, below = a[rows[0]], rows[1:]
             for cols in combinations(range(m.cols), k):
-                g = gcd(g, det(IntMatrix.from_rows(
-                    [[m[i, j] for j in cols] for i in rows], k)))
-        out.append(abs(g))
+                x = 0
+                for j, c in enumerate(cols):
+                    if top[c]:
+                        term = top[c] * minors[below, cols[:j] + cols[j + 1:]]
+                        x += -term if j % 2 else term
+                expanded[rows, cols] = x
+                g = gcd(g, x)
+        out.append(g)
+        minors = expanded
     return out
 
 
 def criterion_10_snf(seed: int) -> Iterator[str]:
     rng = random.Random(seed + 10)
-    for _ in range(500):
+    for draw in range(1, 501):
         r, c = rng.randrange(1, 7), rng.randrange(1, 7)
         m = IntMatrix.from_rows([[rng.randrange(-9, 10) for _ in range(c)]
                                  for _ in range(r)], c)
+        case = f"draw {draw}, {m.to_lists()}"
         snf = smith_normal_form(m)
         if snf.u @ m @ snf.v != snf.s:
-            yield "U M V != S"
+            yield f"U M V != S for {case}"
             return
         if abs(det(snf.u)) != 1 or abs(det(snf.v)) != 1:
-            yield "transform not unimodular"
+            yield f"transform not unimodular for {case}"
             return
         diag = snf.diagonal
         chain_broken = any(y % x if x else y for x, y in zip(diag, diag[1:]))
         if chain_broken:
-            yield "divisibility chain broken"
+            yield f"divisibility chain {diag} broken for {case}"
         products = accumulate(diag, mul)
         k = next((k for k, (d_k, g_k) in enumerate(zip(products, _minor_gcds(m)), 1)
                   if d_k != g_k), 0)
         if k:
-            yield f"gcd of {k}x{k} minors mismatch"
+            yield f"gcd of {k}x{k} minors mismatch for {case}"
         if chain_broken or k:
             return                         # stop at the first failing matrix
 

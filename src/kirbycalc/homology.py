@@ -5,9 +5,21 @@ form with its unimodular transforms, canonical (Hermite) kernel bases,
 Bareiss determinants and adjugates, exact inertia of symmetric forms, and
 the homology of a handlebody presented by its run-through and linking data.
 
+Which matrices each entry point builds:
+- `boundary_first_homology` fills one n x n list, the surgery presentation,
+  straight from the framings, `d.links` and `d.run_through`, and hands it to
+  the elimination without an `IntMatrix`: a decomposition has already
+  checked every entry as an integer.
+- `homology` does the same with the run-through differential, then reads
+  the intersection form from the framings and `d.links` on the kernel basis.
+- `surgery_presentation`, `linking_matrix` and `run_through_matrix` wrap the
+  same lists in a validated `IntMatrix` for callers that want the matrix.
+- `cokernel_invariants`, `kernel_basis` and `smith_normal_form` take an
+  `IntMatrix`, so whatever a caller passes is validated.
+
 One elimination, `_diagonalize`, serves every Smith normal form entry point
-and builds only the transforms its caller reads: `cokernel_invariants` (and
-so `boundary_first_homology`) builds neither U nor V, `kernel_basis` and
+and builds only the transforms its caller reads: `cokernel_invariants` and
+`boundary_first_homology` build neither U nor V, `kernel_basis` and
 `homology` build V alone, and only `smith_normal_form` builds both.  It
 plays each Euclid run of quotient steps out on two scalars and applies the
 run to S and to the transforms as one 2x2 step, skips the rows a column
@@ -184,9 +196,14 @@ class SmithNormalForm:
         return tuple(self.s[i, i] for i in range(n))
 
 
-def _diagonalize(m: IntMatrix, want_u: bool, want_v: bool
+def _diagonalize(m: IntMatrix | list[list[int]], want_u: bool, want_v: bool,
+                 cols: int | None = None
                  ) -> tuple[list[int], list[list[int]] | None, list[list[int]] | None]:
     """The one Smith elimination: (diagonal, rows of U, columns of V).
+
+    `m` is an IntMatrix, or rows of plain ints that the caller hands over,
+    `cols` wide: those are eliminated in place and never validated, so only
+    builders whose entries are already checked integers pass them.
 
     The diagonal lists the nonzero invariant factors d1 | d2 | ..., all
     positive; S is that diagonal padded with zeros.  U is carried only when
@@ -197,7 +214,10 @@ def _diagonalize(m: IntMatrix, want_u: bool, want_v: bool
     order, so the search stops at the first +-1; a unit pivot divides every
     entry, so its divisibility sweep is skipped.  Rows at or below t are zero
     left of column t and rows above t are zero right of it, so operations on
-    S touch only the active block (rows and columns >= t).
+    S touch only the active block (rows and columns >= t).  When V is not
+    carried, a unit pivot's row sweep is skipped as well: each of its steps
+    would only zero an entry of row t, which no later step reads, so that
+    row is left as it is.
 
     The pivot clears each entry of its column, then of its row, by a Euclid
     run: subtract the floor quotient times the pivot, swap the two if a
@@ -214,8 +234,11 @@ def _diagonalize(m: IntMatrix, want_u: bool, want_v: bool
     and V columns are sparse {index: value} dicts, written out as lists once,
     at return.
     """
-    nr, nc = m.rows, m.cols
-    s = m.to_lists()
+    if isinstance(m, IntMatrix):
+        s, nc = m.to_lists(), m.cols
+    else:
+        s, nc = m, cols
+    nr = len(s)
     u = [{i: 1} for i in range(nr)] if want_u else None
     vt = [{j: 1} for j in range(nc)] if want_v else None  # V, column by column
     diag: list[int] = []
@@ -252,6 +275,8 @@ def _diagonalize(m: IntMatrix, want_u: bool, want_v: bool
                 si[t:] = [c * e + d * f for e, f in zip(x, y)]
                 if u is not None:
                     u[t], u[i] = _mix(u[t], u[i], a, b, c, d)
+            if vt is None and st[t] in (1, -1):
+                break
             clean = True  # column t is zero below the pivot
             for j in range(t + 1, nc):
                 if not st[j]:
@@ -278,9 +303,7 @@ def _diagonalize(m: IntMatrix, want_u: bool, want_v: bool
             pivot = st[t]
             if pivot in (1, -1):
                 break
-            # columns <= t of the rows below t are zero by now
-            offender = next((i for i in range(t + 1, nr)
-                             if any(x % pivot for x in s[i][t + 1:])), None)
+            offender = _first_offender(s, t, pivot)
             if offender is None:
                 break
             # pull the offending row into row t
@@ -292,6 +315,15 @@ def _diagonalize(m: IntMatrix, want_u: bool, want_v: bool
         diag.append(abs(st[t]))
         t += 1
     return diag, _dense(u, nr), _dense(vt, nc)
+
+
+def _first_offender(s: list[list[int]], t: int, pivot: int) -> int | None:
+    """First row below t with an entry the pivot does not divide, or None.
+
+    Columns <= t of the rows below t are zero by the time it is asked.
+    """
+    return next((i for i in range(t + 1, len(s))
+                 if any(x % pivot for x in s[i][t + 1:])), None)
 
 
 def _euclid_run(a: int, b: int) -> tuple[int, int, int, int]:
@@ -372,11 +404,12 @@ def smith_normal_form(m: IntMatrix) -> SmithNormalForm:
 def cokernel_invariants(m: IntMatrix) -> tuple[tuple[int, ...], int]:
     """(torsion invariant factors >= 2, free rank) of Z^rows / im(M)."""
     diag, _, _ = _diagonalize(m, want_u=False, want_v=False)
-    return _cokernel(m, diag)
+    return _cokernel(m.rows, diag)
 
 
-def _cokernel(m: IntMatrix, factors: Sequence[int]) -> tuple[tuple[int, ...], int]:
-    return tuple(d for d in factors if d >= 2), m.rows - len(factors)
+def _cokernel(rows: int, factors: Sequence[int]) -> tuple[tuple[int, ...], int]:
+    """(torsion, free rank) of the cokernel of a matrix with this many rows."""
+    return tuple(d for d in factors if d >= 2), rows - len(factors)
 
 
 def hermite_row_basis(vectors: Iterable[Sequence[int]], width: int) -> tuple[tuple[int, ...], ...]:
@@ -428,13 +461,7 @@ def hermite_row_basis(vectors: Iterable[Sequence[int]], width: int) -> tuple[tup
 def kernel_basis(m: IntMatrix) -> tuple[tuple[int, ...], ...]:
     """Canonical basis (as rows) of the integer kernel {x : M x = 0}."""
     diag, _, vt = _diagonalize(m, want_u=False, want_v=True)
-    return _kernel(m, len(diag), vt)
-
-
-def _kernel(m: IntMatrix, rank: int,
-            v_columns: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
-    """Kernel of M from its SNF: the columns of V past the nonzero pivots."""
-    return hermite_row_basis(v_columns[rank:], m.cols)
+    return hermite_row_basis(vt[len(diag):], m.cols)  # V's columns past the pivots
 
 
 def inertia(m: IntMatrix) -> tuple[int, int, int]:
@@ -494,25 +521,25 @@ def signature(m: IntMatrix) -> int:
 
 def run_through_matrix(d: HandleDecomposition) -> IntMatrix:
     """Differential C_2 -> C_1: rows are 1-handles, columns are 2-handles."""
-    ids = d.two_handle_ids
-    rt = d.run_through
-    rows = [[rt.get((k, h), 0) for k in ids] for h in d.one_handles]
-    return IntMatrix.from_rows(rows, cols=len(ids))
+    return IntMatrix.from_rows(_run_through_rows(d), cols=len(d.two_handles))
+
+
+def _run_through_rows(d: HandleDecomposition) -> list[list[int]]:
+    """Rows of `run_through_matrix`, filled from the nonzero counts alone."""
+    index = {k: i for i, (k, _) in enumerate(d.two_handles)}
+    at = {h: i for i, h in enumerate(d.one_handles)}
+    rows = [[0] * len(index) for _ in at]
+    for (k, h), v in d.run_through.items():
+        rows[at[h]][index[k]] = v
+    return rows
 
 
 def linking_matrix(d: HandleDecomposition) -> IntMatrix:
     """Framings on the diagonal, linking numbers off it, on the 2-handles.
 
-    Zero rows are filled from the nonzero entries: the framings and `d.links`.
+    Every entry not set from a framing or from `d.links` is zero.
     """
-    index = {h: i for i, (h, _) in enumerate(d.two_handles)}
-    rows = [[0] * len(index) for _ in index]
-    for i, (_, f) in enumerate(d.two_handles):
-        rows[i][i] = f
-    for (a, b), v in d.links.items():
-        i, j = index[a], index[b]
-        rows[i][j] = rows[j][i] = v
-    return IntMatrix.from_rows(rows, cols=len(index))
+    return IntMatrix.from_rows(_presentation_rows(d, ()), cols=len(d.two_handles))
 
 
 def surgery_presentation(d: HandleDecomposition) -> IntMatrix:
@@ -521,13 +548,31 @@ def surgery_presentation(d: HandleDecomposition) -> IntMatrix:
     Basis: the 2-handles followed by the 1-handles-turned-0-framed-2-handles;
     dotted circles are pairwise unlinked, so their block is zero.
     """
-    q = linking_matrix(d).entries
-    r = run_through_matrix(d).entries
-    n1 = len(r)
-    r_cols = zip(*r) if r else [()] * len(q)
-    rows = [q_row + r_col for q_row, r_col in zip(q, r_cols)]
-    rows += [r_row + (0,) * n1 for r_row in r]
-    return IntMatrix.from_rows(rows, cols=len(q) + n1)
+    rows = _presentation_rows(d, d.one_handles)
+    return IntMatrix.from_rows(rows, cols=len(rows))
+
+
+def _presentation_rows(d: HandleDecomposition, ones: Sequence[str]) -> list[list[int]]:
+    """The linking matrix of the 2-handles followed by `ones` as 0-framed
+    unknots, each run-through count both above and below the diagonal.
+
+    One symmetric pass over the framings, `d.links` and, when `ones` is not
+    empty, `d.run_through`; every other entry is zero.
+    """
+    index = {k: i for i, (k, _) in enumerate(d.two_handles)}
+    n = len(index) + len(ones)
+    rows = [[0] * n for _ in range(n)]
+    for i, (_, f) in enumerate(d.two_handles):
+        rows[i][i] = f
+    for (a, b), v in d.links.items():
+        i, j = index[a], index[b]
+        rows[i][j] = rows[j][i] = v
+    if ones:
+        at = {h: i for i, h in enumerate(ones, len(index))}
+        for (k, h), v in d.run_through.items():
+            i, j = index[k], at[h]
+            rows[i][j] = rows[j][i] = v
+    return rows
 
 
 @dataclass(frozen=True)
@@ -552,10 +597,11 @@ def homology(d: HandleDecomposition) -> HomologyProfile:
     the intersection form is the linking matrix restricted to the canonical
     kernel basis, so repeated runs produce identical matrices.
     """
-    r = run_through_matrix(d)
-    factors, _, v_columns = _diagonalize(r, want_u=False, want_v=True)
-    torsion, free = _cokernel(r, factors)
-    basis = _kernel(r, len(factors), v_columns)
+    n2 = len(d.two_handles)
+    factors, _, v_columns = _diagonalize(_run_through_rows(d), want_u=False,
+                                         want_v=True, cols=n2)
+    torsion, free = _cokernel(len(d.one_handles), factors)
+    basis = hermite_row_basis(v_columns[len(factors):], n2)
     form = IntMatrix.from_rows(_intersection_form(d, basis), cols=len(basis))
     return HomologyProfile(torsion, free, len(basis), form, basis)
 
@@ -588,7 +634,9 @@ def _intersection_form(d: HandleDecomposition,
 
 def boundary_first_homology(d: HandleDecomposition) -> tuple[int, ...]:
     """Invariant factors of H_1 of the boundary 3-manifold; 0 marks a Z."""
-    torsion, free = cokernel_invariants(surgery_presentation(d))
+    rows = _presentation_rows(d, d.one_handles)
+    factors, _, _ = _diagonalize(rows, want_u=False, want_v=False, cols=len(rows))
+    torsion, free = _cokernel(len(rows), factors)
     return torsion + (0,) * free
 
 

@@ -119,6 +119,24 @@ def diagonalize_stepwise(m: IntMatrix, want_u: bool, want_v: bool
     return diag, u, vt
 
 
+# -- the surgery presentation as blocks ---------------------------------------------
+# How `homology.surgery_presentation` assembled the presentation before it
+# filled one symmetric matrix straight from the handle data.
+
+
+def surgery_presentation_by_blocks(d: HandleDecomposition) -> IntMatrix:
+    """[[Q, R^T], [R, 0]]: the linking matrix Q and the run-through matrix R,
+    each read entry by entry through the decomposition's accessors."""
+    ids = d.two_handle_ids
+    q = [[d.framing(a) if a == b else d.link(a, b) for b in ids] for a in ids]
+    r = [[d.run_through_count(k, h) for k in ids] for h in d.one_handles]
+    n1 = len(r)
+    r_cols = zip(*r) if r else [()] * len(q)
+    rows = [q_row + list(r_col) for q_row, r_col in zip(q, r_cols)]
+    rows += [r_row + [0] * n1 for r_row in r]
+    return IntMatrix.from_rows(rows, cols=len(q) + n1)
+
+
 # -- seed enumerations of the closed models, by bitmask ---------------------------
 # The loops the model builders used before they shared `swledger._sign_sums`.
 

@@ -30,6 +30,7 @@ from kirbycalc.homology import (
     run_through_matrix,
 )
 from kirbycalc.scenarios import build_Cp
+from _oracles import surgery_presentation_by_blocks
 
 
 def two_unknots(fa=-1, fb=-1, lk=0):
@@ -302,6 +303,57 @@ def test_moves_are_congruences(rng):
     assert linking_matrix(dk) == _transpose(p) @ _minus_one_sum(linking_matrix(down)) @ p
     assert run_through_matrix(down) == IntMatrix.from_rows(
         [row[:-1] for row in run_through_matrix(dk).entries], n - 1)
+
+
+def _boundary_by_sympy(m):
+    """H_1 of the boundary from sympy's invariant factors of a presentation."""
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import invariant_factors
+    if not m.rows:
+        return ()
+    factors = [abs(int(x)) for x in invariant_factors(sympy.Matrix(m.to_lists()),
+                                                       domain=sympy.ZZ)]
+    return tuple(x for x in factors if x >= 2) + (0,) * factors.count(0)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(0, 2 ** 32).map(random.Random))
+def test_move_sequences_keep_the_boundary(rng):
+    # a boundary sum with C_p adds its Z/p^2, and the splice of that C_p keeps
+    # it; sympy judges the start, each sum and the end, from the block assembly
+    d = _random_decomposition(rng)
+    expected = _boundary_by_sympy(surgery_presentation_by_blocks(d))
+    assert boundary_first_homology(d) == expected
+    for step in range(8):
+        move = rng.choice(("slide", "blow-up", "blow-down", "swap", "sum"))
+        if move == "slide":
+            if len(d.two_handles) >= 2:
+                a, b = rng.sample(d.two_handle_ids, 2)
+                sign = rng.choice((1, -1))
+                out = handle_slide(d, a, b, sign)
+                assert handle_slide(out, a, b, -sign) == d
+                d = out
+        elif move == "blow-up":
+            d = blow_up(d, [(k, rng.randrange(-2, 3)) for k in d.two_handle_ids
+                            if rng.random() < 0.5])
+        elif move == "blow-down":
+            free = [k for k, f in d.two_handles if f == -1
+                    and not any(d.run_through_count(k, h) for h in d.one_handles)]
+            if free:
+                d = blow_down(d, rng.choice(free))
+        elif move == "swap":
+            swaps = [(h, k) for h in d.one_handles for k, f in d.two_handles if f == 0
+                     and all(g == h or not d.run_through_count(k, g) for g in d.one_handles)]
+            if swaps:
+                d = dot_zero_swap(d, *rng.choice(swaps))
+        else:
+            p = rng.randrange(2, 5)
+            d = boundary_sum(d, build_Cp(p))
+            expected = _boundary_by_sympy(IntMatrix.diagonal(expected + (p * p,)))
+            assert boundary_first_homology(d) == expected, (step, move)
+            d = rational_blowdown_splice(d, d.two_handle_ids[:-p:-1], p)
+        assert boundary_first_homology(d) == expected, (step, move)
+    assert _boundary_by_sympy(surgery_presentation_by_blocks(d)) == expected
 
 
 def test_chain_moves_within_budget():

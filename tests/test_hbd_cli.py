@@ -5,6 +5,7 @@ import io
 import json
 import re
 import string
+from contextlib import redirect_stdout
 from importlib import import_module
 from itertools import combinations
 from pathlib import Path
@@ -16,10 +17,24 @@ from hypothesis import strategies as st
 from kirbycalc import cli
 from kirbycalc.acceptance import CLAIMS
 from kirbycalc.cli import run_command
-from kirbycalc.handles import HandleDecomposition
+from kirbycalc.handles import (
+    HandleDecomposition,
+    HandleError,
+    blow_down,
+    blow_up,
+    dot_zero_swap,
+    handle_slide,
+    rational_blowdown_splice,
+)
 from kirbycalc.hbd import DiagramDocument, HbdParseError, parse_hbd, print_hbd
 from kirbycalc.homology import is_homology_trivial
-from kirbycalc.legendrian import FrontDiagram, parse_front, torus_knot_front
+from kirbycalc.legendrian import (
+    FrontDiagram,
+    FrontError,
+    parse_front,
+    stein_check,
+    torus_knot_front,
+)
 from kirbycalc.scenarios import (
     CountLemmaReport,
     annotated_Dp_tilde_sum,
@@ -526,6 +541,57 @@ def test_cli_internal_error_exit_code(tmp_path, capsys, monkeypatch):
                                "ok": False}
     assert out == '{\n  "schema": 1,\n  "internal_error": "RuntimeError(\'boom\')",' \
         '\n  "ok": false\n}\n'
+
+
+@st.composite
+def cli_moves(draw):
+    """(command, options, handles, document, the library call it makes) for a
+    move or Stein check on handles of the document and on one it lacks."""
+    doc = draw(documents())
+    d = doc.decomposition
+    handle = st.sampled_from(d.all_ids + ("zz",))
+    kind = draw(st.sampled_from(("slide", "blowup", "blowdown", "corktwist", "rbd", "stein")))
+    if kind == "slide":
+        a, b, sign = draw(handle), draw(handle), draw(st.sampled_from((1, -1)))
+        return kind, [f"--sign={sign}"], [a, b], doc, lambda: handle_slide(d, a, b, sign)
+    if kind == "blowup":
+        attach = draw(st.lists(st.tuples(handle, st.integers(-2, 2)), max_size=3))
+        new_id = draw(st.none() | handle)
+        options = [f"--attach={k}={m}" for k, m in attach]
+        options += [] if new_id is None else [f"--id={new_id}"]
+        return kind, options, [], doc, lambda: blow_up(d, attach, new_id)
+    if kind == "blowdown":
+        e = draw(handle)
+        return kind, [], [e], doc, lambda: blow_down(d, e)
+    if kind == "corktwist":
+        h, k = draw(handle), draw(handle)
+        return kind, [], [h, k], doc, lambda: dot_zero_swap(d, h, k)
+    if kind == "rbd":
+        chain, p = draw(st.lists(handle, min_size=1, max_size=4)), draw(st.integers(0, 5))
+        return (kind, [f"--chain={','.join(chain)}", f"--p={p}"], [], doc,
+                lambda: rational_blowdown_splice(d, chain, p))
+    return kind, [], [], doc, lambda: stein_check(d, dict(doc.annotation))
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=cli_moves())
+def test_move_and_front_errors_exit_1(tmp_path_factory, case):
+    # `--` lets a handle id that starts with `-` through argparse
+    kind, options, ids, doc, call = case
+    path = tmp_path_factory.getbasetemp() / "moves.hbd"
+    path.write_text(print_hbd(doc))
+    try:
+        call()
+        error = None
+    except (HandleError, FrontError) as exc:
+        error = str(exc)
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = run_command([kind, *options, "--", str(path), *ids])
+    payload = json.loads(out.getvalue())
+    assert code in (0, 1), payload
+    if error is not None:
+        assert (code, payload.get("error")) == (1, error)
 
 
 def test_cli_parse_error_reports_location(tmp_path, capsys):

@@ -10,10 +10,11 @@ from math import gcd
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kirbycalc import scenarios as S
+from kirbycalc.acceptance import _minor_gcds
 from kirbycalc.handles import HandleDecomposition
 from kirbycalc.homology import (
     IntMatrix,
@@ -28,10 +29,11 @@ from kirbycalc.homology import (
     is_homology_trivial,
     kernel_basis,
     linking_matrix,
+    run_through_matrix,
     smith_normal_form,
     surgery_presentation,
 )
-from _oracles import diagonalize_stepwise, invert_rational
+from _oracles import diagonalize_stepwise, invert_rational, surgery_presentation_by_blocks
 from test_handles import cp_chain, nn_model, wn_model
 
 
@@ -112,6 +114,20 @@ def test_snf_random_small():
                     lambda rows: len({len(r) for r in rows}) == 1))
 def test_snf_properties_hypothesis(rows):
     assert_valid_snf(IntMatrix.from_rows(rows, len(rows[0])))
+
+
+def test_criterion_10_minors_match_bareiss_minors():
+    """Claim 10's Laplace-expansion minors against `det` minors, up to 6 x 6."""
+    rng = random.Random(16)
+    for t in range(120):
+        r, c = rng.randint(1, 6), rng.randint(1, 6)
+        density = (0.3, 0.7, 1)[t % 3]
+        rows = [[rng.randint(-9, 9) if rng.random() < density else 0 for _ in range(c)]
+                for _ in range(r)]
+        if t % 4 == 0 and r >= 2:
+            rows[-1] = [2 * x for x in rows[0]]      # rank below min(r, c)
+        m = IntMatrix.from_rows(rows, c)
+        assert _minor_gcds(m) == minor_gcds(m), rows
 
 
 def test_det_examples():
@@ -340,9 +356,10 @@ def test_homology_runs_one_smith_normal_form(monkeypatch):
     eliminate = H._diagonalize
     calls = []
 
-    def counting(m, *, want_u, want_v):
-        calls.append(m)
-        return eliminate(m, want_u=want_u, want_v=want_v)
+    def counting(m, **wants):
+        # homology() hands over plain rows, which the elimination overwrites
+        calls.append(IntMatrix.from_rows(m, wants["cols"]) if isinstance(m, list) else m)
+        return eliminate(m, **wants)
     monkeypatch.setattr(H, "_diagonalize", counting)
     for d in (wn_model(), nn_model(3), cp_chain(4), HandleDecomposition()):
         calls.clear()
@@ -370,6 +387,36 @@ def test_zero_framed_unknot_boundary_is_free():
     d = HandleDecomposition(two_handles=(("a", 0),))
     assert boundary_first_homology(d) == (0,)
     assert boundary_group_order(d) is None
+
+
+@st.composite
+def decompositions(draw):
+    """Up to 3 dotted circles and 6 2-handles, either count possibly zero,
+    with the 2-handles listed out of name order."""
+    n1, n2 = draw(st.integers(0, 3)), draw(st.integers(0, 6))
+    ones = tuple(f"h{i}" for i in range(n1))
+    two_ids = draw(st.permutations([f"k{i}" for i in range(n2)]))
+    small = st.integers(-4, 4)
+    return HandleDecomposition(
+        ones,
+        tuple((k, draw(st.integers(-9, 9))) for k in two_ids),
+        {pair: draw(small) for pair in combinations(two_ids, 2) if draw(st.booleans())},
+        {(k, h): draw(small) for k in two_ids for h in ones if draw(st.booleans())})
+
+
+@settings(max_examples=150, deadline=None)
+@given(decompositions())
+@example(HandleDecomposition())
+@example(HandleDecomposition(one_handles=("h0", "h1")))
+@example(cp_chain(5))
+def test_presentation_matches_the_block_assembly(d):
+    m = surgery_presentation(d)
+    assert m == surgery_presentation_by_blocks(d)
+    n2, rows = len(d.two_handles), m.to_lists()
+    assert linking_matrix(d).to_lists() == [row[:n2] for row in rows[:n2]]
+    assert run_through_matrix(d).to_lists() == [row[:n2] for row in rows[n2:]]
+    torsion, free = cokernel_invariants(m)
+    assert boundary_first_homology(d) == torsion + (0,) * free
 
 
 # -- pinned outputs of the whole layer -------------------------------------------
@@ -516,9 +563,9 @@ def test_each_entry_point_builds_only_the_transforms_it_reads(monkeypatch):
     eliminate = H._diagonalize
     wants = []
 
-    def recording(m, *, want_u, want_v):
+    def recording(m, *, want_u, want_v, **shape):
         wants.append((want_u, want_v))
-        return eliminate(m, want_u=want_u, want_v=want_v)
+        return eliminate(m, want_u=want_u, want_v=want_v, **shape)
     monkeypatch.setattr(H, "_diagonalize", recording)
     m = IntMatrix.from_rows([[2, 4, 4], [-6, 6, 12], [10, -4, -16]])
 
