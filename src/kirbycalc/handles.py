@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from operator import index
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
+from typing import AbstractSet, Iterable, Mapping, Sequence
 
 
 class HandleError(ValueError):
@@ -32,7 +32,11 @@ def _integer(v: object, what: str, error: type[ValueError] = HandleError) -> int
 
 def fresh_id(base: str, taken: Iterable[str]) -> str:
     """Smallest decorated variant of `base` not present in `taken`."""
-    used = set(taken)
+    return _free_variant(base, set(taken))
+
+
+def _free_variant(base: str, used: AbstractSet[str]) -> str:
+    """`fresh_id` on a set the caller keeps, which is read and not copied."""
     if base not in used:
         return base
     k = 2
@@ -290,7 +294,7 @@ def boundary_sum(d1: HandleDecomposition, d2: HandleDecomposition) -> HandleDeco
     taken = set(d1.all_ids)
     rename: dict[str, str] = {}
     for i in d2.all_ids:
-        new = fresh_id(i, taken)
+        new = _free_variant(i, taken)
         rename[i] = new
         taken.add(new)
 

@@ -318,6 +318,13 @@ def build_X0_model(p_list: Sequence[int], seed_count: int = 2) -> SyntheticModel
     +- e_1 ... +- e_n (n chains), in the order of `_sign_sums` over
     (-e_1, ..., -e_n, f1 + g1, f2 + g2): the first seed_count / 2 of them,
     each followed by its negative.  At most 2^(n+2) such pairs exist.
+
+    The arguments are checked on every call.  A valid key, the tuple of int
+    p and the int seed count, is built once per process while it stays
+    among the 32 most recently used (`_x0_model`), so a repeated key, given
+    as a list or a tuple, returns the same immutable model; an evicted key
+    is built afresh into an equal one.  Invalid input raises every time and
+    is never stored.
     """
     p_list = tuple(_integer(p, "every p", ScenarioError) for p in p_list)
     if any(p < 2 for p in p_list):
@@ -325,6 +332,12 @@ def build_X0_model(p_list: Sequence[int], seed_count: int = 2) -> SyntheticModel
     seed_count = _integer(seed_count, "the seed count", ScenarioError)
     if seed_count < 2 or seed_count % 2:
         raise ScenarioError("seed count must be even and >= 2")
+    return _x0_model(p_list, seed_count)
+
+
+@lru_cache(maxsize=32)          # a `ledger` pass builds 23 distinct keys
+def _x0_model(p_list: tuple[int, ...], seed_count: int) -> SyntheticModel:
+    """The body of `build_X0_model`, on arguments it has already checked."""
     n = len(p_list)
     spheres = sum(p_list) % 2          # parity corrector, keeps d integral
 

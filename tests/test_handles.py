@@ -17,6 +17,7 @@ from kirbycalc.handles import (
     blow_up,
     boundary_sum,
     dot_zero_swap,
+    fresh_id,
     handle_slide,
     rational_blowdown_splice,
 )
@@ -420,6 +421,16 @@ def test_boundary_sum_renames_collisions():
     out = boundary_sum(d, d)
     assert len(set(out.all_ids)) == 4
     assert is_homology_trivial(out)
+
+
+def test_boundary_sum_renames_past_chained_collisions():
+    assert fresh_id("x", ["x", "x_2"]) == "x_3"
+    d1 = HandleDecomposition(two_handles=(("x", 1), ("x_2", 2)))
+    d2 = HandleDecomposition(two_handles=(("x", 3), ("x_3", 4)), links={("x", "x_3"): 1})
+    out = boundary_sum(d1, d2)
+    # d2's x skips x_2 (taken by d1) to x_3, so d2's own x_3 moves on to x_3_2
+    assert out.two_handles == (("x", 1), ("x_2", 2), ("x_3", 3), ("x_3_2", 4))
+    assert dict(out.links) == {("x_3", "x_3_2"): 1}
 
 
 def test_boundary_sum_associative_on_disjoint_ids():

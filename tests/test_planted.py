@@ -8,8 +8,13 @@ and asserts that the criterion fails with a detail naming the broken case.
 from dataclasses import replace
 from importlib import import_module
 
+import pytest
+
 from kirbycalc import acceptance, handles, legendrian, scenarios, swledger
 from kirbycalc.acceptance import run_criterion
+
+# a patched computation must reach every model a claim builds
+pytestmark = pytest.mark.usefixtures("cold_models")
 
 
 def test_splice_with_one_run_through_too_many_fails_claim_1(monkeypatch):

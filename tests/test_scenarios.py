@@ -2,14 +2,17 @@
 
 import hashlib
 import json
+import pkgutil
 import re
 import time
+from importlib import import_module
 from pathlib import Path
 
 from dataclasses import replace
 
 import pytest
 
+import kirbycalc
 from kirbycalc import scenarios, swledger
 from kirbycalc.handles import (
     HandleDecomposition,
@@ -320,16 +323,20 @@ def _model_summary(model, classes) -> dict:
     }
 
 
+def _x0_summary(x0, seed_count) -> dict:
+    return {"p_list": list(x0.p_list), "seed_count": seed_count,
+            "chain_indices": [list(c) for c in x0.chain_indices],
+            **_model_summary(x0.model, x0.classes)}
+
+
 @pytest.mark.parametrize("pinned", PINNED_MODELS["X0"],
                          ids=lambda m: f"{m['p_list']}-{m['seed_count']}")
 def test_x0_model_matches_pinned(pinned):
     x0 = build_X0_model(tuple(pinned["p_list"]), pinned["seed_count"])
-    assert {"p_list": list(x0.p_list), "seed_count": pinned["seed_count"],
-            "chain_indices": [list(c) for c in x0.chain_indices],
-            **_model_summary(x0.model, x0.classes)} == pinned
+    assert _x0_summary(x0, pinned["seed_count"]) == pinned
 
 
-def test_x0_chain_blocks_are_read_from_dp(monkeypatch):
+def test_x0_chain_blocks_are_read_from_dp(monkeypatch, cold_models):
     def variant(p):
         d = build_Dp(p)
         return replace(d, two_handles=tuple((h, -4 if h == "u0" else f)
@@ -427,7 +434,7 @@ def test_closed_model_signature_matches_the_whole_pairing():
         assert (model.b2plus, model.signature, zero) == (pos, pos - neg, 0)
 
 
-def test_closed_model_hands_seed_squares_to_the_class_set(monkeypatch):
+def test_closed_model_hands_seed_squares_to_the_class_set(monkeypatch, cold_models):
     calls = []
     exact = IntersectionLattice.dual_square
 
@@ -436,11 +443,86 @@ def test_closed_model_hands_seed_squares_to_the_class_set(monkeypatch):
         return exact(lat, k)
 
     monkeypatch.setattr(IntersectionLattice, "dual_square", counting)
-    build_genus_model.cache_clear()
     model, classes, _ = build_genus_model(8)
     assert calls == []
     assert classes.squares() == {k: exact(model.lattice, k) for k in classes.members}
-    build_genus_model.cache_clear()
+
+
+# -- the X0 memo -----------------------------------------------------------------------------
+
+def test_x0_memo_returns_the_model_it_built(cold_models):
+    first = build_X0_model((2, 3), 2)
+    assert build_X0_model((2, 3), 2) is first
+    assert build_X0_model((2, 3)) is first
+    assert build_X0_model((2, 3), 4) is not first
+
+
+def test_x0_memo_keys_lists_and_tuples_alike(cold_models):
+    assert build_X0_model([3]) is build_X0_model((3,))
+    assert scenarios._x0_model.cache_info().currsize == 1
+
+
+@pytest.mark.parametrize("args, message", [
+    (((3.0,), 2), "every p must be an integer, got 3.0"),
+    (((1,), 2), "every p must be >= 2"),
+    (((3,), 3), "seed count must be even and >= 2"),
+    (((3,), 2.0), "the seed count must be an integer, got 2.0"),
+    (((3,), 18), "cannot realize 18 distinct seed classes"),
+], ids=["float-p", "small-p", "odd-count", "float-count", "too-many-seeds"])
+def test_x0_memo_never_answers_invalid_input(args, message, cold_models):
+    # a cached (3,) must not answer (3.0,) or 2.0, and a failed build stores nothing
+    build_X0_model((3,))
+    for _ in range(2):
+        with pytest.raises(ScenarioError, match=f"^{re.escape(message)}$"):
+            build_X0_model(*args)
+    assert scenarios._x0_model.cache_info().currsize == 1
+
+
+def test_x0_memo_is_bounded(cold_models):
+    maxsize = scenarios._x0_model.cache_info().maxsize
+    assert maxsize == 32
+    pinned = PINNED_MODELS["X0"][2]
+    key = (tuple(pinned["p_list"]), pinned["seed_count"])
+    first = build_X0_model(*key)
+    others = [((p,), c) for p in range(3, 23) for c in (2, 4)]
+    assert len(others) == 40 and key not in others
+    for p_list, seed_count in others:
+        build_X0_model(p_list, seed_count)
+    assert scenarios._x0_model.cache_info().currsize <= maxsize
+    again = build_X0_model(*key)        # evicted: built afresh, and equal
+    assert again is not first
+    assert _x0_summary(again, key[1]) == pinned
+
+
+def test_memoised_lattices_hold_only_their_seed_squares(cold_models):
+    # a square memo holds the members of one set (README), so no transform
+    # may write into a model's lattice, which every caller of its key shares
+    verify_count_lemma((3,), 0, 4)
+    verify_count_lemma((2, 3), 1, 2)
+    verify_restriction_lemma((3,), 0, 4)
+    verify_restriction_lemma((2, 3), 0, 2)
+    knotted_cork_scenario([(2, 3), (2, 5), (3, 4)])
+    keys = [((3,), 4), ((2, 3), 2), ((), 2)]
+    assert scenarios._x0_model.cache_info().currsize == len(keys)
+    hits = scenarios._x0_model.cache_info().hits
+    for key in keys:
+        x0 = build_X0_model(*key)
+        fresh = IntersectionLattice(x0.lattice.pairing)
+        assert x0.lattice._squares == {k: fresh.dual_square(k) for k in x0.classes.members}
+    assert scenarios._x0_model.cache_info().hits == hits + len(keys)
+
+
+def test_every_library_memo_is_bounded():
+    memos = {}
+    for info in pkgutil.iter_modules(kirbycalc.__path__):
+        for obj in vars(import_module(f"kirbycalc.{info.name}")).values():
+            if hasattr(obj, "cache_info"):
+                memos[f"{obj.__module__}.{obj.__qualname__}"] = obj.cache_info().maxsize
+    assert memos.keys() >= {"kirbycalc.legendrian._front_of_word",
+                            "kirbycalc.scenarios.build_genus_model",
+                            "kirbycalc.scenarios._x0_model",
+                            "kirbycalc.cli._build_parser"}
+    assert {name: size for name, size in memos.items() if not isinstance(size, int)} == {}
 
 
 # -- count lemma -------------------------------------------------------------------------
@@ -491,7 +573,7 @@ def test_restriction_lemma(p):
     assert report.mayer_vietoris_index == report.boundary_order == p * p
 
 
-def test_restriction_lemma_takes_one_dual_for_alpha(monkeypatch):
+def test_restriction_lemma_takes_one_dual_for_alpha(monkeypatch, cold_models):
     calls = []
     dual = IntersectionLattice.dual
 
