@@ -237,8 +237,8 @@ def _cmd_scenario_knottedcork(doc, args) -> dict:
     return {
         "knots": [list(k) for k in report.knots],
         "counts": list(report.counts),
-        "alexander": list(report.alexander),
-        "all_nonzero": report.all_nonzero,
+        "alexander": [str(delta) for delta in report.alexander],
+        "all_nonzero": all(report.counts),
         "pairwise_distinct": report.pairwise_distinct,
         "ok": not any(report.failures()),
     }

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from operator import index
 from types import MappingProxyType
-from typing import AbstractSet, Iterable, Mapping, Sequence
+from typing import Container, Mapping, Sequence
 
 
 class HandleError(ValueError):
@@ -30,17 +30,12 @@ def _integer(v: object, what: str, error: type[ValueError] = HandleError) -> int
         raise error(f"{what} must be an integer, got {v!r}") from None
 
 
-def fresh_id(base: str, taken: Iterable[str]) -> str:
-    """Smallest decorated variant of `base` not present in `taken`."""
-    return _free_variant(base, set(taken))
-
-
-def _free_variant(base: str, used: AbstractSet[str]) -> str:
-    """`fresh_id` on a set the caller keeps, which is read and not copied."""
-    if base not in used:
+def fresh_id(base: str, taken: Container[str]) -> str:
+    """Smallest decorated variant of `base` not in `taken`, which is read, not copied."""
+    if base not in taken:
         return base
     k = 2
-    while f"{base}_{k}" in used:
+    while f"{base}_{k}" in taken:
         k += 1
     return f"{base}_{k}"
 
@@ -294,7 +289,7 @@ def boundary_sum(d1: HandleDecomposition, d2: HandleDecomposition) -> HandleDeco
     taken = set(d1.all_ids)
     rename: dict[str, str] = {}
     for i in d2.all_ids:
-        new = _free_variant(i, taken)
+        new = fresh_id(i, taken)
         rename[i] = new
         taken.add(new)
 

@@ -109,17 +109,9 @@ def parse_front(text: str) -> FrontDiagram:
 
 @lru_cache(maxsize=64)
 def _front_of_word(word: str) -> FrontDiagram:
-    tokens = word.split()
     built: dict[str, FrontEvent] = {}
-    for tok in dict.fromkeys(tokens):
-        m = _TOKEN.match(tok)
-        if not m or not m.group(1):
-            break           # a marker or a bad token: read the word in order
-        built[tok] = FrontEvent(m.group(1), int(m.group(2)))
-    else:
-        return FrontDiagram(tuple(map(built.__getitem__, tokens)))
     events: list[FrontEvent] = []
-    for idx, tok in enumerate(tokens):
+    for idx, tok in enumerate(word.split()):
         ev = built.get(tok)
         if ev is None:
             m = _TOKEN.match(tok)

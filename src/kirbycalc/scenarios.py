@@ -46,6 +46,7 @@ from .legendrian import (
 from .swledger import (
     BasicClassSet,
     IntersectionLattice,
+    LaurentPolynomial,
     ManifoldModel,
     Vector,
     _direct_sum,
@@ -536,14 +537,29 @@ def genus_obstruction_Nn(n: int, k: int) -> GenusObstructionReport:
 class KnottedCorkReport:
     knots: tuple[tuple[int, int], ...]
     counts: tuple[int, ...]
-    alexander: tuple[str, ...]
-    all_nonzero: bool
+    alexander: tuple[LaurentPolynomial, ...]
+    input_weight: int                   # total SW weight of the input class set
+    output_weights: tuple[int, ...]
     pairwise_distinct: bool
 
     def failures(self) -> Iterator[str]:
+        for (p, q), delta, weight in zip(self.knots, self.alexander, self.output_weights):
+            # the symmetrized quotient, multiplied back by its denominator
+            shift = (p - 1) * (q - 1) // 2
+            lhs = delta * LaurentPolynomial({p: 1, 0: -1}) * LaurentPolynomial({q: 1, 0: -1})
+            rhs = LaurentPolynomial({p * q - shift: 1, -shift: -1}) * \
+                LaurentPolynomial({1: 1, 0: -1})
+            if lhs != rhs:
+                yield (f"Delta of ({p},{q}) is not t^{-shift} (t^{p * q} - 1)(t - 1) / "
+                       f"((t^{p} - 1)(t^{q} - 1))")
+            # SW(X_K) = SW(X) Delta_K(t^2) at t = 1; exact even where classes
+            # collide, as their weights add
+            if weight != delta(1) * self.input_weight:
+                yield (f"total weight {weight} of the ({p},{q}) output is not "
+                       f"Delta(1) = {delta(1)} times the input's {self.input_weight}")
         # the twisted side's class set is empty, so "nonzero" already
         # separates every output from it
-        if not self.all_nonzero:
+        if not all(self.counts):
             yield "surgery outputs not all nonzero"
         if not self.pairwise_distinct:
             yield "surgery outputs not pairwise distinct"
@@ -559,19 +575,13 @@ def knotted_cork_scenario(knots: Sequence[tuple[int, int]]) -> KnottedCorkReport
     """
     base = build_X0_model(())
     torus = base.torus()
-    polys = []
-    outs = []
-    for p, q in knots:
-        delta = alexander_polynomial_torus(p, q)
-        if not delta.is_symmetric() or delta(1) not in (1, -1):
-            raise ScenarioError(f"bad Alexander normalization for ({p},{q})")
-        polys.append(delta)
-        outs.append(knot_surgery_basic_classes(base.model, base.classes,
-                                               torus, delta))
+    polys = tuple(alexander_polynomial_torus(p, q) for p, q in knots)
+    outs = [knot_surgery_basic_classes(base.model, base.classes, torus, delta)
+            for delta in polys]
     fingerprints = [tuple(sorted(o.weights.items())) for o in outs]
     return KnottedCorkReport(tuple(tuple(k) for k in knots),
                              tuple(o.count for o in outs),
-                             tuple(str(d) for d in polys),
-                             all(o.count > 0 for o in outs),
+                             polys,
+                             sum(base.classes.weights.values()),
+                             tuple(sum(o.weights.values()) for o in outs),
                              len(set(fingerprints)) == len(fingerprints))
-

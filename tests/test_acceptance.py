@@ -21,9 +21,11 @@ PINNED = {
     6: ("Stein framing checks",
         "catalog Stein, tb((p+1,p)) - 1 = p^2 - p - 2 for p = 2..8"),
     7: ("genus obstruction bound",
-        "bound >= n|k| - (|k|-1); genus < n forces k = 0, n = 2..8, |k| <= 5"),
+        "max pairing |k|(2n-2), bound |k|(n-1)+1; genus < n forces k = 0, "
+        "n = 2..8, |k| <= 5"),
     8: ("knot surgery distinctness",
-        "distinct nonzero outputs for 5 torus knots; symmetric unit polynomials"),
+        "Delta (t^p-1)(t^q-1) = t^-delta (t^pq-1)(t-1), output weight = Delta(1) "
+        "input weight; distinct nonzero outputs for 5 torus knots"),
     9: ("move invariance",
         "1000 slides invariant; round trips exact; swap is an involution"),
     10: ("Smith normal form correctness",
@@ -94,7 +96,8 @@ def test_d_conservation_raises_lattice_errors(monkeypatch):
 
 def test_a_raising_criterion_fails_only_its_claim(monkeypatch, capsys):
     # a library error inside one criterion is that claim's failure detail;
-    # every other claim still reports its own verdict
+    # every other claim still reports its own verdict.  An asymmetric Delta
+    # gives surgery outputs that are not closed under negation
     import json
 
     from kirbycalc import scenarios
@@ -107,7 +110,8 @@ def test_a_raising_criterion_fails_only_its_claim(monkeypatch, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert code == 1 and payload["ok"] is False
     assert [(c["number"], c["ok"], c["detail"]) for c in payload["criteria"]] == \
-        [(n, n != 8, "bad Alexander normalization for (2,3)" if n == 8 else detail)
+        [(n, n != 8,
+          "set is not closed under negation at (-1, -1, -1, 1, 1, 1, 0, 2)" if n == 8 else detail)
          for n, (_, detail) in PINNED.items()]
 
 

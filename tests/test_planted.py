@@ -3,8 +3,12 @@
 Each test patches one computation the claim rests on (a move its diagrams
 are built from, a genus bound, the Smith elimination), not the claim's judge,
 and asserts that the criterion fails with a detail naming the broken case.
+A claim that no planted defect can fail yet sits in `UNPLANTED`, with the
+reason.
 """
 
+import json
+import re
 from dataclasses import replace
 from importlib import import_module
 
@@ -12,6 +16,8 @@ import pytest
 
 from kirbycalc import acceptance, handles, legendrian, scenarios, swledger
 from kirbycalc.acceptance import run_criterion
+from kirbycalc.cli import run_command
+from kirbycalc.swledger import LaurentPolynomial
 
 # a patched computation must reach every model a claim builds
 pytestmark = pytest.mark.usefixtures("cold_models")
@@ -53,6 +59,22 @@ def test_torus_front_with_one_zig_zag_fails_claim_6(monkeypatch):
     assert result.detail.startswith("D~(2) fails framing = tb - 1 on d1.w;")
 
 
+def test_blow_up_cube_without_its_last_sign_combination_fails_claim_3(monkeypatch):
+    # the cube is checked per core, so a member dropped from every core
+    # passes construction; only the enumeration sees it
+    sign_sums = swledger._sign_sums
+
+    def dropped(base, gens):
+        sums = sign_sums(base, gens)
+        return sums[:-1] if gens else sums
+
+    monkeypatch.setattr(swledger, "_sign_sums", dropped)
+    for seed, case in ((2026, "trial 1 (n=3, |beta|=8)"), (7, "trial 1 (n=3, |beta|=2)")):
+        result = run_criterion(3, seed)
+        assert not result.ok
+        assert result.detail.startswith(f"brute-force enumeration mismatch in {case};")
+
+
 def test_genus_bound_off_by_one_fails_claim_7(monkeypatch):
     def min_genus_bound(model, beta, alpha):
         return swledger.min_genus_bound(model, beta, alpha) - 1
@@ -79,6 +101,61 @@ def test_identity_descent_fails_claims_4_and_11(monkeypatch):
     assert result.detail.startswith("descent from rank 15 gave 15, not 11, for p=5;")
 
 
+def _identity_failure(p, q):
+    shift = (p - 1) * (q - 1) // 2
+    return (f"Delta of ({p},{q}) is not t^-{shift} (t^{p * q} - 1)(t - 1) / "
+            f"((t^{p} - 1)(t^{q} - 1))")
+
+
+def _alexander_of_the_next_knot(p, q):
+    knots = acceptance.KNOTS
+    return swledger.alexander_polynomial_torus(*knots[(knots.index((p, q)) + 1) % len(knots)])
+
+
+def _negated_alexander(p, q):
+    return LaurentPolynomial({0: -1}) * swledger.alexander_polynomial_torus(p, q)
+
+
+def _outer_coefficients_negated(p, q):
+    # symmetric still, with Delta(1) = -3 off the trefoil
+    delta = swledger.alexander_polynomial_torus(p, q)
+    top = max(delta.coeffs)
+    return LaurentPolynomial({e: -c if abs(e) == top and (p, q) != (2, 3) else c
+                              for e, c in delta.coeffs.items()})
+
+
+@pytest.mark.parametrize("alexander,knots", [
+    (_alexander_of_the_next_knot, acceptance.KNOTS),
+    (_negated_alexander, acceptance.KNOTS),
+    (_outer_coefficients_negated, acceptance.KNOTS[1:]),
+], ids=["next-knot", "negated", "outer-negated"])
+def test_wrong_alexander_polynomial_fails_claim_8(monkeypatch, alexander, knots):
+    monkeypatch.setattr(scenarios, "alexander_polynomial_torus", alexander)
+    result = run_criterion(8)
+    assert not result.ok
+    assert result.detail == "; ".join(_identity_failure(p, q) for p, q in knots)
+
+
+def test_alexander_of_the_next_knot_fails_the_knottedcork_command(monkeypatch, capsys):
+    monkeypatch.setattr(scenarios, "alexander_polynomial_torus", _alexander_of_the_next_knot)
+    code = run_command(["scenario", "knottedcork", "--knot", "2,3", "--knot", "2,5"])
+    assert code == 1
+    assert json.loads(capsys.readouterr().out)["ok"] is False
+
+
+def test_knot_surgery_that_keeps_the_weights_fails_claim_8(monkeypatch):
+    # each new class K + 2jT keeps the weight w of K in place of w * a_j
+    def knot_surgery_basic_classes(model, beta, torus, alexander):
+        ones = LaurentPolynomial(dict.fromkeys(alexander.coeffs, 1))
+        return swledger.knot_surgery_basic_classes(model, beta, torus, ones)
+
+    monkeypatch.setattr(scenarios, "knot_surgery_basic_classes", knot_surgery_basic_classes)
+    result = run_criterion(8)
+    assert not result.ok
+    assert result.detail.startswith(
+        "total weight 6 of the (2,3) output is not Delta(1) = 1 times the input's 2;")
+
+
 def test_slide_that_keeps_the_run_throughs_fails_claim_9(monkeypatch):
     def handle_slide(d, a, b, sign):
         return replace(handles.handle_slide(d, a, b, sign), run_through=d.run_through)
@@ -99,3 +176,23 @@ def test_smith_form_without_the_divisibility_sweep_fails_claim_10(monkeypatch):
             "[-6, 7, 7, 4, 4, 4], [-5, 4, -9, 5, -8, -3], [-3, 2, 9, 7, 5, -1]]")
     assert result.detail == (f"divisibility chain (1, 1, 1, 1, 3, 410033) broken for {case}; "
                              f"gcd of 5x5 minors mismatch for {case}")
+
+
+# claims that no planted defect can fail yet, each with the reason
+UNPLANTED = {
+    2: "W_n is modelled as a cancelling pair, a dotted circle with a 0-framed "
+       "circle through it once, so a broken W_n, even an empty one, keeps the "
+       "trivial homology the claim checks; it waits for W_n's real diagram",
+    5: "its judge checks that the restriction profiles are distinct, not that "
+       "they are the evaluations on the chain complement",
+}
+
+
+def test_every_claim_has_a_planted_defect_or_a_reason():
+    planted = set()
+    for name in globals():
+        m = re.fullmatch(r"test_\w+_fails_claims?_(\d+(?:_and_\d+)*)", name)
+        if m:
+            planted.update(map(int, m.group(1).split("_and_")))
+    assert not planted & UNPLANTED.keys()
+    assert sorted(planted | UNPLANTED.keys()) == [c.number for c in acceptance.CLAIMS]

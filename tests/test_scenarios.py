@@ -645,8 +645,9 @@ _RESTRICTION = RestrictionLemmaReport(3, True, True, True, True, mayer_vietoris_
 _GENUS = GenusObstructionReport(4, -2, max_pairing=12, genus_bound=7,
                                 forces_zero_below_n=True)
 _CORK = KnottedCorkReport(((2, 3), (2, 5)), (6, 10),
-                          ("t - 1 + t^-1", "t^2 - t + 1 - t^-1 + t^-2"),
-                          all_nonzero=True, pairwise_distinct=True)
+                          (LaurentPolynomial({1: 1, 0: -1, -1: 1}),
+                           LaurentPolynomial({2: 1, 1: -1, 0: 1, -1: -1, -2: 1})),
+                          input_weight=2, output_weights=(2, 2), pairwise_distinct=True)
 
 
 @pytest.mark.parametrize("report,expected", [
@@ -678,13 +679,19 @@ _CORK = KnottedCorkReport(((2, 3), (2, 5)), (6, 10),
     pytest.param(replace(_GENUS, genus_bound=8),
                  ["bound 8 != |k|(n - 1) + 1 for n=4, k=-2"], id="genus-bound-high"),
     pytest.param(_CORK, [], id="cork-pass"),
-    pytest.param(replace(_CORK, counts=(0, 10), all_nonzero=False),
+    pytest.param(replace(_CORK, counts=(0, 10)),
                  ["surgery outputs not all nonzero"], id="cork-zero"),
     pytest.param(replace(_CORK, pairwise_distinct=False),
                  ["surgery outputs not pairwise distinct"], id="cork-alike"),
-    pytest.param(replace(_CORK, all_nonzero=False, pairwise_distinct=False),
+    pytest.param(replace(_CORK, counts=(6, 0), pairwise_distinct=False),
                  ["surgery outputs not all nonzero", "surgery outputs not pairwise distinct"],
                  id="cork-both"),
+    pytest.param(replace(_CORK, alexander=(_CORK.alexander[0],) * 2),
+                 ["Delta of (2,5) is not t^-2 (t^10 - 1)(t - 1) / ((t^2 - 1)(t^5 - 1))"],
+                 id="cork-delta"),
+    pytest.param(replace(_CORK, output_weights=(2, 10)),
+                 ["total weight 10 of the (2,5) output is not Delta(1) = 1 times the input's 2"],
+                 id="cork-weight"),
 ])
 def test_report_failures_name_each_broken_condition(report, expected):
     assert list(report.failures()) == expected
