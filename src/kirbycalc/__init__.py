@@ -6,6 +6,10 @@ integer homology via Smith normal form, combinatorial Legendrian fronts
 with Thurston-Bennequin bookkeeping, and the blow-up / rational-blowdown /
 knot-surgery transformations of Seiberg-Witten basic classes, together with
 a registry of checked claims and a CLI.
+
+`kirbycalc.homology` is the function `homology.homology`, bound over the
+submodule of the same name; reach the module itself through
+`importlib.import_module("kirbycalc.homology")`.
 """
 
 from .handles import (

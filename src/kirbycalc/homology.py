@@ -4,6 +4,9 @@ Everything here runs on arbitrary-precision Python integers: Smith normal
 form with its unimodular transforms, canonical (Hermite) kernel bases,
 Bareiss determinants and adjugates, exact inertia of symmetric forms, and
 the homology of a handlebody presented by its run-through and linking data.
+`det` and `adjugate` share one elimination, `_gauss_jordan`, and one sparse
+form kernel, `_matvec` and `_pairings`, serves `homology`'s intersection
+form and the SW ledger's lattice.
 
 Which matrices each entry point builds:
 - `boundary_first_homology` fills one n x n list, the surgery presentation,
@@ -123,63 +126,78 @@ def _dot(a: Sequence[int], b: Sequence[int]) -> int:
     return sum(map(mul, a, b))
 
 
+def _matvec(rows: Sequence[Sequence[tuple[int, int]]], x: Sequence[int]) -> list[int]:
+    """G x for a symmetric G kept as each row's nonzero (j, g) pairs, scattered
+    over the nonzero entries of x: column j of G is its row j."""
+    out = [0] * len(rows)
+    for j, xj in enumerate(x):
+        if xj:
+            for i, g in rows[j]:
+                out[i] += g * xj
+    return out
+
+
+def _pairings(classes: Iterable[Sequence[int]], alpha: Sequence[int]) -> list[int]:
+    """<K, alpha> for each class K, summed over the nonzero entries of alpha."""
+    support = [(j, a) for j, a in enumerate(alpha) if a]
+    out = []
+    for kappa in classes:
+        s = 0
+        for j, a in support:
+            s += kappa[j] * a
+        out.append(s)
+    return out
+
+
 def det(m: IntMatrix) -> int:
     """Exact determinant by fraction-free (Bareiss) elimination."""
     if m.rows != m.cols:
         raise ValueError("determinant of a non-square matrix")
-    n = m.rows
-    if n == 0:
-        return 1
-    a = m.to_lists()
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k]:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+    return _gauss_jordan(m.to_lists(), m.rows)
 
 
 def adjugate(m: IntMatrix) -> tuple[int, tuple[tuple[int, ...], ...]]:
     """(det M, adj M) by fraction-free Gauss-Jordan elimination of [M | I].
 
-    Each step divides exactly by the previous pivot (Bareiss), so every
-    entry stays an integer minor of [M | I].  At the end the left block is
-    d I and the right block d M^{-1}, where d = +-det M carries the sign of
-    the row swaps.  Raises ValueError for a non-square or singular matrix.
+    That leaves s det M M^{-1} in the right block, s = +-1 the sign of the
+    row swaps, and s det M as the last pivot.  Raises ValueError for a
+    non-square or singular matrix.
     """
     if m.rows != m.cols:
         raise ValueError("adjugate of a non-square matrix")
     n = m.rows
     a = [list(row) + [int(i == j) for j in range(n)]
          for i, row in enumerate(m.entries)]
+    d = _gauss_jordan(a, n)
+    if not d:
+        raise ValueError("adjugate of a singular matrix")
+    sign = d // a[-1][n - 1] if n else 1
+    return d, tuple(tuple(sign * x for x in row[n:]) for row in a)
+
+
+def _gauss_jordan(a: list[list[int]], n: int) -> int:
+    """Fraction-free (Bareiss) Gauss-Jordan on the first n columns of `a`, in place.
+
+    Each step divides exactly by the previous pivot and rewrites only the
+    columns from the pivot on, as no later step reads those left of it.  The
+    last pivot is +-d, the sign that of the row swaps; returns d, the left
+    n x n block's determinant, or 0 once a column has no pivot left."""
     sign, prev = 1, 1
     for k in range(n):
         piv = next((i for i in range(k, n) if a[i][k]), None)
         if piv is None:
-            raise ValueError("adjugate of a singular matrix")
+            return 0
         if piv != k:
             a[k], a[piv] = a[piv], a[k]
             sign = -sign
-        pk = a[k]
-        d = pk[k]
-        for i in range(n):
+        pk = a[k][k:]
+        d = pk[0]
+        for i, ai in enumerate(a):
             if i != k:
-                ai = a[i]
                 f = ai[k]
-                a[i] = [(d * x - f * y) // prev for x, y in zip(ai, pk)]
+                ai[k:] = [(d * x - f * y) // prev for x, y in zip(ai[k:], pk)]
         prev = d
-    return sign * prev, tuple(tuple(sign * x for x in row[n:]) for row in a)
+    return sign * prev
 
 
 @dataclass(frozen=True)
@@ -595,41 +613,23 @@ def homology(d: HandleDecomposition) -> HomologyProfile:
 
     H_1 is the cokernel and H_2 the kernel of the run-through differential;
     the intersection form is the linking matrix restricted to the canonical
-    kernel basis, so repeated runs produce identical matrices.
+    kernel basis, so repeated runs produce identical matrices.  Linking rows
+    keep their nonzero entries only, so the form costs the links.
     """
     n2 = len(d.two_handles)
     factors, _, v_columns = _diagonalize(_run_through_rows(d), want_u=False,
                                          want_v=True, cols=n2)
     torsion, free = _cokernel(len(d.one_handles), factors)
     basis = hermite_row_basis(v_columns[len(factors):], n2)
-    form = IntMatrix.from_rows(_intersection_form(d, basis), cols=len(basis))
-    return HomologyProfile(torsion, free, len(basis), form, basis)
-
-
-def _intersection_form(d: HandleDecomposition,
-             basis: Sequence[Sequence[int]]) -> list[list[int]]:
-    """B^T Q B for the linking matrix Q, summing only its nonzero terms.
-
-    Q is read from the framings and `d.links`, B from the supports of the
-    basis vectors, so the cost follows the links, not the square of the
-    number of 2-handles.
-    """
     index = {k: i for i, (k, _) in enumerate(d.two_handles)}
-    linked: list[list[tuple[int, int]]] = [[] for _ in index]
+    linking = [[(i, f)] if f else [] for i, (_, f) in enumerate(d.two_handles)]
     for (a, b), lk in d.links.items():
-        linked[index[a]].append((index[b], lk))
-        linked[index[b]].append((index[a], lk))
-    framings = [f for _, f in d.two_handles]
-    supports = [[(a, x) for a, x in enumerate(v) if x] for v in basis]
-    qb = []
-    for support in supports:
-        qv = [0] * len(framings)
-        for a, x in support:
-            qv[a] += framings[a] * x
-            for b, lk in linked[a]:
-                qv[b] += lk * x
-        qb.append(qv)
-    return [[sum(qv[a] * x for a, x in support) for support in supports] for qv in qb]
+        i, j = index[a], index[b]
+        linking[i].append((j, lk))
+        linking[j].append((i, lk))
+    form = [_pairings(basis, _matvec(linking, b)) for b in basis]
+    return HomologyProfile(torsion, free, len(basis),
+                           IntMatrix.from_rows(form, cols=len(basis)), basis)
 
 
 def boundary_first_homology(d: HandleDecomposition) -> tuple[int, ...]:

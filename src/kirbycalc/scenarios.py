@@ -32,6 +32,7 @@ from .handles import (
 from .homology import (
     IntMatrix,
     _dot,
+    _pairings,
     boundary_group_order,
     det,
     inertia,
@@ -51,7 +52,6 @@ from .swledger import (
     Vector,
     _direct_sum,
     _lift_ok,
-    _pairings,
     _restrictions,
     _sign_sums,
     _unit,
@@ -540,10 +540,11 @@ class KnottedCorkReport:
     alexander: tuple[LaurentPolynomial, ...]
     input_weight: int                   # total SW weight of the input class set
     output_weights: tuple[int, ...]
-    pairwise_distinct: bool
+    coinciding: tuple[tuple[int, int], ...]     # index pairs i < j of equal outputs
 
     def failures(self) -> Iterator[str]:
-        for (p, q), delta, weight in zip(self.knots, self.alexander, self.output_weights):
+        for (p, q), delta, weight, count in zip(self.knots, self.alexander,
+                                                self.output_weights, self.counts):
             # the symmetrized quotient, multiplied back by its denominator
             shift = (p - 1) * (q - 1) // 2
             lhs = delta * LaurentPolynomial({p: 1, 0: -1}) * LaurentPolynomial({q: 1, 0: -1})
@@ -557,12 +558,13 @@ class KnottedCorkReport:
             if weight != delta(1) * self.input_weight:
                 yield (f"total weight {weight} of the ({p},{q}) output is not "
                        f"Delta(1) = {delta(1)} times the input's {self.input_weight}")
-        # the twisted side's class set is empty, so "nonzero" already
-        # separates every output from it
-        if not all(self.counts):
-            yield "surgery outputs not all nonzero"
-        if not self.pairwise_distinct:
-            yield "surgery outputs not pairwise distinct"
+            # the twisted side's class set is empty, so "nonzero" already
+            # separates every output from it
+            if not count:
+                yield f"surgery output of ({p},{q}) is empty"
+        for i, j in self.coinciding:
+            yield (f"surgery outputs of ({self.knots[i][0]},{self.knots[i][1]}) and "
+                   f"({self.knots[j][0]},{self.knots[j][1]}) coincide")
 
 
 def knotted_cork_scenario(knots: Sequence[tuple[int, int]]) -> KnottedCorkReport:
@@ -584,4 +586,5 @@ def knotted_cork_scenario(knots: Sequence[tuple[int, int]]) -> KnottedCorkReport
                              polys,
                              sum(base.classes.weights.values()),
                              tuple(sum(o.weights.values()) for o in outs),
-                             len(set(fingerprints)) == len(fingerprints))
+                             tuple((i, j) for j, f in enumerate(fingerprints)
+                                   for i in range(j) if fingerprints[i] == f))

@@ -10,7 +10,9 @@ the pairing matrix, divided exactly, and must come out integral.  The
 adjugate takes one factorization per connected block of the pairing, and
 pairing rows are kept as their nonzero entries: the model pairings are
 direct sums of small blocks, so duals, squares and characteristic checks
-cost the nonzeros, not the square of the rank.
+cost the nonzeros, not the square of the rank.  Squares take homology's
+`adjugate`, and duals and pairings its sparse form kernel, `_matvec` and
+`_pairings`; `dual_square` keeps its own fused loop over the adjugate.
 
 Basic-class sets are built and checked per sign cube, not per member: a
 set is cores times the signs of its generators (the E-cube of a blow-up,
@@ -23,7 +25,8 @@ seed square) and the blow-up (K^2 - n), and each writes the squares of the
 one set it builds into the lattice it has just built, so a memo holds the
 members of one set and nothing more.  `d_invariant`, `is_simple_type` and
 `BasicClassSet.squares` read a square through one lookup: the stored
-square, else a dual square, which is not stored.
+square, else a dual square, which is not stored.  A transform of a model
+and a set first checks that the two share one pairing.
 
 The ledger transforms declared basic-class data; it does not compute SW
 invariants from geometry.
@@ -42,7 +45,7 @@ from operator import add, index, neg
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
-from .homology import IntMatrix, _dot, adjugate, smith_normal_form
+from .homology import IntMatrix, _dot, _matvec, _pairings, adjugate, smith_normal_form
 
 Vector = tuple[int, ...]
 
@@ -136,20 +139,10 @@ class IntersectionLattice:
         return self.pair(x, x)
 
     def dual(self, x: Sequence[int]) -> Vector:
-        """Evaluation coordinates of a primal vector: (G x)_i = <x, b_i>.
-
-        Scattered column by column over the nonzero entries of x; column j
-        of the symmetric pairing is its row j.
-        """
+        """Evaluation coordinates of a primal vector: (G x)_i = <x, b_i>."""
         if len(x) != self.rank:
             raise LedgerError("vector length does not match lattice rank")
-        out = [0] * self.rank
-        rows = self._rows
-        for j, xj in enumerate(x):
-            if xj:
-                for i, g in rows[j]:
-                    out[i] += g * xj
-        return tuple(out)
+        return tuple(_matvec(self._rows, x))
 
     def dual_square(self, kappa: Sequence[int]) -> int:
         """Square of a class given in evaluation coordinates.
@@ -364,15 +357,23 @@ def d_invariant(model: ManifoldModel, kappa: Sequence[int]) -> int:
     return d
 
 
+def _require_same_pairing(model: ManifoldModel, beta: BasicClassSet) -> None:
+    """Raise unless beta's pairing is the model's: verdicts and squares read
+    on one lattice are kept for the other."""
+    if beta.lattice is not model.lattice and beta.lattice.pairing != model.lattice.pairing:
+        raise LedgerError("basic-class set and model have different pairings")
+
+
 def is_simple_type(model: ManifoldModel, beta: BasicClassSet) -> bool:
     """Simple type: d(K) = 0, i.e. K^2 = 2e + 3sigma, for every basic class.
 
     The verdict depends on the model only through 2e + 3sigma, and d on the
     class only through its square, so d is taken once per distinct square,
     for the first member that carries it.  A passing verdict is remembered
-    on the set under that key; a failing one is not, so its odd-d warning
-    repeats on every call.
+    on the set under that key, which the set's one pairing makes sound; a
+    failing one is not, so its odd-d warning repeats on every call.
     """
+    _require_same_pairing(model, beta)
     key = 2 * model.euler + 3 * model.signature
     if key in beta._simple_type:
         return True
@@ -419,6 +420,7 @@ def blow_up_basic_classes(model: ManifoldModel, beta: BasicClassSet,
     if beta.count == 0:
         raise LedgerError("blow-up formula needs a non-empty basic-class set")
     model.require_sw_hypotheses()
+    _require_same_pairing(model, beta)
     if n == 0:
         return model, beta
     r = model.lattice.rank
@@ -458,18 +460,6 @@ class AdjunctionReport:
 def _require_simple_type(model: ManifoldModel, beta: BasicClassSet) -> None:
     if not is_simple_type(model, beta):
         raise LedgerError("adjunction needs a simple-type model")
-
-
-def _pairings(classes: Iterable[Vector], alpha: Sequence[int]) -> list[int]:
-    """<K, alpha> for each class K, summed over the nonzero entries of alpha."""
-    support = [(j, a) for j, a in enumerate(alpha) if a]
-    out = []
-    for kappa in classes:
-        s = 0
-        for j, a in support:
-            s += kappa[j] * a
-        out.append(s)
-    return out
 
 
 def adjunction_check(model: ManifoldModel, beta: BasicClassSet, alpha: Sequence[int],
@@ -550,6 +540,7 @@ def rational_blowdown_descend(
     if not chain:
         raise LedgerError("rational blowdown needs p >= 2")
     model.require_sw_hypotheses()
+    _require_same_pairing(model, beta)
     p = len(chain) + 1
     lat = model.lattice
     chain = [_vec(u) for u in chain]
@@ -664,6 +655,7 @@ def knot_surgery_basic_classes(model: ManifoldModel, beta: BasicClassSet,
     """
     lat = model.lattice
     model.require_sw_hypotheses()
+    _require_same_pairing(model, beta)
     torus = _vec(torus)
     t_dual = lat.dual(torus)
     if _dot(t_dual, torus) != 0:

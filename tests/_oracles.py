@@ -32,6 +32,25 @@ def invert_rational(m) -> tuple[tuple[Fraction, ...], ...]:
     return tuple(tuple(row[n:]) for row in a)
 
 
+def det_rational(m) -> int:
+    """Determinant by forward Gaussian elimination over Q, on Fractions."""
+    n = m.rows
+    a = [[Fraction(x) for x in row] for row in m.entries]
+    d = Fraction(1)
+    for col in range(n):
+        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
+        if piv is None:
+            return 0
+        if piv != col:
+            a[col], a[piv] = a[piv], a[col]
+            d = -d
+        d *= a[col][col]
+        for r in range(col + 1, n):
+            f = a[r][col] / a[col][col]
+            a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+    return int(d)
+
+
 # -- Smith elimination, one row or column operation per quotient -------------------
 # The elimination `homology._diagonalize` ran before it folded each Euclid run
 # into one 2x2 step and carried U and V as sparse rows.

@@ -1,6 +1,7 @@
 """Kirby moves: frozen examples plus boundary-invariance oracles."""
 
 import random
+import re
 import time
 from dataclasses import fields, replace
 
@@ -521,3 +522,28 @@ def test_splice_reports_the_first_fault_in_chain_order():
                   {("u1", "h"): 1}) == "external handle 'y' links the excised chain at 'u2'"
     assert splice({("u2", "x"): 1}, twos, ones, {("u2", "h"): 1}) == \
         "chain member 'u2' runs through a 1-handle"
+
+
+# -- user-facing errors ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: HandleDecomposition(three_handles=-1), HandleError,
+     "three_handles must be non-negative"),
+    (lambda: HandleDecomposition(two_handles=(("a", 0),), links={("a", "b"): 1}),
+     HandleError, "link 'a'-'b' names a missing 2-handle"),
+    (lambda: HandleDecomposition(one_handles=("h",), run_through={("k", "h"): 1}),
+     HandleError, "run-through names missing 2-handle 'k'"),
+    (lambda: HandleDecomposition(two_handles=(("k", 0),), run_through={("k", "h"): 1}),
+     HandleError, "run-through names missing 1-handle 'h'"),
+    (lambda: HandleDecomposition(two_handles=(("a", 0), ("b", 0)),
+                                 links={("a", "b"): 1, ("b", "a"): 2}),
+     HandleError, "conflicting link values for ('a', 'b')"),
+    (lambda: build_Cp(3).link("u1", "u1"), HandleError, "self-linking is the framing"),
+    (lambda: handle_slide(build_Cp(3), "u1", "u2", 2), HandleError,
+     "sign must be +1 or -1"),
+], ids=["three-handles", "link-missing", "rt-missing-2h", "rt-missing-1h",
+        "link-conflict", "self-link", "slide-sign"])
+def test_handle_errors(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()

@@ -1,10 +1,12 @@
 """The .hbd format and the command-line interface."""
 
+import argparse
 import ast
 import io
 import json
 import re
 import string
+import warnings
 from contextlib import redirect_stdout
 from importlib import import_module
 from itertools import combinations
@@ -456,6 +458,10 @@ def test_cli_sw_commands(capsys):
     code, payload = run_json(capsys, "scenario", "knottedcork", "--knot", "2,3",
                              "--knot", "2,5")
     assert code == 0 and payload["pairwise_distinct"] is True
+    code, payload = run_json(capsys, "scenario", "knottedcork", "--knot", "3,2",
+                             "--knot", "2,3")
+    assert code == 1 and payload["pairwise_distinct"] is False
+    assert payload["all_nonzero"] is True
 
 
 # each sw handler is the only judge of its transform: criterion 3 checks the
@@ -675,3 +681,66 @@ def test_cli_matches_golden(tmp_path, capsys, monkeypatch):
             monkeypatch.setattr("sys.stdin", io.StringIO(golden["files"][run["stdin"]]))
         code = run_command(run["argv"])
         assert (code, capsys.readouterr().out) == (run["code"], run["stdout"]), run["argv"]
+
+
+# subcommands the golden file leaves out, each with its reason
+_GOLDEN_EXEMPT = {("check",): "its payload carries each criterion's timing in seconds"}
+
+
+def _subcommands(parser, path=()):
+    """The path of every leaf subcommand under an argparse parser."""
+    actions = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not actions:
+        yield path
+    for action in actions:
+        for name, child in action.choices.items():
+            yield from _subcommands(child, path + (name,))
+
+
+def test_golden_file_covers_every_subcommand():
+    runs = json.loads((Path(__file__).parent / "cli_golden.json").read_text())["runs"]
+    commands = set(_subcommands(cli._build_parser()))
+    assert len(commands) > len(_GOLDEN_EXEMPT) and set(_GOLDEN_EXEMPT) <= commands
+    uncovered = sorted(c for c in commands - set(_GOLDEN_EXEMPT)
+                       if not any(tuple(run["argv"][:len(c)]) == c for run in runs))
+    assert uncovered == []
+
+
+# -- user-facing errors ----------------------------------------------------------------
+
+_ONE_TWO = "manifold M\n1h h\n2h k framing 0\n"
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: parse_hbd("2h k framing 0\n"), HbdParseError,
+     "<string>:1:1: expected `manifold <name>` header"),
+    (lambda: parse_hbd("manifold M\nmanifold N\n"), HbdParseError,
+     "<string>:2:1: duplicate manifold header"),
+    (lambda: parse_hbd("manifold M\n1h\n"), HbdParseError, "expected `1h <id>`"),
+    (lambda: parse_hbd("manifold M\n2h k 0\n"), HbdParseError,
+     "expected `2h <id> framing <int>`"),
+    (lambda: parse_hbd(_ONE_TWO + "lk k h\n"), HbdParseError,
+     "expected `lk <id> <id> <int>`"),
+    (lambda: parse_hbd(_ONE_TWO + "rt k h\n"), HbdParseError,
+     "expected `rt <2h-id> <1h-id> <int>`"),
+    (lambda: parse_hbd(_ONE_TWO + "front k L1 R1\n"), HbdParseError,
+     "expected `front <2h-id> : <tokens>`"),
+    (lambda: parse_hbd(_ONE_TWO + "3h\n"), HbdParseError, "expected `3h <count>`"),
+    (lambda: parse_hbd(_ONE_TWO + "1h h\n"), HbdParseError,
+     "<string>:4:1: duplicate identifier 'h'"),
+    (lambda: parse_hbd(_ONE_TWO + "2h h framing 1\n"), HbdParseError,
+     "<string>:4:1: duplicate identifier 'h'"),
+    (lambda: parse_hbd(_ONE_TWO + "front k : L1 R1\nfront k : L1 R1\n"), HbdParseError,
+     "<string>:5:1: duplicate front for 'k'"),
+    (lambda: parse_hbd(_ONE_TWO + "3h -1\n"), HbdParseError,
+     "<string>:4:1: 3-handle count must be non-negative"),
+    (lambda: parse_hbd(_ONE_TWO + "rt k h 1\nrt k h 2\n"), UserWarning,
+     "<string>:5: rt k h overrides an earlier value"),
+], ids=["header-missing", "header-twice", "1h-arity", "2h-arity", "lk-arity", "rt-arity",
+        "front-arity", "3h-arity", "duplicate-1h", "duplicate-2h", "duplicate-front",
+        "3h-negative", "rt-override"])
+def test_parse_hbd_errors(call, error, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")      # the rt override warning raises like an error
+        with pytest.raises(error, match=re.escape(message)):
+            call()

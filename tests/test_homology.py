@@ -3,6 +3,7 @@
 import hashlib
 import json
 import random
+import re
 import time
 from importlib import import_module
 from itertools import combinations
@@ -33,7 +34,8 @@ from kirbycalc.homology import (
     smith_normal_form,
     surgery_presentation,
 )
-from _oracles import diagonalize_stepwise, invert_rational, surgery_presentation_by_blocks
+from _oracles import (det_rational, diagonalize_stepwise, invert_rational,
+                      surgery_presentation_by_blocks)
 from test_handles import cp_chain, nn_model, wn_model
 
 
@@ -271,9 +273,10 @@ def test_adjugate_against_rational_inverse():
         except ZeroDivisionError:
             with pytest.raises(ValueError, match="singular"):
                 adjugate(m)
+            assert det(m) == det_rational(m) == 0
             continue
         d, adj = adjugate(m)
-        assert d == det(m)
+        assert d == det(m) == det_rational(m)    # an elimination over Q, not Bareiss
         assert [[d * x for x in row] for row in inv] == [list(row) for row in adj]
         assert (m @ IntMatrix.from_rows(adj, n)).to_lists() == \
             IntMatrix.diagonal([d] * n).to_lists()
@@ -643,3 +646,20 @@ def test_repr_of_entries_past_the_decimal_limit():
     assert repr(IntMatrix.from_rows([[1], [2]])) == \
         "IntMatrix(rows=2, cols=1, entries=((1,), (2,)))"
     assert repr(IntMatrix.zeros(0, 3)) == "IntMatrix(rows=0, cols=3, entries=())"
+
+
+# -- user-facing errors ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: IntMatrix(2, 2, ((1, 2),)), ValueError, "entry grid does not match shape 2x2"),
+    (lambda: IntMatrix.identity(2) @ IntMatrix.zeros(3, 1), ValueError,
+     "shape mismatch in matrix product"),
+    (lambda: det(IntMatrix.zeros(2, 3)), ValueError, "determinant of a non-square matrix"),
+    (lambda: hermite_row_basis([(1, 2, 3)], 2), ValueError, "vector width mismatch"),
+    (lambda: inertia(IntMatrix.from_rows([[0, 1], [2, 0]])), ValueError,
+     "inertia needs a symmetric matrix"),
+], ids=["shape", "matmul", "det", "hermite-width", "inertia"])
+def test_matrix_errors(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import re
 from math import gcd
 from pathlib import Path
 
@@ -446,3 +447,19 @@ def test_reversal_reuses_unmarked_events():
     assert g.word == "L1 O1+ X1 R1"
     assert g.events[1:] == f.events[1:]
     assert all(a is b for a, b in zip(g.events[1:], f.events[1:]))
+
+
+# -- user-facing errors ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: stein_check(HandleDecomposition(two_handles=(("k", 0),)),
+                         {"k": parse_front("L1 R1"), "zz": parse_front("L1 R1")}),
+     FrontError, "annotation names missing 2-handle 'zz'"),
+    (lambda: stein_check(HandleDecomposition(two_handles=(("k", 0),)),
+                         {"k": parse_front("L1 R1 L1 R1")}),
+     FrontError, "annotation for 'k' must be a single component"),
+], ids=["missing-handle", "two-components"])
+def test_stein_check_errors(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()

@@ -14,6 +14,7 @@ import pytest
 
 import kirbycalc
 from kirbycalc import scenarios, swledger
+from kirbycalc.acceptance import run_criterion
 from kirbycalc.handles import (
     HandleDecomposition,
     HandleError,
@@ -636,6 +637,15 @@ def test_knotted_cork_distinct_outputs():
     assert report.counts == (6, 10, 14)
 
 
+def test_knotted_cork_names_the_knots_whose_outputs_coincide():
+    report = knotted_cork_scenario([(3, 2), (2, 5), (2, 3), (3, 2)])
+    assert report.coinciding == ((0, 2), (0, 3), (2, 3))
+    assert list(report.failures()) == [
+        "surgery outputs of (3,2) and (2,3) coincide",
+        "surgery outputs of (3,2) and (3,2) coincide",
+        "surgery outputs of (2,3) and (3,2) coincide"]
+
+
 # -- one judge per lemma ---------------------------------------------------------------------
 
 _COUNT = CountLemmaReport(p=3, n0=2, ni=8, d_preserved=True, rank_drop=2, signature_rise=2)
@@ -647,7 +657,7 @@ _GENUS = GenusObstructionReport(4, -2, max_pairing=12, genus_bound=7,
 _CORK = KnottedCorkReport(((2, 3), (2, 5)), (6, 10),
                           (LaurentPolynomial({1: 1, 0: -1, -1: 1}),
                            LaurentPolynomial({2: 1, 1: -1, 0: 1, -1: -1, -2: 1})),
-                          input_weight=2, output_weights=(2, 2), pairwise_distinct=True)
+                          input_weight=2, output_weights=(2, 2), coinciding=())
 
 
 @pytest.mark.parametrize("report,expected", [
@@ -680,11 +690,12 @@ _CORK = KnottedCorkReport(((2, 3), (2, 5)), (6, 10),
                  ["bound 8 != |k|(n - 1) + 1 for n=4, k=-2"], id="genus-bound-high"),
     pytest.param(_CORK, [], id="cork-pass"),
     pytest.param(replace(_CORK, counts=(0, 10)),
-                 ["surgery outputs not all nonzero"], id="cork-zero"),
-    pytest.param(replace(_CORK, pairwise_distinct=False),
-                 ["surgery outputs not pairwise distinct"], id="cork-alike"),
-    pytest.param(replace(_CORK, counts=(6, 0), pairwise_distinct=False),
-                 ["surgery outputs not all nonzero", "surgery outputs not pairwise distinct"],
+                 ["surgery output of (2,3) is empty"], id="cork-zero"),
+    pytest.param(replace(_CORK, coinciding=((0, 1),)),
+                 ["surgery outputs of (2,3) and (2,5) coincide"], id="cork-alike"),
+    pytest.param(replace(_CORK, counts=(0, 0), coinciding=((0, 1),)),
+                 ["surgery output of (2,3) is empty", "surgery output of (2,5) is empty",
+                  "surgery outputs of (2,3) and (2,5) coincide"],
                  id="cork-both"),
     pytest.param(replace(_CORK, alexander=(_CORK.alexander[0],) * 2),
                  ["Delta of (2,5) is not t^-2 (t^10 - 1)(t - 1) / ((t^2 - 1)(t^5 - 1))"],
@@ -744,3 +755,17 @@ def test_catalog_unknown_name():
     from kirbycalc.acceptance import claim_named
     with pytest.raises(ScenarioError, match="known: lens-orders, cork-homology"):
         claim_named("nope")
+
+
+# -- user-facing errors ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: build_Wn(0), ScenarioError, "W_n needs n >= 1"),
+    (lambda: build_Mn_Nn(1), ScenarioError, "the twist pair needs n >= 2"),
+    (lambda: build_genus_model(1), ScenarioError, "genus model needs n >= 2"),
+    (lambda: run_criterion(99), ValueError, "no acceptance criterion 99"),
+], ids=["Wn", "twist-pair", "genus-model", "criterion"])
+def test_builder_and_registry_errors(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()

@@ -434,6 +434,26 @@ def test_simple_type_passing_verdict_is_kept_per_key(monkeypatch):
         assert calls == [classes.members[0]]
 
 
+def test_ledger_refuses_a_set_on_another_pairing():
+    # a passing verdict is kept by 2e + 3sigma alone, so a set checked on l1
+    # must not answer for a model on l2, whatever ran before
+    l1, l2 = lat([[1, 0], [0, 1]]), lat([[1, 0], [0, -1]])
+    beta = BasicClassSet(l1, {(1, 1): 1, (-1, -1): 1})
+    m1, m2 = ManifoldModel(l1, 1, 0, 2), ManifoldModel(l2, 1, 0, 2)
+    with pytest.raises(LedgerError, match="different pairings"):
+        is_simple_type(m2, beta)
+    assert is_simple_type(m1, beta)
+    for call in (lambda: is_simple_type(m2, beta),
+                 lambda: blow_up_basic_classes(m2, beta, 1),
+                 lambda: rational_blowdown_descend(m2, beta, [(1, 0)], [(0, 1)]),
+                 lambda: knot_surgery_basic_classes(m2, beta, (1, 0),
+                                                    LaurentPolynomial.one())):
+        with pytest.raises(LedgerError, match="different pairings"):
+            call()
+    # an equal pairing on another lattice object is the same lattice
+    assert is_simple_type(ManifoldModel(lat([[1, 0], [0, 1]]), 1, 0, 2), beta)
+
+
 def test_simple_type_takes_one_d_per_distinct_square(monkeypatch):
     calls = []
     exact = swledger.d_invariant
@@ -1003,3 +1023,46 @@ def test_random_characteristic_vectors_are_characteristic():
         L = lat(rows)
         for _ in range(5):
             assert is_characteristic(L, random_characteristic_vector(L, rng))
+
+
+# -- user-facing errors ----------------------------------------------------------------
+
+_NOT_SIMPLE = BasicClassSet(HYPERBOLIC, {(2, 0): 1, (-2, 0): 1})     # K^2 = 0
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: lat([[0, 1], [2, 0]]), LedgerError, "pairing matrix must be symmetric"),
+    (lambda: lat([[1, 0], [0, 1]], {"a": (1,)}), LedgerError,
+     "named vector 'a' has wrong length"),
+    (lambda: HYPERBOLIC.dual((1,)), LedgerError,
+     "vector length does not match lattice rank"),
+    (lambda: BasicClassSet(HYPERBOLIC, {(2,): 1}), LedgerError,
+     "class length does not match lattice rank"),
+    (lambda: BasicClassSet(HYPERBOLIC, {}, [(1,)]), LedgerError,
+     "generator length does not match lattice rank"),
+    (lambda: blow_up_basic_classes(hyperbolic_model(), _NOT_SIMPLE, -1), LedgerError,
+     "cannot blow up a negative number of times"),
+    # 0 - 2e - 3sigma = -8: d = -2, not zero
+    (lambda: adjunction_check(hyperbolic_model(euler=4), _NOT_SIMPLE, (1, 0), 1),
+     LedgerError, "adjunction needs a simple-type model"),
+    (lambda: min_genus_bound(hyperbolic_model(), BasicClassSet(HYPERBOLIC), (1, 0)),
+     LedgerError, "genus bound needs a non-empty basic-class set"),
+    (lambda: rational_blowdown_descend(hyperbolic_model(), _NOT_SIMPLE, [(1, 0)], []),
+     LedgerError, "complement basis must have rank 1"),
+], ids=["asymmetric", "name-length", "dual-length", "class-length", "generator-length",
+        "negative-blow-up", "not-simple-type", "empty-genus-bound", "complement-rank"])
+def test_ledger_errors(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()
+
+
+def test_blow_up_on_a_degenerate_lattice_stores_no_squares():
+    beta = BasicClassSet(lat([[0, 0], [0, 0]]), {(2, 0): 1, (-2, 0): 1})
+    model, out = blow_up_basic_classes(ManifoldModel(beta.lattice, 0, 0, 2), beta, 1)
+    assert out.count == 4 and model.lattice._squares == {}
+    with pytest.raises(LedgerError, match="degenerate pairing has no dual squares"):
+        out.squares()
+
+
+def test_zero_polynomial_prints_as_zero():
+    assert str(LaurentPolynomial()) == str(LaurentPolynomial({3: 0})) == "0"
