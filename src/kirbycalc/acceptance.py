@@ -317,7 +317,7 @@ def _memo_free(model: ManifoldModel) -> ManifoldModel:
 def criterion_11_d_conservation(seed: int) -> Iterator[str]:
     rng = random.Random(seed + 11)
     # blow-up: random characteristic classes on random models
-    for _ in range(15):
+    for draw in range(15):
         n = rng.randrange(1, 4)
         rows = [[0] * n for _ in range(n)]
         for i in range(n):
@@ -348,9 +348,10 @@ def criterion_11_d_conservation(seed: int) -> Iterator[str]:
             before = {d_invariant(model, kk) for kk in beta.members}
             after = {d_invariant(m2, kk) for kk in beta2.members}
         if not after == before == {target_d}:
-            yield "d changed under blow-up"
+            yield (f"d changed under blow-up in draw {draw} (rank {base.rank}, "
+                   f"blow-up count {nb}): d {sorted(before)} -> {sorted(after)}")
     # descent: eligible classes on the synthetic blown-up models
-    for _ in range(6):
+    for draw in range(6):
         p = rng.randrange(2, 6)
         n0 = rng.choice((2, 4))
         x0 = build_X0_model((p,), n0)
@@ -364,7 +365,8 @@ def criterion_11_d_conservation(seed: int) -> Iterator[str]:
         m2 = _memo_free(m2)
         after = {d_invariant(m2, kk) for kk in b2.members}
         if not after == before == {0}:
-            yield "d changed under descent"
+            yield (f"d changed under descent in draw {draw} (p={p}, N0={n0}): "
+                   f"d {sorted(before)} -> {sorted(after)}")
 
 
 # -- the registry ----------------------------------------------------------------

@@ -157,11 +157,8 @@ def parse_hbd(text: str, source: str = "<string>") -> DiagramDocument:
     if name is None:
         raise HbdParseError("missing manifold header", source,
                             max(1, text.count("\n") + 1))
-    try:
-        decomposition = HandleDecomposition(tuple(ones), tuple(twos.items()), links, rt,
-                                            three, name)
-    except HandleError as exc:
-        raise HbdParseError(str(exc), source, 1) from exc
+    decomposition = HandleDecomposition(tuple(ones), tuple(twos.items()), links, rt,
+                                        three, name)
     return DiagramDocument(decomposition, fronts)
 
 

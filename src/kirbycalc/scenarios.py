@@ -51,6 +51,7 @@ from .swledger import (
     ManifoldModel,
     Vector,
     _direct_sum,
+    _largest_pairing,
     _lift_ok,
     _restrictions,
     _sign_sums,
@@ -525,7 +526,7 @@ def genus_obstruction_Nn(n: int, k: int) -> GenusObstructionReport:
     k = _integer(k, "k", ScenarioError)
     model, classes, alpha = build_genus_model(n)
     k_alpha = tuple(k * x for x in alpha)
-    max_pairing = max(map(abs, _pairings(classes.members, k_alpha)))
+    max_pairing = _largest_pairing(classes, k_alpha)
     bound = min_genus_bound(model, classes, k_alpha)
     return GenusObstructionReport(n, k, max_pairing, bound, k == 0 or bound >= n)
 

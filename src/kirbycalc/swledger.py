@@ -17,7 +17,12 @@ cost the nonzeros, not the square of the rank.  Squares take homology's
 Basic-class sets are built and checked per sign cube, not per member: a
 set is cores times the signs of its generators (the E-cube of a blow-up,
 the cube +-K +- e_1 ... +- e_{n-1} of the genus model), and negation,
-parity and distinctness are checked once per core.
+parity and distinctness are checked once per core.  Genus queries are
+answered per cube as well: a set keeps its nonzero-weight cores and its
+generators, so `min_genus_bound` reads the largest |<K, alpha>| as
+max_c |<c, alpha>| + sum_i |<g_i, alpha>| from one pairing per core and per
+generator, and `adjunction_check` walks the signs only down branches that
+can still break the bound.
 
 Each lattice keeps one memo of squares, since a square depends only on the
 lattice and the class.  It has two writers, the closed-model builder (a
@@ -40,6 +45,7 @@ from collections import Counter
 from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from itertools import accumulate
 from math import gcd, prod
 from operator import add, index, neg
 from types import MappingProxyType
@@ -271,6 +277,8 @@ class BasicClassSet:
     none repeats; a cube of distinct members is closed under negation
     exactly when its cores are; and every member of core c has the parity
     of c + g_1 + ... + g_n.  A failed check names a member that breaks it.
+    The cores of nonzero weight and the generators are kept as the cube,
+    which the genus queries read in place of the members.
     """
 
     lattice: IntersectionLattice
@@ -311,6 +319,7 @@ class BasicClassSet:
                 raise LedgerError(f"class {kappa} is not characteristic")
         object.__setattr__(self, "weights", MappingProxyType({k: w[k] for k in sorted(w)}))
         object.__setattr__(self, "_simple_type", set())
+        object.__setattr__(self, "_cube", (tuple(cores), tuple(gens)))
 
     @classmethod
     def from_primal(cls, lattice: IntersectionLattice,
@@ -462,20 +471,64 @@ def _require_simple_type(model: ManifoldModel, beta: BasicClassSet) -> None:
         raise LedgerError("adjunction needs a simple-type model")
 
 
+def _largest_pairing(beta: BasicClassSet, alpha: Sequence[int]) -> int:
+    """max |<K, alpha>| over the members: max_c |<c, alpha>| + sum_i |<g_i, alpha>|.
+
+    For each core the signs s_i that agree with the sign of <c, alpha>
+    reach the sum, and no member of that core can pass it.
+    """
+    cores, gens = beta._cube
+    return max(map(abs, _pairings(cores, alpha))) + sum(map(abs, _pairings(gens, alpha)))
+
+
+def _member(core: Vector, signs: Sequence[int], gens: Sequence[Vector]) -> Vector:
+    """core + s_1 g_1 + ... + s_n g_n."""
+    out = list(core)
+    for s, g in zip(signs, gens):
+        for j, x in enumerate(g):
+            if x:
+                out[j] += s * x
+    return tuple(out)
+
+
 def adjunction_check(model: ManifoldModel, beta: BasicClassSet, alpha: Sequence[int],
                      genus: int) -> AdjunctionReport:
-    """Check alpha^2 + |<K, alpha>| <= 2g - 2 for every basic class K."""
+    """Check alpha^2 + |<K, alpha>| <= 2g - 2 for every basic class K.
+
+    The violators are found by a walk over the signs of each core, in exact
+    integers.  With b_i = <g_i, alpha>, a branch whose pairing so far is acc
+    at generator t is dropped once |acc| + |b_t| + ... + |b_n| is within the
+    bound, as no choice of the signs left can break it, so every branch
+    kept ends in a violator.  Only the violators are built, and they are
+    sorted, as the members are.
+    """
     genus = _int(genus, "genera")
     if genus < 1:
         raise LedgerError("adjunction requires genus >= 1")
     model.require_sw_hypotheses()
     _require_simple_type(model, beta)
     a2 = model.lattice.square(alpha)
-    bound = 2 * genus - 2
-    members = beta.members
-    violators = [(kappa, pairing)
-                 for kappa, pairing in zip(members, _pairings(members, alpha))
-                 if a2 + abs(pairing) > bound]
+    limit = 2 * genus - 2 - a2          # K violates when |<K, alpha>| > limit
+    cores, gens = beta._cube
+    b = _pairings(gens, alpha)
+    rest = list(accumulate(map(abs, reversed(b)), initial=0))[::-1]
+    n = len(gens)
+    violators = []
+    for core, pairing in zip(cores, _pairings(cores, alpha)):
+        if abs(pairing) + rest[0] <= limit:
+            continue
+        stack = [(0, pairing, ())]
+        while stack:
+            t, acc, signs = stack.pop()
+            if t == n:
+                violators.append((_member(core, signs, gens), acc))
+                continue
+            bt, r = b[t], rest[t + 1]
+            if abs(acc + bt) + r > limit:
+                stack.append((t + 1, acc + bt, signs + (1,)))
+            if abs(acc - bt) + r > limit:
+                stack.append((t + 1, acc - bt, signs + (-1,)))
+    violators.sort()
     return AdjunctionReport(not violators, genus, a2, tuple(violators))
 
 
@@ -492,7 +545,7 @@ def min_genus_bound(model: ManifoldModel, beta: BasicClassSet,
     if beta.count == 0:
         raise LedgerError("genus bound needs a non-empty basic-class set")
     a2 = model.lattice.square(alpha)
-    worst = a2 + max(map(abs, _pairings(beta.members, alpha))) + 2
+    worst = a2 + _largest_pairing(beta, alpha) + 2
     bound = -(-worst // 2)
     if bound < 1:
         if a2 < 0:

@@ -3,9 +3,10 @@
 from fractions import Fraction
 
 from kirbycalc.handles import HandleDecomposition
-from kirbycalc.homology import IntMatrix, _pivot
+from kirbycalc.homology import IntMatrix, _pairings, _pivot
 from kirbycalc.legendrian import FrontDiagram, FrontError, FrontEvent, parse_front, torus_knot_front
 from kirbycalc.scenarios import ScenarioError
+from kirbycalc.swledger import AdjunctionReport
 
 
 def invert_rational(m) -> tuple[tuple[Fraction, ...], ...]:
@@ -213,6 +214,28 @@ def genus_seeds(n: int) -> list[tuple[int, ...]]:
             v[2 + i] = -1 if bits >> (i + 1) & 1 else 1
         seeds.append(tuple(v))
     return seeds
+
+
+# -- genus queries, member by member -----------------------------------------------
+# How `swledger.min_genus_bound` and `adjunction_check` paired alpha with every
+# member of the set before they read its sign cube.
+
+
+def genus_bound_by_members(model, beta, alpha) -> tuple[int, int]:
+    """(largest |<K, alpha>|, least genus the adjunction bound allows, or 0)."""
+    a2 = model.lattice.square(alpha)
+    largest = max(map(abs, _pairings(beta.members, alpha)))
+    return largest, max(0, -(-(a2 + largest + 2) // 2))
+
+
+def adjunction_by_members(model, beta, alpha, genus: int) -> AdjunctionReport:
+    """Every member K with alpha^2 + |<K, alpha>| > 2g - 2, in member order."""
+    a2 = model.lattice.square(alpha)
+    members = beta.members
+    violators = [(kappa, pairing)
+                 for kappa, pairing in zip(members, _pairings(members, alpha))
+                 if a2 + abs(pairing) > 2 * genus - 2]
+    return AdjunctionReport(not violators, genus, a2, tuple(violators))
 
 
 # -- fronts ------------------------------------------------------------------------

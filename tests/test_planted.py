@@ -17,6 +17,7 @@ import pytest
 from kirbycalc import acceptance, handles, legendrian, scenarios, swledger
 from kirbycalc.acceptance import run_criterion
 from kirbycalc.cli import run_command
+from kirbycalc.homology import _pairings
 from kirbycalc.swledger import LaurentPolynomial
 
 # a patched computation must reach every model a claim builds
@@ -85,6 +86,20 @@ def test_genus_bound_off_by_one_fails_claim_7(monkeypatch):
     assert result.detail.startswith("bound 5 != |k|(n - 1) + 1 for n=2, k=-5;")
 
 
+def test_cube_maximum_without_its_last_generator_fails_claim_7(monkeypatch):
+    def largest_pairing(beta, alpha):
+        cores, gens = beta._cube
+        return (max(map(abs, _pairings(cores, alpha)))
+                + sum(map(abs, _pairings(gens[:-1], alpha))))
+
+    monkeypatch.setattr(swledger, "_largest_pairing", largest_pairing)
+    monkeypatch.setattr(scenarios, "_largest_pairing", largest_pairing)
+    result = run_criterion(7)
+    assert not result.ok
+    assert result.detail.startswith("max pairing 0 != |k|(2n - 2) for n=2, k=-5; "
+                                    "bound 1 != |k|(n - 1) + 1 for n=2, k=-5;")
+
+
 def test_identity_descent_fails_claims_4_and_11(monkeypatch):
     # claim 5 cannot catch it by design: the restriction lemma never descends
     def descend(model, beta, chain, complement):
@@ -99,6 +114,19 @@ def test_identity_descent_fails_claims_4_and_11(monkeypatch):
     result = run_criterion(11)
     assert not result.ok
     assert result.detail.startswith("descent from rank 15 gave 15, not 11, for p=5;")
+
+
+def test_blow_up_with_its_euler_number_off_by_two_fails_claim_11(monkeypatch):
+    def blow_up_basic_classes(model, beta, n):
+        out, classes = swledger.blow_up_basic_classes(model, beta, n)
+        return replace(out, euler=out.euler + 2), classes
+
+    monkeypatch.setattr(acceptance, "blow_up_basic_classes", blow_up_basic_classes)
+    for seed, case in ((2026, "draw 0 (rank 3, blow-up count 1): d [2] -> [1]"),
+                       (7, "draw 0 (rank 1, blow-up count 1): d [0] -> [-1]")):
+        result = run_criterion(11, seed)
+        assert not result.ok
+        assert result.detail.startswith(f"d changed under blow-up in {case};")
 
 
 def _identity_failure(p, q):

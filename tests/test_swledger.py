@@ -9,8 +9,10 @@ from itertools import product
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from kirbycalc import scenarios, swledger
+from kirbycalc import acceptance, scenarios, swledger
 from kirbycalc.homology import IntMatrix, adjugate, det
 from kirbycalc.swledger import (
     BasicClassSet,
@@ -29,7 +31,7 @@ from kirbycalc.swledger import (
     rational_blowdown_descend,
 )
 
-from _oracles import invert_rational
+from _oracles import adjunction_by_members, genus_bound_by_members, genus_seeds, invert_rational
 
 
 def lat(rows, names=None):
@@ -716,6 +718,131 @@ def test_min_genus_bound_no_constraint_for_negative_square():
     beta = BasicClassSet.from_primal(L, [(0, 0, 0)])
     with pytest.warns(UserWarning):
         assert min_genus_bound(m, beta, (1, 0, 0)) == 0
+
+
+# -- genus queries on the cube, against the member-by-member oracle --------------------
+
+_VACUOUS = "alpha^2 < 0: adjunction gives no genus constraint"
+
+
+def _count_lemma_blow_up(rng):
+    p = rng.randrange(2, 6)
+    x0 = scenarios.build_X0_model((p,), rng.choice((2, 4)))
+    m1, b1 = rational_blowdown_descend(x0.model, x0.classes, x0.chain_vectors(0),
+                                       x0.complement_basis(0))
+    return blow_up_basic_classes(m1, b1, p - 1)
+
+
+def _knot_surgery_output(rng):
+    base = scenarios.build_X0_model((), rng.choice((2, 4)))
+    delta = alexander_polynomial_torus(*rng.choice(acceptance.KNOTS))
+    return base.model, knot_surgery_basic_classes(base.model, base.classes,
+                                                  base.torus(), delta)
+
+
+def _primal_subset(rng):
+    # some genus-model classes and their negatives, given as primal vectors
+    n = rng.randrange(2, 8)
+    model = scenarios.build_genus_model(n)[0]
+    chosen = rng.sample(genus_seeds(n), rng.randrange(1, 5))
+    return model, BasicClassSet.from_primal(
+        model.lattice, chosen + [tuple(-x for x in v) for v in chosen])
+
+
+GENUS_SETS = {
+    "genus-model": lambda rng: scenarios.build_genus_model(rng.randrange(2, 11))[:2],
+    "count-lemma-blow-up": _count_lemma_blow_up,
+    "knot-surgery": _knot_surgery_output,
+    "from-primal": _primal_subset,
+}
+
+
+def _genus_bound_and_warnings(model, beta, alpha):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        bound = min_genus_bound(model, beta, alpha)
+    return bound, [str(w.message) for w in caught]
+
+
+@pytest.mark.parametrize("family", GENUS_SETS)
+@settings(max_examples=25, deadline=None)
+@given(rng=st.integers(0, 2 ** 32).map(random.Random))
+def test_genus_queries_match_the_member_oracle(family, rng):
+    model, beta = GENUS_SETS[family](rng)
+    alpha = tuple(rng.randrange(-3, 4) if rng.random() < 0.4 else 0
+                  for _ in range(model.lattice.rank))
+    largest, want = genus_bound_by_members(model, beta, alpha)
+    assert swledger._largest_pairing(beta, alpha) == largest
+    bound, caught = _genus_bound_and_warnings(model, beta, alpha)
+    assert (bound, caught) == (want, [_VACUOUS] * (want == 0))
+    for genus in range(1, bound + 3):
+        assert adjunction_check(model, beta, alpha, genus) == \
+            adjunction_by_members(model, beta, alpha, genus)
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_genus_model_bounds_match_the_member_oracle_for_every_k(n):
+    model, beta, alpha = scenarios.build_genus_model(n)
+    for k in range(-5, 6):
+        k_alpha = tuple(k * x for x in alpha)
+        largest, bound = genus_bound_by_members(model, beta, k_alpha)
+        assert (largest, bound) == (abs(k) * (2 * n - 2), abs(k) * (n - 1) + 1)
+        assert min_genus_bound(model, beta, k_alpha) == bound
+        for genus in range(1, bound + 3):
+            assert adjunction_check(model, beta, k_alpha, genus) == \
+                adjunction_by_members(model, beta, k_alpha, genus)
+
+
+def test_a_generator_orthogonal_to_alpha_doubles_the_violators():
+    # the genus model's first generator, f1 + f2 + f3 + g1 + g2 + g3, is
+    # orthogonal to alpha; one genus below the bound the extreme classes
+    # +-(e_1 + ... + e_{n-1}) violate with either sign of it
+    model, beta, alpha = scenarios.build_genus_model(6)
+    rank = model.lattice.rank
+    free = model.lattice.dual((0,) * (rank - 6) + (1,) * 6)
+    assert sum(f * a for f, a in zip(free, alpha)) == 0
+    k_alpha = tuple(2 * x for x in alpha)
+    bound = min_genus_bound(model, beta, k_alpha)
+    assert adjunction_check(model, beta, k_alpha, bound).violators == ()
+    report = adjunction_check(model, beta, k_alpha, bound - 1)
+    assert report == adjunction_by_members(model, beta, k_alpha, bound - 1)
+    pairs = {kappa: pairing for kappa, pairing in report.violators}
+    assert sorted(pairs.values()) == [-20, -20, 20, 20]
+    for kappa, pairing in pairs.items():
+        twin = {tuple(k + 2 * s * f for k, f in zip(kappa, free)) for s in (1, -1)}
+        assert [pairs.get(t) for t in twin if t in pairs] == [pairing]
+
+
+def test_vacuous_genus_bound_warns_once_on_the_cube():
+    model, beta, alpha = scenarios.build_genus_model(5)
+    two_e1 = tuple(2 * x for x in model.lattice.names["e1"])    # square -4
+    assert genus_bound_by_members(model, beta, two_e1) == (2, 0)
+    assert _genus_bound_and_warnings(model, beta, two_e1) == (0, [_VACUOUS])
+
+
+def test_genus_queries_on_the_empty_set():
+    model, empty = hyperbolic_model(), BasicClassSet(HYPERBOLIC)
+    with pytest.raises(LedgerError, match="^genus bound needs a non-empty basic-class set$"):
+        min_genus_bound(model, empty, (1, 0))
+    assert adjunction_check(model, empty, (1, 1), 1) == \
+        adjunction_by_members(model, empty, (1, 1), 1) == \
+        swledger.AdjunctionReport(True, 1, 2, ())
+
+
+def test_genus_queries_never_read_the_members(monkeypatch):
+    # the builder reads the members; every query after it reads the cube
+    model, beta, alpha = scenarios.build_genus_model(12)
+
+    def members(self):
+        raise AssertionError("a genus query iterated the members")
+    monkeypatch.setattr(BasicClassSet, "members", property(members))
+    k_alpha = tuple(3 * x for x in alpha)
+    bound = min_genus_bound(model, beta, k_alpha)
+    assert bound == 3 * 11 + 1
+    assert adjunction_check(model, beta, k_alpha, bound).ok
+    assert len(adjunction_check(model, beta, k_alpha, bound - 1).violators) == 4
+    report = scenarios.genus_obstruction_Nn(12, 3)
+    assert (report.max_pairing, report.genus_bound) == (3 * 22, bound)
 
 
 # -- rational blowdown lifts and descent ----------------------------------------------
