@@ -11,7 +11,7 @@ form and the SW ledger's lattice.
 Which matrices each entry point builds:
 - `boundary_first_homology` fills one n x n list, the surgery presentation,
   straight from the framings, `d.links` and `d.run_through`, and hands it to
-  the elimination without an `IntMatrix`: a decomposition has already
+  `_eliminate` without an `IntMatrix`: a decomposition has already
   checked every entry as an integer.
 - `homology` does the same with the run-through differential, then reads
   the intersection form from the framings and `d.links` on the kernel basis.
@@ -20,21 +20,28 @@ Which matrices each entry point builds:
 - `cokernel_invariants`, `kernel_basis` and `smith_normal_form` take an
   `IntMatrix`, so whatever a caller passes is validated.
 
-One elimination, `_diagonalize`, serves every Smith normal form entry point
-and builds only the transforms its caller reads: `cokernel_invariants` and
-`boundary_first_homology` build neither U nor V, `kernel_basis` and
-`homology` build V alone, and only `smith_normal_form` builds both.  It
-plays each Euclid run of quotient steps out on two scalars and applies the
-run to S and to the transforms as one 2x2 step, skips the rows a column
-step cannot change, and carries U and V as sparse rows; pivots, quotients
-and swaps are those of one row or column operation per quotient, so S, U
-and V are too.
+Two eliminations, by what the caller reads:
+- `_eliminate` serves every caller that does not read U:
+  `cokernel_invariants` and `boundary_first_homology` run it without V,
+  `kernel_basis` and `homology` with V.  It deletes each pivot's row and
+  column once they are clear, so the matrix shrinks, and it does not keep
+  d1 | d2 | ... while it runs; the pivots are made a divisibility chain once,
+  at the end, by pairwise (gcd, lcm).  Without the chain's row pull-ins,
+  entries stay small enough for dense 40 x 40 input and plumbing trees of
+  hundreds of handles.
+- `_diagonalize` serves `smith_normal_form` alone and always carries U and
+  V.  It keeps the chain before each pivot is frozen, plays each Euclid run
+  of quotient steps out on two scalars and applies the run to S, U and V as
+  one 2x2 step, skips the rows a column step cannot change, and carries U
+  and V as sparse rows; pivots, quotients and swaps are those of one row or
+  column operation per quotient, so S, U and V are too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import prod
+from itertools import chain
+from math import gcd, prod
 from operator import index, mul
 from typing import Iterable, Sequence
 
@@ -214,28 +221,18 @@ class SmithNormalForm:
         return tuple(self.s[i, i] for i in range(n))
 
 
-def _diagonalize(m: IntMatrix | list[list[int]], want_u: bool, want_v: bool,
-                 cols: int | None = None
-                 ) -> tuple[list[int], list[list[int]] | None, list[list[int]] | None]:
-    """The one Smith elimination: (diagonal, rows of U, columns of V).
-
-    `m` is an IntMatrix, or rows of plain ints that the caller hands over,
-    `cols` wide: those are eliminated in place and never validated, so only
-    builders whose entries are already checked integers pass them.
+def _diagonalize(m: IntMatrix) -> tuple[list[int], list[list[int]], list[list[int]]]:
+    """The Smith elimination behind `smith_normal_form`: (diagonal, rows of U,
+    columns of V).
 
     The diagonal lists the nonzero invariant factors d1 | d2 | ..., all
-    positive; S is that diagonal padded with zeros.  U is carried only when
-    `want_u` and V only when `want_v` (None otherwise): no transform feeds
-    back into S, so dropping one changes nothing else.
+    positive; S is that diagonal padded with zeros.
 
     Each pivot is the first entry of least absolute value in row-major
     order, so the search stops at the first +-1; a unit pivot divides every
     entry, so its divisibility sweep is skipped.  Rows at or below t are zero
     left of column t and rows above t are zero right of it, so operations on
-    S touch only the active block (rows and columns >= t).  When V is not
-    carried, a unit pivot's row sweep is skipped as well: each of its steps
-    would only zero an entry of row t, which no later step reads, so that
-    row is left as it is.
+    S touch only the active block (rows and columns >= t).
 
     The pivot clears each entry of its column, then of its row, by a Euclid
     run: subtract the floor quotient times the pivot, swap the two if a
@@ -252,13 +249,9 @@ def _diagonalize(m: IntMatrix | list[list[int]], want_u: bool, want_v: bool,
     and V columns are sparse {index: value} dicts, written out as lists once,
     at return.
     """
-    if isinstance(m, IntMatrix):
-        s, nc = m.to_lists(), m.cols
-    else:
-        s, nc = m, cols
-    nr = len(s)
-    u = [{i: 1} for i in range(nr)] if want_u else None
-    vt = [{j: 1} for j in range(nc)] if want_v else None  # V, column by column
+    s, nr, nc = m.to_lists(), m.rows, m.cols
+    u = [{i: 1} for i in range(nr)]
+    vt = [{j: 1} for j in range(nc)]  # V, column by column
     diag: list[int] = []
     t = 0
     while t < min(nr, nc):
@@ -268,13 +261,11 @@ def _diagonalize(m: IntMatrix | list[list[int]], want_u: bool, want_v: bool,
         i, j = best
         if i != t:
             s[t], s[i] = s[i], s[t]
-            if u is not None:
-                u[t], u[i] = u[i], u[t]
+            u[t], u[i] = u[i], u[t]
         if j != t:
             for row in s[t:]:
                 row[t], row[j] = row[j], row[t]
-            if vt is not None:
-                vt[t], vt[j] = vt[j], vt[t]
+            vt[t], vt[j] = vt[j], vt[t]
         st = s[t]
         while True:
             for i in range(t + 1, nr):
@@ -284,17 +275,13 @@ def _diagonalize(m: IntMatrix | list[list[int]], want_u: bool, want_v: bool,
                 q, r = divmod(si[t], st[t])
                 if not r:
                     si[t:] = [x - q * y for x, y in zip(si[t:], st[t:])]
-                    if u is not None:
-                        _sub(u[i], u[t], q)
+                    _sub(u[i], u[t], q)
                     continue
                 a, b, c, d = _euclid_run(st[t], si[t])
                 x, y = st[t:], si[t:]
                 st[t:] = [a * e + b * f for e, f in zip(x, y)]
                 si[t:] = [c * e + d * f for e, f in zip(x, y)]
-                if u is not None:
-                    u[t], u[i] = _mix(u[t], u[i], a, b, c, d)
-            if vt is None and st[t] in (1, -1):
-                break
+                u[t], u[i] = _mix(u[t], u[i], a, b, c, d)
             clean = True  # column t is zero below the pivot
             for j in range(t + 1, nc):
                 if not st[j]:
@@ -306,16 +293,14 @@ def _diagonalize(m: IntMatrix | list[list[int]], want_u: bool, want_v: bool,
                     else:
                         for row in s[t:]:
                             row[j] -= q * row[t]
-                    if vt is not None:
-                        _sub(vt[j], vt[t], q)
+                    _sub(vt[j], vt[t], q)
                     continue
                 a, b, c, d = _euclid_run(st[t], st[j])
                 for row in s[t:]:
                     e, f = row[t], row[j]
                     row[t], row[j] = a * e + b * f, c * e + d * f
                 clean = not any(row[t] for row in s[t + 1:])
-                if vt is not None:
-                    vt[t], vt[j] = _mix(vt[t], vt[j], a, b, c, d)
+                vt[t], vt[j] = _mix(vt[t], vt[j], a, b, c, d)
             if not clean:
                 continue
             pivot = st[t]
@@ -326,13 +311,128 @@ def _diagonalize(m: IntMatrix | list[list[int]], want_u: bool, want_v: bool,
                 break
             # pull the offending row into row t
             st[t:] = [x + y for x, y in zip(st[t:], s[offender][t:])]
-            if u is not None:
-                _sub(u[t], u[offender], -1)
-        if st[t] < 0 and u is not None:
+            _sub(u[t], u[offender], -1)
+        if st[t] < 0:
             u[t] = {k: -x for k, x in u[t].items()}
         diag.append(abs(st[t]))
         t += 1
     return diag, _dense(u, nr), _dense(vt, nc)
+
+
+def _eliminate(s: list[list[int]], cols: int, want_v: bool
+               ) -> tuple[int, tuple[int, ...], list[list[int]] | None]:
+    """(rank, torsion, kernel) of the matrix with rows `s`, `cols` wide.
+
+    The torsion is the invariant factors >= 2 as a chain d1 | d2 | ...; the
+    kernel is a basis of {x : M x = 0} as rows, or None unless `want_v`.
+    `s` is eliminated in place and never validated, so callers hand over
+    rows of checked integers that they do not read again.
+
+    Unlike `_diagonalize`, this elimination keeps no U, keeps V only when
+    asked, and does not enforce the divisibility chain while it runs; each
+    isolated pivot's row and column are deleted, so the matrix shrinks:
+    - pivot: the first +-1 in row-major order, else the first entry of least
+      absolute value (`_first_entry`);
+    - column: every other row with an entry in the pivot column takes one
+      floor-quotient row step.  If a remainder is left, the first least one
+      in the column becomes the pivot and the column is cleared again; the
+      pivot's absolute value strictly falls, so this ends.  A unit pivot
+      leaves no remainder, so its column is cleared as it is deleted;
+    - row: a non-unit pivot reduces its row mod p by column steps, which
+      touch only the pivot row once its column is clear.  A remainder is
+      smaller than |p|, and |p| is at most the least entry when the pivot
+      was picked, so the least entry has strictly fallen when the pivot is
+      picked again.  A unit pivot's row needs no steps in the matrix, since
+      it is deleted next, only in V;
+    - V: the column steps are applied to V's sparse columns, and V's column
+      of the pivot is deleted with it; the columns left at the end are the
+      kernel;
+    - chain: the non-unit pivots are made a divisibility chain at the end by
+      pairwise (gcd, lcm), which keeps the group they present.  The rank is
+      the number of pivots.
+    """
+    v = [{j: 1} for j in range(cols)] if want_v else None  # V, column by column
+    pivots: list[int] = []
+    rank = 0
+    while True:
+        found = _first_entry(s, 1)
+        if found is None:
+            least = min(filter(None, map(abs, chain.from_iterable(s))), default=0)
+            if not least:
+                break
+            found = _first_entry(s, least)
+        i, j = found
+        prow = s[i]
+        p = prow[j]
+        if p != 1 and p != -1:
+            while True:  # clear column j; the least remainder left is the next pivot
+                left = False
+                for k, row in enumerate(s):
+                    a = row[j]
+                    if a and k != i:
+                        q = a // p
+                        row[:] = [x - q * y for x, y in zip(row, prow)]
+                        left = left or bool(row[j])
+                if not left:
+                    break
+                i = min((k for k, row in enumerate(s) if row[j]), key=lambda k: abs(s[k][j]))
+                prow = s[i]
+                p = prow[j]
+        if p != 1 and p != -1:
+            left = False
+            for k, a in enumerate(prow):  # reduce row i mod p
+                if a and k != j:
+                    q, prow[k] = divmod(a, p)
+                    if v is not None:
+                        _sub(v[k], v[j], q)
+                    left = left or bool(prow[k])
+            if left:
+                continue
+            pivots.append(abs(p))
+        # A non-unit pivot is alone in its row and column by now.  A unit
+        # pivot's row steps are taken in V alone, as the row is deleted, and
+        # its column is cleared as it is deleted.
+        if v is not None:
+            for k, a in enumerate(prow):
+                if a and k != j:
+                    _sub(v[k], v[j], a * p)
+            del v[j]
+        del s[i], prow[j]
+        for row in s:
+            a = row.pop(j)
+            if a:
+                q = a * p
+                row[:] = [x - q * y for x, y in zip(row, prow)]
+        rank += 1
+    return rank, _chain(pivots), _dense(v, cols)
+
+
+def _first_entry(s: list[list[int]], a: int) -> tuple[int, int] | None:
+    """Position of the first +-a in row-major order, or None."""
+    for i, row in enumerate(s):
+        if a in row:
+            j = row.index(a)
+            return i, (row.index(-a) if -a in row[:j] else j)
+        if -a in row:
+            return i, row.index(-a)
+    return None
+
+
+def _chain(factors: list[int]) -> tuple[int, ...]:
+    """The invariant factors >= 2 of the diagonal matrix with these entries.
+
+    Each pair (d_i, d_j), i < j, becomes (gcd, lcm): diag(a, b) and
+    diag(gcd, lcm) present the same group, and once d_i has met every later
+    entry it divides them all.
+    """
+    if len(factors) < 2:
+        return tuple(factors)
+    d = list(factors)
+    for i in range(len(d)):
+        for j in range(i + 1, len(d)):
+            g = gcd(d[i], d[j])
+            d[i], d[j] = g, d[i] // g * d[j]
+    return tuple(x for x in d if x > 1)
 
 
 def _first_offender(s: list[list[int]], t: int, pivot: int) -> int | None:
@@ -410,7 +510,7 @@ def smith_normal_form(m: IntMatrix) -> SmithNormalForm:
     The divisibility chain is enforced before each pivot is frozen, so the
     diagonal always satisfies d1 | d2 | ... and is non-negative.
     """
-    diag, u, vt = _diagonalize(m, want_u=True, want_v=True)
+    diag, u, vt = _diagonalize(m)
     s = [[0] * m.cols for _ in range(m.rows)]
     for i, d in enumerate(diag):
         s[i][i] = d
@@ -421,13 +521,8 @@ def smith_normal_form(m: IntMatrix) -> SmithNormalForm:
 
 def cokernel_invariants(m: IntMatrix) -> tuple[tuple[int, ...], int]:
     """(torsion invariant factors >= 2, free rank) of Z^rows / im(M)."""
-    diag, _, _ = _diagonalize(m, want_u=False, want_v=False)
-    return _cokernel(m.rows, diag)
-
-
-def _cokernel(rows: int, factors: Sequence[int]) -> tuple[tuple[int, ...], int]:
-    """(torsion, free rank) of the cokernel of a matrix with this many rows."""
-    return tuple(d for d in factors if d >= 2), rows - len(factors)
+    rank, torsion, _ = _eliminate(m.to_lists(), m.cols, want_v=False)
+    return torsion, m.rows - rank
 
 
 def hermite_row_basis(vectors: Iterable[Sequence[int]], width: int) -> tuple[tuple[int, ...], ...]:
@@ -478,8 +573,8 @@ def hermite_row_basis(vectors: Iterable[Sequence[int]], width: int) -> tuple[tup
 
 def kernel_basis(m: IntMatrix) -> tuple[tuple[int, ...], ...]:
     """Canonical basis (as rows) of the integer kernel {x : M x = 0}."""
-    diag, _, vt = _diagonalize(m, want_u=False, want_v=True)
-    return hermite_row_basis(vt[len(diag):], m.cols)  # V's columns past the pivots
+    _, _, kernel = _eliminate(m.to_lists(), m.cols, want_v=True)
+    return hermite_row_basis(kernel, m.cols)
 
 
 def inertia(m: IntMatrix) -> tuple[int, int, int]:
@@ -617,10 +712,8 @@ def homology(d: HandleDecomposition) -> HomologyProfile:
     keep their nonzero entries only, so the form costs the links.
     """
     n2 = len(d.two_handles)
-    factors, _, v_columns = _diagonalize(_run_through_rows(d), want_u=False,
-                                         want_v=True, cols=n2)
-    torsion, free = _cokernel(len(d.one_handles), factors)
-    basis = hermite_row_basis(v_columns[len(factors):], n2)
+    rank, torsion, kernel = _eliminate(_run_through_rows(d), n2, want_v=True)
+    basis = hermite_row_basis(kernel, n2)
     index = {k: i for i, (k, _) in enumerate(d.two_handles)}
     linking = [[(i, f)] if f else [] for i, (_, f) in enumerate(d.two_handles)]
     for (a, b), lk in d.links.items():
@@ -628,16 +721,16 @@ def homology(d: HandleDecomposition) -> HomologyProfile:
         linking[i].append((j, lk))
         linking[j].append((i, lk))
     form = [_pairings(basis, _matvec(linking, b)) for b in basis]
-    return HomologyProfile(torsion, free, len(basis),
+    return HomologyProfile(torsion, len(d.one_handles) - rank, len(basis),
                            IntMatrix.from_rows(form, cols=len(basis)), basis)
 
 
 def boundary_first_homology(d: HandleDecomposition) -> tuple[int, ...]:
     """Invariant factors of H_1 of the boundary 3-manifold; 0 marks a Z."""
     rows = _presentation_rows(d, d.one_handles)
-    factors, _, _ = _diagonalize(rows, want_u=False, want_v=False, cols=len(rows))
-    torsion, free = _cokernel(len(rows), factors)
-    return torsion + (0,) * free
+    n = len(rows)
+    rank, torsion, _ = _eliminate(rows, n, want_v=False)
+    return torsion + (0,) * (n - rank)
 
 
 def boundary_group_order(d: HandleDecomposition) -> int | None:

@@ -157,6 +157,63 @@ def surgery_presentation_by_blocks(d: HandleDecomposition) -> IntMatrix:
     return IntMatrix.from_rows(rows, cols=len(q) + n1)
 
 
+# -- random tree plumbings, and two routes around the Smith form --------------------
+
+
+def tree_plumbing(rng, n: int) -> HandleDecomposition:
+    """n framed unknots v0..v{n-1}, framings uniform on +-1..+-6, each v_i,
+    i >= 1, linked +1 to a uniform earlier one."""
+    framings = [f for f in range(-6, 7) if f]
+    twos = tuple((f"v{i}", rng.choice(framings)) for i in range(n))
+    links = {(f"v{rng.randrange(i)}", f"v{i}"): 1 for i in range(1, n)}
+    return HandleDecomposition(two_handles=twos, links=links)
+
+
+def tree_det(d: HandleDecomposition) -> int:
+    """det of a plumbing tree's linking matrix, one subtree at a time.
+
+    For the subtree below v, a = its determinant and b = that with v's row
+    and column removed: a leaf has (w_v, 1), and hanging the subtree (a', b')
+    of a child on v by a link l makes it (a a' - l^2 b b', b a'), since an
+    expansion along v's row either fixes v or swaps it with that child.
+    Children have larger indices than their parents in `tree_plumbing`, so
+    one pass from the last vertex down folds each subtree into its parent.
+    """
+    index = {k: i for i, (k, _) in enumerate(d.two_handles)}
+    ab = [[f, 1] for _, f in d.two_handles]
+    edges = sorted(((max(index[x], index[y]), min(index[x], index[y]), lk)
+                    for (x, y), lk in d.links.items()), reverse=True)
+    for child, parent, lk in edges:
+        (a, b), (a2, b2) = ab[parent], ab[child]
+        ab[parent] = [a * a2 - lk * lk * b * b2, b * a2]
+    return ab[0][0]
+
+
+def rank_mod(rows, ell: int) -> int:
+    """Rank over GF(ell) of an integer matrix given as rows.
+
+    Sparse rows, last row first, each reduced against the kept rows at its
+    last nonzero column; on a plumbing tree that eliminates leaves before
+    their parents, which keeps the rows short."""
+    kept: dict[int, dict[int, int]] = {}  # last column -> row with a 1 there
+    for row in reversed(rows):
+        r = {j: x % ell for j, x in enumerate(row) if x % ell}
+        while r:
+            lead = max(r)
+            if lead not in kept:
+                inv = pow(r[lead], -1, ell)
+                kept[lead] = {j: x * inv % ell for j, x in r.items()}
+                break
+            f = r[lead]
+            for j, x in kept[lead].items():
+                y = (r.get(j, 0) - f * x) % ell
+                if y:
+                    r[j] = y
+                else:
+                    r.pop(j, None)
+    return len(kept)
+
+
 # -- seed enumerations of the closed models, by bitmask ---------------------------
 # The loops the model builders used before they shared `swledger._sign_sums`.
 

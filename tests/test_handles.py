@@ -359,13 +359,17 @@ def test_move_sequences_keep_the_boundary(rng):
 
 
 def test_chain_moves_within_budget():
-    # the moves touch only the handles they involve, so a 399-handle chain is cheap
+    # the moves touch only the handles they involve, so a 399-handle chain is
+    # cheap; the best of 5 repetitions is timed, so a busy host does not fail it
     d = build_Cp(400)
-    start = time.perf_counter()
-    up = blow_up(d, [("u399", 1), ("u398", 1)], new_id="e")
-    down = blow_down(up, "e")
-    assert time.perf_counter() - start < 0.02
-    assert down == d
+    best = float("inf")
+    for _ in range(5):
+        start = time.perf_counter()
+        up = blow_up(d, [("u399", 1), ("u398", 1)], new_id="e")
+        down = blow_down(up, "e")
+        best = min(best, time.perf_counter() - start)
+        assert down == d
+    assert best < 0.02
 
 
 # -- dot-zero swap -------------------------------------------------------------

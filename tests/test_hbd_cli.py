@@ -367,13 +367,13 @@ def test_cli_blowup_rejects_ids_the_format_cannot_read(tmp_path, capsys, bad_id)
 
 def test_cli_computes_each_boundary_snf_once(tmp_path, capsys, monkeypatch):
     H = import_module("kirbycalc.homology")
-    eliminate = H._diagonalize
+    eliminate = H._eliminate
     calls = []
 
-    def counting(m, **wants):
-        calls.append(m)
-        return eliminate(m, **wants)
-    monkeypatch.setattr(H, "_diagonalize", counting)
+    def counting(rows, cols, want_v):
+        calls.append(rows)
+        return eliminate(rows, cols, want_v)
+    monkeypatch.setattr(H, "_eliminate", counting)
     f = tmp_path / "b3.hbd"
     f.write_text(print_hbd(DiagramDocument(build_Bp(3), {})))
     code, payload = run_json(capsys, "homology", str(f))

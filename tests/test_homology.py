@@ -2,12 +2,16 @@
 
 import hashlib
 import json
+import os
 import random
 import re
+import subprocess
+import sys
 import time
 from importlib import import_module
 from itertools import combinations
-from math import gcd
+from math import gcd, prod
+from operator import mul
 from pathlib import Path
 
 import pytest
@@ -34,8 +38,8 @@ from kirbycalc.homology import (
     smith_normal_form,
     surgery_presentation,
 )
-from _oracles import (det_rational, diagonalize_stepwise, invert_rational,
-                      surgery_presentation_by_blocks)
+from _oracles import (det_rational, diagonalize_stepwise, invert_rational, rank_mod,
+                      surgery_presentation_by_blocks, tree_det, tree_plumbing)
 from test_handles import cp_chain, nn_model, wn_model
 
 
@@ -250,6 +254,45 @@ def test_inertia_dense_60_within_budget():
     assert det(m) != 0
 
 
+# The Smith layer's budget rung: each call must finish in under 1 s.  It runs
+# in a child process killed after 20 s, so an elimination that has lost its
+# bound fails the suite in seconds, not after minutes.
+BUDGET_RUNG = """
+import json, random, time
+from _oracles import tree_plumbing
+from kirbycalc.homology import (IntMatrix, boundary_first_homology,
+                                cokernel_invariants, kernel_basis)
+rng = random.Random(40)
+dense = IntMatrix.from_rows([[rng.randint(-9, 9) for _ in range(40)] for _ in range(40)])
+calls = [
+    ("dense 40x40 cokernel_invariants", cokernel_invariants, dense),
+    ("dense 40x40 kernel_basis", kernel_basis, dense),
+    ("150-vertex tree boundary_first_homology", boundary_first_homology,
+     tree_plumbing(random.Random(150), 150)),
+    ("200-vertex tree boundary_first_homology", boundary_first_homology,
+     tree_plumbing(random.Random(200), 200)),
+]
+for name, call, arg in calls:
+    start = time.perf_counter()
+    call(arg)
+    print(json.dumps([name, time.perf_counter() - start]), flush=True)
+"""
+
+
+def test_smith_layer_budget_rung():
+    tests = Path(__file__).resolve().parent
+    path = os.pathsep.join([str(tests.parent / "src"), str(tests)])
+    try:
+        done = subprocess.run([sys.executable, "-c", BUDGET_RUNG], capture_output=True,
+                              text=True, timeout=20, check=True,
+                              env=dict(os.environ, PYTHONPATH=path))
+    except subprocess.TimeoutExpired as exc:
+        pytest.fail(f"budget rung killed after {exc.timeout} s; finished: {exc.stdout!r}")
+    times = dict(json.loads(line) for line in done.stdout.splitlines())
+    assert len(times) == 4
+    assert {name: t for name, t in times.items() if t >= 1} == {}
+
+
 def test_invert_rational_round_trip():
     m = IntMatrix.from_rows([[2, 1], [1, 1]])
     inv = invert_rational(m)
@@ -356,14 +399,14 @@ def test_no_one_handles_form_is_linking_matrix():
 def test_homology_runs_one_smith_normal_form(monkeypatch):
     # the package re-exports the function `homology` over the submodule name
     H = import_module("kirbycalc.homology")
-    eliminate = H._diagonalize
+    eliminate = H._eliminate
     calls = []
 
-    def counting(m, **wants):
+    def counting(rows, cols, want_v):
         # homology() hands over plain rows, which the elimination overwrites
-        calls.append(IntMatrix.from_rows(m, wants["cols"]) if isinstance(m, list) else m)
-        return eliminate(m, **wants)
-    monkeypatch.setattr(H, "_diagonalize", counting)
+        calls.append(IntMatrix.from_rows(rows, cols))
+        return eliminate(rows, cols, want_v)
+    monkeypatch.setattr(H, "_eliminate", counting)
     for d in (wn_model(), nn_model(3), cp_chain(4), HandleDecomposition()):
         calls.clear()
         prof = homology(d)
@@ -561,26 +604,90 @@ def test_invariant_factors_match_sympy():
                                           n - len(nonzero)), rows
 
 
-def test_each_entry_point_builds_only_the_transforms_it_reads(monkeypatch):
-    H = import_module("kirbycalc.homology")
-    eliminate = H._diagonalize
-    wants = []
+# -- invariant factors and kernels against ranks mod primes --------------------------
 
-    def recording(m, *, want_u, want_v, **shape):
-        wants.append((want_u, want_v))
-        return eliminate(m, want_u=want_u, want_v=want_v, **shape)
-    monkeypatch.setattr(H, "_diagonalize", recording)
+PRIMES_BELOW_50 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+MERSENNE_61 = 2 ** 61 - 1
+
+
+def _dense_draw(n, cols):
+    rng = random.Random(n * 100 + cols)
+    return [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(n)]
+
+
+def test_invariant_factors_match_det_and_ranks_mod_primes():
+    """The factors form a chain and multiply to |det| (by the subtree
+    recursion on trees, over Q on dense draws), and as many are divisible by
+    each prime l < 50 as M mod l has nullity."""
+    cases = []
+    for n in (60, 90, 120, 150, 200):
+        d = tree_plumbing(random.Random(n), n)
+        cases.append((f"tree {n}", surgery_presentation(d).to_lists(),
+                      boundary_first_homology(d), tree_det(d)))
+    for n in (30, 40):
+        m = IntMatrix.from_rows(_dense_draw(n, n))
+        torsion, free = cokernel_invariants(m)
+        cases.append((f"dense {n}", m.to_lists(), torsion + (0,) * free, det_rational(m)))
+    for name, rows, factors, d in cases:
+        torsion = [f for f in factors if f]
+        assert all(b % a == 0 for a, b in zip(torsion, torsion[1:])), name
+        assert prod(factors) == abs(d), name
+        for ell in PRIMES_BELOW_50:
+            assert sum(f % ell == 0 for f in factors) == len(rows) - rank_mod(rows, ell), \
+                (name, ell)
+
+
+def test_kernel_basis_matches_the_rank_mod_a_large_prime():
+    """Each kernel row solves M x = 0 and the rows have distinct leading
+    columns, so they are independent: their count is at most the nullity over
+    Q, which is at most the nullity mod 2^61 - 1, and equal counts pin both."""
+    cases = []
+    for n in (60, 120, 200):
+        rows = surgery_presentation(tree_plumbing(random.Random(n), n)).to_lists()
+        cases += [(f"tree {n}", rows), (f"tree {n} less two rows", rows[:-2]),
+                  (f"tree {n}, last row dependent",
+                   rows[:-1] + [[x - 2 * y for x, y in zip(rows[0], rows[1])]])]
+    for n in (30, 40):
+        rows = _dense_draw(n, n)
+        cases += [(f"dense {n}", rows), (f"dense {n} less two rows", rows[:-2]),
+                  (f"dense {n}, last row dependent",
+                   rows[:-1] + [[x - 2 * y for x, y in zip(rows[0], rows[1])]])]
+    for name, rows in cases:
+        cols = len(rows[0])
+        basis = kernel_basis(IntMatrix.from_rows(rows, cols))
+        assert all(sum(map(mul, row, x)) == 0 for x in basis for row in rows), name
+        leads = [next(j for j, a in enumerate(x) if a) for x in basis]
+        assert len(set(leads)) == len(leads), name
+        assert len(basis) == cols - rank_mod(rows, MERSENNE_61), name
+
+
+def test_each_entry_point_builds_only_the_transforms_it_reads(monkeypatch):
+    """Only `smith_normal_form` runs the elimination that carries U and V;
+    the rest run the deleting one, with V only where they read the kernel."""
+    H = import_module("kirbycalc.homology")
+    eliminate, diagonalize = H._eliminate, H._diagonalize
+    calls = []
+
+    def deleting(rows, cols, want_v):
+        calls.append(("_eliminate", want_v))
+        return eliminate(rows, cols, want_v)
+
+    def carrying(m):
+        calls.append(("_diagonalize",))
+        return diagonalize(m)
+    monkeypatch.setattr(H, "_eliminate", deleting)
+    monkeypatch.setattr(H, "_diagonalize", carrying)
     m = IntMatrix.from_rows([[2, 4, 4], [-6, 6, 12], [10, -4, -16]])
 
     def built(call, *args):
-        wants.clear()
+        calls.clear()
         call(*args)
-        return wants
-    assert built(cokernel_invariants, m) == [(False, False)]
-    assert built(boundary_first_homology, cp_chain(5)) == [(False, False)]
-    assert built(kernel_basis, m) == [(False, True)]
-    assert built(smith_normal_form, m) == [(True, True)]
-    assert built(homology, nn_model(3)) == [(False, True)]
+        return calls
+    assert built(cokernel_invariants, m) == [("_eliminate", False)]
+    assert built(boundary_first_homology, cp_chain(5)) == [("_eliminate", False)]
+    assert built(kernel_basis, m) == [("_eliminate", True)]
+    assert built(smith_normal_form, m) == [("_diagonalize",)]
+    assert built(homology, nn_model(3)) == [("_eliminate", True)]
 
 
 # -- the folded elimination against the stepwise one ---------------------------
@@ -623,12 +730,20 @@ def _differential_matrices(rng):
 
 
 def test_elimination_matches_the_stepwise_reference():
-    """Folded Euclid runs and sparse transform rows change no pivot, quotient or swap."""
+    """Folded Euclid runs and sparse transform rows change no pivot, quotient
+    or swap of `smith_normal_form`'s elimination; the deleting elimination
+    gives the same rank, torsion and kernel lattice, with V and without."""
     H = import_module("kirbycalc.homology")
     for m in _differential_matrices(random.Random(1938)):
-        for want_u, want_v in ((True, True), (False, True), (False, False)):
-            got = H._diagonalize(m, want_u=want_u, want_v=want_v)
-            assert got == diagonalize_stepwise(m, want_u, want_v), (m.rows, m.cols)
+        assert H._diagonalize(m) == diagonalize_stepwise(m, True, True), (m.rows, m.cols)
+        diag, _, v_columns = diagonalize_stepwise(m, False, True)
+        expected = (len(diag), tuple(d for d in diag if d >= 2))
+        kernel = hermite_row_basis(v_columns[len(diag):], m.cols)
+        rank, torsion, none = H._eliminate(m.to_lists(), m.cols, want_v=False)
+        assert ((rank, torsion), none) == (expected, None), (m.rows, m.cols)
+        rank, torsion, columns = H._eliminate(m.to_lists(), m.cols, want_v=True)
+        assert (rank, torsion) == expected, (m.rows, m.cols)
+        assert hermite_row_basis(columns, m.cols) == kernel, (m.rows, m.cols)
 
 
 def test_repr_of_entries_past_the_decimal_limit():
