@@ -20,28 +20,23 @@ Which matrices each entry point builds:
 - `cokernel_invariants`, `kernel_basis` and `smith_normal_form` take an
   `IntMatrix`, so whatever a caller passes is validated.
 
-Two eliminations, by what the caller reads:
-- `_eliminate` serves every caller that does not read U:
-  `cokernel_invariants` and `boundary_first_homology` run it without V,
-  `kernel_basis` and `homology` with V.  It deletes each pivot's row and
-  column once they are clear, so the matrix shrinks, and it does not keep
-  d1 | d2 | ... while it runs; the pivots are made a divisibility chain once,
-  at the end, by pairwise (gcd, lcm).  Without the chain's row pull-ins,
-  entries stay small enough for dense 40 x 40 input and plumbing trees of
-  hundreds of handles.
-- `_diagonalize` serves `smith_normal_form` alone and always carries U and
-  V.  It keeps the chain before each pivot is frozen, plays each Euclid run
-  of quotient steps out on two scalars and applies the run to S, U and V as
-  one 2x2 step, skips the rows a column step cannot change, and carries U
-  and V as sparse rows; pivots, quotients and swaps are those of one row or
-  column operation per quotient, so S, U and V are too.
+One elimination, `_eliminate`, serves every caller, carrying only the
+transforms that caller reads: `cokernel_invariants` and
+`boundary_first_homology` run it with neither U nor V, `kernel_basis` and
+`homology` with V, and `smith_normal_form` with U and V.  It deletes each
+pivot's row and column once they are clear, so the matrix shrinks, and it
+does not keep d1 | d2 | ... while it runs: the chain is restored once, at
+the end, not at every pivot, by pairwise (gcd, lcm) on the pivots and on
+their rows of U and columns of V.  Without the row pull-ins a chain kept at
+every pivot needs, entries, U and V stay small enough for dense 40 x 40
+input and plumbing trees of hundreds of handles.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from math import gcd, prod
+from math import prod
 from operator import index, mul
 from typing import Iterable, Sequence
 
@@ -221,115 +216,22 @@ class SmithNormalForm:
         return tuple(self.s[i, i] for i in range(n))
 
 
-def _diagonalize(m: IntMatrix) -> tuple[list[int], list[list[int]], list[list[int]]]:
-    """The Smith elimination behind `smith_normal_form`: (diagonal, rows of U,
-    columns of V).
+def _eliminate(s: list[list[int]], cols: int, want_v: bool, want_u: bool = False
+               ) -> tuple[int, tuple[int, ...], list[list[int]] | None,
+                          list[list[int]] | None]:
+    """(rank, torsion, rows of U, columns of V) of the matrix with rows `s`,
+    `cols` wide.
 
-    The diagonal lists the nonzero invariant factors d1 | d2 | ..., all
-    positive; S is that diagonal padded with zeros.
+    The torsion is the invariant factors >= 2 as a chain d1 | d2 | ....  U
+    is None unless `want_u`, and V unless `want_v`; `want_u` needs
+    `want_v`.  With U, U M V = S, the rank's invariant factors (units first,
+    then the torsion) down S's diagonal, and V's columns past the first
+    `rank` are a basis of the kernel {x : M x = 0}; without U, V is those
+    kernel columns alone.  `s` is eliminated in place and never validated,
+    so callers hand over rows of checked integers that they do not read
+    again.
 
-    Each pivot is the first entry of least absolute value in row-major
-    order, so the search stops at the first +-1; a unit pivot divides every
-    entry, so its divisibility sweep is skipped.  Rows at or below t are zero
-    left of column t and rows above t are zero right of it, so operations on
-    S touch only the active block (rows and columns >= t).
-
-    The pivot clears each entry of its column, then of its row, by a Euclid
-    run: subtract the floor quotient times the pivot, swap the two if a
-    remainder is left, repeat.  A run that ends after one exact quotient is
-    one subtraction.  A longer run is played out on the two scalars alone
-    (`_euclid_run`), and its 2x2 cofactor matrix is applied once to the two
-    rows (or columns) of S and of U (or V); exact integers make that equal to
-    the steps one by one.  Once the row sweep is done, column t is zero below
-    the pivot (`clean`).  A column subtraction adds a multiple of column t,
-    so while that holds it changes only the entry in row t, and the rows
-    below are skipped.  Only a folded column run, which mixes another column
-    into column t, can break it; column t is checked after each one, and if
-    it is no longer zero below the pivot the row sweep runs again.  U rows
-    and V columns are sparse {index: value} dicts, written out as lists once,
-    at return.
-    """
-    s, nr, nc = m.to_lists(), m.rows, m.cols
-    u = [{i: 1} for i in range(nr)]
-    vt = [{j: 1} for j in range(nc)]  # V, column by column
-    diag: list[int] = []
-    t = 0
-    while t < min(nr, nc):
-        best = _pivot(s, t)
-        if best is None:
-            break
-        i, j = best
-        if i != t:
-            s[t], s[i] = s[i], s[t]
-            u[t], u[i] = u[i], u[t]
-        if j != t:
-            for row in s[t:]:
-                row[t], row[j] = row[j], row[t]
-            vt[t], vt[j] = vt[j], vt[t]
-        st = s[t]
-        while True:
-            for i in range(t + 1, nr):
-                si = s[i]
-                if not si[t]:
-                    continue
-                q, r = divmod(si[t], st[t])
-                if not r:
-                    si[t:] = [x - q * y for x, y in zip(si[t:], st[t:])]
-                    _sub(u[i], u[t], q)
-                    continue
-                a, b, c, d = _euclid_run(st[t], si[t])
-                x, y = st[t:], si[t:]
-                st[t:] = [a * e + b * f for e, f in zip(x, y)]
-                si[t:] = [c * e + d * f for e, f in zip(x, y)]
-                u[t], u[i] = _mix(u[t], u[i], a, b, c, d)
-            clean = True  # column t is zero below the pivot
-            for j in range(t + 1, nc):
-                if not st[j]:
-                    continue
-                q, r = divmod(st[j], st[t])
-                if not r:
-                    if clean:
-                        st[j] = 0
-                    else:
-                        for row in s[t:]:
-                            row[j] -= q * row[t]
-                    _sub(vt[j], vt[t], q)
-                    continue
-                a, b, c, d = _euclid_run(st[t], st[j])
-                for row in s[t:]:
-                    e, f = row[t], row[j]
-                    row[t], row[j] = a * e + b * f, c * e + d * f
-                clean = not any(row[t] for row in s[t + 1:])
-                vt[t], vt[j] = _mix(vt[t], vt[j], a, b, c, d)
-            if not clean:
-                continue
-            pivot = st[t]
-            if pivot in (1, -1):
-                break
-            offender = _first_offender(s, t, pivot)
-            if offender is None:
-                break
-            # pull the offending row into row t
-            st[t:] = [x + y for x, y in zip(st[t:], s[offender][t:])]
-            _sub(u[t], u[offender], -1)
-        if st[t] < 0:
-            u[t] = {k: -x for k, x in u[t].items()}
-        diag.append(abs(st[t]))
-        t += 1
-    return diag, _dense(u, nr), _dense(vt, nc)
-
-
-def _eliminate(s: list[list[int]], cols: int, want_v: bool
-               ) -> tuple[int, tuple[int, ...], list[list[int]] | None]:
-    """(rank, torsion, kernel) of the matrix with rows `s`, `cols` wide.
-
-    The torsion is the invariant factors >= 2 as a chain d1 | d2 | ...; the
-    kernel is a basis of {x : M x = 0} as rows, or None unless `want_v`.
-    `s` is eliminated in place and never validated, so callers hand over
-    rows of checked integers that they do not read again.
-
-    Unlike `_diagonalize`, this elimination keeps no U, keeps V only when
-    asked, and does not enforce the divisibility chain while it runs; each
+    The divisibility chain is not kept while the elimination runs; each
     isolated pivot's row and column are deleted, so the matrix shrinks:
     - pivot: the first +-1 in row-major order, else the first entry of least
       absolute value (`_first_entry`);
@@ -344,43 +246,60 @@ def _eliminate(s: list[list[int]], cols: int, want_v: bool
       was picked, so the least entry has strictly fallen when the pivot is
       picked again.  A unit pivot's row needs no steps in the matrix, since
       it is deleted next, only in V;
-    - V: the column steps are applied to V's sparse columns, and V's column
-      of the pivot is deleted with it; the columns left at the end are the
-      kernel;
-    - chain: the non-unit pivots are made a divisibility chain at the end by
-      pairwise (gcd, lcm), which keeps the group they present.  The rank is
+    - U: each row carries its row of U after the matrix's current width, so
+      one comprehension per row step updates both, and the scans read the
+      matrix part alone.  A deleted pivot row keeps its U part, negated for
+      a negative pivot, and its column of V leaves with it; unit pivots go
+      first, then the others in the order they were deleted, then the rows
+      and columns that were never pivots, in their own order;
+    - V: the column steps are applied to V's sparse columns;
+    - chain: at the end `_chain` makes the pivots a divisibility chain by
+      pairwise (gcd, lcm), in U and V too when U is carried.  The rank is
       the number of pivots.
     """
+    width = cols
+    if want_u:
+        n = len(s)
+        for i, row in enumerate(s):
+            row += [0] * n
+            row[cols + i] = 1
     v = [{j: 1} for j in range(cols)] if want_v else None  # V, column by column
-    pivots: list[int] = []
     rank = 0
+    pivots: list[int] = []             # |p| of each non-unit pivot, in order
+    u_rows: list[list[int]] = []       # with U: each pivot's row of U and
+    v_cols: list[dict[int, int]] = []  # column of V, units first
     while True:
-        found = _first_entry(s, 1)
+        view = [row[:width] for row in s] if want_u else s
+        found = _first_entry(view, 1)
         if found is None:
-            least = min(filter(None, map(abs, chain.from_iterable(s))), default=0)
+            least = min(filter(None, map(abs, chain.from_iterable(view))), default=0)
             if not least:
                 break
-            found = _first_entry(s, least)
+            found = _first_entry(view, least)
         i, j = found
         prow = s[i]
         p = prow[j]
-        if p != 1 and p != -1:
-            while True:  # clear column j; the least remainder left is the next pivot
-                left = False
+        unit = p == 1 or p == -1
+        if not unit:
+            while True:  # clear column j; the first least remainder is the next pivot
+                least = 0
                 for k, row in enumerate(s):
                     a = row[j]
                     if a and k != i:
                         q = a // p
                         row[:] = [x - q * y for x, y in zip(row, prow)]
-                        left = left or bool(row[j])
-                if not left:
+                        a = abs(row[j])
+                        if a and (not least or a < least):
+                            nxt, least = k, a
+                if not least:
                     break
-                i = min((k for k, row in enumerate(s) if row[j]), key=lambda k: abs(s[k][j]))
+                i = nxt
                 prow = s[i]
                 p = prow[j]
-        if p != 1 and p != -1:
+            unit = p == 1 or p == -1
+        if not unit:
             left = False
-            for k, a in enumerate(prow):  # reduce row i mod p
+            for k, a in enumerate(prow[:width] if want_u else prow):  # reduce row i mod p
                 if a and k != j:
                     q, prow[k] = divmod(a, p)
                     if v is not None:
@@ -388,23 +307,35 @@ def _eliminate(s: list[list[int]], cols: int, want_v: bool
                     left = left or bool(prow[k])
             if left:
                 continue
-            pivots.append(abs(p))
         # A non-unit pivot is alone in its row and column by now.  A unit
         # pivot's row steps are taken in V alone, as the row is deleted, and
         # its column is cleared as it is deleted.
+        column = None
         if v is not None:
-            for k, a in enumerate(prow):
+            for k, a in enumerate(prow[:width] if want_u else prow):
                 if a and k != j:
                     _sub(v[k], v[j], a * p)
-            del v[j]
+            column = v.pop(j)
         del s[i], prow[j]
+        width -= 1
         for row in s:
             a = row.pop(j)
             if a:
                 q = a * p
                 row[:] = [x - q * y for x, y in zip(row, prow)]
+        if want_u:
+            at = rank - len(pivots) if unit else rank
+            u_rows.insert(at, prow[width:] if p > 0 else [-x for x in prow[width:]])
+            v_cols.insert(at, column)
+        if not unit:
+            pivots.append(abs(p))
         rank += 1
-    return rank, _chain(pivots), _dense(v, cols)
+    if not want_u:
+        return rank, _chain(pivots, None, None), None, _dense(v, cols)
+    d = [1] * (rank - len(pivots)) + pivots
+    u = u_rows + [row[width:] for row in s]
+    vt = _dense(v_cols + v, cols)
+    return rank, _chain(d, u, vt), u, vt
 
 
 def _first_entry(s: list[list[int]], a: int) -> tuple[int, int] | None:
@@ -418,30 +349,28 @@ def _first_entry(s: list[list[int]], a: int) -> tuple[int, int] | None:
     return None
 
 
-def _chain(factors: list[int]) -> tuple[int, ...]:
-    """The invariant factors >= 2 of the diagonal matrix with these entries.
+def _chain(d: list[int], u: list[list[int]] | None, vt: list[list[int]] | None
+           ) -> tuple[int, ...]:
+    """Make the positive entries `d`, units first, a divisibility chain in
+    place, and return its entries >= 2.
 
-    Each pair (d_i, d_j), i < j, becomes (gcd, lcm): diag(a, b) and
-    diag(gcd, lcm) present the same group, and once d_i has met every later
-    entry it divides them all.
+    Each pair (a, b) = (d_i, d_j), i < j, with a not dividing b becomes
+    (g, lcm), g = x a + y b = gcd(a, b): diag(a, b) and diag(g, lcm) present
+    the same group, and once d_i has met every later entry it divides them
+    all.  With U given, rows i, j of U take (x, y; -b/g, a/g) and columns i,
+    j of V (columns `vt`) take (1, -yb/g; 1, xa/g), which keeps U M V = S.
     """
-    if len(factors) < 2:
-        return tuple(factors)
-    d = list(factors)
-    for i in range(len(d)):
+    for i in range(d.count(1), len(d)):
         for j in range(i + 1, len(d)):
-            g = gcd(d[i], d[j])
-            d[i], d[j] = g, d[i] // g * d[j]
-    return tuple(x for x in d if x > 1)
-
-
-def _first_offender(s: list[list[int]], t: int, pivot: int) -> int | None:
-    """First row below t with an entry the pivot does not divide, or None.
-
-    Columns <= t of the rows below t are zero by the time it is asked.
-    """
-    return next((i for i in range(t + 1, len(s))
-                 if any(x % pivot for x in s[i][t + 1:])), None)
+            a, b = d[i], d[j]
+            if b % a:
+                x, y, _, _ = _euclid_run(a, b)
+                g = x * a + y * b
+                d[i], d[j] = g, a // g * b
+                if u is not None:
+                    _combine(u, i, j, x, y, -b // g, a // g)
+                    _combine(vt, i, j, 1, 1, -y * b // g, x * a // g)
+    return tuple(d[d.count(1):])
 
 
 def _euclid_run(a: int, b: int) -> tuple[int, int, int, int]:
@@ -469,13 +398,11 @@ def _sub(x: dict[int, int], y: dict[int, int], q: int) -> None:
         x[k] = x.get(k, 0) - q * v
 
 
-def _mix(x: dict[int, int], y: dict[int, int], a: int, b: int, c: int, d: int
-         ) -> tuple[dict[int, int], dict[int, int]]:
-    """(a x + b y, c x + d y) on sparse rows, zeros dropped."""
-    gx, gy = x.get, y.get
-    keys = x.keys() | y.keys()
-    return ({k: z for k in keys if (z := a * gx(k, 0) + b * gy(k, 0))},
-            {k: z for k in keys if (z := c * gx(k, 0) + d * gy(k, 0))})
+def _combine(rows: list[list[int]], i: int, j: int, a: int, b: int, c: int, d: int) -> None:
+    """Rows i, j become (a x + b y, c x + d y) for the old rows x, y, in place."""
+    x, y = rows[i], rows[j]
+    rows[i] = [a * e + b * f for e, f in zip(x, y)]
+    rows[j] = [c * e + d * f for e, f in zip(x, y)]
 
 
 def _dense(rows: list[dict[int, int]] | None, n: int) -> list[list[int]] | None:
@@ -491,28 +418,18 @@ def _dense(rows: list[dict[int, int]] | None, n: int) -> list[list[int]] | None:
     return out
 
 
-def _pivot(s: list[list[int]], t: int) -> tuple[int, int] | None:
-    """First entry of least absolute value in rows and columns >= t, row-major."""
-    best, least = None, 0
-    for i in range(t, len(s)):
-        row = s[i][t:]
-        if 1 in row or -1 in row:
-            return i, t + min(row.index(x) for x in (1, -1) if x in row)
-        for j, x in enumerate(row, t):
-            if x and (best is None or abs(x) < least):
-                best, least = (i, j), abs(x)
-    return best
-
-
 def smith_normal_form(m: IntMatrix) -> SmithNormalForm:
     """Diagonalize over Z by unimodular row and column operations.
 
-    The divisibility chain is enforced before each pivot is frozen, so the
-    diagonal always satisfies d1 | d2 | ... and is non-negative.
+    One deleting elimination (`_eliminate`) carries U and V; the pivots are
+    made the divisibility chain once, at the end, not at every pivot, so the
+    diagonal satisfies d1 | d2 | ... and is non-negative, and rows and
+    columns that are never pivots keep their order (a zero matrix gets
+    identity transforms).
     """
-    diag, u, vt = _diagonalize(m)
+    rank, torsion, u, vt = _eliminate(m.to_lists(), m.cols, want_v=True, want_u=True)
     s = [[0] * m.cols for _ in range(m.rows)]
-    for i, d in enumerate(diag):
+    for i, d in enumerate((1,) * (rank - len(torsion)) + torsion):
         s[i][i] = d
     return SmithNormalForm(IntMatrix.from_rows(s, m.cols),
                            IntMatrix.from_rows(u, m.rows),
@@ -521,7 +438,7 @@ def smith_normal_form(m: IntMatrix) -> SmithNormalForm:
 
 def cokernel_invariants(m: IntMatrix) -> tuple[tuple[int, ...], int]:
     """(torsion invariant factors >= 2, free rank) of Z^rows / im(M)."""
-    rank, torsion, _ = _eliminate(m.to_lists(), m.cols, want_v=False)
+    rank, torsion, _, _ = _eliminate(m.to_lists(), m.cols, want_v=False)
     return torsion, m.rows - rank
 
 
@@ -573,7 +490,7 @@ def hermite_row_basis(vectors: Iterable[Sequence[int]], width: int) -> tuple[tup
 
 def kernel_basis(m: IntMatrix) -> tuple[tuple[int, ...], ...]:
     """Canonical basis (as rows) of the integer kernel {x : M x = 0}."""
-    _, _, kernel = _eliminate(m.to_lists(), m.cols, want_v=True)
+    _, _, _, kernel = _eliminate(m.to_lists(), m.cols, want_v=True)
     return hermite_row_basis(kernel, m.cols)
 
 
@@ -712,7 +629,7 @@ def homology(d: HandleDecomposition) -> HomologyProfile:
     keep their nonzero entries only, so the form costs the links.
     """
     n2 = len(d.two_handles)
-    rank, torsion, kernel = _eliminate(_run_through_rows(d), n2, want_v=True)
+    rank, torsion, _, kernel = _eliminate(_run_through_rows(d), n2, want_v=True)
     basis = hermite_row_basis(kernel, n2)
     index = {k: i for i, (k, _) in enumerate(d.two_handles)}
     linking = [[(i, f)] if f else [] for i, (_, f) in enumerate(d.two_handles)]
@@ -729,7 +646,7 @@ def boundary_first_homology(d: HandleDecomposition) -> tuple[int, ...]:
     """Invariant factors of H_1 of the boundary 3-manifold; 0 marks a Z."""
     rows = _presentation_rows(d, d.one_handles)
     n = len(rows)
-    rank, torsion, _ = _eliminate(rows, n, want_v=False)
+    rank, torsion, _, _ = _eliminate(rows, n, want_v=False)
     return torsion + (0,) * (n - rank)
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, replace
+from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
 from operator import add
@@ -429,6 +430,7 @@ class RestrictionLemmaReport:
     evaluation_identity: bool
     all_eligible: bool
     restrictions_distinct: bool
+    restrictions_match_span: bool        # alike exactly when the difference is in the span
     mayer_vietoris_index: int
     boundary_order: int | None           # |H_1(boundary C_p)|, the gluing group
 
@@ -437,6 +439,8 @@ class RestrictionLemmaReport:
                             (self.evaluation_identity, "alpha evaluation identity broken"),
                             (self.all_eligible, "a class fails the lift condition"),
                             (self.restrictions_distinct, "restrictions not distinct"),
+                            (self.restrictions_match_span,
+                             "restrictions disagree with the span of the chain duals"),
                             (self.mayer_vietoris_index == self.boundary_order,
                              "index != |H1(bd C_p)|")):
             if not holds:
@@ -452,6 +456,11 @@ def verify_restriction_lemma(p_list: Sequence[int], index: int = 0,
     differently to the chain complement.  The index of chain + complement
     inside the full lattice is also checked against |H_1(boundary C_p)|, the
     order of the boundary gluing group, read from `build_Cp(p)` as in claim 1.
+
+    The profiles are checked by an independent rank test: two classes
+    restrict alike exactly when their difference lies in the rational span
+    of the chain's duals.  It runs on the classes and on each class shifted
+    by the sum of those duals, which must restrict like the class itself.
     """
     x0 = _model_with_chain(p_list, index, seed_count)
     p = x0.p_list[index]
@@ -465,17 +474,48 @@ def verify_restriction_lemma(p_list: Sequence[int], index: int = 0,
     alpha_orth = all(_dot(alpha_dual, u) == 0 for u in chain)
     eval_ok = _pairings(members, alpha) == [(1 - p) * v for v in _pairings(members, e_vec)]
     complement = x0.complement_basis(index)
-    table = _restrictions(members, chain, complement)
-    eligible = all(_lift_ok(lift) for lift, _ in table)
-    distinct = len({rho for _, rho in table}) == len(table)
+    duals = [lat.dual(u) for u in chain]
+    shift = [sum(col) for col in zip(*duals)]
+    classes = [*members, *(tuple(map(add, kappa, shift)) for kappa in members)]
+    table = _restrictions(classes, chain, complement)
+    eligible = all(_lift_ok(lift) for lift, _ in table[:len(members)])
+    distinct = len({rho for _, rho in table[:len(members)]}) == len(members)
+    pairs = list(zip((rho for _, rho in table), _span_residues(classes, duals)))
+    match = len(set(pairs)) == len({rho for rho, _ in pairs}) == len({r for _, r in pairs})
 
     product = det(lat.gram(chain)) * det(lat.gram(complement))
     full = det(lat.pairing)
     index_sq, rem = divmod(product, full)
     root = isqrt(index_sq) if rem == 0 and index_sq > 0 else -1
     mv_index = root if root * root == index_sq else -1
-    return RestrictionLemmaReport(p, alpha_orth, eval_ok, eligible, distinct, mv_index,
+    return RestrictionLemmaReport(p, alpha_orth, eval_ok, eligible, distinct, match, mv_index,
                                   boundary_group_order(build_Cp(p)))
+
+
+def _span_residues(vectors: Sequence[Vector], span: Sequence[Vector]
+                   ) -> list[tuple[Fraction, ...]]:
+    """Each vector reduced over Q by `span` brought to echelon form.
+
+    A residue is zero at every pivot column of the echelon rows, so two
+    vectors have equal residues exactly when their difference lies in the
+    rational span of `span`: appending it leaves the rank unchanged.
+    """
+    echelon: list[tuple[int, list[Fraction]]] = []  # (pivot column, row with pivot 1)
+
+    def reduce(v: Sequence[int]) -> list[Fraction]:
+        r = [Fraction(x) for x in v]
+        for j, row in echelon:
+            if r[j]:
+                f = r[j]
+                r = [x - f * y for x, y in zip(r, row)]
+        return r
+
+    for v in span:
+        r = reduce(v)
+        j = next((j for j, x in enumerate(r) if x), None)
+        if j is not None:
+            echelon.append((j, [x / r[j] for x in r]))
+    return [tuple(reduce(v)) for v in vectors]
 
 
 @dataclass(frozen=True)

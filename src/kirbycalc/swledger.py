@@ -51,7 +51,7 @@ from operator import add, index, neg
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
-from .homology import IntMatrix, _dot, _matvec, _pairings, adjugate, smith_normal_form
+from .homology import IntMatrix, _dot, _matvec, _pairings, adjugate
 
 Vector = tuple[int, ...]
 
@@ -730,16 +730,27 @@ def random_characteristic_vector(lattice: IntersectionLattice, rng) -> Vector:
     """A random primal characteristic vector of the lattice.
 
     The parity system G x = diag(G) mod 2 is always solvable for a symmetric
-    integer matrix.  With U G V = S in Smith normal form it reads
-    S y = U diag(G) mod 2 for x = V y: set y_i = (U diag(G))_i mod 2 where
-    s_i is odd and 0 elsewhere.  That solution is reduced mod 2, and a
-    random even vector is added on top.
+    integer matrix: x^T G x = diag(G) . x mod 2, so diag(G) is orthogonal to
+    the kernel of G mod 2, which is the kernel of its transpose.
+    Gauss-Jordan elimination over GF(2), each row a bit mask with the right
+    side as bit n, solves it with every free coordinate 0; a random even
+    vector is added on top.
     """
-    snf = smith_normal_form(lattice.pairing)
-    s = snf.diagonal
-    u_diag = [_dot(row, lattice._diagonal) for row in snf.u.entries]
-    y = [b % 2 if s_i % 2 else 0 for b, s_i in zip(u_diag, s)]
-    base = tuple(_dot(row, y) % 2 for row in snf.v.entries)
-    if not lattice.is_characteristic_dual(lattice.dual(base)):  # cannot happen for symmetric G
-        raise LedgerError("lattice admits no characteristic vector")
+    n = lattice.rank
+    rows = [sum((g & 1) << j for j, g in enumerate(row)) | d << n
+            for row, d in zip(lattice.pairing.entries, lattice._diagonal_parity)]
+    pivots: list[int] = []                 # column of rows[r] for r < len(pivots)
+    for j in range(n):
+        r = len(pivots)
+        k = next((k for k in range(r, n) if rows[k] >> j & 1), None)
+        if k is None:
+            continue
+        rows[r], rows[k] = rows[k], rows[r]
+        for i in range(n):
+            if i != r and rows[i] >> j & 1:
+                rows[i] ^= rows[r]
+        pivots.append(j)
+    base = [0] * n
+    for r, j in enumerate(pivots):
+        base[j] = rows[r] >> n & 1
     return tuple(b + 2 * rng.randrange(-2, 3) for b in base)

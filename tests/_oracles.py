@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 from kirbycalc.handles import HandleDecomposition
-from kirbycalc.homology import IntMatrix, _pairings, _pivot
+from kirbycalc.homology import IntMatrix, _pairings
 from kirbycalc.legendrian import FrontDiagram, FrontError, FrontEvent, parse_front, torus_knot_front
 from kirbycalc.scenarios import ScenarioError
 from kirbycalc.swledger import AdjunctionReport
@@ -53,8 +53,21 @@ def det_rational(m) -> int:
 
 
 # -- Smith elimination, one row or column operation per quotient -------------------
-# The elimination `homology._diagonalize` ran before it folded each Euclid run
-# into one 2x2 step and carried U and V as sparse rows.
+# A Smith elimination that keeps d1 | d2 | ... before each pivot is frozen: the
+# reference for the diagonal, whose entries are unique.
+
+
+def _pivot(s: list[list[int]], t: int) -> tuple[int, int] | None:
+    """First entry of least absolute value in rows and columns >= t, row-major."""
+    best, least = None, 0
+    for i in range(t, len(s)):
+        row = s[i][t:]
+        if 1 in row or -1 in row:
+            return i, t + min(row.index(x) for x in (1, -1) if x in row)
+        for j, x in enumerate(row, t):
+            if x and (best is None or abs(x) < least):
+                best, least = (i, j), abs(x)
+    return best
 
 
 def diagonalize_stepwise(m: IntMatrix, want_u: bool, want_v: bool

@@ -56,7 +56,9 @@ def minor_gcds(m: IntMatrix) -> list[int]:
     return out
 
 
-def assert_valid_snf(m: IntMatrix):
+def assert_valid_snf(m: IntMatrix, nonzero: list[int] | None = None):
+    """U M V = S with U, V unimodular and S a diagonal chain; its nonzero
+    entries are `nonzero` when given, else the quotients of the minor gcds."""
     snf = smith_normal_form(m)
     assert snf.u @ m @ snf.v == snf.s
     assert abs(det(snf.u)) == 1
@@ -72,6 +74,9 @@ def assert_valid_snf(m: IntMatrix):
         for j in range(snf.s.cols):
             if i != j:
                 assert snf.s[i, j] == 0
+    if nonzero is not None:
+        assert list(diag) == nonzero + [0] * (len(diag) - len(nonzero))
+        return snf
     gcds = minor_gcds(m)
     prod = 1
     for k, d in enumerate(diag):
@@ -261,14 +266,17 @@ BUDGET_RUNG = """
 import json, random, time
 from _oracles import tree_plumbing
 from kirbycalc.homology import (IntMatrix, boundary_first_homology,
-                                cokernel_invariants, kernel_basis)
+                                cokernel_invariants, kernel_basis, smith_normal_form,
+                                surgery_presentation)
 rng = random.Random(40)
 dense = IntMatrix.from_rows([[rng.randint(-9, 9) for _ in range(40)] for _ in range(40)])
+tree = tree_plumbing(random.Random(150), 150)
 calls = [
     ("dense 40x40 cokernel_invariants", cokernel_invariants, dense),
     ("dense 40x40 kernel_basis", kernel_basis, dense),
-    ("150-vertex tree boundary_first_homology", boundary_first_homology,
-     tree_plumbing(random.Random(150), 150)),
+    ("dense 40x40 smith_normal_form", smith_normal_form, dense),
+    ("150-vertex tree boundary_first_homology", boundary_first_homology, tree),
+    ("150-vertex tree smith_normal_form", smith_normal_form, surgery_presentation(tree)),
     ("200-vertex tree boundary_first_homology", boundary_first_homology,
      tree_plumbing(random.Random(200), 200)),
 ]
@@ -289,7 +297,7 @@ def test_smith_layer_budget_rung():
     except subprocess.TimeoutExpired as exc:
         pytest.fail(f"budget rung killed after {exc.timeout} s; finished: {exc.stdout!r}")
     times = dict(json.loads(line) for line in done.stdout.splitlines())
-    assert len(times) == 4
+    assert len(times) == 6
     assert {name: t for name, t in times.items() if t >= 1} == {}
 
 
@@ -543,8 +551,8 @@ def homology_layer_records():
     Matrices pin S, U and V by digest, the cokernel literally and the kernel
     by digest; diagrams add their surgery presentation to the matrices and pin
     the homology profile by digest, H_1 and H_2 rank literally, and the
-    boundary's invariant factors.  Digests hash integers as bytes, because U
-    and V entries outgrow the decimal conversion limit at n = 20.
+    boundary's invariant factors.  Digests hash integers as bytes, so no
+    entry meets the decimal conversion limit, whatever its size.
     """
     rng = random.Random(1979)
     matrices = list(_pinned_matrices(rng))
@@ -662,35 +670,30 @@ def test_kernel_basis_matches_the_rank_mod_a_large_prime():
 
 
 def test_each_entry_point_builds_only_the_transforms_it_reads(monkeypatch):
-    """Only `smith_normal_form` runs the elimination that carries U and V;
-    the rest run the deleting one, with V only where they read the kernel."""
+    """Every entry point runs the one deleting elimination: with V only where
+    it reads the kernel, and with U as well only for `smith_normal_form`."""
     H = import_module("kirbycalc.homology")
-    eliminate, diagonalize = H._eliminate, H._diagonalize
+    eliminate = H._eliminate
     calls = []
 
-    def deleting(rows, cols, want_v):
-        calls.append(("_eliminate", want_v))
-        return eliminate(rows, cols, want_v)
-
-    def carrying(m):
-        calls.append(("_diagonalize",))
-        return diagonalize(m)
-    monkeypatch.setattr(H, "_eliminate", deleting)
-    monkeypatch.setattr(H, "_diagonalize", carrying)
+    def counting(rows, cols, want_v, want_u=False):
+        calls.append(("_eliminate", want_v, want_u))
+        return eliminate(rows, cols, want_v, want_u)
+    monkeypatch.setattr(H, "_eliminate", counting)
     m = IntMatrix.from_rows([[2, 4, 4], [-6, 6, 12], [10, -4, -16]])
 
     def built(call, *args):
         calls.clear()
         call(*args)
         return calls
-    assert built(cokernel_invariants, m) == [("_eliminate", False)]
-    assert built(boundary_first_homology, cp_chain(5)) == [("_eliminate", False)]
-    assert built(kernel_basis, m) == [("_eliminate", True)]
-    assert built(smith_normal_form, m) == [("_diagonalize",)]
-    assert built(homology, nn_model(3)) == [("_eliminate", True)]
+    assert built(cokernel_invariants, m) == [("_eliminate", False, False)]
+    assert built(boundary_first_homology, cp_chain(5)) == [("_eliminate", False, False)]
+    assert built(kernel_basis, m) == [("_eliminate", True, False)]
+    assert built(smith_normal_form, m) == [("_eliminate", True, True)]
+    assert built(homology, nn_model(3)) == [("_eliminate", True, False)]
 
 
-# -- the folded elimination against the stepwise one ---------------------------
+# -- the deleting elimination against the stepwise one --------------------------
 
 
 def _fibonacci_matrix(rng, rows, cols):
@@ -710,7 +713,8 @@ def _fibonacci_matrix(rng, rows, cols):
 def _differential_matrices(rng):
     """Random r x c, 1 <= r, c <= 22, at densities 0.15, 0.4 and 1, with a
     dependent last row on every third draw; zero and empty shapes; surgery
-    presentations of plumbings up to 40 handles; Fibonacci columns and rows."""
+    presentations of plumbings up to 40 handles; Fibonacci columns and rows.
+    Each comes with its kind."""
     for t in range(96):
         r, c = rng.randint(1, 22), rng.randint(1, 22)
         density = (0.15, 0.4, 1)[t // 3 % 3]
@@ -718,43 +722,51 @@ def _differential_matrices(rng):
                 for _ in range(r)]
         if t % 3 == 0 and r >= 3:
             rows[-1] = [x - 3 * y for x, y in zip(rows[0], rows[1])]
-        yield IntMatrix.from_rows(rows, c)
+        yield "random", IntMatrix.from_rows(rows, c)
     for r, c in ((0, 0), (0, 5), (5, 0), (1, 1), (3, 4), (22, 22)):
-        yield IntMatrix.zeros(r, c)
+        yield "zero", IntMatrix.zeros(r, c)
     for n2 in (5, 12, 20, 28, 34, 40):
-        yield surgery_presentation(_pinned_plumbing(rng, n2, rng.randint(1, 3)))
+        yield "plumbing", surgery_presentation(_pinned_plumbing(rng, n2, rng.randint(1, 3)))
     for r, c in ((2, 2), (6, 9), (14, 5)):
         rows = _fibonacci_matrix(rng, r, c)
-        yield IntMatrix.from_rows(rows, c)
-        yield IntMatrix.from_rows([list(col) for col in zip(*rows)], r)
+        yield "fibonacci", IntMatrix.from_rows(rows, c)
+        yield "fibonacci", IntMatrix.from_rows([list(col) for col in zip(*rows)], r)
 
 
 def test_elimination_matches_the_stepwise_reference():
-    """Folded Euclid runs and sparse transform rows change no pivot, quotient
-    or swap of `smith_normal_form`'s elimination; the deleting elimination
-    gives the same rank, torsion and kernel lattice, with V and without."""
+    """The deleting elimination, with its chain restored at the end, gives
+    the stepwise reference's diagonal with valid U and V, and the same rank,
+    torsion and kernel lattice with V and without."""
     H = import_module("kirbycalc.homology")
-    for m in _differential_matrices(random.Random(1938)):
-        assert H._diagonalize(m) == diagonalize_stepwise(m, True, True), (m.rows, m.cols)
+    for _, m in _differential_matrices(random.Random(1938)):
         diag, _, v_columns = diagonalize_stepwise(m, False, True)
+        assert_valid_snf(m, diag)
         expected = (len(diag), tuple(d for d in diag if d >= 2))
         kernel = hermite_row_basis(v_columns[len(diag):], m.cols)
-        rank, torsion, none = H._eliminate(m.to_lists(), m.cols, want_v=False)
-        assert ((rank, torsion), none) == (expected, None), (m.rows, m.cols)
-        rank, torsion, columns = H._eliminate(m.to_lists(), m.cols, want_v=True)
-        assert (rank, torsion) == expected, (m.rows, m.cols)
-        assert hermite_row_basis(columns, m.cols) == kernel, (m.rows, m.cols)
+        rank, torsion, u, v = H._eliminate(m.to_lists(), m.cols, want_v=False)
+        assert ((rank, torsion), u, v) == (expected, None, None), (m.rows, m.cols)
+        rank, torsion, u, v = H._eliminate(m.to_lists(), m.cols, want_v=True)
+        assert ((rank, torsion), u) == (expected, None), (m.rows, m.cols)
+        assert hermite_row_basis(v, m.cols) == kernel, (m.rows, m.cols)
+
+
+def test_smith_transforms_stay_within_1024_bits():
+    """U and V entries of dense n x n draws, n = 4..22, and of the plumbing
+    presentations above fit in 1,024 bits: the chain is restored once, at
+    the end, so no pivot's row pull-ins compound."""
+    def bits(x):
+        return max((abs(e).bit_length() for row in x.entries for e in row), default=0)
+    cases = [(f"dense {n}", IntMatrix.from_rows(_dense_draw(n, n))) for n in range(4, 23)]
+    cases += [(f"plumbing presentation {m.rows}", m)
+              for kind, m in _differential_matrices(random.Random(1938)) if kind == "plumbing"]
+    for name, m in cases:
+        snf = smith_normal_form(m)
+        assert snf.u @ m @ snf.v == snf.s, name
+        assert max(bits(snf.u), bits(snf.v)) <= 1024, name
 
 
 def test_repr_of_entries_past_the_decimal_limit():
-    """U and V of a dense 20 x 20 draw outgrow the int-to-str limit; repr still works."""
-    rng = random.Random(20)
-    for _ in range(5):
-        rows = [[rng.randint(-9, 9) for _ in range(20)] for _ in range(20)]
-    snf = smith_normal_form(IntMatrix.from_rows(rows))
-    text = repr(snf)
-    assert text.startswith("SmithNormalForm(s=IntMatrix(rows=20, cols=20, entries=((1, 0, ")
-    assert "bits>" in text
+    """Entries past the int-to-str limit print as their bit length; repr never raises."""
     huge = 1 << 20000
     assert repr(IntMatrix.from_rows([[huge, -huge, 7]])) == \
         "IntMatrix(rows=1, cols=3, entries=((<+20001 bits>, <-20001 bits>, 7),))"

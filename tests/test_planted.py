@@ -194,16 +194,33 @@ def test_slide_that_keeps_the_run_throughs_fails_claim_9(monkeypatch):
     assert result.detail == "boundary invariant factors changed by slide 11 (k4 over k2, sign -1)"
 
 
+def test_restriction_profile_replaced_by_the_class_index_fails_claim_5(monkeypatch):
+    # distinct indices pass the distinctness judge; a class shifted by the
+    # chain's duals must restrict like the class itself
+    restrictions = scenarios._restrictions
+
+    def indexed(classes, chain, complement):
+        return [(lift, (k,)) for k, (lift, _) in
+                enumerate(restrictions(classes, chain, complement))]
+
+    monkeypatch.setattr(scenarios, "_restrictions", indexed)
+    result = run_criterion(5)
+    assert not result.ok
+    assert result.detail.startswith(
+        "restrictions disagree with the span of the chain duals for p=2;")
+
+
 def test_smith_form_without_the_divisibility_sweep_fails_claim_10(monkeypatch):
     # the package re-exports the function `homology` over the submodule name
     H = import_module("kirbycalc.homology")
-    monkeypatch.setattr(H, "_first_offender", lambda s, t, pivot: None)
+    # the elimination ends without restoring the chain: the pivots stay as
+    # they were deleted, units first
+    monkeypatch.setattr(H, "_chain", lambda d, u, vt: tuple(x for x in d if x > 1))
     result = run_criterion(10)
     assert not result.ok
-    case = ("draw 47, [[3, 0, -5, -9, 9, 0], [-7, 6, 4, 5, -9, -9], [-8, -4, -8, 1, 5, -6], "
-            "[-6, 7, 7, 4, 4, 4], [-5, 4, -9, 5, -8, -3], [-3, 2, 9, 7, 5, -1]]")
-    assert result.detail == (f"divisibility chain (1, 1, 1, 1, 3, 410033) broken for {case}; "
-                             f"gcd of 5x5 minors mismatch for {case}")
+    case = "draw 6, [[-1, -9, 9, 6], [2, 0, -4, -2], [-6, -6, -1, 1], [-3, 2, 9, 4]]"
+    assert result.detail == (f"divisibility chain (1, 1, 3, 4) broken for {case}; "
+                             f"gcd of 3x3 minors mismatch for {case}")
 
 
 # claims that no planted defect can fail yet, each with the reason
@@ -211,8 +228,6 @@ UNPLANTED = {
     2: "W_n is modelled as a cancelling pair, a dotted circle with a 0-framed "
        "circle through it once, so a broken W_n, even an empty one, keeps the "
        "trivial homology the claim checks; it waits for W_n's real diagram",
-    5: "its judge checks that the restriction profiles are distinct, not that "
-       "they are the evaluations on the chain complement",
 }
 
 

@@ -584,9 +584,10 @@ def test_restriction_lemma_takes_one_dual_for_alpha(monkeypatch, cold_models):
 
     monkeypatch.setattr(IntersectionLattice, "dual", counting)
     assert list(verify_restriction_lemma((9,), 0, 4).failures()) == []
-    # 4 seeds, alpha once, then one per vector of the chain (8) and of its
-    # complement (rank 19 - 8 = 11) in their Gram matrices
-    assert len(calls) == 4 + 1 + 8 + 11
+    # 4 seeds, alpha once, one per chain vector (8) for the span test, then
+    # one per vector of the chain (8) and of its complement (rank 19 - 8 = 11)
+    # in their Gram matrices
+    assert len(calls) == 4 + 1 + 8 + 8 + 11
 
 
 def test_restriction_lemma_multi_block():
@@ -649,8 +650,8 @@ def test_knotted_cork_names_the_knots_whose_outputs_coincide():
 # -- one judge per lemma ---------------------------------------------------------------------
 
 _COUNT = CountLemmaReport(p=3, n0=2, ni=8, d_preserved=True, rank_drop=2, signature_rise=2)
-_RESTRICTION = RestrictionLemmaReport(3, True, True, True, True, mayer_vietoris_index=9,
-                                      boundary_order=9)
+_RESTRICTION = RestrictionLemmaReport(3, True, True, True, True, True,
+                                      mayer_vietoris_index=9, boundary_order=9)
 # n = 4, k = -2: pairing 2 * 6, bound 2 * 3 + 1 = 7 = n|k| - (|k| - 1)
 _GENUS = GenusObstructionReport(4, -2, max_pairing=12, genus_bound=7,
                                 forces_zero_below_n=True)
@@ -674,6 +675,9 @@ _CORK = KnottedCorkReport(((2, 3), (2, 5)), (6, 10),
                  ["a class fails the lift condition for p=3"], id="restriction-eligible"),
     pytest.param(replace(_RESTRICTION, restrictions_distinct=False),
                  ["restrictions not distinct for p=3"], id="restriction-distinct"),
+    pytest.param(replace(_RESTRICTION, restrictions_match_span=False),
+                 ["restrictions disagree with the span of the chain duals for p=3"],
+                 id="restriction-span"),
     pytest.param(replace(_RESTRICTION, mayer_vietoris_index=3),
                  ["index != |H1(bd C_p)| for p=3"], id="restriction-index"),
     # the index is judged against C_p's boundary order, not against p^2
