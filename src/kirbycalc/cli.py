@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from functools import lru_cache
 from pathlib import Path
 from typing import Collection, Sequence
@@ -27,6 +28,7 @@ from .homology import _group_order, boundary_first_homology, homology
 from .legendrian import FrontError, stein_check
 from .scenarios import (
     ScenarioError,
+    TransformReport,
     build_X0_model,
     genus_obstruction_Nn,
     knotted_cork_scenario,
@@ -34,6 +36,7 @@ from .scenarios import (
     verify_restriction_lemma,
 )
 from .swledger import (
+    LaurentPolynomial,
     LedgerError,
     adjunction_check,
     blow_up_basic_classes,
@@ -41,7 +44,7 @@ from .swledger import (
     rational_blowdown_descend,
 )
 
-SCHEMA = 1
+SCHEMA = 2
 
 
 class UserError(ValueError):
@@ -73,6 +76,20 @@ def _document_payload(doc: DiagramDocument, new_d, dropped: Collection[str] = ()
     return print_hbd(DiagramDocument(new_d, fronts))
 
 
+def _report(report) -> dict:
+    """A report dataclass's fields in order, then the list its `failures()` yields."""
+    payload = {f.name: getattr(report, f.name) for f in fields(report)}
+    payload["failures"] = list(report.failures())
+    return payload
+
+
+def _laurent(obj) -> str:
+    # json's fallback: a LaurentPolynomial, the one report field type it cannot print
+    if isinstance(obj, LaurentPolynomial):
+        return str(obj)
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+
+
 # -- subcommand handlers ----------------------------------------------------------
 
 
@@ -98,19 +115,14 @@ def _cmd_stein(doc, args) -> dict:
         "handles": [{"id": v.handle, "framing": v.framing, "tb": v.tb,
                      "required_framing": v.tb - 1, "ok": v.ok}
                     for v in report.verdicts],
-        "ok": report.ok,
+        "failures": list(report.failures()),
     }
 
 
 def _cmd_slide(doc, args) -> dict:
     out = handle_slide(doc.decomposition, args.a, args.b, args.sign)
-    return {
-        "a": args.a,
-        "b": args.b,
-        "sign": args.sign,
-        "framing_after": out.framing(args.a),
-        "document": _document_payload(doc, out, {args.a}),
-    }
+    return {"a": args.a, "b": args.b, "sign": args.sign, "framing_after": out.framing(args.a),
+            "document": _document_payload(doc, out, {args.a})}
 
 
 def _cmd_blowup(doc, args) -> dict:
@@ -141,107 +153,49 @@ def _cmd_blowdown(doc, args) -> dict:
 
 def _cmd_corktwist(doc, args) -> dict:
     out = dot_zero_swap(doc.decomposition, args.one_handle, args.two_handle)
-    return {
-        "dotted": args.two_handle,
-        "zero_framed": args.one_handle,
-        "document": _document_payload(doc, out),
-    }
+    return {"dotted": args.two_handle, "zero_framed": args.one_handle,
+            "document": _document_payload(doc, out)}
 
 
 def _cmd_rbd(doc, args) -> dict:
     chain = args.chain.split(",")
     out = rational_blowdown_splice(doc.decomposition, chain, args.p)
-    return {
-        "p": args.p,
-        "removed_chain": chain,
-        "document": _document_payload(doc, out),
-    }
+    return {"p": args.p, "removed_chain": chain, "document": _document_payload(doc, out)}
 
 
 def _cmd_sw_blowup(doc, args) -> dict:
     base = build_X0_model((), args.count)
     model, classes = blow_up_basic_classes(base.model, base.classes, args.n)
-    d_ok = is_simple_type(model, classes)
-    ok = classes.count == (1 << args.n) * base.classes.count and d_ok
-    return {
-        "n": args.n,
-        "count_before": base.classes.count,
-        "count_after": classes.count,
-        "d_preserved": d_ok,
-        "ok": ok,
-    }
+    return _report(TransformReport(base.classes.count, classes.count, 1 << args.n,
+                                   is_simple_type(model, classes)))
 
 
 def _cmd_sw_descend(doc, args) -> dict:
     x0 = build_X0_model((args.p,), args.count)
     m, b = rational_blowdown_descend(x0.model, x0.classes, x0.chain_vectors(0),
                                      x0.complement_basis(0))
-    d_ok = is_simple_type(m, b)
-    return {
-        "p": args.p,
-        "count_before": x0.classes.count,
-        "count_after": b.count,
-        "d_preserved": d_ok,
-        "ok": b.count == x0.classes.count and d_ok,
-    }
+    return _report(TransformReport(x0.classes.count, b.count, 1, is_simple_type(m, b)))
 
 
 def _cmd_sw_adjunction(doc, args) -> dict:
     x0 = build_X0_model(tuple(args.p), args.count)
-    report = adjunction_check(x0.model, x0.classes, x0.torus(), 1)
-    return {
-        "p": list(args.p),
-        "genus": 1,
-        "torus_pairings_zero": report.ok,
-        "ok": report.ok,
-    }
+    return _report(adjunction_check(x0.model, x0.classes, x0.torus(), 1))
 
 
 def _cmd_sw_genusbound(doc, args) -> dict:
-    report = genus_obstruction_Nn(args.n, args.k)
-    return {
-        "n": args.n,
-        "k": args.k,
-        "max_pairing": report.max_pairing,
-        "bound": report.genus_bound,
-        "forces_zero_below_n": report.forces_zero_below_n,
-        "ok": not any(report.failures()),
-    }
+    return _report(genus_obstruction_Nn(args.n, args.k))
 
 
 def _cmd_scenario_count(doc, args) -> dict:
-    report = verify_count_lemma(tuple(args.p), args.index, args.count)
-    return {
-        "N0": report.n0,
-        "Ni": report.ni,
-        "ok": not any(report.failures()),
-    }
+    return _report(verify_count_lemma(tuple(args.p), args.index, args.count))
 
 
 def _cmd_scenario_restriction(doc, args) -> dict:
-    report = verify_restriction_lemma(tuple(args.p), args.index, args.count)
-    return {
-        "p": report.p,
-        "alpha_orthogonal": report.alpha_orthogonal,
-        "evaluation_identity": report.evaluation_identity,
-        "all_eligible": report.all_eligible,
-        "restrictions_distinct": report.restrictions_distinct,
-        "mayer_vietoris_index": report.mayer_vietoris_index,
-        "ok": not any(report.failures()),
-    }
+    return _report(verify_restriction_lemma(tuple(args.p), args.index, args.count))
 
 
 def _cmd_scenario_knottedcork(doc, args) -> dict:
-    knots = [_knot(k) for k in args.knot]
-    report = knotted_cork_scenario(knots)
-    return {
-        "knots": [list(k) for k in report.knots],
-        "counts": list(report.counts),
-        "alexander": [str(delta) for delta in report.alexander],
-        "all_nonzero": all(report.counts),
-        "pairwise_distinct": not report.coinciding,
-        "ok": not any(report.failures()),
-    }
+    return _report(knotted_cork_scenario([_knot(k) for k in args.knot]))
 
 
 def _cmd_scenario_list(doc, args) -> dict:
@@ -381,9 +335,11 @@ def _build_parser() -> argparse.ArgumentParser:
 def run_command(argv: Sequence[str]) -> int:
     """Dispatch one command; prints JSON to stdout and returns the exit code.
 
-    Handlers return only their own fields.  The payload starts with `schema`,
-    then `command` (diagram, sw and check commands) and `name` (when a
-    diagram was read), and carries `ok`, true unless the handler set it.
+    Handlers return only their own fields; a report's are rendered by
+    `_report`.  The payload starts with `schema`, then `command` (diagram, sw
+    and check commands) and `name` (when a diagram was read), and carries
+    `ok`: that `failures` is empty or absent, unless the handler set it, as
+    `scenario run` and `check` do.
     """
     parser = _build_parser()
     try:
@@ -401,7 +357,7 @@ def run_command(argv: Sequence[str]) -> int:
             doc = _load(args.file)
             payload["name"] = doc.name
         payload.update(args.handler(doc, args))
-        payload.setdefault("ok", True)
+        payload.setdefault("ok", not payload.get("failures"))
         code = 0 if payload["ok"] else 1
     except (UserError, HbdParseError, HandleError, FrontError, LedgerError,
             ScenarioError) as exc:
@@ -410,7 +366,7 @@ def run_command(argv: Sequence[str]) -> int:
         import traceback          # here, not at the top: it adds ~0.2 MB to every run
         traceback.print_exc()
         payload, code = {"schema": SCHEMA, "internal_error": repr(exc), "ok": False}, 2
-    print(json.dumps(payload, indent=2))
+    print(json.dumps(payload, indent=2, default=_laurent))
     return code
 
 

@@ -35,7 +35,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
-from typing import Mapping
+from typing import Iterator, Mapping
 
 from .handles import HandleDecomposition, _integer
 
@@ -299,13 +299,24 @@ class SteinVerdict:
     handle: str
     framing: int
     tb: int
-    ok: bool
+
+    @property
+    def ok(self) -> bool:
+        return self.framing == self.tb - 1
 
 
 @dataclass(frozen=True)
 class SteinReport:
     verdicts: tuple[SteinVerdict, ...]
-    ok: bool
+
+    @property
+    def ok(self) -> bool:
+        return all(v.ok for v in self.verdicts)     # as failures() yields nothing
+
+    def failures(self) -> Iterator[str]:
+        bad = [v.handle for v in self.verdicts if not v.ok]
+        if bad:
+            yield "fails framing = tb - 1 on " + ", ".join(bad)
 
 
 def stein_check(d: HandleDecomposition,
@@ -321,7 +332,5 @@ def stein_check(d: HandleDecomposition,
         front = annotation[k]
         if component_count(front) != 1:
             raise FrontError(f"annotation for {k!r} must be a single component")
-        tb = thurston_bennequin(front)
-        f = d.framing(k)
-        verdicts.append(SteinVerdict(k, f, tb, f == tb - 1))
-    return SteinReport(tuple(verdicts), all(v.ok for v in verdicts))
+        verdicts.append(SteinVerdict(k, d.framing(k), thurston_bennequin(front)))
+    return SteinReport(tuple(verdicts))

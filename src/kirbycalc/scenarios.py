@@ -388,6 +388,22 @@ def _model_with_chain(p_list: Sequence[int], index: int,
 
 
 @dataclass(frozen=True)
+class TransformReport:
+    """One blow-up or descent of a closed model's classes, as `sw` reports it."""
+
+    count_before: int
+    count_after: int
+    factor: int             # the class count must multiply by exactly this
+    d_preserved: bool
+
+    def failures(self) -> Iterator[str]:
+        if self.count_after != self.factor * self.count_before:
+            yield f"class count {self.count_after} != {self.factor} x {self.count_before}"
+        if not self.d_preserved:
+            yield "d not preserved"
+
+
+@dataclass(frozen=True)
 class CountLemmaReport:
     p: int
     n0: int

@@ -49,7 +49,7 @@ from itertools import accumulate
 from math import gcd, prod
 from operator import add, index, neg
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .homology import IntMatrix, _dot, _matvec, _pairings, adjugate
 
@@ -460,10 +460,18 @@ def blow_up_basic_classes(model: ManifoldModel, beta: BasicClassSet,
 
 @dataclass(frozen=True)
 class AdjunctionReport:
-    ok: bool
     genus: int
     alpha_square: int
     violators: tuple[tuple[Vector, int], ...]   # (class, pairing) breaking the bound
+
+    @property
+    def ok(self) -> bool:
+        return not self.violators           # failures() yields exactly when there are any
+
+    def failures(self) -> Iterator[str]:
+        for kappa, pairing in self.violators[:1]:
+            yield (f"{len(self.violators)} class(es) break alpha^2 + |<K, alpha>| <= 2g - 2 "
+                   f"for g={self.genus}, first {kappa} with <K, alpha> = {pairing}")
 
 
 def _require_simple_type(model: ManifoldModel, beta: BasicClassSet) -> None:
@@ -529,7 +537,7 @@ def adjunction_check(model: ManifoldModel, beta: BasicClassSet, alpha: Sequence[
             if abs(acc - bt) + r > limit:
                 stack.append((t + 1, acc - bt, signs + (-1,)))
     violators.sort()
-    return AdjunctionReport(not violators, genus, a2, tuple(violators))
+    return AdjunctionReport(genus, a2, tuple(violators))
 
 
 def min_genus_bound(model: ManifoldModel, beta: BasicClassSet,

@@ -305,7 +305,7 @@ def adjunction_by_members(model, beta, alpha, genus: int) -> AdjunctionReport:
     violators = [(kappa, pairing)
                  for kappa, pairing in zip(members, _pairings(members, alpha))
                  if a2 + abs(pairing) > 2 * genus - 2]
-    return AdjunctionReport(not violators, genus, a2, tuple(violators))
+    return AdjunctionReport(genus, a2, tuple(violators))
 
 
 # -- fronts ------------------------------------------------------------------------

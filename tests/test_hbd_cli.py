@@ -283,7 +283,7 @@ def test_cli_homology_c3(tmp_path, capsys):
     f.write_text(C3_TEXT)
     code, payload = run_json(capsys, "homology", str(f))
     assert code == 0
-    assert payload["schema"] == 1
+    assert payload["schema"] == 2
     assert payload["h2"]["rank"] == 2
     assert payload["boundary"]["order"] == 9
     assert payload["boundary"]["invariant_factors"] == [9]
@@ -416,7 +416,8 @@ def test_cli_rbd(tmp_path, capsys):
 def test_cli_scenario_count_matches_contract(capsys):
     code, payload = run_json(capsys, "scenario", "count", "--p", "2", "--count", "2")
     assert code == 0
-    assert payload == {"schema": 1, "N0": 2, "Ni": 4, "ok": True}
+    assert payload == {"schema": 2, "p": 2, "n0": 2, "ni": 4, "d_preserved": True,
+                       "rank_drop": 1, "signature_rise": 1, "failures": [], "ok": True}
 
 
 def test_cli_scenario_ok_is_the_reports_judgement(capsys, monkeypatch):
@@ -425,7 +426,9 @@ def test_cli_scenario_ok_is_the_reports_judgement(capsys, monkeypatch):
                                                        rank_drop=2, signature_rise=2))
     code, payload = run_json(capsys, "scenario", "count", "--p", "3", "--count", "2")
     assert code == 1
-    assert payload == {"schema": 1, "N0": 2, "Ni": 4, "ok": False}
+    assert payload == {"schema": 2, "p": 3, "n0": 2, "ni": 4, "d_preserved": True,
+                       "rank_drop": 2, "signature_rise": 2,
+                       "failures": ["count lemma failed for p=3, N0=2"], "ok": False}
 
 
 @pytest.mark.parametrize("argv", [
@@ -452,19 +455,20 @@ def test_cli_sw_commands(capsys):
     code, payload = run_json(capsys, "sw", "descend", "--p", "4")
     assert code == 0 and payload["count_after"] == 2
     code, payload = run_json(capsys, "sw", "genusbound", "--n", "3", "--k", "2")
-    assert code == 0 and payload["bound"] == 5
+    assert code == 0 and payload["genus_bound"] == 5
     code, payload = run_json(capsys, "sw", "adjunction", "--p", "2", "3")
-    assert code == 0 and payload["torus_pairings_zero"] is True
+    assert code == 0 and payload["violators"] == [] and payload["failures"] == []
     code, payload = run_json(capsys, "scenario", "knottedcork", "--knot", "2,3",
                              "--knot", "2,5")
-    assert code == 0 and payload["pairwise_distinct"] is True
+    assert code == 0 and payload["coinciding"] == [] and payload["failures"] == []
     code, payload = run_json(capsys, "scenario", "knottedcork", "--knot", "3,2",
                              "--knot", "2,3")
-    assert code == 1 and payload["pairwise_distinct"] is False
-    assert payload["all_nonzero"] is True
+    assert code == 1 and payload["coinciding"] == [[0, 1]]
+    assert payload["counts"] == [6, 6]
+    assert payload["failures"] == ["surgery outputs of (3,2) and (2,3) coincide"]
 
 
-# each sw handler is the only judge of its transform: criterion 3 checks the
+# the sw payloads are judged by their own reports: criterion 3 checks the
 # blow-up by enumeration and criterion 11 by fresh dual squares, on purpose
 @pytest.mark.parametrize("argv", [
     ("blowup", "--n", "2"),
@@ -474,10 +478,10 @@ def test_cli_sw_commands(capsys):
 def test_cli_sw_reports_a_failed_transform(capsys, monkeypatch, argv):
     monkeypatch.setattr(cli, "is_simple_type", lambda model, classes: False)
     monkeypatch.setattr(cli, "adjunction_check",
-                        lambda *args: AdjunctionReport(False, 1, 0, ()))
+                        lambda *args: AdjunctionReport(1, 0, (((0, 2), 2),)))
     code, payload = run_json(capsys, "sw", *argv)
     assert code == 1
-    assert payload["ok"] is False
+    assert payload["ok"] is False and payload["failures"]
 
 
 def test_readme_library_example_runs(tmp_path, monkeypatch):
@@ -543,9 +547,9 @@ def test_cli_internal_error_exit_code(tmp_path, capsys, monkeypatch):
     out = captured.out
     assert code == 2
     assert "in broken" in captured.err and "RuntimeError: boom" in captured.err
-    assert json.loads(out) == {"schema": 1, "internal_error": "RuntimeError('boom')",
+    assert json.loads(out) == {"schema": 2, "internal_error": "RuntimeError('boom')",
                                "ok": False}
-    assert out == '{\n  "schema": 1,\n  "internal_error": "RuntimeError(\'boom\')",' \
+    assert out == '{\n  "schema": 2,\n  "internal_error": "RuntimeError(\'boom\')",' \
         '\n  "ok": false\n}\n'
 
 
@@ -634,7 +638,7 @@ def test_cli_scenario_list_export_run(capsys):
 def test_cli_scenario_run_every_claim(capsys, claim):
     code, payload = run_json(capsys, "scenario", "run", "--name", claim.name)
     assert code == 0
-    assert payload == {"schema": 1, "name": claim.name, "ok": True,
+    assert payload == {"schema": 2, "name": claim.name, "ok": True,
                        "detail": PINNED[claim.number][1]}
 
 
@@ -670,8 +674,7 @@ def test_cli_check_runs_acceptance(capsys):
 
 
 def test_cli_matches_golden(tmp_path, capsys, monkeypatch):
-    # argv, exit code and stdout of every subcommand but `check`, recorded from
-    # the CLI before its payload envelope moved into `run_command`
+    # argv, exit code and stdout of every subcommand but `check`, at schema 2
     golden = json.loads((Path(__file__).parent / "cli_golden.json").read_text())
     for name, text in golden["files"].items():
         (tmp_path / name).write_text(text)
@@ -681,6 +684,27 @@ def test_cli_matches_golden(tmp_path, capsys, monkeypatch):
             monkeypatch.setattr("sys.stdin", io.StringIO(golden["files"][run["stdin"]]))
         code = run_command(run["argv"])
         assert (code, capsys.readouterr().out) == (run["code"], run["stdout"]), run["argv"]
+
+
+_JUDGED = {("stein",), ("sw", "blowup"), ("sw", "descend"), ("sw", "adjunction"),
+           ("sw", "genusbound"), ("scenario", "count"), ("scenario", "restriction"),
+           ("scenario", "knottedcork")}
+
+
+def test_golden_reports_carry_their_failures():
+    # every judged payload names its failures, and its ok is that there are none
+    runs = json.loads((Path(__file__).parent / "cli_golden.json").read_text())["runs"]
+    seen = set()
+    for run in runs:
+        command = next((c for c in _JUDGED if tuple(run["argv"][:len(c)]) == c), None)
+        if not command or not run["stdout"]:
+            continue                        # not judged, or argparse printed no payload
+        payload = json.loads(run["stdout"])
+        if "error" not in payload:          # a user error's payload is the error alone
+            seen.add(command)
+            assert isinstance(payload["failures"], list), run["argv"]
+            assert payload["ok"] == (payload["failures"] == []), run["argv"]
+    assert seen == _JUDGED
 
 
 # subcommands the golden file leaves out, each with its reason

@@ -113,7 +113,25 @@ def test_identity_descent_fails_claims_4_and_11(monkeypatch):
                                     "descent raised signature by 0, not p - 1, for p=2, N0=2;")
     result = run_criterion(11)
     assert not result.ok
-    assert result.detail.startswith("descent from rank 15 gave 15, not 11, for p=5;")
+    # the identity keeps every class and its d, so only the rank names the fault
+    # and no class is named
+    assert result.detail == ("descent from rank 15 gave 15, not 11, for p=5; "
+                             "descent from rank 13 gave 13, not 10, for p=4; "
+                             "descent from rank 11 gave 11, not 10, for p=2")
+
+
+def test_identity_descent_fails_the_count_command(monkeypatch, capsys):
+    def descend(model, beta, chain, complement):
+        return model, beta
+
+    monkeypatch.setattr(scenarios, "rational_blowdown_descend", descend)
+    claim_4 = [f for f in run_criterion(4).detail.split("; ") if f.endswith("p=3, N0=2")]
+    assert claim_4 == ["descent dropped rank by 0, not p - 1, for p=3, N0=2",
+                       "descent raised signature by 0, not p - 1, for p=3, N0=2"]
+    code = run_command(["scenario", "count", "--p", "3"])
+    assert code == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["failures"] == claim_4 and payload["ok"] is False
 
 
 def test_blow_up_with_its_euler_number_off_by_two_fails_claim_11(monkeypatch):
@@ -122,11 +140,28 @@ def test_blow_up_with_its_euler_number_off_by_two_fails_claim_11(monkeypatch):
         return replace(out, euler=out.euler + 2), classes
 
     monkeypatch.setattr(acceptance, "blow_up_basic_classes", blow_up_basic_classes)
-    for seed, case in ((2026, "draw 0 (rank 3, blow-up count 1): d [2] -> [1]"),
-                       (7, "draw 0 (rank 1, blow-up count 1): d [0] -> [-1]")):
+    for seed, case in ((2026, "draw 0 (rank 3, blow-up count 1): d [2] -> [1], "
+                              "first at class (-9, -3, 0, -1) with d 1"),
+                       (7, "draw 0 (rank 1, blow-up count 1): d [0] -> [-1], "
+                           "first at class (-9, -1) with d -1")):
         result = run_criterion(11, seed)
         assert not result.ok
         assert result.detail.startswith(f"d changed under blow-up in {case};")
+
+
+def test_descent_with_its_euler_number_off_by_two_fails_claim_11(monkeypatch):
+    def descend(model, beta, chain, complement):
+        out, classes = swledger.rational_blowdown_descend(model, beta, chain, complement)
+        return replace(out, euler=out.euler + 2), classes
+
+    monkeypatch.setattr(acceptance, "rational_blowdown_descend", descend)
+    for seed, case in ((2026, "draw 0 (p=5, N0=4): d [0] -> [-1], first at class "
+                              "(-1, -1, -1, 1, 1, 1, 0, 0, 0, -4, -5) with d -1"),
+                       (7, "draw 0 (p=2, N0=4): d [0] -> [-1], first at class "
+                           "(-1, -1, -1, 1, 1, 1, 0, 0, -1, -2) with d -1")):
+        result = run_criterion(11, seed)
+        assert not result.ok
+        assert result.detail.startswith(f"d changed under descent in {case};")
 
 
 def _identity_failure(p, q):

@@ -8,7 +8,7 @@ import time
 from importlib import import_module
 from pathlib import Path
 
-from dataclasses import replace
+from dataclasses import fields, is_dataclass, replace
 
 import pytest
 
@@ -30,13 +30,14 @@ from kirbycalc.homology import (
     is_homology_trivial,
     linking_matrix,
 )
-from kirbycalc.legendrian import FrontError, torus_knot_front
+from kirbycalc.legendrian import FrontError, SteinReport, SteinVerdict, torus_knot_front
 from kirbycalc.scenarios import (
     CountLemmaReport,
     GenusObstructionReport,
     KnottedCorkReport,
     RestrictionLemmaReport,
     ScenarioError,
+    TransformReport,
     _closed_model,
     annotated_Dp_tilde,
     annotated_Dp_tilde_sum,
@@ -55,6 +56,7 @@ from kirbycalc.scenarios import (
     verify_restriction_lemma,
 )
 from kirbycalc.swledger import (
+    AdjunctionReport,
     adjunction_check,
     alexander_polynomial_torus,
     blow_up_basic_classes,
@@ -526,6 +528,19 @@ def test_every_library_memo_is_bounded():
     assert {name: size for name, size in memos.items() if not isinstance(size, int)} == {}
 
 
+def test_no_report_stores_its_verdict():
+    # a report's ok is read from its failures(), never stored beside its data
+    reports = {}
+    for info in pkgutil.iter_modules(kirbycalc.__path__):
+        for obj in vars(import_module(f"kirbycalc.{info.name}")).values():
+            if isinstance(obj, type) and is_dataclass(obj) and hasattr(obj, "failures"):
+                reports[obj.__qualname__] = {f.name for f in fields(obj)}
+    assert reports.keys() >= {"AdjunctionReport", "CountLemmaReport", "GenusObstructionReport",
+                              "KnottedCorkReport", "RestrictionLemmaReport", "SteinReport",
+                              "TransformReport"}
+    assert [name for name, names in reports.items() if "ok" in names] == []
+
+
 # -- count lemma -------------------------------------------------------------------------
 
 @pytest.mark.parametrize("p", range(2, 7))
@@ -659,6 +674,7 @@ _CORK = KnottedCorkReport(((2, 3), (2, 5)), (6, 10),
                           (LaurentPolynomial({1: 1, 0: -1, -1: 1}),
                            LaurentPolynomial({2: 1, 1: -1, 0: 1, -1: -1, -2: 1})),
                           input_weight=2, output_weights=(2, 2), coinciding=())
+_TRANSFORM = TransformReport(count_before=2, count_after=8, factor=4, d_preserved=True)
 
 
 @pytest.mark.parametrize("report,expected", [
@@ -707,9 +723,23 @@ _CORK = KnottedCorkReport(((2, 3), (2, 5)), (6, 10),
     pytest.param(replace(_CORK, output_weights=(2, 10)),
                  ["total weight 10 of the (2,5) output is not Delta(1) = 1 times the input's 2"],
                  id="cork-weight"),
+    pytest.param(_TRANSFORM, [], id="transform-pass"),
+    pytest.param(replace(_TRANSFORM, count_after=4), ["class count 4 != 4 x 2"],
+                 id="transform-count"),
+    pytest.param(replace(_TRANSFORM, d_preserved=False), ["d not preserved"], id="transform-d"),
+    pytest.param(AdjunctionReport(1, 0, ()), [], id="adjunction-pass"),
+    pytest.param(AdjunctionReport(1, 0, (((0, 2), 2), ((0, -2), -2))),
+                 ["2 class(es) break alpha^2 + |<K, alpha>| <= 2g - 2 for g=1, "
+                  "first (0, 2) with <K, alpha> = 2"], id="adjunction-violators"),
+    pytest.param(SteinReport((SteinVerdict("k", 0, 1),)), [], id="stein-pass"),
+    pytest.param(SteinReport((SteinVerdict("a", 5, 1), SteinVerdict("k", 0, 1),
+                              SteinVerdict("b", -1, 1))),
+                 ["fails framing = tb - 1 on a, b"], id="stein-framing"),
 ])
 def test_report_failures_name_each_broken_condition(report, expected):
     assert list(report.failures()) == expected
+    # a report that keeps an ok property derives it from the same condition
+    assert getattr(report, "ok", not expected) is (not expected)
 
 
 @pytest.mark.parametrize("change,expected", [

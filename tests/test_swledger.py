@@ -826,7 +826,7 @@ def test_genus_queries_on_the_empty_set():
         min_genus_bound(model, empty, (1, 0))
     assert adjunction_check(model, empty, (1, 1), 1) == \
         adjunction_by_members(model, empty, (1, 1), 1) == \
-        swledger.AdjunctionReport(True, 1, 2, ())
+        swledger.AdjunctionReport(1, 2, ())
 
 
 def test_genus_queries_never_read_the_members(monkeypatch):
