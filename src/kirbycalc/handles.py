@@ -50,7 +50,8 @@ class HandleDecomposition:
     circle.  Zero entries are dropped and the rest sorted by key, so equal
     diagrams compare equal and print alike; moves may pass zeros in.
     `three_handles` is bookkeeping only and never enters any computation.
-    `name` holds no whitespace or `#`, so a `.hbd` header reads it back.
+    Handle ids are non-empty strings and, like `name`, hold no whitespace
+    or `#`, so a `.hbd` document keeps them apart.
     """
 
     one_handles: tuple[str, ...] = ()
@@ -62,13 +63,22 @@ class HandleDecomposition:
 
     def __post_init__(self) -> None:
         ones = tuple(self.one_handles)
-        twos = tuple((str(i), f if type(f) is int else _integer(f, f"framing of {i!r}"))
+        twos = tuple((i, f if type(f) is int else _integer(f, f"framing of {i!r}"))
                      for i, f in self.two_handles)
         object.__setattr__(self, "one_handles", ones)
         object.__setattr__(self, "two_handles", twos)
         object.__setattr__(self, "three_handles", _integer(self.three_handles, "three_handles"))
-        two_ids = [i for i, _ in twos]
-        all_ids = list(ones) + two_ids
+        all_ids = list(ones) + [i for i, _ in twos]
+        # one join and split: a non-str fails the join, an empty or spaced id splits apart
+        try:
+            ok = "#" not in (joined := " ".join(all_ids)) and joined.split() == all_ids
+        except TypeError:
+            ok = False
+        if not ok:
+            bad = next(i for i in all_ids
+                       if not isinstance(i, str) or "#" in i or i.split() != [i])
+            raise HandleError(f"handle id {bad!r} is not a non-empty string "
+                              "free of whitespace and '#'")
         if len(set(all_ids)) != len(all_ids):
             raise HandleError(f"duplicate handle identifiers in {all_ids}")
         if self.three_handles < 0:

@@ -9,6 +9,9 @@
     3h <count>
 
 `#` starts a comment; identifiers must be declared before they are used.
+An error reads `source:line:1: message`.  Handle ids hold no whitespace or
+`#` (checked at construction); the parser's id pattern is narrower, so an
+id such as `e*` prints but does not parse.
 A front line's word is looked up in `parse_front`'s word memo, the one table
 from word to front: lines and documents with the same word share one
 (immutable) diagram while the word stays among the memo's last 64, and always
@@ -33,11 +36,11 @@ _INT = re.compile(r"[+-]?\d+$")
 
 
 class HbdParseError(ValueError):
-    def __init__(self, message: str, source: str, line: int, column: int = 1):
-        super().__init__(f"{source}:{line}:{column}: {message}")
+    def __init__(self, message: str, source: str, line: int):
+        super().__init__(f"{source}:{line}:1: {message}")
         self.source = source
         self.line = line
-        self.column = column
+        self.column = 1
 
 
 @dataclass(frozen=True)
@@ -66,8 +69,8 @@ def parse_hbd(text: str, source: str = "<string>") -> DiagramDocument:
     three = 0
     fronts: dict[str, FrontDiagram] = {}
 
-    def err(msg: str, line_no: int, col: int = 1) -> HbdParseError:
-        return HbdParseError(msg, source, line_no, col)
+    def err(msg: str, line_no: int) -> HbdParseError:
+        return HbdParseError(msg, source, line_no)
 
     def want_id(tok: str, line_no: int) -> str:
         # a declared identifier has matched the pattern already

@@ -249,15 +249,25 @@ class SyntheticModel:
     def lattice(self) -> IntersectionLattice:
         return self.model.lattice
 
+    def _chain_index(self, i: int) -> int:
+        """i as the int index of one of the model's chains."""
+        i = _integer(i, "the chain index", ScenarioError)
+        if not 0 <= i < len(self.chain_indices):
+            raise ScenarioError(
+                f"chain index {i} is out of range for {len(self.chain_indices)} chain(s)")
+        return i
+
     def chain_vectors(self, i: int) -> tuple[Vector, ...]:
-        return tuple(_unit(self.lattice.rank, idx) for idx in self.chain_indices[i])
+        return tuple(_unit(self.lattice.rank, idx)
+                     for idx in self.chain_indices[self._chain_index(i)])
 
     def complement_basis(self, i: int) -> tuple[Vector, ...]:
-        rows = [self.lattice.pairing.row(idx) for idx in self.chain_indices[i]]
+        rows = [self.lattice.pairing.row(idx)
+                for idx in self.chain_indices[self._chain_index(i)]]
         return kernel_basis(IntMatrix.from_rows(rows, self.lattice.rank))
 
     def alpha(self, i: int) -> Vector:
-        return self.lattice.names[f"alpha{i + 1}"]
+        return self.lattice.names[f"alpha{self._chain_index(i) + 1}"]
 
     def torus(self) -> Vector:
         return self.lattice.names["T"]
@@ -321,6 +331,7 @@ def build_X0_model(p_list: Sequence[int], seed_count: int = 2) -> SyntheticModel
     +- e_1 ... +- e_n (n chains), in the order of `_sign_sums` over
     (-e_1, ..., -e_n, f1 + g1, f2 + g2): the first seed_count / 2 of them,
     each followed by its negative.  At most 2^(n+2) such pairs exist.
+    Its `chain_vectors`, `complement_basis` and `alpha` check their chain index.
 
     The arguments are checked on every call.  A valid key, the tuple of int
     p and the int seed count, is built once per process while it stays
@@ -377,16 +388,6 @@ def _x0_model(p_list: tuple[int, ...], seed_count: int) -> SyntheticModel:
 # -- lemma verifiers ------------------------------------------------------------------
 
 
-def _model_with_chain(p_list: Sequence[int], index: int,
-                      seed_count: int) -> SyntheticModel:
-    index = _integer(index, "the chain index", ScenarioError)
-    x0 = build_X0_model(p_list, seed_count)
-    if not 0 <= index < len(x0.p_list):
-        raise ScenarioError(
-            f"chain index {index} is out of range for {len(x0.p_list)} chain(s)")
-    return x0
-
-
 @dataclass(frozen=True)
 class TransformReport:
     """One blow-up or descent of a closed model's classes, as `sw` reports it."""
@@ -429,9 +430,10 @@ class CountLemmaReport:
 def verify_count_lemma(p_list: Sequence[int], index: int = 0,
                        seed_count: int = 2) -> CountLemmaReport:
     """Descend one chain, blow back up p-1 times, compare class counts."""
-    x0 = _model_with_chain(p_list, index, seed_count)
+    x0 = build_X0_model(p_list, seed_count)
+    chain = x0.chain_vectors(index)             # checks the index
     p = x0.p_list[index]
-    m1, b1 = rational_blowdown_descend(x0.model, x0.classes, x0.chain_vectors(index),
+    m1, b1 = rational_blowdown_descend(x0.model, x0.classes, chain,
                                        x0.complement_basis(index))
     m2, b2 = blow_up_basic_classes(m1, b1, p - 1)
     return CountLemmaReport(p, x0.classes.count, b2.count, is_simple_type(m2, b2),
@@ -478,11 +480,11 @@ def verify_restriction_lemma(p_list: Sequence[int], index: int = 0,
     of the chain's duals.  It runs on the classes and on each class shifted
     by the sum of those duals, which must restrict like the class itself.
     """
-    x0 = _model_with_chain(p_list, index, seed_count)
+    x0 = build_X0_model(p_list, seed_count)
+    chain = x0.chain_vectors(index)             # checks the index
     p = x0.p_list[index]
     lat = x0.lattice
     alpha = x0.alpha(index)
-    chain = x0.chain_vectors(index)
     e_vec = lat.names[f"e{index + 1}"]
     members = x0.classes.members
 

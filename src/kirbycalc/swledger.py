@@ -33,13 +33,17 @@ members of one set and nothing more.  `d_invariant`, `is_simple_type` and
 square, else a dual square, which is not stored.  A transform of a model
 and a set first checks that the two share one pairing.
 
+Every vector a lattice takes passes one check, `IntersectionLattice._vector`:
+integer entries, never truncated, and the rank as length.  Only
+`is_characteristic_dual` skips it: a class of the wrong length is simply not
+characteristic.  A blow-up pads the names a lattice has and adds none.
+
 The ledger transforms declared basic-class data; it does not compute SW
 invariants from geometry.
 """
 
 from __future__ import annotations
 
-import re
 import warnings
 from collections import Counter
 from dataclasses import InitVar, dataclass, field
@@ -60,16 +64,6 @@ class LedgerError(ValueError):
     """An SW-ledger operation was applied outside its hypotheses."""
 
 
-def _vec(x: Sequence[int]) -> Vector:
-    """x as a tuple of ints; a tuple that already is one is not copied."""
-    if type(x) is tuple and set(map(type, x)) <= {int}:
-        return x
-    try:
-        return tuple(map(index, x))
-    except TypeError as exc:
-        raise LedgerError(f"vector entries must be integers: {exc}") from None
-
-
 def _int(x: object, what: str) -> int:
     """x as an int, never truncated."""
     try:
@@ -79,6 +73,7 @@ def _int(x: object, what: str) -> int:
 
 
 _ODD = (1).__and__                  # k & 1, called from map without a Python frame
+_INT = frozenset((int,))            # a constant, not a set built on every check
 
 
 def _unit(rank: int, idx: int) -> Vector:
@@ -126,10 +121,7 @@ class IntersectionLattice:
     def __post_init__(self) -> None:
         if not self.pairing.is_symmetric():
             raise LedgerError("pairing matrix must be symmetric")
-        names = {str(k): _vec(v) for k, v in self.names.items()}
-        for k, v in names.items():
-            if len(v) != self.rank:
-                raise LedgerError(f"named vector {k!r} has wrong length")
+        names = {str(k): self._vector(v) for k, v in self.names.items()}
         object.__setattr__(self, "names", MappingProxyType(names))
         object.__setattr__(self, "_squares", {})     # the squares of one set built on it
 
@@ -137,18 +129,27 @@ class IntersectionLattice:
     def rank(self) -> int:
         return self.pairing.rows
 
+    def _vector(self, x: Sequence[int], what: str = "vector") -> Vector:
+        """x as a tuple of ints of the lattice's rank; a tuple of ints is not copied."""
+        if type(x) is not tuple or not set(map(type, x)) <= _INT:
+            try:
+                x = tuple(map(index, x))
+            except TypeError as exc:
+                raise LedgerError(f"vector entries must be integers: {exc}") from None
+        if len(x) != self.rank:
+            raise LedgerError(f"{what} length does not match lattice rank")
+        return x
+
     def pair(self, x: Sequence[int], y: Sequence[int]) -> int:
-        gx = self.dual(x)
-        return _dot(gx, y)
+        return _dot(self.dual(x), self._vector(y))
 
     def square(self, x: Sequence[int]) -> int:
-        return self.pair(x, x)
+        x = self._vector(x)             # one check, where pair(x, x) makes two
+        return _dot(_matvec(self._rows, x), x)
 
     def dual(self, x: Sequence[int]) -> Vector:
         """Evaluation coordinates of a primal vector: (G x)_i = <x, b_i>."""
-        if len(x) != self.rank:
-            raise LedgerError("vector length does not match lattice rank")
-        return tuple(_matvec(self._rows, x))
+        return tuple(_matvec(self._rows, self._vector(x)))
 
     def dual_square(self, kappa: Sequence[int]) -> int:
         """Square of a class given in evaluation coordinates.
@@ -158,8 +159,7 @@ class IntersectionLattice:
         for any class that restricts from an honest lattice; a non-integral
         value signals an inconsistent model.
         """
-        if len(kappa) != self.rank:
-            raise LedgerError("vector length does not match lattice rank")
+        kappa = self._vector(kappa)
         det, adj = self._adjugate
         num = 0
         for k, row in zip(kappa, adj):
@@ -171,19 +171,15 @@ class IntersectionLattice:
         square, rem = divmod(num, det)
         if rem:
             raise LedgerError(
-                f"non-integral square {Fraction(num, det)} for {tuple(kappa)}")
+                f"non-integral square {Fraction(num, det)} for {kappa}")
         return square
 
     def is_characteristic_dual(self, kappa: Sequence[int]) -> bool:
         return tuple(map(_ODD, kappa)) == self._diagonal_parity
 
     @cached_property
-    def _diagonal(self) -> Vector:
-        return tuple(row[i] for i, row in enumerate(self.pairing.entries))
-
-    @cached_property
     def _diagonal_parity(self) -> Vector:
-        return tuple(g & 1 for g in self._diagonal)
+        return tuple(row[i] & 1 for i, row in enumerate(self.pairing.entries))
 
     def gram(self, vectors: Sequence[Sequence[int]]) -> IntMatrix:
         """Pairing matrix <v_i, v_j> of primal vectors, one dual per vector.
@@ -287,17 +283,12 @@ class BasicClassSet:
 
     def __post_init__(self, generators: Sequence[Sequence[int]]) -> None:
         cores = {}
-        rank = self.lattice.rank
         for kappa, value in self.weights.items():
-            kappa = _vec(kappa)
-            if len(kappa) != rank:
-                raise LedgerError("class length does not match lattice rank")
+            kappa = self.lattice._vector(kappa, "class")
             if value == 0:
                 continue
             cores[kappa] = _int(value, "weights")
-        gens = [_vec(g) for g in generators]
-        if any(len(g) != rank for g in gens):
-            raise LedgerError("generator length does not match lattice rank")
+        gens = [self.lattice._vector(g, "generator") for g in generators]
         pairs = [(kappa, value) for c, value in cores.items()
                  for kappa in _sign_sums(c, gens)]
         w = dict(pairs)
@@ -325,7 +316,7 @@ class BasicClassSet:
     def from_primal(cls, lattice: IntersectionLattice,
                     vectors: Iterable[Sequence[int]]) -> "BasicClassSet":
         """Classes given as primal vectors, each of weight 1 (repeats add up)."""
-        return cls(lattice, Counter(lattice.dual(_vec(v)) for v in vectors))
+        return cls(lattice, Counter(map(lattice.dual, vectors)))
 
     @property
     def members(self) -> tuple[Vector, ...]:
@@ -401,17 +392,10 @@ def is_simple_type(model: ManifoldModel, beta: BasicClassSet) -> bool:
 
 
 def _extend_lattice(lattice: IntersectionLattice, n: int) -> IntersectionLattice:
-    """The lattice plus n orthogonal classes of square -1.
-
-    They are named after the largest existing E<k>, so no name is reused.
-    """
-    r = lattice.rank
+    """The lattice plus n orthogonal, unnamed classes of square -1; names are padded."""
     rows = _direct_sum([lattice.pairing.entries] + [[[-1]]] * n)
     names = {k: v + (0,) * n for k, v in lattice.names.items()}
-    base = max((int(k[1:]) for k in names if re.fullmatch(r"E[0-9]+", k)), default=0)
-    for i in range(n):
-        names[f"E{base + i + 1}"] = _unit(r + n, r + i)
-    return IntersectionLattice(IntMatrix.from_rows(rows, r + n), names)
+    return IntersectionLattice(IntMatrix.from_rows(rows, lattice.rank + n), names)
 
 
 def blow_up_basic_classes(model: ManifoldModel, beta: BasicClassSet,
@@ -515,6 +499,7 @@ def adjunction_check(model: ManifoldModel, beta: BasicClassSet, alpha: Sequence[
         raise LedgerError("adjunction requires genus >= 1")
     model.require_sw_hypotheses()
     _require_simple_type(model, beta)
+    alpha = model.lattice._vector(alpha)
     a2 = model.lattice.square(alpha)
     limit = 2 * genus - 2 - a2          # K violates when |<K, alpha>| > limit
     cores, gens = beta._cube
@@ -552,6 +537,7 @@ def min_genus_bound(model: ManifoldModel, beta: BasicClassSet,
     _require_simple_type(model, beta)
     if beta.count == 0:
         raise LedgerError("genus bound needs a non-empty basic-class set")
+    alpha = model.lattice._vector(alpha)
     a2 = model.lattice.square(alpha)
     worst = a2 + _largest_pairing(beta, alpha) + 2
     bound = -(-worst // 2)
@@ -604,13 +590,11 @@ def rational_blowdown_descend(
     _require_same_pairing(model, beta)
     p = len(chain) + 1
     lat = model.lattice
-    chain = [_vec(u) for u in chain]
-    complement_basis = [_vec(c) for c in complement_basis]
+    chain = [lat._vector(u) for u in chain]
+    complement_basis = [lat._vector(c) for c in complement_basis]
     if len(complement_basis) != lat.rank - (p - 1):
         raise LedgerError(
             f"complement basis must have rank {lat.rank - (p - 1)}")
-    if any(len(v) != lat.rank for v in chain + complement_basis):
-        raise LedgerError("vector length does not match lattice rank")
     for u in chain:
         if any(_pairings(complement_basis, lat.dual(u))):
             raise LedgerError("complement basis vector pairs with the chain")
@@ -717,7 +701,7 @@ def knot_surgery_basic_classes(model: ManifoldModel, beta: BasicClassSet,
     lat = model.lattice
     model.require_sw_hypotheses()
     _require_same_pairing(model, beta)
-    torus = _vec(torus)
+    torus = lat._vector(torus)
     t_dual = lat.dual(torus)
     if _dot(t_dual, torus) != 0:
         raise LedgerError("knot surgery needs a square-zero torus class")

@@ -546,8 +546,20 @@ def test_splice_reports_the_first_fault_in_chain_order():
     (lambda: build_Cp(3).link("u1", "u1"), HandleError, "self-linking is the framing"),
     (lambda: handle_slide(build_Cp(3), "u1", "u2", 2), HandleError,
      "sign must be +1 or -1"),
+    # ids a .hbd document could not keep apart, or would read back as strings
+    (lambda: HandleDecomposition(one_handles=(1,)), HandleError,
+     "handle id 1 is not a non-empty string free of whitespace and '#'"),
+    (lambda: HandleDecomposition(two_handles=((2, 0),)), HandleError,
+     "handle id 2 is not a non-empty string free of whitespace and '#'"),
+    (lambda: HandleDecomposition(two_handles=(("a b", 0),)), HandleError,
+     "handle id 'a b' is not a non-empty string free of whitespace and '#'"),
+    (lambda: HandleDecomposition(one_handles=("h",), two_handles=(("a#b", 0),)),
+     HandleError, "handle id 'a#b' is not a non-empty string free of whitespace and '#'"),
+    (lambda: HandleDecomposition(one_handles=("",)), HandleError,
+     "handle id '' is not a non-empty string free of whitespace and '#'"),
 ], ids=["three-handles", "link-missing", "rt-missing-2h", "rt-missing-1h",
-        "link-conflict", "self-link", "slide-sign"])
+        "link-conflict", "self-link", "slide-sign", "id-int-1h", "id-int-2h",
+        "id-space", "id-hash", "id-empty"])
 def test_handle_errors(call, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         call()

@@ -674,7 +674,7 @@ def test_cli_check_runs_acceptance(capsys):
 
 
 def test_cli_matches_golden(tmp_path, capsys, monkeypatch):
-    # argv, exit code and stdout of every subcommand but `check`, at schema 2
+    # argv, exit code and stdout of every subcommand, at schema 2
     golden = json.loads((Path(__file__).parent / "cli_golden.json").read_text())
     for name, text in golden["files"].items():
         (tmp_path / name).write_text(text)
@@ -707,10 +707,6 @@ def test_golden_reports_carry_their_failures():
     assert seen == _JUDGED
 
 
-# subcommands the golden file leaves out, each with its reason
-_GOLDEN_EXEMPT = {("check",): "its payload carries each criterion's timing in seconds"}
-
-
 def _subcommands(parser, path=()):
     """The path of every leaf subcommand under an argparse parser."""
     actions = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
@@ -724,8 +720,8 @@ def _subcommands(parser, path=()):
 def test_golden_file_covers_every_subcommand():
     runs = json.loads((Path(__file__).parent / "cli_golden.json").read_text())["runs"]
     commands = set(_subcommands(cli._build_parser()))
-    assert len(commands) > len(_GOLDEN_EXEMPT) and set(_GOLDEN_EXEMPT) <= commands
-    uncovered = sorted(c for c in commands - set(_GOLDEN_EXEMPT)
+    assert commands
+    uncovered = sorted(c for c in commands
                        if not any(tuple(run["argv"][:len(c)]) == c for run in runs))
     assert uncovered == []
 

@@ -17,7 +17,7 @@ import pytest
 from kirbycalc import acceptance, handles, legendrian, scenarios, swledger
 from kirbycalc.acceptance import run_criterion
 from kirbycalc.cli import run_command
-from kirbycalc.homology import _pairings
+from kirbycalc.homology import IntMatrix, _pairings, smith_normal_form
 from kirbycalc.swledger import LaurentPolynomial
 
 # a patched computation must reach every model a claim builds
@@ -35,6 +35,19 @@ def test_splice_with_one_run_through_too_many_fails_claim_1(monkeypatch):
     assert result.detail.startswith("|H1(bd B_2)| != 4;")
 
 
+def test_chain_with_its_heavy_end_off_by_one_fails_claim_1(monkeypatch):
+    # only the C_p that criterion 1 builds itself: B_p is spliced from the
+    # chain `scenarios` builds
+    def build_Cp(p):
+        c_p = scenarios.build_Cp(p)
+        return replace(c_p, two_handles=c_p.two_handles[:-1] + ((f"u{p - 1}", -(p + 1)),))
+
+    monkeypatch.setattr(acceptance, "build_Cp", build_Cp)
+    result = run_criterion(1)
+    assert not result.ok
+    assert result.detail == "; ".join(f"|H1(bd C_{p})| != {p * p}" for p in range(2, 11))
+
+
 def test_blow_down_with_a_framing_off_by_one_fails_claim_6(monkeypatch):
     def blow_down(d, e):
         linked = {x for pair in d.links if e in pair for x in pair} - {e}
@@ -48,16 +61,25 @@ def test_blow_down_with_a_framing_off_by_one_fails_claim_6(monkeypatch):
     assert result.detail.startswith("D~(2) fails framing = tb - 1 on d1.w;")
 
 
-def test_torus_front_with_one_zig_zag_fails_claim_6(monkeypatch):
+def _torus_front_with_one_zig_zag(p, q):
     # L2 R1 right after the first L1 is a stabilization: one component, tb - 1
-    def torus_knot_front(p, q):
-        word = legendrian.torus_knot_front(p, q).word
-        return legendrian.parse_front(word.replace("L1", "L1 L2 R1", 1))
+    word = legendrian.torus_knot_front(p, q).word
+    return legendrian.parse_front(word.replace("L1", "L1 L2 R1", 1))
 
-    monkeypatch.setattr(scenarios, "torus_knot_front", torus_knot_front)
+
+def test_torus_front_with_one_zig_zag_fails_claim_6(monkeypatch):
+    monkeypatch.setattr(scenarios, "torus_knot_front", _torus_front_with_one_zig_zag)
     result = run_criterion(6)
     assert not result.ok
     assert result.detail.startswith("D~(2) fails framing = tb - 1 on d1.w;")
+
+
+def test_torus_front_checked_alone_with_one_zig_zag_fails_claim_6(monkeypatch):
+    # the catalog keeps its own fronts, so only the tb rung fails
+    monkeypatch.setattr(acceptance, "torus_knot_front", _torus_front_with_one_zig_zag)
+    result = run_criterion(6)
+    assert not result.ok
+    assert result.detail == "; ".join(f"tb - 1 != p^2 - p - 2 for p={p}" for p in range(2, 9))
 
 
 def test_blow_up_cube_without_its_last_sign_combination_fails_claim_3(monkeypatch):
@@ -229,6 +251,31 @@ def test_slide_that_keeps_the_run_throughs_fails_claim_9(monkeypatch):
     assert result.detail == "boundary invariant factors changed by slide 11 (k4 over k2, sign -1)"
 
 
+def test_blow_down_with_the_framing_change_negated_fails_claim_9(monkeypatch):
+    # f - lk^2 in place of f + lk^2: the round trip subtracts lk^2 twice
+    def blow_down(d, e):
+        out = handles.blow_down(d, e)
+        return replace(out, two_handles=tuple((k, 2 * d.framing(k) - f)
+                                              for k, f in out.two_handles))
+
+    monkeypatch.setattr(acceptance, "blow_down", blow_down)
+    result = run_criterion(9)
+    assert not result.ok
+    assert result.detail == "blow-up/blow-down round trip differs with attachments k0=-1, k1=-1"
+
+
+def test_swap_that_drops_the_pairing_of_the_swapped_pair_fails_claim_9(monkeypatch):
+    def dot_zero_swap(d, h, k):
+        out = handles.dot_zero_swap(d, h, k)
+        return replace(out, run_through={key: v for key, v in out.run_through.items()
+                                         if key != (h, k)})
+
+    monkeypatch.setattr(acceptance, "dot_zero_swap", dot_zero_swap)
+    result = run_criterion(9)
+    assert not result.ok
+    assert result.detail == "dot-zero swap of hh and kk is not an involution in case 1"
+
+
 def test_restriction_profile_replaced_by_the_class_index_fails_claim_5(monkeypatch):
     # distinct indices pass the distinctness judge; a class shifted by the
     # chain's duals must restrict like the class itself
@@ -256,6 +303,33 @@ def test_smith_form_without_the_divisibility_sweep_fails_claim_10(monkeypatch):
     case = "draw 6, [[-1, -9, 9, 6], [2, 0, -4, -2], [-6, -6, -1, 1], [-3, 2, 9, 4]]"
     assert result.detail == (f"divisibility chain (1, 1, 3, 4) broken for {case}; "
                              f"gcd of 3x3 minors mismatch for {case}")
+
+
+def _smith_form_scaled(u, s):
+    """smith_normal_form with U multiplied by u and S by s."""
+    def scaled(m, c):
+        return IntMatrix.from_rows([[c * x for x in row] for row in m.entries], m.cols)
+
+    def smith_form(m):
+        snf = smith_normal_form(m)
+        return replace(snf, u=scaled(snf.u, u), s=scaled(snf.s, s))
+    return smith_form
+
+
+def test_smith_form_with_u_negated_fails_claim_10(monkeypatch):
+    # -U is still unimodular, but -U M V = -S
+    monkeypatch.setattr(acceptance, "smith_normal_form", _smith_form_scaled(-1, 1))
+    result = run_criterion(10)
+    assert not result.ok
+    assert result.detail == "U M V != S for draw 1, [[9, 9, 4, -9, -5]]"
+
+
+def test_smith_form_with_u_and_s_doubled_fails_claim_10(monkeypatch):
+    # 2U M V = 2S holds, but det 2U is +-2^rows
+    monkeypatch.setattr(acceptance, "smith_normal_form", _smith_form_scaled(2, 2))
+    result = run_criterion(10)
+    assert not result.ok
+    assert result.detail == "transform not unimodular for draw 1, [[9, 9, 4, -9, -5]]"
 
 
 # claims that no planted defect can fail yet, each with the reason

@@ -799,7 +799,14 @@ def test_catalog_unknown_name():
     (lambda: build_Mn_Nn(1), ScenarioError, "the twist pair needs n >= 2"),
     (lambda: build_genus_model(1), ScenarioError, "genus model needs n >= 2"),
     (lambda: run_criterion(99), ValueError, "no acceptance criterion 99"),
-], ids=["Wn", "twist-pair", "genus-model", "criterion"])
+    (lambda: build_X0_model((2, 3)).chain_vectors(-1), ScenarioError,
+     "chain index -1 is out of range for 2 chain(s)"),
+    (lambda: build_X0_model((2, 3)).complement_basis(2), ScenarioError,
+     "chain index 2 is out of range for 2 chain(s)"),
+    (lambda: build_X0_model((2, 3)).alpha(-1), ScenarioError,
+     "chain index -1 is out of range for 2 chain(s)"),
+], ids=["Wn", "twist-pair", "genus-model", "criterion", "chain-vectors-index",
+        "complement-index", "alpha-index"])
 def test_builder_and_registry_errors(call, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         call()

@@ -538,19 +538,11 @@ def test_blow_up_checks_parity_once_per_core_and_takes_no_dual(monkeypatch):
     assert beta2.squares() == {k: m2.lattice.dual_square(k) for k in beta2.members}
 
 
-def test_blow_up_numbers_new_classes_after_the_largest_E():
-    L = lat([[0, 1], [1, 0]], {"E2": (1, 0), "E": (0, 1)})
+def test_blow_up_pads_the_names_and_adds_none():
+    L = lat([[0, 1], [1, 0]], {"E2": (1, 0), "Euler_line": (0, 1)})
     beta = BasicClassSet.from_primal(L, [(0, 2), (0, -2)])
     m2, _ = blow_up_basic_classes(ManifoldModel(L, 0, 0, 2), beta, 2)
-    assert dict(m2.lattice.names) == {"E2": (1, 0, 0, 0), "E": (0, 1, 0, 0),
-                                      "E3": (0, 0, 1, 0), "E4": (0, 0, 0, 1)}
-
-
-def test_blow_up_starts_at_E1_past_other_names_starting_with_E():
-    L = lat([[0, 1], [1, 0]], {"Euler_line": (1, 0)})
-    beta = BasicClassSet.from_primal(L, [(0, 2), (0, -2)])
-    m2, _ = blow_up_basic_classes(ManifoldModel(L, 0, 0, 2), beta, 1)
-    assert dict(m2.lattice.names) == {"Euler_line": (1, 0, 0), "E1": (0, 0, 1)}
+    assert dict(m2.lattice.names) == {"E2": (1, 0, 0, 0), "Euler_line": (0, 1, 0, 0)}
 
 
 # -- sign cubes --------------------------------------------------------------------
@@ -1155,12 +1147,18 @@ def test_random_characteristic_vectors_are_characteristic():
 # -- user-facing errors ----------------------------------------------------------------
 
 _NOT_SIMPLE = BasicClassSet(HYPERBOLIC, {(2, 0): 1, (-2, 0): 1})     # K^2 = 0
+_FLOAT_ENTRY = "vector entries must be integers: 'float' object cannot be interpreted as an integer"
+
+
+def _genus_query(query, *args):
+    model, classes, alpha = scenarios.build_genus_model(3)
+    return query(model, classes, tuple(1.5 * x for x in alpha), *args)
 
 
 @pytest.mark.parametrize("call, error, message", [
     (lambda: lat([[0, 1], [2, 0]]), LedgerError, "pairing matrix must be symmetric"),
     (lambda: lat([[1, 0], [0, 1]], {"a": (1,)}), LedgerError,
-     "named vector 'a' has wrong length"),
+     "vector length does not match lattice rank"),
     (lambda: HYPERBOLIC.dual((1,)), LedgerError,
      "vector length does not match lattice rank"),
     (lambda: BasicClassSet(HYPERBOLIC, {(2,): 1}), LedgerError,
@@ -1176,8 +1174,20 @@ _NOT_SIMPLE = BasicClassSet(HYPERBOLIC, {(2, 0): 1, (-2, 0): 1})     # K^2 = 0
      LedgerError, "genus bound needs a non-empty basic-class set"),
     (lambda: rational_blowdown_descend(hyperbolic_model(), _NOT_SIMPLE, [(1, 0)], []),
      LedgerError, "complement basis must have rank 1"),
+    # an entry of 1.5 is rejected by every query, never computed as a float
+    (lambda: HYPERBOLIC.dual((1.5, 0)), LedgerError, _FLOAT_ENTRY),
+    (lambda: HYPERBOLIC.dual_square((1.5, 8)), LedgerError, _FLOAT_ENTRY),
+    (lambda: HYPERBOLIC.pair((1.5, 0), (1, 0)), LedgerError, _FLOAT_ENTRY),
+    (lambda: HYPERBOLIC.pair((1, 0), (1.5, 0)), LedgerError, _FLOAT_ENTRY),
+    (lambda: HYPERBOLIC.square((1.5, 0)), LedgerError, _FLOAT_ENTRY),
+    (lambda: HYPERBOLIC.gram([(1.5, 0)]), LedgerError, _FLOAT_ENTRY),
+    (lambda: _genus_query(min_genus_bound), LedgerError, _FLOAT_ENTRY),
+    (lambda: _genus_query(adjunction_check, 1), LedgerError, _FLOAT_ENTRY),
+    (lambda: d_invariant(hyperbolic_model(), (1.5, 8)), LedgerError, _FLOAT_ENTRY),
 ], ids=["asymmetric", "name-length", "dual-length", "class-length", "generator-length",
-        "negative-blow-up", "not-simple-type", "empty-genus-bound", "complement-rank"])
+        "negative-blow-up", "not-simple-type", "empty-genus-bound", "complement-rank",
+        "dual-float", "dual-square-float", "pair-x-float", "pair-y-float", "square-float",
+        "gram-float", "genus-bound-float", "adjunction-float", "d-invariant-float"])
 def test_ledger_errors(call, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         call()
