@@ -539,10 +539,17 @@ def test_blow_up_checks_parity_once_per_core_and_takes_no_dual(monkeypatch):
 
 
 def test_blow_up_pads_the_names_and_adds_none():
-    L = lat([[0, 1], [1, 0]], {"E2": (1, 0), "Euler_line": (0, 1)})
+    L = lat([[0, 1], [1, 0]], {"E2": (1, 0), "E": (0, 1)})
     beta = BasicClassSet.from_primal(L, [(0, 2), (0, -2)])
     m2, _ = blow_up_basic_classes(ManifoldModel(L, 0, 0, 2), beta, 2)
-    assert dict(m2.lattice.names) == {"E2": (1, 0, 0, 0), "Euler_line": (0, 1, 0, 0)}
+    assert dict(m2.lattice.names) == {"E2": (1, 0, 0, 0), "E": (0, 1, 0, 0)}
+
+
+def test_blow_up_pads_a_name_starting_with_E_and_adds_no_E1():
+    L = lat([[0, 1], [1, 0]], {"Euler_line": (1, 0)})
+    beta = BasicClassSet.from_primal(L, [(0, 2), (0, -2)])
+    m2, _ = blow_up_basic_classes(ManifoldModel(L, 0, 0, 2), beta, 1)
+    assert dict(m2.lattice.names) == {"Euler_line": (1, 0, 0)}
 
 
 # -- sign cubes --------------------------------------------------------------------
