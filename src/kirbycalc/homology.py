@@ -30,12 +30,28 @@ the end, not at every pivot, by pairwise (gcd, lcm) on the pivots and on
 their rows of U and columns of V.  Without the row pull-ins a chain kept at
 every pivot needs, entries, U and V stay small enough for dense 40 x 40
 input and plumbing trees of hundreds of handles.
+
+`inertia` runs its own symmetric fraction-free elimination, on one
+triangle:
+- pivot order: a vertex with a nonzero diagonal and the fewest neighbours
+  left, lowest index on ties, read from the nonzero pattern and its fill,
+  so a plumbing tree goes leaf first with no fill; a pattern with no row
+  more than half zeros goes in index order and does no ordering work;
+- lazy scaling: a pivot rewrites only the rows it has a nonzero entry in,
+  and every other row keeps the pivot it was last written at and is scaled
+  by (last pivot) / (its pivot) when next read;
+- exactness: every entry, scaled or updated, is a bordered minor of the
+  pivots taken so far, so each division is exact.
+A 200-vertex plumbing tree takes milliseconds where index-order Bareiss,
+which rewrites the whole trailing block at every pivot, took most of a
+second.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
+from heapq import heapify, heappop, heappush
+from itertools import chain, compress, repeat
 from math import prod
 from operator import index, mul
 from typing import Iterable, Sequence
@@ -100,9 +116,7 @@ class IntMatrix:
         return IntMatrix(self.rows, other.cols, rows)
 
     def is_symmetric(self) -> bool:
-        return self.rows == self.cols and all(
-            self.entries[i][j] == self.entries[j][i]
-            for i in range(self.rows) for j in range(i))
+        return self.rows == self.cols and self.entries == tuple(zip(*self.entries))
 
     def to_lists(self) -> list[list[int]]:
         return [list(r) for r in self.entries]
@@ -497,48 +511,136 @@ def kernel_basis(m: IntMatrix) -> tuple[tuple[int, ...], ...]:
 def inertia(m: IntMatrix) -> tuple[int, int, int]:
     """(positive, negative, zero) inertia indices of a symmetric form.
 
-    Symmetric elimination in integers (Bareiss): after each pivot the
-    trailing block is the previous pivot times the Schur complement, so every
-    update divides exactly, and the i-th pivot of the LDL^T factorisation is
-    d / prev.  A zero diagonal is first replaced by a nonzero one (swap), or
-    by 2*a_ij (add row and column j); a zero row counts toward `zero`.
-    These congruences act on the trailing block only and commute with the
-    elimination, so exactness survives them.
+    One symmetric fraction-free (Bareiss) elimination.  With S the vertices
+    eliminated so far and `prev` the last pivot, det M[S, S] (of M after the
+    congruences below), every entry (j, k) left is the bordered minor
+    det M[S + j, S + k]: each update (d x - f y) / prev divides exactly, and
+    the step's LDL^T pivot is d / prev, whose sign is counted.
+    - Order: the next pivot is a vertex with a nonzero diagonal and the
+      fewest neighbours left, lowest index on ties, read from the nonzero
+      pattern and the fill each pivot adds (a heap of (neighbours, vertex)).
+      A plumbing tree is eliminated leaf first with no fill.  The order is
+      kept while the pattern is sparse: from the start if some row is more
+      than half zeros, and until a pivot has at least half the vertices left
+      as neighbours.  After that, and for a matrix with no row more than
+      half zeros, the pivot is the lowest vertex left with a nonzero
+      diagonal, with no ordering work.
+    - One triangle: row i keeps its entries from column i on; (j, k) is
+      read from the row of min(j, k), and the pivot's row stands for its
+      column (f = y[j]).
+    - Lazy rows: a pivot rewrites only the rows it has a nonzero entry in.
+      Any other row would only be scaled by d / prev, so each row keeps its
+      level, the pivot it was last written at, and is scaled by prev / level
+      when next read.  That division is exact too: the scaled entry is the
+      bordered minor of the current S.
+    When every diagonal left is zero, the lowest vertex i left takes row and
+    column j added, j its lowest neighbour, which makes its diagonal 2 a_ij;
+    with no neighbour, i is a zero row and counts toward `zero`.  Both are
+    congruences among the vertices left, which commute with the
+    elimination.  The triple is Sylvester's, so it does not depend on the
+    order.
     """
     if not m.is_symmetric():
         raise ValueError("inertia needs a symmetric matrix")
     n = m.rows
-    a = m.to_lists()
+    a: list[list[int] | None] = m.to_lists()  # None once gone (pattern order)
+    level = [1] * n
+    left = list(range(n))                     # the vertices left, ascending
+    adj: list[set[int]] | None = None         # neighbours; None in index order
+    if n and 2 * max(map(list.count, a, repeat(0, n))) > n:
+        adj = [set(compress(range(n), row)) - {i} for i, row in enumerate(a)]
+        ready = [(len(adj[i]), i) for i in left if a[i][i]]
+        heapify(ready)
     pos = neg = zero = 0
     prev = 1
-    for i in range(n):
-        if a[i][i] == 0:
-            swap = next((j for j in range(i + 1, n) if a[j][j] != 0), None)
-            if swap is not None:
-                a[i], a[swap] = a[swap], a[i]
-                for row in a:
-                    row[i], row[swap] = row[swap], row[i]
+    while left:
+        if adj is None:
+            p = left[0]
+            if a[p][p]:
+                del left[0]
+                lower = ()
             else:
-                j = next((j for j in range(i + 1, n) if a[i][j] != 0), None)
-                if j is None:
-                    zero += 1
-                    continue
-                a[i] = [x + y for x, y in zip(a[i], a[j])]
-                for row in a:
-                    row[i] = row[i] + row[j]
-        d = a[i][i]
+                p = next((i for i in left if a[i][i]), None)
+                if p is not None:
+                    lower = left[:left.index(p)]
+                    left.remove(p)
+            nbrs = left
+        else:
+            p = None
+            while ready:
+                deg, i = heappop(ready)
+                if a[i] and a[i][i] and deg == len(adj[i]):
+                    p = i
+                    left.remove(p)
+                    nbrs = adj[p]
+                    lower = [k for k in nbrs if k < p]
+                    break
+        if p is None:  # every diagonal left is zero
+            for k in left:
+                _rescale(a[k], k, level[k], prev)
+                level[k] = prev
+            p = left.pop(0)
+            row = a[p]
+            j = next((k for k in (left if adj is None else sorted(adj[p])) if row[k]), None)
+            if j is None:
+                zero += 1
+                a[p] = None
+                if adj is not None:
+                    for k in adj[p]:
+                        adj[k].discard(p)
+                continue
+            for k in left:  # row and column j onto i; a_jj = 0
+                row[k] += a[j][k] if j <= k else a[k][j]
+            row[p] = 2 * row[j]
+            if adj is not None:
+                adj[p] |= adj[j]
+                adj[p].discard(p)
+                for k in adj[j] - {p}:
+                    adj[k].add(p)
+            lower = ()
+            nbrs = left if adj is None else adj[p]
+        y = a[p]  # the pivot's row and, by symmetry, its column
+        if level[p] != prev:
+            _rescale(y, p, level[p], prev)
+        if lower:
+            y = [0] * p + y[p:]
+            for k in lower:
+                if a[k][p]:
+                    y[k] = a[k][p] * prev // level[k]
+        d = y[p]
         if (d > 0) == (prev > 0):
             pos += 1
         else:
             neg += 1
-        pivot_row = a[i][i + 1:]
-        for j in range(i + 1, n):
-            row = a[j]
-            f = row[i]
-            row[i + 1:] = [(d * x - f * y) // prev
-                           for x, y in zip(row[i + 1:], pivot_row)]
+        for j in nbrs:
+            f = y[j]
+            if f:
+                row = a[j]
+                if level[j] == prev:
+                    row[j:] = [(d * x - f * v) // prev for x, v in zip(row[j:], y[j:])]
+                else:
+                    lvl = level[j]
+                    dp = d * prev
+                    row[j:] = [(dp * x // lvl - f * v) // prev
+                               for x, v in zip(row[j:], y[j:])]
+                level[j] = d
         prev = d
+        if adj is not None:  # the pivot's neighbours become a clique
+            a[p] = None
+            for j in nbrs:
+                adj[j] |= nbrs
+                adj[j] -= {j, p}
+                if a[j][j]:
+                    heappush(ready, (len(adj[j]), j))
+            if 2 * len(nbrs) >= len(left):
+                adj = None
     return pos, neg, zero
+
+
+def _rescale(row: list[int], i: int, lvl: int, prev: int) -> None:
+    """Bring row i, written at level `lvl`, to level `prev`, in place."""
+    if lvl != prev:
+        row[i:] = [x * prev // lvl for x in row[i:]]
 
 
 def signature(m: IntMatrix) -> int:

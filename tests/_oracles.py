@@ -173,10 +173,12 @@ def surgery_presentation_by_blocks(d: HandleDecomposition) -> IntMatrix:
 # -- random tree plumbings, and two routes around the Smith form --------------------
 
 
-def tree_plumbing(rng, n: int) -> HandleDecomposition:
-    """n framed unknots v0..v{n-1}, framings uniform on +-1..+-6, each v_i,
-    i >= 1, linked +1 to a uniform earlier one."""
-    framings = [f for f in range(-6, 7) if f]
+NONZERO_FRAMINGS = tuple(f for f in range(-6, 7) if f)
+
+
+def tree_plumbing(rng, n: int, framings=NONZERO_FRAMINGS) -> HandleDecomposition:
+    """n framed unknots v0..v{n-1}, framings uniform on `framings` (+-1..+-6
+    by default), each v_i, i >= 1, linked +1 to a uniform earlier one."""
     twos = tuple((f"v{i}", rng.choice(framings)) for i in range(n))
     links = {(f"v{rng.randrange(i)}", f"v{i}"): 1 for i in range(1, n)}
     return HandleDecomposition(two_handles=twos, links=links)
@@ -200,6 +202,110 @@ def tree_det(d: HandleDecomposition) -> int:
         (a, b), (a2, b2) = ab[parent], ab[child]
         ab[parent] = [a * a2 - lk * lk * b * b2, b * a2]
     return ab[0][0]
+
+
+def tree_inertia(d: HandleDecomposition) -> tuple[int, int, int]:
+    """(positive, negative, zero) inertia of a plumbing forest's linking
+    matrix, by peeling leaves over the rationals.
+
+    A leaf of weight w linked l to its neighbour adds the sign of w, and the
+    neighbour's weight drops by l^2 / w (the Schur complement of the leaf).
+    A leaf of weight 0 spans a hyperbolic plane with its neighbour, so the
+    two leave as one (+1, -1) pair; the inverse of that block is 0 in the
+    neighbour's corner, so the neighbour's other links leave with it and
+    change no weight.  A vertex with no link left adds the sign of its
+    weight, a 0 to the zero count.
+    """
+    index = {k: i for i, (k, _) in enumerate(d.two_handles)}
+    weight = [Fraction(f) for _, f in d.two_handles]
+    links: list[dict[int, int]] = [{} for _ in weight]
+    for (x, y), lk in d.links.items():
+        if lk:
+            links[index[x]][index[y]] = links[index[y]][index[x]] = lk
+    counts = [0, 0, 0]
+    gone = [False] * len(weight)
+    leaves = [i for i, nb in enumerate(links) if len(nb) <= 1]
+
+    def drop(v: int) -> None:
+        gone[v] = True
+        for u in links[v]:
+            del links[u][v]
+            if len(links[u]) <= 1:
+                leaves.append(u)
+
+    def count(w: Fraction) -> None:
+        counts[0 if w > 0 else 1 if w < 0 else 2] += 1
+
+    while leaves:
+        v = leaves.pop()
+        if gone[v]:
+            continue
+        if not links[v]:
+            count(weight[v])
+        elif weight[v]:
+            (u, lk), = links[v].items()
+            count(weight[v])
+            weight[u] -= Fraction(lk * lk) / weight[v]
+        else:
+            (u, _), = links[v].items()
+            counts[0] += 1
+            counts[1] += 1
+            drop(u)
+        drop(v)
+    if not all(gone):
+        raise ValueError("the linking graph is not a forest")
+    return counts[0], counts[1], counts[2]
+
+
+def inertia_by_bareiss(m: IntMatrix) -> tuple[int, int, int]:
+    """(positive, negative, zero) inertia indices of a symmetric form.
+
+    How `homology.inertia` eliminated before it took pivots in a
+    fill-reducing order: index-order symmetric Bareiss over the whole
+    trailing block, kept as written.
+
+    Symmetric elimination in integers (Bareiss): after each pivot the
+    trailing block is the previous pivot times the Schur complement, so every
+    update divides exactly, and the i-th pivot of the LDL^T factorisation is
+    d / prev.  A zero diagonal is first replaced by a nonzero one (swap), or
+    by 2*a_ij (add row and column j); a zero row counts toward `zero`.
+    These congruences act on the trailing block only and commute with the
+    elimination, so exactness survives them.
+    """
+    if not m.is_symmetric():
+        raise ValueError("inertia needs a symmetric matrix")
+    n = m.rows
+    a = m.to_lists()
+    pos = neg = zero = 0
+    prev = 1
+    for i in range(n):
+        if a[i][i] == 0:
+            swap = next((j for j in range(i + 1, n) if a[j][j] != 0), None)
+            if swap is not None:
+                a[i], a[swap] = a[swap], a[i]
+                for row in a:
+                    row[i], row[swap] = row[swap], row[i]
+            else:
+                j = next((j for j in range(i + 1, n) if a[i][j] != 0), None)
+                if j is None:
+                    zero += 1
+                    continue
+                a[i] = [x + y for x, y in zip(a[i], a[j])]
+                for row in a:
+                    row[i] = row[i] + row[j]
+        d = a[i][i]
+        if (d > 0) == (prev > 0):
+            pos += 1
+        else:
+            neg += 1
+        pivot_row = a[i][i + 1:]
+        for j in range(i + 1, n):
+            row = a[j]
+            f = row[i]
+            row[i + 1:] = [(d * x - f * y) // prev
+                           for x, y in zip(row[i + 1:], pivot_row)]
+        prev = d
+    return pos, neg, zero
 
 
 def rank_mod(rows, ell: int) -> int:

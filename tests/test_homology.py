@@ -38,8 +38,9 @@ from kirbycalc.homology import (
     smith_normal_form,
     surgery_presentation,
 )
-from _oracles import (det_rational, diagonalize_stepwise, invert_rational, rank_mod,
-                      surgery_presentation_by_blocks, tree_det, tree_plumbing)
+from _oracles import (det_rational, diagonalize_stepwise, inertia_by_bareiss, invert_rational,
+                      rank_mod, surgery_presentation_by_blocks, tree_det, tree_inertia,
+                      tree_plumbing)
 from test_handles import cp_chain, nn_model, wn_model
 
 
@@ -257,6 +258,58 @@ def test_inertia_dense_60_within_budget():
     assert time.perf_counter() - start < 0.5
     assert pos + neg + zero == n and zero == 0  # |det| != 0 for this draw
     assert det(m) != 0
+
+
+def test_inertia_matches_index_order_bareiss():
+    """The pivot order, lazy rows and one triangle change no triple: the
+    index-order Bareiss loop agrees on the seeded forms, on plumbing trees
+    with and without 0 framings, and on dense forms shaped like the
+    benchmark's (a + a^T, entries of a in [-9, 9])."""
+    forms = [IntMatrix.from_rows(a, len(a)) for a in _seeded_forms(400, 36)]
+    for n in range(10, 61):
+        forms.append(linking_matrix(tree_plumbing(random.Random(n), n)))
+        forms.append(linking_matrix(tree_plumbing(random.Random(n), n, range(-6, 7))))
+        forms.append(linking_matrix(tree_plumbing(random.Random(n), n, (-1, 0, 0, 1))))
+    rng = random.Random(36)
+    for n in range(4, 21):
+        for _ in range(5):
+            a = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+            forms.append(IntMatrix.from_rows([[a[i][j] + a[j][i] for j in range(n)]
+                                              for i in range(n)]))
+    for m in forms:
+        assert inertia(m) == inertia_by_bareiss(m), m
+
+
+def test_tree_inertia_oracle_matches_charpoly_and_inertia():
+    """The leaf-peeling oracle against sympy on small trees, 0 framings
+    included, then `inertia` against the oracle on trees of 10 to 60."""
+    for seed in range(60):
+        rng = random.Random(seed)
+        d = tree_plumbing(rng, rng.randint(1, 10), (-2, -1, 0, 0, 1, 2))
+        assert tree_inertia(d) == _inertia_by_charpoly(linking_matrix(d).to_lists()), d
+    zero = 0
+    for n in range(10, 61):
+        for framings in (range(-6, 7), (-1, 0, 0, 1)):
+            d = tree_plumbing(random.Random(n), n, framings)
+            expected = tree_inertia(d)
+            assert inertia(linking_matrix(d)) == expected, d
+            zero += expected[2] > 0
+    assert zero >= 10  # singular trees are among them
+
+
+def test_inertia_tree_200_within_budget():
+    """A 200-vertex plumbing tree in under 0.1 s, best of 3: the leaf-first
+    order rewrites one row per pivot where index order rewrote the whole
+    trailing block (0.5-0.8 s)."""
+    d = tree_plumbing(random.Random(200), 200)
+    m = linking_matrix(d)
+    times = []
+    for _ in range(3):
+        start = time.perf_counter()
+        got = inertia(m)
+        times.append(time.perf_counter() - start)
+    assert got == tree_inertia(d)
+    assert min(times) < 0.1, times
 
 
 # The Smith layer's budget rung: each call must finish in under 1 s.  It runs
