@@ -51,7 +51,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
-from itertools import chain, compress, repeat
+from itertools import chain, compress
 from math import prod
 from operator import index, mul
 from typing import Iterable, Sequence
@@ -547,7 +547,7 @@ def inertia(m: IntMatrix) -> tuple[int, int, int]:
     level = [1] * n
     left = list(range(n))                     # the vertices left, ascending
     adj: list[set[int]] | None = None         # neighbours; None in index order
-    if n and 2 * max(map(list.count, a, repeat(0, n))) > n:
+    if n and 2 * max(map(list.count, a, [0] * n)) > n:
         adj = [set(compress(range(n), row)) - {i} for i, row in enumerate(a)]
         ready = [(len(adj[i]), i) for i in left if a[i][i]]
         heapify(ready)
@@ -577,8 +577,9 @@ def inertia(m: IntMatrix) -> tuple[int, int, int]:
                     break
         if p is None:  # every diagonal left is zero
             for k in left:
-                _rescale(a[k], k, level[k], prev)
-                level[k] = prev
+                if level[k] != prev:
+                    _rescale(a[k], k, level[k], prev)
+                    level[k] = prev
             p = left.pop(0)
             row = a[p]
             j = next((k for k in (left if adj is None else sorted(adj[p])) if row[k]), None)
@@ -639,8 +640,7 @@ def inertia(m: IntMatrix) -> tuple[int, int, int]:
 
 def _rescale(row: list[int], i: int, lvl: int, prev: int) -> None:
     """Bring row i, written at level `lvl`, to level `prev`, in place."""
-    if lvl != prev:
-        row[i:] = [x * prev // lvl for x in row[i:]]
+    row[i:] = [x * prev // lvl for x in row[i:]]
 
 
 def signature(m: IntMatrix) -> int:
