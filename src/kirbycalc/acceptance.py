@@ -36,8 +36,8 @@ from .homology import (
     boundary_first_homology,
     boundary_group_order,
     det,
+    inertia,
     is_homology_trivial,
-    signature,
     smith_normal_form,
 )
 from .hbd import DiagramDocument, print_hbd
@@ -331,12 +331,12 @@ def criterion_11_d_conservation(seed: int) -> Iterator[str]:
             for j in range(i, n):
                 rows[i][j] = rows[j][i] = rng.randrange(-3, 4)
         m = IntMatrix.from_rows(rows, n)
-        if det(m) == 0:
+        pos, neg, zero = inertia(m)
+        if zero:
             continue                       # degenerate pairing, resample
         base = IntersectionLattice(m)
         k = random_characteristic_vector(base, rng)
-        square = base.square(k)
-        sigma = signature(m)
+        square, sigma = base.square(k), pos - neg
         if (square - 3 * sigma) % 2:       # parity corrector block
             rows2 = [row + [0] for row in rows] + [[0] * n + [-2]]
             base = IntersectionLattice(IntMatrix.from_rows(rows2, n + 1))

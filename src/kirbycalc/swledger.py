@@ -29,13 +29,14 @@ lattice and the class.  It has two writers, the closed-model builder (a
 seed square) and the blow-up (K^2 - n), and each writes the squares of the
 one set it builds into the lattice it has just built, so a memo holds the
 members of one set and nothing more.  `d_invariant`, `is_simple_type` and
-`BasicClassSet.squares` read a square through one lookup: the stored
-square, else a dual square, which is not stored.  A transform of a model
-and a set first checks that the two share one pairing.
+`BasicClassSet.squares` read a checked class's square there, else take a
+dual square, which is not stored.  A transform of a model and a set first
+checks that the two share one pairing.
 
-Every vector a lattice takes passes one check, `IntersectionLattice._vector`:
-integer entries, never truncated, and the rank as length.  Only
-`is_characteristic_dual` skips it: a class of the wrong length is simply not
+Each public entry checks each vector argument once, `IntersectionLattice._vector`:
+integer entries, never truncated, and the rank as length.  Past it run the
+kernels `_dual`, `_dual_square` and `_gram`, which check nothing.  Only
+`is_characteristic_dual` skips the check, as no class of the wrong length is
 characteristic.  A blow-up pads the names a lattice has and adds none.
 
 The ledger transforms declared basic-class data; it does not compute SW
@@ -149,7 +150,10 @@ class IntersectionLattice:
 
     def dual(self, x: Sequence[int]) -> Vector:
         """Evaluation coordinates of a primal vector: (G x)_i = <x, b_i>."""
-        return tuple(_matvec(self._rows, self._vector(x)))
+        return self._dual(self._vector(x))
+
+    def _dual(self, x: Vector) -> Vector:
+        return tuple(_matvec(self._rows, x))
 
     def dual_square(self, kappa: Sequence[int]) -> int:
         """Square of a class given in evaluation coordinates.
@@ -159,7 +163,9 @@ class IntersectionLattice:
         for any class that restricts from an honest lattice; a non-integral
         value signals an inconsistent model.
         """
-        kappa = self._vector(kappa)
+        return self._dual_square(self._vector(kappa))
+
+    def _dual_square(self, kappa: Vector) -> int:
         det, adj = self._adjugate
         num = 0
         for k, row in zip(kappa, adj):
@@ -186,7 +192,10 @@ class IntersectionLattice:
 
         Row i pairs every v_j with the nonzero entries of the dual of v_i.
         """
-        duals = [self.dual(v) for v in vectors]
+        return self._gram([self._vector(v) for v in vectors])
+
+    def _gram(self, vectors: Sequence[Vector]) -> IntMatrix:
+        duals = [self._dual(v) for v in vectors]
         return IntMatrix.from_rows([_pairings(vectors, gv) for gv in duals], len(duals))
 
     @cached_property
@@ -333,10 +342,10 @@ class BasicClassSet:
 # -- pointwise invariants --------------------------------------------------------
 
 
-def _square(lattice: IntersectionLattice, kappa: Sequence[int]) -> int:
-    """Square of a class: the one its set's builder stored, else a dual square."""
-    square = lattice._squares.get(tuple(kappa))
-    return lattice.dual_square(kappa) if square is None else square
+def _square(lattice: IntersectionLattice, kappa: Vector) -> int:
+    """Square of a checked class: the one its set's builder stored, else a dual square."""
+    square = lattice._squares.get(kappa)
+    return lattice._dual_square(kappa) if square is None else square
 
 
 def d_invariant(model: ManifoldModel, kappa: Sequence[int]) -> int:
@@ -346,7 +355,8 @@ def d_invariant(model: ManifoldModel, kappa: Sequence[int]) -> int:
     an odd result is returned but flagged with a warning, since for honest
     closed models the value is even.
     """
-    num = _square(model.lattice, kappa) - 2 * model.euler - 3 * model.signature
+    lattice = model.lattice
+    num = _square(lattice, lattice._vector(kappa)) - 2 * model.euler - 3 * model.signature
     if num % 4:
         raise LedgerError(
             f"K^2 - 2e - 3sigma = {num} is not divisible by 4; model is inconsistent")
@@ -458,9 +468,13 @@ class AdjunctionReport:
                    f"for g={self.genus}, first {kappa} with <K, alpha> = {pairing}")
 
 
-def _require_simple_type(model: ManifoldModel, beta: BasicClassSet) -> None:
+def _genus_query(model: ManifoldModel, beta: BasicClassSet,
+                 alpha: Sequence[int]) -> tuple[Vector, int]:
+    model.require_sw_hypotheses()
     if not is_simple_type(model, beta):
         raise LedgerError("adjunction needs a simple-type model")
+    alpha = model.lattice._vector(alpha)
+    return alpha, _dot(model.lattice._dual(alpha), alpha)
 
 
 def _largest_pairing(beta: BasicClassSet, alpha: Sequence[int]) -> int:
@@ -497,10 +511,7 @@ def adjunction_check(model: ManifoldModel, beta: BasicClassSet, alpha: Sequence[
     genus = _int(genus, "genera")
     if genus < 1:
         raise LedgerError("adjunction requires genus >= 1")
-    model.require_sw_hypotheses()
-    _require_simple_type(model, beta)
-    alpha = model.lattice._vector(alpha)
-    a2 = model.lattice.square(alpha)
+    alpha, a2 = _genus_query(model, beta, alpha)
     limit = 2 * genus - 2 - a2          # K violates when |<K, alpha>| > limit
     cores, gens = beta._cube
     b = _pairings(gens, alpha)
@@ -533,12 +544,9 @@ def min_genus_bound(model: ManifoldModel, beta: BasicClassSet,
     can only happen for alpha of negative square; a warning flags that case
     since the inequality as stated needs genus > 0.
     """
-    model.require_sw_hypotheses()
-    _require_simple_type(model, beta)
+    alpha, a2 = _genus_query(model, beta, alpha)
     if beta.count == 0:
         raise LedgerError("genus bound needs a non-empty basic-class set")
-    alpha = model.lattice._vector(alpha)
-    a2 = model.lattice.square(alpha)
     worst = a2 + _largest_pairing(beta, alpha) + 2
     bound = -(-worst // 2)
     if bound < 1:
@@ -596,9 +604,9 @@ def rational_blowdown_descend(
         raise LedgerError(
             f"complement basis must have rank {lat.rank - (p - 1)}")
     for u in chain:
-        if any(_pairings(complement_basis, lat.dual(u))):
+        if any(_pairings(complement_basis, lat._dual(u))):
             raise LedgerError("complement basis vector pairs with the chain")
-    gram = lat.gram(complement_basis)
+    gram = lat._gram(complement_basis)
 
     new_weights: dict[Vector, int] = {}
     table = _restrictions(beta.members, chain, complement_basis)
@@ -702,7 +710,7 @@ def knot_surgery_basic_classes(model: ManifoldModel, beta: BasicClassSet,
     model.require_sw_hypotheses()
     _require_same_pairing(model, beta)
     torus = lat._vector(torus)
-    t_dual = lat.dual(torus)
+    t_dual = lat._dual(torus)
     if _dot(t_dual, torus) != 0:
         raise LedgerError("knot surgery needs a square-zero torus class")
     if gcd(*torus) != 1:

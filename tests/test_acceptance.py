@@ -82,14 +82,14 @@ def test_d_conservation_raises_lattice_errors(monkeypatch):
     from kirbycalc.acceptance import claim_named
     from kirbycalc.swledger import IntersectionLattice
 
-    exact = IntersectionLattice.dual_square
+    exact = IntersectionLattice._dual_square
 
     def broken(lat, kappa):
         if lat.rank <= 7:
             raise RuntimeError("dual square failed")
         return exact(lat, kappa)
 
-    monkeypatch.setattr(IntersectionLattice, "dual_square", broken)
+    monkeypatch.setattr(IntersectionLattice, "_dual_square", broken)
     with pytest.raises(RuntimeError):
         claim_named("d-conservation").check(SEED)
 

@@ -439,13 +439,13 @@ def test_closed_model_signature_matches_the_whole_pairing():
 
 def test_closed_model_hands_seed_squares_to_the_class_set(monkeypatch, cold_models):
     calls = []
-    exact = IntersectionLattice.dual_square
+    exact = IntersectionLattice._dual_square
 
     def counting(lat, k):
         calls.append(k)
         return exact(lat, k)
 
-    monkeypatch.setattr(IntersectionLattice, "dual_square", counting)
+    monkeypatch.setattr(IntersectionLattice, "_dual_square", counting)
     model, classes, _ = build_genus_model(8)
     assert calls == []
     assert classes.squares() == {k: exact(model.lattice, k) for k in classes.members}
@@ -591,13 +591,13 @@ def test_restriction_lemma(p):
 
 def test_restriction_lemma_takes_one_dual_for_alpha(monkeypatch, cold_models):
     calls = []
-    dual = IntersectionLattice.dual
+    dual = IntersectionLattice._dual
 
     def counting(lat, x):
         calls.append(x)
         return dual(lat, x)
 
-    monkeypatch.setattr(IntersectionLattice, "dual", counting)
+    monkeypatch.setattr(IntersectionLattice, "_dual", counting)
     assert list(verify_restriction_lemma((9,), 0, 4).failures()) == []
     # 4 seeds, alpha once, one per chain vector (8) for the span test, then
     # one per vector of the chain (8) and of its complement (rank 19 - 8 = 11)

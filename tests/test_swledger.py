@@ -1,5 +1,6 @@
 """SW ledger: characteristic classes, blow-up, descent, knot surgery."""
 
+import ast
 import random
 import re
 import warnings
@@ -7,6 +8,7 @@ from collections import Counter
 from dataclasses import replace
 from itertools import product
 from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -228,7 +230,7 @@ def test_x0_model_runs_one_adjugate_per_block(monkeypatch):
 
 def test_gram_matches_pairs_with_one_dual_per_vector(monkeypatch):
     rng = random.Random(8)
-    dual = IntersectionLattice.dual
+    dual = IntersectionLattice._dual
     calls = []
 
     def counting(self, x):
@@ -246,7 +248,7 @@ def test_gram_matches_pairs_with_one_dual_per_vector(monkeypatch):
         expected = [[L.pair(a, b) for b in vectors] for a in vectors]
         calls.clear()
         with monkeypatch.context() as mp:
-            mp.setattr(IntersectionLattice, "dual", counting)
+            mp.setattr(IntersectionLattice, "_dual", counting)
             g = L.gram(vectors)
         assert len(calls) == len(vectors)
         assert (g.rows, g.cols) == (len(vectors), len(vectors))
@@ -283,8 +285,8 @@ def _count_pipeline(p, n0):
 def test_d_invariants_after_a_blow_up_read_its_squares(monkeypatch):
     m2, b2 = _count_pipeline(9, 4)
     squares, adjugates = [], []
-    exact = IntersectionLattice.dual_square
-    monkeypatch.setattr(IntersectionLattice, "dual_square",
+    exact = IntersectionLattice._dual_square
+    monkeypatch.setattr(IntersectionLattice, "_dual_square",
                         lambda L, k: squares.append(k) or exact(L, k))
     monkeypatch.setattr(swledger, "adjugate", lambda m: adjugates.append(m) or adjugate(m))
     assert [d_invariant(m2, k) for k in b2.members] == [0] * 1024
@@ -350,13 +352,17 @@ def test_d_invariant_reads_the_memo_only_for_an_equal_class(monkeypatch):
 
     def refuse(L, k):
         raise Asked(k)
-    monkeypatch.setattr(IntersectionLattice, "dual_square", refuse)
-    # equal entries of another type name the same class
-    assert d_invariant(m2, [float(x) for x in kappa]) == d_invariant(m2, kappa)
-    # a non-integral entry is not truncated onto the member's key
+    monkeypatch.setattr(IntersectionLattice, "_dual_square", refuse)
+    # an int list equal to a member names the same class and reads its square
+    assert d_invariant(m2, list(kappa)) == d_invariant(m2, kappa)
+    # a float copy of a member is checked before the memo is read
+    with pytest.raises(LedgerError, match=f"^{re.escape(_FLOAT_ENTRY)}$"):
+        d_invariant(m2, [float(x) for x in kappa])
+    # a non-integral entry is not truncated onto the member's key, and it
+    # raises before any dual square is asked
     half = kappa[0] + (0.5 if kappa[0] >= 0 else -0.5)
     assert int(half) == kappa[0]
-    with pytest.raises(Asked):
+    with pytest.raises(LedgerError, match=f"^{re.escape(_FLOAT_ENTRY)}$"):
         d_invariant(m2, (half,) + kappa[1:])
 
 
@@ -524,9 +530,9 @@ def test_blow_up_matches_brute_force_enumeration():
 def test_blow_up_checks_parity_once_per_core_and_takes_no_dual(monkeypatch):
     beta = BasicClassSet.from_primal(HYPERBOLIC, [(0, 2), (0, -2), (2, 4), (-2, -4)])
     duals, parities = [], []
-    dual = IntersectionLattice.dual
+    dual = IntersectionLattice._dual
     parity = IntersectionLattice.is_characteristic_dual
-    monkeypatch.setattr(IntersectionLattice, "dual",
+    monkeypatch.setattr(IntersectionLattice, "_dual",
                         lambda L, x: duals.append(x) or dual(L, x))
     monkeypatch.setattr(IntersectionLattice, "is_characteristic_dual",
                         lambda L, k: parities.append(k) or parity(L, k))
@@ -1107,13 +1113,13 @@ def test_surgery_requires_square_zero_primitive_torus():
 def test_one_dual_per_vector(monkeypatch):
     m_k3 = ManifoldModel(lat([[-2]]), euler=24, signature=-16, b2plus=3)
     m, beta, torus = surgery_setup()
-    dual = IntersectionLattice.dual
+    dual = IntersectionLattice._dual
     calls = []
 
     def counting(self, x):
         calls.append(tuple(x))
         return dual(self, x)
-    monkeypatch.setattr(IntersectionLattice, "dual", counting)
+    monkeypatch.setattr(IntersectionLattice, "_dual", counting)
     assert d_invariant(m_k3, m_k3.lattice.dual((2,))) == -2
     assert calls == [(2,)]
     calls.clear()
@@ -1162,6 +1168,12 @@ def _genus_query(query, *args):
     return query(model, classes, tuple(1.5 * x for x in alpha), *args)
 
 
+def _d_of_a_float_member():
+    # the member's square is in the memo, so only a check before the lookup sees it
+    x0 = scenarios.build_X0_model((2,))
+    return d_invariant(x0.model, tuple(map(float, x0.classes.members[0])))
+
+
 @pytest.mark.parametrize("call, error, message", [
     (lambda: lat([[0, 1], [2, 0]]), LedgerError, "pairing matrix must be symmetric"),
     (lambda: lat([[1, 0], [0, 1]], {"a": (1,)}), LedgerError,
@@ -1191,13 +1203,115 @@ def _genus_query(query, *args):
     (lambda: _genus_query(min_genus_bound), LedgerError, _FLOAT_ENTRY),
     (lambda: _genus_query(adjunction_check, 1), LedgerError, _FLOAT_ENTRY),
     (lambda: d_invariant(hyperbolic_model(), (1.5, 8)), LedgerError, _FLOAT_ENTRY),
+    (_d_of_a_float_member, LedgerError, _FLOAT_ENTRY),
 ], ids=["asymmetric", "name-length", "dual-length", "class-length", "generator-length",
         "negative-blow-up", "not-simple-type", "empty-genus-bound", "complement-rank",
         "dual-float", "dual-square-float", "pair-x-float", "pair-y-float", "square-float",
-        "gram-float", "genus-bound-float", "adjunction-float", "d-invariant-float"])
+        "gram-float", "genus-bound-float", "adjunction-float", "d-invariant-float",
+        "d-invariant-float-member"])
 def test_ledger_errors(call, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         call()
+
+
+def _checks_per_argument(monkeypatch, lattice, call, args):
+    """How many times call() checks each of args on the lattice."""
+    seen = Counter()
+    check = IntersectionLattice._vector
+
+    def counting(L, v, *what):
+        if L is lattice:
+            seen[tuple(v)] += 1
+        return check(L, v, *what)
+    with monkeypatch.context() as mp:
+        mp.setattr(IntersectionLattice, "_vector", counting)
+        call()
+    return [seen[tuple(a)] for a in args]
+
+
+def test_each_public_entry_checks_each_vector_once(monkeypatch):
+    # a public entry checks each vector argument once with the lattice's
+    # _vector; what runs past that check takes the unchecked kernels
+    x0 = scenarios.build_X0_model((5,), 4)
+    genus, classes, alpha = scenarios.build_genus_model(3)
+    member, torus = x0.classes.members[0], x0.torus()
+    chain, complement = x0.chain_vectors(0), x0.complement_basis(0)
+    assert len(chain) + len(complement) == 15
+    H, x, y, z = HYPERBOLIC, [1, 2], [3, -1], [0, 5]
+    entries = {
+        "dual": (H, lambda: H.dual(x), [x]),
+        "dual_square": (H, lambda: H.dual_square(x), [x]),
+        "square": (H, lambda: H.square(x), [x]),
+        "pair": (H, lambda: H.pair(x, y), [x, y]),
+        "gram": (H, lambda: H.gram([x, y, z]), [x, y, z]),
+        "BasicClassSet": (H, lambda: BasicClassSet(H, {(2, 0): 1, (-2, 0): 1}, [(0, 2)]),
+                          [(2, 0), (-2, 0), (0, 2)]),
+        "d_invariant": (x0.lattice, lambda: d_invariant(x0.model, member), [member]),
+        "min_genus_bound": (genus.lattice, lambda: min_genus_bound(genus, classes, alpha),
+                            [alpha]),
+        "adjunction_check": (genus.lattice,
+                             lambda: adjunction_check(genus, classes, alpha, 1), [alpha]),
+        "rational_blowdown_descend": (x0.lattice, lambda: rational_blowdown_descend(
+            x0.model, x0.classes, chain, complement), [*chain, *complement]),
+        "knot_surgery_basic_classes": (x0.lattice, lambda: knot_surgery_basic_classes(
+            x0.model, x0.classes, torus, alexander_polynomial_torus(3, 2)), [torus]),
+    }
+    counts = {name: _checks_per_argument(monkeypatch, *entry) for name, entry in entries.items()}
+    assert counts == {name: [1] * len(args) for name, (_, _, args) in entries.items()}
+
+
+def _float_copy_entries(x0, v, f):
+    """Each public entry that takes an int vector, given the float copy f of v."""
+    L, model, beta = x0.lattice, x0.model, x0.classes
+    return {
+        "dual": lambda: L.dual(f),
+        "dual_square": lambda: L.dual_square(f),
+        "square": lambda: L.square(f),
+        "pair-x": lambda: L.pair(f, v),
+        "pair-y": lambda: L.pair(v, f),
+        "gram": lambda: L.gram([v, f]),
+        "class": lambda: BasicClassSet(L, {f: 1}),
+        "generator": lambda: BasicClassSet(L, {}, [f]),
+        "d_invariant": lambda: d_invariant(model, f),
+        "min_genus_bound": lambda: min_genus_bound(model, beta, f),
+        "adjunction_check": lambda: adjunction_check(model, beta, f, 1),
+        "chain": lambda: rational_blowdown_descend(model, beta, [f], []),
+        "complement": lambda: rational_blowdown_descend(model, beta, [v], [f]),
+        "torus": lambda: knot_surgery_basic_classes(model, beta, f, LaurentPolynomial.one()),
+    }
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_every_entry_rejects_a_float_copy(data):
+    # a stored member's square is in the lattice's memo; no entry reads it
+    # for the float copy, which every entry refuses at its check
+    x0 = scenarios.build_X0_model((2,))
+    if data.draw(st.booleans(), label="stored"):
+        v = data.draw(st.sampled_from(x0.classes.members), label="member")
+    else:
+        v = tuple(data.draw(st.lists(st.integers(-5, 5), min_size=x0.lattice.rank,
+                                     max_size=x0.lattice.rank), label="vector"))
+    f = tuple(map(float, v))
+    entries = _float_copy_entries(x0, v, f)
+    name = data.draw(st.sampled_from(sorted(entries)), label="entry")
+    with pytest.raises(LedgerError, match=f"^{re.escape(_FLOAT_ENTRY)}$"):
+        entries[name]()
+
+
+def test_only_the_ledger_reaches_its_unchecked_kernels():
+    # the kernels trust their vectors to be checked, so no other module
+    # may name them or the check
+    private = {"_vector", "_dual", "_dual_square", "_gram"}
+    found = []
+    for path in sorted(Path(swledger.__file__).parent.glob("*.py")):
+        if path.name == "swledger.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            name = node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+            if name in private:
+                found.append(f"{path.name}:{node.lineno} {name}")
+    assert found == []
 
 
 def test_blow_up_on_a_degenerate_lattice_stores_no_squares():
