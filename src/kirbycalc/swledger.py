@@ -17,27 +17,36 @@ cost the nonzeros, not the square of the rank.  Squares take homology's
 Basic-class sets are built and checked per sign cube, not per member: a
 set is cores times the signs of its generators (the E-cube of a blow-up,
 the cube +-K +- e_1 ... +- e_{n-1} of the genus model), and negation,
-parity and distinctness are checked once per core.  Genus queries are
+parity and distinctness are checked once per core.  The (member, weight)
+pairs are sorted once, into the dict the set keeps.  Genus queries are
 answered per cube as well: a set keeps its nonzero-weight cores and its
-generators, so `min_genus_bound` reads the largest |<K, alpha>| as
+generators, and each generator's nonzero (j, x) entries, so
+`min_genus_bound` reads the largest |<K, alpha>| as
 max_c |<c, alpha>| + sum_i |<g_i, alpha>| from one pairing per core and per
 generator, and `adjunction_check` walks the signs only down branches that
-can still break the bound.
+can still break the bound, building each violator from those entries.
 
 Each lattice keeps one memo of squares, since a square depends only on the
 lattice and the class.  It has two writers, the closed-model builder (a
 seed square) and the blow-up (K^2 - n), and each writes the squares of the
 one set it builds into the lattice it has just built, so a memo holds the
-members of one set and nothing more.  `d_invariant`, `is_simple_type` and
-`BasicClassSet.squares` read a checked class's square there, else take a
-dual square, which is not stored.  A transform of a model and a set first
-checks that the two share one pairing.
+members of one set and nothing more.  Both write through `_store_squares`,
+which also indexes each stored member tuple by its id.  `d_invariant`,
+`is_simple_type` and `BasicClassSet.squares` read a checked class's square
+there, else take a dual square, which is not stored; d itself is `_d` of
+that square.  A transform of a model and a set first checks that the two
+share one pairing.
 
 Each public entry checks each vector argument once, `IntersectionLattice._vector`:
 integer entries, never truncated, and the rank as length.  Past it run the
 kernels `_dual`, `_dual_square` and `_gram`, which check nothing.  Only
 `is_characteristic_dual` skips the check, as no class of the wrong length is
-characteristic.  A blow-up pads the names a lattice has and adds none.
+characteristic.  Two paths skip a check already made: the sets the ledger
+builds from checked vectors (blow-up, descent, knot surgery, `from_primal`)
+go through `BasicClassSet._from_checked`, which runs every check but the
+type scan, and `d_invariant` does not check again the very tuple a builder
+stored, which the id index holds so that its id is not reused.  A blow-up
+pads the names a lattice has and adds none.
 
 The ledger transforms declared basic-class data; it does not compute SW
 invariants from geometry.
@@ -52,7 +61,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
 from math import gcd, prod
-from operator import add, index, neg
+from operator import add, index, itemgetter, neg
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -75,6 +84,7 @@ def _int(x: object, what: str) -> int:
 
 _ODD = (1).__and__                  # k & 1, called from map without a Python frame
 _INT = frozenset((int,))            # a constant, not a set built on every check
+_FIRST = itemgetter(0)              # sort (member, weight) pairs by member alone
 
 
 def _unit(rank: int, idx: int) -> Vector:
@@ -125,6 +135,7 @@ class IntersectionLattice:
         names = {str(k): self._vector(v) for k, v in self.names.items()}
         object.__setattr__(self, "names", MappingProxyType(names))
         object.__setattr__(self, "_squares", {})     # the squares of one set built on it
+        object.__setattr__(self, "_stored_ids", {})  # id -> each member tuple stored there
 
     @property
     def rank(self) -> int:
@@ -291,19 +302,36 @@ class BasicClassSet:
     generators: InitVar[Sequence[Sequence[int]]] = ()
 
     def __post_init__(self, generators: Sequence[Sequence[int]]) -> None:
+        check = self.lattice._vector
+        self._settle(((check(k, "class"), value) for k, value in self.weights.items()),
+                     (check(g, "generator") for g in generators))
+
+    @classmethod
+    def _from_checked(cls, lattice: IntersectionLattice, weights: Mapping[Vector, int],
+                      generators: Iterable[Vector] = ()) -> "BasicClassSet":
+        """A set the ledger builds from vectors it has checked: every check
+        runs but the type scan of each core and generator."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "lattice", lattice)
+        out._settle(weights.items(), generators)
+        return out
+
+    def _settle(self, weights: Iterable[tuple[Vector, object]],
+                generators: Iterable[Vector]) -> None:
+        """Check the cube of the given cores and generators and keep it, with
+        its members sorted."""
         cores = {}
-        for kappa, value in self.weights.items():
-            kappa = self.lattice._vector(kappa, "class")
+        for kappa, value in weights:
             if value == 0:
                 continue
             cores[kappa] = _int(value, "weights")
-        gens = [self.lattice._vector(g, "generator") for g in generators]
+        gens = tuple(generators)
         pairs = [(kappa, value) for c, value in cores.items()
                  for kappa in _sign_sums(c, gens)]
-        w = dict(pairs)
+        w = dict(sorted(pairs, key=_FIRST))
         if len(w) != len(pairs):
             seen = set()
-            for kappa, _ in pairs:
+            for kappa, _ in pairs:          # in generation order, the one named
                 if kappa in seen:
                     raise LedgerError(f"class {kappa} occurs more than once in the cube")
                 seen.add(kappa)
@@ -311,21 +339,23 @@ class BasicClassSet:
         characteristic = self.lattice.is_characteristic_dual
         for kappa in cores:
             if tuple(map(neg, kappa)) not in cores:
-                bad = next(m for m in w if tuple(map(neg, m)) not in w)
+                bad = next(m for m, _ in pairs if tuple(map(neg, m)) not in w)
                 raise LedgerError(f"set is not closed under negation at {bad}")
             if gens:
                 kappa = tuple(map(add, kappa, top))
             if not characteristic(kappa):
                 raise LedgerError(f"class {kappa} is not characteristic")
-        object.__setattr__(self, "weights", MappingProxyType({k: w[k] for k in sorted(w)}))
+        object.__setattr__(self, "weights", MappingProxyType(w))
         object.__setattr__(self, "_simple_type", set())
-        object.__setattr__(self, "_cube", (tuple(cores), tuple(gens)))
+        object.__setattr__(self, "_cube", (tuple(cores), gens))
+        object.__setattr__(self, "_supports", tuple(
+            tuple((j, x) for j, x in enumerate(g) if x) for g in gens))
 
     @classmethod
     def from_primal(cls, lattice: IntersectionLattice,
                     vectors: Iterable[Sequence[int]]) -> "BasicClassSet":
         """Classes given as primal vectors, each of weight 1 (repeats add up)."""
-        return cls(lattice, Counter(map(lattice.dual, vectors)))
+        return cls._from_checked(lattice, Counter(map(lattice.dual, vectors)))
 
     @property
     def members(self) -> tuple[Vector, ...]:
@@ -342,10 +372,32 @@ class BasicClassSet:
 # -- pointwise invariants --------------------------------------------------------
 
 
+def _store_squares(lattice: IntersectionLattice, members: Sequence[Vector],
+                   square: int) -> None:
+    """Write one square for each of a built set's members into the lattice's
+    memo, and index each member tuple by its id; the index holds the tuple,
+    so its id is not reused while the lattice lives."""
+    lattice._squares.update(dict.fromkeys(members, square))
+    lattice._stored_ids.update(zip(map(id, members), members))
+
+
 def _square(lattice: IntersectionLattice, kappa: Vector) -> int:
     """Square of a checked class: the one its set's builder stored, else a dual square."""
     square = lattice._squares.get(kappa)
     return lattice._dual_square(kappa) if square is None else square
+
+
+def _d(model: ManifoldModel, square: int) -> int:
+    """d of a class of the given square; the caller of the public entry is warned."""
+    num = square - 2 * model.euler - 3 * model.signature
+    if num % 4:
+        raise LedgerError(
+            f"K^2 - 2e - 3sigma = {num} is not divisible by 4; model is inconsistent")
+    d = num // 4
+    if d % 2:
+        warnings.warn(f"d-invariant {d} is odd; expected an even integer",
+                      stacklevel=3)
+    return d
 
 
 def d_invariant(model: ManifoldModel, kappa: Sequence[int]) -> int:
@@ -353,18 +405,14 @@ def d_invariant(model: ManifoldModel, kappa: Sequence[int]) -> int:
 
     Raises when the numerator is not divisible by 4 (an inconsistent model);
     an odd result is returned but flagged with a warning, since for honest
-    closed models the value is even.
+    closed models the value is even.  A member tuple that a builder stored
+    on the lattice was checked when its set was built, so only that very
+    tuple skips the check; an equal copy takes it.
     """
     lattice = model.lattice
-    num = _square(lattice, lattice._vector(kappa)) - 2 * model.euler - 3 * model.signature
-    if num % 4:
-        raise LedgerError(
-            f"K^2 - 2e - 3sigma = {num} is not divisible by 4; model is inconsistent")
-    d = num // 4
-    if d % 2:
-        warnings.warn(f"d-invariant {d} is odd; expected an even integer",
-                      stacklevel=2)
-    return d
+    if lattice._stored_ids.get(id(kappa)) is not kappa:
+        kappa = lattice._vector(kappa)
+    return _d(model, _square(lattice, kappa))
 
 
 def _require_same_pairing(model: ManifoldModel, beta: BasicClassSet) -> None:
@@ -392,7 +440,7 @@ def is_simple_type(model: ManifoldModel, beta: BasicClassSet) -> bool:
         square = _square(model.lattice, kappa)
         if square not in seen:
             seen.add(square)
-            if d_invariant(model, kappa):
+            if _d(model, square):
                 return False
     beta._simple_type.add(key)
     return True
@@ -432,8 +480,8 @@ def blow_up_basic_classes(model: ManifoldModel, beta: BasicClassSet,
     # of E_n ... E_1; in that order the cube comes out sorted
     pad = (0,) * n
     gens = [tuple(-x for x in _unit(r + n, r + j)) for j in reversed(range(n))]
-    out = BasicClassSet(lattice, {kappa + pad: w for kappa, w in beta.weights.items()},
-                        gens)
+    out = BasicClassSet._from_checked(
+        lattice, {kappa + pad: w for kappa, w in beta.weights.items()}, gens)
     try:
         squares = beta.squares()
     except LedgerError:         # squares that do not exist stay uncomputed
@@ -442,8 +490,7 @@ def blow_up_basic_classes(model: ManifoldModel, beta: BasicClassSet,
         # sorted members run core by core, as the E-coordinates come last
         members, size = out.members, 1 << n
         for i, kappa in enumerate(beta.members):
-            lattice._squares.update(dict.fromkeys(members[i * size:(i + 1) * size],
-                                                  squares[kappa] - n))
+            _store_squares(lattice, members[i * size:(i + 1) * size], squares[kappa] - n)
     new_model = ManifoldModel(lattice, model.euler + n, model.signature - n,
                               model.b2plus)
     return new_model, out
@@ -487,13 +534,13 @@ def _largest_pairing(beta: BasicClassSet, alpha: Sequence[int]) -> int:
     return max(map(abs, _pairings(cores, alpha))) + sum(map(abs, _pairings(gens, alpha)))
 
 
-def _member(core: Vector, signs: Sequence[int], gens: Sequence[Vector]) -> Vector:
-    """core + s_1 g_1 + ... + s_n g_n."""
+def _member(core: Vector, signs: Sequence[int],
+            supports: Sequence[tuple[tuple[int, int], ...]]) -> Vector:
+    """core + s_1 g_1 + ... + s_n g_n, each g_i given as its nonzero (j, x) entries."""
     out = list(core)
-    for s, g in zip(signs, gens):
-        for j, x in enumerate(g):
-            if x:
-                out[j] += s * x
+    for s, g in zip(signs, supports):
+        for j, x in g:
+            out[j] += s * x
     return tuple(out)
 
 
@@ -525,7 +572,7 @@ def adjunction_check(model: ManifoldModel, beta: BasicClassSet, alpha: Sequence[
         while stack:
             t, acc, signs = stack.pop()
             if t == n:
-                violators.append((_member(core, signs, gens), acc))
+                violators.append((_member(core, signs, beta._supports), acc))
                 continue
             bt, r = b[t], rest[t + 1]
             if abs(acc + bt) + r > limit:
@@ -621,7 +668,7 @@ def rational_blowdown_descend(
     new_lat = IntersectionLattice(gram)
     new_model = ManifoldModel(new_lat, model.euler - (p - 1),
                               model.signature + (p - 1), model.b2plus)
-    return new_model, BasicClassSet(new_lat, new_weights)
+    return new_model, BasicClassSet._from_checked(new_lat, new_weights)
 
 
 # -- Alexander polynomials and knot surgery -------------------------------------------
@@ -720,7 +767,7 @@ def knot_surgery_basic_classes(model: ManifoldModel, beta: BasicClassSet,
         for j, aj in alexander.coeffs.items():
             new = tuple(k + 2 * j * t for k, t in zip(kappa, t_dual))
             acc[new] = acc.get(new, 0) + w * aj
-    return BasicClassSet(lat, acc)
+    return BasicClassSet._from_checked(lat, acc)
 
 
 # -- random generation helpers (used by property and acceptance tests) ----------------

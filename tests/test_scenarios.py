@@ -420,8 +420,8 @@ def test_closed_model_rejects_classes_off_dimension_zero(monkeypatch):
     # The Euler number puts the primal seed squares at d = 0, and the class
     # set reads those squares, so only a ledger whose d-invariants disagree
     # with them reaches this guard.
-    exact = swledger.d_invariant
-    monkeypatch.setattr(swledger, "d_invariant", lambda model, k: exact(model, k) + 2)
+    exact = swledger._d
+    monkeypatch.setattr(swledger, "_d", lambda model, square: exact(model, square) + 2)
     with pytest.raises(ScenarioError, match="not in dimension zero"):
         _closed_model([[[1]]], {}, [(1,), (-1,)])
 

@@ -420,12 +420,12 @@ def test_simple_type_warns_on_every_call():
 def test_simple_type_passing_verdict_is_kept_per_key(monkeypatch):
     model, classes, _ = scenarios.build_genus_model(8)
     calls = []
-    d_invariant = swledger.d_invariant
+    d = swledger._d
 
-    def counting(m, kappa, **kw):
-        calls.append(kappa)
-        return d_invariant(m, kappa, **kw)
-    monkeypatch.setattr(swledger, "d_invariant", counting)
+    def counting(m, square):
+        calls.append(square)
+        return d(m, square)
+    monkeypatch.setattr(swledger, "_d", counting)
     assert all(list(scenarios.genus_obstruction_Nn(8, k).failures()) == []
                for k in range(-5, 6))
     assert calls == []
@@ -439,7 +439,7 @@ def test_simple_type_passing_verdict_is_kept_per_key(monkeypatch):
     for _ in range(2):
         calls.clear()
         assert not is_simple_type(other, classes)
-        assert calls == [classes.members[0]]
+        assert calls == [model.lattice.dual_square(classes.members[0])]
 
 
 def test_ledger_refuses_a_set_on_another_pairing():
@@ -464,17 +464,33 @@ def test_ledger_refuses_a_set_on_another_pairing():
 
 def test_simple_type_takes_one_d_per_distinct_square(monkeypatch):
     calls = []
-    exact = swledger.d_invariant
-    monkeypatch.setattr(swledger, "d_invariant",
-                        lambda m, k, **kw: calls.append(k) or exact(m, k, **kw))
-    _, classes, _ = scenarios.build_genus_model.__wrapped__(8)
-    assert classes.count == 256 and calls == [classes.members[0]]
+    exact = swledger._d
+    monkeypatch.setattr(swledger, "_d",
+                        lambda m, square: calls.append(square) or exact(m, square))
+    model, classes, _ = scenarios.build_genus_model.__wrapped__(8)
+    assert classes.count == 256
+    assert calls == [model.lattice.dual_square(classes.members[0])]
     # squares 9, 1, 1, 9 in member order: d(9) = 0, then d(1) = -2 fails
     m = ManifoldModel(lat([[1]]), euler=3, signature=1, b2plus=2)
     calls.clear()
     assert not is_simple_type(m, BasicClassSet(m.lattice, dict.fromkeys(
         [(3,), (1,), (-1,), (-3,)], 1)))
-    assert calls == [(-3,), (-1,)]
+    assert calls == [9, 1]
+
+
+def test_simple_type_takes_one_dual_square_per_distinct_class(monkeypatch):
+    # the descended lattice has no memo: each of the 4 classes takes one
+    # dual square, and d reads it rather than taking it again
+    x0 = scenarios.build_X0_model((5,), 4)
+    m1, b1 = rational_blowdown_descend(x0.model, x0.classes, x0.chain_vectors(0),
+                                       x0.complement_basis(0))
+    assert b1.count == 4 and m1.lattice._squares == {}
+    calls = []
+    exact = IntersectionLattice._dual_square
+    monkeypatch.setattr(IntersectionLattice, "_dual_square",
+                        lambda L, k: calls.append(k) or exact(L, k))
+    assert is_simple_type(m1, b1)
+    assert calls == list(b1.members)
 
 
 # -- blow-up formula ---------------------------------------------------------------
@@ -1204,11 +1220,17 @@ def _d_of_a_float_member():
     (lambda: _genus_query(adjunction_check, 1), LedgerError, _FLOAT_ENTRY),
     (lambda: d_invariant(hyperbolic_model(), (1.5, 8)), LedgerError, _FLOAT_ENTRY),
     (_d_of_a_float_member, LedgerError, _FLOAT_ENTRY),
+    # the first class that breaks a rule in generation order is named, not
+    # the least: the cube runs (0, 2) before (0, -2), the cores (4, 0) first
+    (lambda: BasicClassSet(HYPERBOLIC, {(2, 0): 1, (-2, 0): 1}, [(2, 0), (0, 2)]),
+     LedgerError, "class (0, 2) occurs more than once in the cube"),
+    (lambda: BasicClassSet(HYPERBOLIC, {(4, 0): 1, (2, 0): 1}), LedgerError,
+     "set is not closed under negation at (4, 0)"),
 ], ids=["asymmetric", "name-length", "dual-length", "class-length", "generator-length",
         "negative-blow-up", "not-simple-type", "empty-genus-bound", "complement-rank",
         "dual-float", "dual-square-float", "pair-x-float", "pair-y-float", "square-float",
         "gram-float", "genus-bound-float", "adjunction-float", "d-invariant-float",
-        "d-invariant-float-member"])
+        "d-invariant-float-member", "two-repeats", "two-unnegated"])
 def test_ledger_errors(call, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         call()
@@ -1231,13 +1253,16 @@ def _checks_per_argument(monkeypatch, lattice, call, args):
 
 def test_each_public_entry_checks_each_vector_once(monkeypatch):
     # a public entry checks each vector argument once with the lattice's
-    # _vector; what runs past that check takes the unchecked kernels
+    # _vector; what runs past that check takes the unchecked kernels.  The
+    # one exception is d of the very member tuple a builder stored, which
+    # was checked when its set was built; an equal copy is checked.
     x0 = scenarios.build_X0_model((5,), 4)
     genus, classes, alpha = scenarios.build_genus_model(3)
     member, torus = x0.classes.members[0], x0.torus()
     chain, complement = x0.chain_vectors(0), x0.complement_basis(0)
     assert len(chain) + len(complement) == 15
     H, x, y, z = HYPERBOLIC, [1, 2], [3, -1], [0, 5]
+    I = lat([[1, 0], [0, 1]])               # a dual equal to its vector counts twice
     entries = {
         "dual": (H, lambda: H.dual(x), [x]),
         "dual_square": (H, lambda: H.dual_square(x), [x]),
@@ -1246,7 +1271,11 @@ def test_each_public_entry_checks_each_vector_once(monkeypatch):
         "gram": (H, lambda: H.gram([x, y, z]), [x, y, z]),
         "BasicClassSet": (H, lambda: BasicClassSet(H, {(2, 0): 1, (-2, 0): 1}, [(0, 2)]),
                           [(2, 0), (-2, 0), (0, 2)]),
-        "d_invariant": (x0.lattice, lambda: d_invariant(x0.model, member), [member]),
+        "from_primal": (I, lambda: BasicClassSet.from_primal(I, [(1, 1), (-1, -1)]),
+                        [(1, 1), (-1, -1)]),
+        "d_invariant": (x0.lattice, lambda: d_invariant(x0.model, tuple(list(member))),
+                        [member]),
+        "d_invariant-stored": (x0.lattice, lambda: d_invariant(x0.model, member), [member]),
         "min_genus_bound": (genus.lattice, lambda: min_genus_bound(genus, classes, alpha),
                             [alpha]),
         "adjunction_check": (genus.lattice,
@@ -1257,7 +1286,44 @@ def test_each_public_entry_checks_each_vector_once(monkeypatch):
             x0.model, x0.classes, torus, alexander_polynomial_torus(3, 2)), [torus]),
     }
     counts = {name: _checks_per_argument(monkeypatch, *entry) for name, entry in entries.items()}
-    assert counts == {name: [1] * len(args) for name, (_, _, args) in entries.items()}
+    assert counts == {name: [0 if name == "d_invariant-stored" else 1] * len(args)
+                      for name, (_, _, args) in entries.items()}
+
+
+def test_d_skips_the_check_only_for_the_stored_tuple(monkeypatch):
+    m2, b2 = _count_pipeline(3, 2)
+    kappa = b2.members[-1]
+    copies = {"stored": kappa, "tuple-copy": tuple(list(kappa)), "list": list(kappa)}
+    counts = {name: _checks_per_argument(monkeypatch, m2.lattice,
+                                         lambda: d_invariant(m2, v), [kappa])
+              for name, v in copies.items()}
+    assert counts == {"stored": [0], "tuple-copy": [1], "list": [1]}
+    assert {d_invariant(m2, v) for v in copies.values()} == {0}
+    with pytest.raises(LedgerError, match=f"^{re.escape(_FLOAT_ENTRY)}$"):
+        d_invariant(m2, tuple(map(float, kappa)))
+
+
+def test_ledger_built_sets_match_public_construction():
+    # the builders skip only the type scan of the vectors they checked, so
+    # each set is the one the public constructor builds from its weights
+    x0 = scenarios.build_X0_model((5,), 4)
+    m1, b1 = rational_blowdown_descend(x0.model, x0.classes, x0.chain_vectors(0),
+                                       x0.complement_basis(0))
+    built = {
+        "descent": b1,
+        "blow-up": blow_up_basic_classes(m1, b1, 3)[1],
+        "surgery": knot_surgery_basic_classes(x0.model, x0.classes, x0.torus(),
+                                              alexander_polynomial_torus(3, 2)),
+        "from_primal": BasicClassSet.from_primal(HYPERBOLIC,
+                                                 [(0, 2), (0, -2), (2, 4), (-2, -4)]),
+    }
+    for name, out in built.items():
+        public = BasicClassSet(out.lattice, dict(out.weights))
+        assert public == out, name
+        assert list(public.weights.items()) == list(out.weights.items()), name
+        for kappa in out.members:
+            assert out.lattice._vector(kappa, "class") is kappa, name
+            assert set(map(type, kappa)) == {int}, name
 
 
 def _float_copy_entries(x0, v, f):
@@ -1300,9 +1366,10 @@ def test_every_entry_rejects_a_float_copy(data):
 
 
 def test_only_the_ledger_reaches_its_unchecked_kernels():
-    # the kernels trust their vectors to be checked, so no other module
-    # may name them or the check
-    private = {"_vector", "_dual", "_dual_square", "_gram"}
+    # the kernels trust their vectors to be checked, and so do the private
+    # constructor and d's index of stored members, so no other module may
+    # name them or the check
+    private = {"_vector", "_dual", "_dual_square", "_gram", "_from_checked", "_stored_ids"}
     found = []
     for path in sorted(Path(swledger.__file__).parent.glob("*.py")):
         if path.name == "swledger.py":
