@@ -56,7 +56,6 @@ from .swledger import (
     _lift_ok,
     _restrictions,
     _sign_sums,
-    _store_squares,
     _unit,
     alexander_polynomial_torus,
     blow_up_basic_classes,
@@ -313,7 +312,7 @@ def _closed_model(blocks: Sequence[Sequence[Sequence[int]]],
     if classes.count != len(seeds) << len(gens):
         raise ScenarioError("seed classes collided")
     # every member is a seed class, of the checked square
-    _store_squares(lattice, classes.members, square)
+    lattice._squares.update(dict.fromkeys(classes.members, square))
     if not is_simple_type(model, classes):
         raise ScenarioError("seed classes are not in dimension zero")
     return model, classes

@@ -30,23 +30,18 @@ Each lattice keeps one memo of squares, since a square depends only on the
 lattice and the class.  It has two writers, the closed-model builder (a
 seed square) and the blow-up (K^2 - n), and each writes the squares of the
 one set it builds into the lattice it has just built, so a memo holds the
-members of one set and nothing more.  Both write through `_store_squares`,
-which also indexes each stored member tuple by its id.  `d_invariant`,
-`is_simple_type` and `BasicClassSet.squares` read a checked class's square
-there, else take a dual square, which is not stored; d itself is `_d` of
-that square.  A transform of a model and a set first checks that the two
-share one pairing.
+members of one set and nothing more.  `d_invariant`, `is_simple_type` and
+`BasicClassSet.squares` read a checked class's square there, else take a
+dual square, which is not stored; d itself is `_d` of that square, so
+`is_simple_type` takes d once per distinct square, from the square it has
+read.  A transform of a model and a set first checks that the two share one
+pairing.
 
 Each public entry checks each vector argument once, `IntersectionLattice._vector`:
 integer entries, never truncated, and the rank as length.  Past it run the
 kernels `_dual`, `_dual_square` and `_gram`, which check nothing.  Only
 `is_characteristic_dual` skips the check, as no class of the wrong length is
-characteristic.  Two paths skip a check already made: the sets the ledger
-builds from checked vectors (blow-up, descent, knot surgery, `from_primal`)
-go through `BasicClassSet._from_checked`, which runs every check but the
-type scan, and `d_invariant` does not check again the very tuple a builder
-stored, which the id index holds so that its id is not reused.  A blow-up
-pads the names a lattice has and adds none.
+characteristic.  A blow-up pads the names a lattice has and adds none.
 
 The ledger transforms declared basic-class data; it does not compute SW
 invariants from geometry.
@@ -135,7 +130,6 @@ class IntersectionLattice:
         names = {str(k): self._vector(v) for k, v in self.names.items()}
         object.__setattr__(self, "names", MappingProxyType(names))
         object.__setattr__(self, "_squares", {})     # the squares of one set built on it
-        object.__setattr__(self, "_stored_ids", {})  # id -> each member tuple stored there
 
     @property
     def rank(self) -> int:
@@ -302,30 +296,13 @@ class BasicClassSet:
     generators: InitVar[Sequence[Sequence[int]]] = ()
 
     def __post_init__(self, generators: Sequence[Sequence[int]]) -> None:
-        check = self.lattice._vector
-        self._settle(((check(k, "class"), value) for k, value in self.weights.items()),
-                     (check(g, "generator") for g in generators))
-
-    @classmethod
-    def _from_checked(cls, lattice: IntersectionLattice, weights: Mapping[Vector, int],
-                      generators: Iterable[Vector] = ()) -> "BasicClassSet":
-        """A set the ledger builds from vectors it has checked: every check
-        runs but the type scan of each core and generator."""
-        out = object.__new__(cls)
-        object.__setattr__(out, "lattice", lattice)
-        out._settle(weights.items(), generators)
-        return out
-
-    def _settle(self, weights: Iterable[tuple[Vector, object]],
-                generators: Iterable[Vector]) -> None:
-        """Check the cube of the given cores and generators and keep it, with
-        its members sorted."""
         cores = {}
-        for kappa, value in weights:
+        for kappa, value in self.weights.items():
+            kappa = self.lattice._vector(kappa, "class")
             if value == 0:
                 continue
             cores[kappa] = _int(value, "weights")
-        gens = tuple(generators)
+        gens = tuple(self.lattice._vector(g, "generator") for g in generators)
         pairs = [(kappa, value) for c, value in cores.items()
                  for kappa in _sign_sums(c, gens)]
         w = dict(sorted(pairs, key=_FIRST))
@@ -355,7 +332,7 @@ class BasicClassSet:
     def from_primal(cls, lattice: IntersectionLattice,
                     vectors: Iterable[Sequence[int]]) -> "BasicClassSet":
         """Classes given as primal vectors, each of weight 1 (repeats add up)."""
-        return cls._from_checked(lattice, Counter(map(lattice.dual, vectors)))
+        return cls(lattice, Counter(map(lattice.dual, vectors)))
 
     @property
     def members(self) -> tuple[Vector, ...]:
@@ -370,15 +347,6 @@ class BasicClassSet:
 
 
 # -- pointwise invariants --------------------------------------------------------
-
-
-def _store_squares(lattice: IntersectionLattice, members: Sequence[Vector],
-                   square: int) -> None:
-    """Write one square for each of a built set's members into the lattice's
-    memo, and index each member tuple by its id; the index holds the tuple,
-    so its id is not reused while the lattice lives."""
-    lattice._squares.update(dict.fromkeys(members, square))
-    lattice._stored_ids.update(zip(map(id, members), members))
 
 
 def _square(lattice: IntersectionLattice, kappa: Vector) -> int:
@@ -405,14 +373,10 @@ def d_invariant(model: ManifoldModel, kappa: Sequence[int]) -> int:
 
     Raises when the numerator is not divisible by 4 (an inconsistent model);
     an odd result is returned but flagged with a warning, since for honest
-    closed models the value is even.  A member tuple that a builder stored
-    on the lattice was checked when its set was built, so only that very
-    tuple skips the check; an equal copy takes it.
+    closed models the value is even.
     """
     lattice = model.lattice
-    if lattice._stored_ids.get(id(kappa)) is not kappa:
-        kappa = lattice._vector(kappa)
-    return _d(model, _square(lattice, kappa))
+    return _d(model, _square(lattice, lattice._vector(kappa)))
 
 
 def _require_same_pairing(model: ManifoldModel, beta: BasicClassSet) -> None:
@@ -480,8 +444,8 @@ def blow_up_basic_classes(model: ManifoldModel, beta: BasicClassSet,
     # of E_n ... E_1; in that order the cube comes out sorted
     pad = (0,) * n
     gens = [tuple(-x for x in _unit(r + n, r + j)) for j in reversed(range(n))]
-    out = BasicClassSet._from_checked(
-        lattice, {kappa + pad: w for kappa, w in beta.weights.items()}, gens)
+    out = BasicClassSet(lattice, {kappa + pad: w for kappa, w in beta.weights.items()},
+                        gens)
     try:
         squares = beta.squares()
     except LedgerError:         # squares that do not exist stay uncomputed
@@ -490,7 +454,8 @@ def blow_up_basic_classes(model: ManifoldModel, beta: BasicClassSet,
         # sorted members run core by core, as the E-coordinates come last
         members, size = out.members, 1 << n
         for i, kappa in enumerate(beta.members):
-            _store_squares(lattice, members[i * size:(i + 1) * size], squares[kappa] - n)
+            lattice._squares.update(dict.fromkeys(members[i * size:(i + 1) * size],
+                                                  squares[kappa] - n))
     new_model = ManifoldModel(lattice, model.euler + n, model.signature - n,
                               model.b2plus)
     return new_model, out
@@ -668,7 +633,7 @@ def rational_blowdown_descend(
     new_lat = IntersectionLattice(gram)
     new_model = ManifoldModel(new_lat, model.euler - (p - 1),
                               model.signature + (p - 1), model.b2plus)
-    return new_model, BasicClassSet._from_checked(new_lat, new_weights)
+    return new_model, BasicClassSet(new_lat, new_weights)
 
 
 # -- Alexander polynomials and knot surgery -------------------------------------------
@@ -767,7 +732,7 @@ def knot_surgery_basic_classes(model: ManifoldModel, beta: BasicClassSet,
         for j, aj in alexander.coeffs.items():
             new = tuple(k + 2 * j * t for k, t in zip(kappa, t_dual))
             acc[new] = acc.get(new, 0) + w * aj
-    return BasicClassSet._from_checked(lat, acc)
+    return BasicClassSet(lat, acc)
 
 
 # -- random generation helpers (used by property and acceptance tests) ----------------

@@ -1253,16 +1253,13 @@ def _checks_per_argument(monkeypatch, lattice, call, args):
 
 def test_each_public_entry_checks_each_vector_once(monkeypatch):
     # a public entry checks each vector argument once with the lattice's
-    # _vector; what runs past that check takes the unchecked kernels.  The
-    # one exception is d of the very member tuple a builder stored, which
-    # was checked when its set was built; an equal copy is checked.
+    # _vector; what runs past that check takes the unchecked kernels
     x0 = scenarios.build_X0_model((5,), 4)
     genus, classes, alpha = scenarios.build_genus_model(3)
     member, torus = x0.classes.members[0], x0.torus()
     chain, complement = x0.chain_vectors(0), x0.complement_basis(0)
     assert len(chain) + len(complement) == 15
     H, x, y, z = HYPERBOLIC, [1, 2], [3, -1], [0, 5]
-    I = lat([[1, 0], [0, 1]])               # a dual equal to its vector counts twice
     entries = {
         "dual": (H, lambda: H.dual(x), [x]),
         "dual_square": (H, lambda: H.dual_square(x), [x]),
@@ -1271,11 +1268,7 @@ def test_each_public_entry_checks_each_vector_once(monkeypatch):
         "gram": (H, lambda: H.gram([x, y, z]), [x, y, z]),
         "BasicClassSet": (H, lambda: BasicClassSet(H, {(2, 0): 1, (-2, 0): 1}, [(0, 2)]),
                           [(2, 0), (-2, 0), (0, 2)]),
-        "from_primal": (I, lambda: BasicClassSet.from_primal(I, [(1, 1), (-1, -1)]),
-                        [(1, 1), (-1, -1)]),
-        "d_invariant": (x0.lattice, lambda: d_invariant(x0.model, tuple(list(member))),
-                        [member]),
-        "d_invariant-stored": (x0.lattice, lambda: d_invariant(x0.model, member), [member]),
+        "d_invariant": (x0.lattice, lambda: d_invariant(x0.model, member), [member]),
         "min_genus_bound": (genus.lattice, lambda: min_genus_bound(genus, classes, alpha),
                             [alpha]),
         "adjunction_check": (genus.lattice,
@@ -1286,26 +1279,12 @@ def test_each_public_entry_checks_each_vector_once(monkeypatch):
             x0.model, x0.classes, torus, alexander_polynomial_torus(3, 2)), [torus]),
     }
     counts = {name: _checks_per_argument(monkeypatch, *entry) for name, entry in entries.items()}
-    assert counts == {name: [0 if name == "d_invariant-stored" else 1] * len(args)
-                      for name, (_, _, args) in entries.items()}
-
-
-def test_d_skips_the_check_only_for_the_stored_tuple(monkeypatch):
-    m2, b2 = _count_pipeline(3, 2)
-    kappa = b2.members[-1]
-    copies = {"stored": kappa, "tuple-copy": tuple(list(kappa)), "list": list(kappa)}
-    counts = {name: _checks_per_argument(monkeypatch, m2.lattice,
-                                         lambda: d_invariant(m2, v), [kappa])
-              for name, v in copies.items()}
-    assert counts == {"stored": [0], "tuple-copy": [1], "list": [1]}
-    assert {d_invariant(m2, v) for v in copies.values()} == {0}
-    with pytest.raises(LedgerError, match=f"^{re.escape(_FLOAT_ENTRY)}$"):
-        d_invariant(m2, tuple(map(float, kappa)))
+    assert counts == {name: [1] * len(args) for name, (_, _, args) in entries.items()}
 
 
 def test_ledger_built_sets_match_public_construction():
-    # the builders skip only the type scan of the vectors they checked, so
-    # each set is the one the public constructor builds from its weights
+    # a set sorts its members once, so a builder's set, cube or not, is the
+    # one built from its weights alone, in the same order, of int members
     x0 = scenarios.build_X0_model((5,), 4)
     m1, b1 = rational_blowdown_descend(x0.model, x0.classes, x0.chain_vectors(0),
                                        x0.complement_basis(0))
@@ -1322,7 +1301,6 @@ def test_ledger_built_sets_match_public_construction():
         assert public == out, name
         assert list(public.weights.items()) == list(out.weights.items()), name
         for kappa in out.members:
-            assert out.lattice._vector(kappa, "class") is kappa, name
             assert set(map(type, kappa)) == {int}, name
 
 
@@ -1366,10 +1344,9 @@ def test_every_entry_rejects_a_float_copy(data):
 
 
 def test_only_the_ledger_reaches_its_unchecked_kernels():
-    # the kernels trust their vectors to be checked, and so do the private
-    # constructor and d's index of stored members, so no other module may
-    # name them or the check
-    private = {"_vector", "_dual", "_dual_square", "_gram", "_from_checked", "_stored_ids"}
+    # the kernels trust their vectors to be checked, so no other module
+    # may name them or the check
+    private = {"_vector", "_dual", "_dual_square", "_gram"}
     found = []
     for path in sorted(Path(swledger.__file__).parent.glob("*.py")):
         if path.name == "swledger.py":
