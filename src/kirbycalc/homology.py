@@ -4,17 +4,24 @@ Everything here runs on arbitrary-precision Python integers: Smith normal
 form with its unimodular transforms, canonical (Hermite) kernel bases,
 Bareiss determinants and adjugates, exact inertia of symmetric forms, and
 the homology of a handlebody presented by its run-through and linking data.
-`det` and `adjugate` share one elimination, `_gauss_jordan`, and one sparse
-form kernel, `_matvec` and `_pairings`, serves `homology`'s intersection
-form and the SW ledger's lattice.
+`det` of a symmetric matrix reads the last pivot of inertia's elimination,
+`_symmetric_pivots`; `det` of any other matrix and `adjugate` share
+`_gauss_jordan`.  One sparse form kernel serves `homology`'s intersection
+form and the SW ledger's lattice: `_matvec` takes duals over a vector's
+nonzeros, `_pairings` pairs classes with one vector, and `_form`, the Gram
+kernel, indexes its vectors' nonzeros by column once and sums each dual
+only over the vectors that hold its nonzeros.
 
 Which matrices each entry point builds:
 - `boundary_first_homology` fills one n x n list, the surgery presentation,
   straight from the framings, `d.links` and `d.run_through`, and hands it to
   `_eliminate` without an `IntMatrix`: a decomposition has already
   checked every entry as an integer.
-- `homology` does the same with the run-through differential, then reads
-  the intersection form from the framings and `d.links` on the kernel basis.
+- `homology` does the same with the run-through differential, takes the
+  kernel's row HNF with `hermite_row_basis` (leads by `compress`, rows by
+  `bisect`, so no Python scan over a row), then reads the intersection form
+  on that basis from the framings and `d.links`: one `_matvec` per basis
+  vector and one `_form`.
 - `surgery_presentation`, `linking_matrix` and `run_through_matrix` wrap the
   same lists in a validated `IntMatrix` for callers that want the matrix.
 - `cokernel_invariants`, `kernel_basis` and `smith_normal_form` take an
@@ -31,29 +38,37 @@ their rows of U and columns of V.  Without the row pull-ins a chain kept at
 every pivot needs, entries, U and V stay small enough for dense 40 x 40
 input and plumbing trees of hundreds of handles.
 
-`inertia` runs its own symmetric fraction-free elimination, on one
-triangle:
-- pivot order: a vertex with a nonzero diagonal and the fewest neighbours
-  left, lowest index on ties, read from the nonzero pattern and its fill,
-  so a plumbing tree goes leaf first with no fill; a pattern with no row
-  more than half zeros goes in index order and does no ordering work;
+`inertia` and a symmetric `det` run one symmetric fraction-free
+elimination, `_symmetric_pivots`, on one triangle, in two row forms:
+- pattern phase, while the pattern is sparse: each row is a dict of its
+  nonzeros, and the pivot is a vertex with a nonzero diagonal and the
+  fewest neighbours left, lowest index on ties, read from the nonzero
+  pattern and its fill, so a plumbing tree goes leaf first with no fill and
+  a pivot rewrites only its neighbours' nonzeros.  A zero-diagonal leaf
+  leaves with its neighbour as one hyperbolic pair, which adds no fill;
+- index-order phase, for a pattern with no row more than half zeros and
+  once a pivot has half the vertices left as neighbours: list rows, and the
+  lowest vertex left with a nonzero diagonal, with no ordering work;
 - lazy scaling: a pivot rewrites only the rows it has a nonzero entry in,
   and every other row keeps the pivot it was last written at and is scaled
   by (last pivot) / (its pivot) when next read;
 - exactness: every entry, scaled or updated, is a bordered minor of the
-  pivots taken so far, so each division is exact.
-A 200-vertex plumbing tree takes milliseconds where index-order Bareiss,
-which rewrites the whole trailing block at every pivot, took most of a
-second.
+  pivots taken so far, so each division is exact, and the last pivot is
+  the determinant.
+A 200-vertex plumbing tree takes milliseconds, its inertia and its det,
+where index-order Bareiss, which rewrites the whole trailing block at every
+pivot, took most of a second for the inertia and Gauss-Jordan over a
+second for the det.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from itertools import chain, compress
 from math import prod
-from operator import index, mul
+from operator import index, itemgetter, mul
 from typing import Iterable, Sequence
 
 from .handles import HandleDecomposition
@@ -144,12 +159,13 @@ def _dot(a: Sequence[int], b: Sequence[int]) -> int:
 
 def _matvec(rows: Sequence[Sequence[tuple[int, int]]], x: Sequence[int]) -> list[int]:
     """G x for a symmetric G kept as each row's nonzero (j, g) pairs, scattered
-    over the nonzero entries of x: column j of G is its row j."""
+    over the nonzero entries of x, found by `compress`: column j of G is its
+    row j."""
     out = [0] * len(rows)
-    for j, xj in enumerate(x):
-        if xj:
-            for i, g in rows[j]:
-                out[i] += g * xj
+    for j in compress(range(len(x)), x):
+        xj = x[j]
+        for i, g in rows[j]:
+            out[i] += g * xj
     return out
 
 
@@ -165,10 +181,36 @@ def _pairings(classes: Iterable[Sequence[int]], alpha: Sequence[int]) -> list[in
     return out
 
 
+def _form(vectors: Sequence[Sequence[int]], duals: Iterable[Sequence[int]]) -> list[list[int]]:
+    """[_pairings(vectors, d) for d in duals], each dual summed only over the
+    vectors that hold its nonzero entries: the vectors' nonzeros are indexed
+    by column once, so a row costs the dual's nonzeros times the vectors
+    holding each, not the number of vectors."""
+    columns = range(max(map(len, vectors), default=0))
+    holders: list[list[tuple[int, int]]] = [[] for _ in columns]  # (k, v_k[j]) by j
+    for k, v in enumerate(vectors):
+        for j in compress(columns, v):
+            holders[j].append((k, v[j]))
+    n = len(vectors)
+    out = []
+    for d in duals:
+        row = [0] * n
+        for j in compress(columns, d):
+            a = d[j]
+            for k, x in holders[j]:
+                row[k] += x * a
+        out.append(row)
+    return out
+
+
 def det(m: IntMatrix) -> int:
-    """Exact determinant by fraction-free (Bareiss) elimination."""
+    """Exact determinant by fraction-free (Bareiss) elimination: the last
+    pivot of `_symmetric_pivots` for a symmetric matrix, so a plumbing tree
+    costs its nonzeros, and `_gauss_jordan` otherwise."""
     if m.rows != m.cols:
         raise ValueError("determinant of a non-square matrix")
+    if m.is_symmetric():
+        return _symmetric_pivots(m.to_lists())[3]
     return _gauss_jordan(m.to_lists(), m.rows)
 
 
@@ -461,45 +503,47 @@ def hermite_row_basis(vectors: Iterable[Sequence[int]], width: int) -> tuple[tup
 
     Pivots are positive, entries above each pivot are reduced into
     [0, pivot), and rows are sorted by pivot column, so the result is a
-    deterministic function of the spanned lattice.
+    deterministic function of the spanned lattice.  A vector's lead is found
+    by `compress` and its row by `bisect`, and a row step rewrites only the
+    columns from the lead on, as both rows are zero left of it.  The final
+    reduction reads each pivot column of the rows above once and rewrites
+    only the rows whose entry there is out of range.
     """
     rows: list[list[int]] = []
     pivots: list[int] = []
+    columns = range(width)
     for vec in vectors:
         v = list(vec)
         if len(v) != width:
             raise ValueError("vector width mismatch")
-        while True:
-            lead = next((j for j, x in enumerate(v) if x), None)
-            if lead is None:
-                break
-            k = 0
-            while k < len(pivots) and pivots[k] < lead:
-                k += 1
-            if k < len(pivots) and pivots[k] == lead:
-                r = rows[k]
-                a, b = r[lead], v[lead]
-                if b % a == 0:
-                    q = b // a
-                    v = [x - q * y for x, y in zip(v, r)]
-                else:
-                    a, b, c, d = _euclid_run(a, b)
-                    rows[k] = [a * x + b * y for x, y in zip(r, v)]
-                    v = [c * x + d * y for x, y in zip(r, v)]
-            else:
+        lead = next(compress(columns, v), None)
+        while lead is not None:
+            k = bisect_left(pivots, lead)
+            if k == len(pivots) or pivots[k] != lead:
                 rows.insert(k, v)
                 pivots.insert(k, lead)
                 break
-    for k in range(len(rows)):
-        if rows[k][pivots[k]] < 0:
-            rows[k] = [-x for x in rows[k]]
-    for k in range(len(rows)):
-        for j in range(k):
-            piv = rows[k][pivots[k]]
-            q = rows[j][pivots[k]] // piv
+            r = rows[k]
+            a, b = r[lead], v[lead]
+            if b % a == 0:
+                q = b // a
+                v[lead:] = [x - q * y for x, y in zip(v[lead:], r[lead:])]
+            else:
+                a, b, c, d = _euclid_run(a, b)
+                r[lead:], v[lead:] = ([a * x + b * y for x, y in zip(r[lead:], v[lead:])],
+                                      [c * x + d * y for x, y in zip(r[lead:], v[lead:])])
+            lead = next(compress(columns, v), None)
+    for r, p in zip(rows, pivots):
+        if r[p] < 0:
+            r[p:] = [-x for x in r[p:]]
+    for k, (r, p) in enumerate(zip(rows, pivots)):
+        piv = r[p]
+        for j in compress(range(k), map(itemgetter(p), rows)):
+            above = rows[j]
+            q = above[p] // piv
             if q:
-                rows[j] = [x - q * y for x, y in zip(rows[j], rows[k])]
-    return tuple(tuple(r) for r in rows)
+                above[p:] = [x - q * y for x, y in zip(above[p:], r[p:])]
+    return tuple(map(tuple, rows))
 
 
 def kernel_basis(m: IntMatrix) -> tuple[tuple[int, ...], ...]:
@@ -509,22 +553,32 @@ def kernel_basis(m: IntMatrix) -> tuple[tuple[int, ...], ...]:
 
 
 def inertia(m: IntMatrix) -> tuple[int, int, int]:
-    """(positive, negative, zero) inertia indices of a symmetric form.
+    """(positive, negative, zero) inertia indices of a symmetric form, read
+    from `_symmetric_pivots`.  The triple is Sylvester's, so it does not
+    depend on the pivot order or on the congruences taken."""
+    if not m.is_symmetric():
+        raise ValueError("inertia needs a symmetric matrix")
+    pos, neg, zero, _ = _symmetric_pivots(m.to_lists())
+    return pos, neg, zero
 
-    One symmetric fraction-free (Bareiss) elimination.  With S the vertices
-    eliminated so far and `prev` the last pivot, det M[S, S] (of M after the
-    congruences below), every entry (j, k) left is the bordered minor
-    det M[S + j, S + k]: each update (d x - f y) / prev divides exactly, and
-    the step's LDL^T pivot is d / prev, whose sign is counted.
-    - Order: the next pivot is a vertex with a nonzero diagonal and the
-      fewest neighbours left, lowest index on ties, read from the nonzero
-      pattern and the fill each pivot adds (a heap of (neighbours, vertex)).
-      A plumbing tree is eliminated leaf first with no fill.  The order is
-      kept while the pattern is sparse: from the start if some row is more
-      than half zeros, and until a pivot has at least half the vertices left
-      as neighbours.  After that, and for a matrix with no row more than
-      half zeros, the pivot is the lowest vertex left with a nonzero
-      diagonal, with no ordering work.
+
+def _symmetric_pivots(a: list[list[int]]) -> tuple[int, int, int, int]:
+    """(positive, negative, zero, det) of the symmetric matrix with rows `a`,
+    by one symmetric fraction-free (Bareiss) elimination that overwrites `a`.
+
+    With S the vertices eliminated so far and `prev` the last pivot,
+    det M[S, S] (of M after the congruences below), every entry (j, k) left
+    is the bordered minor det M[S + j, S + k]: each update (d x - f y) / prev
+    divides exactly, and the step's LDL^T pivot is d / prev, whose sign is
+    counted.  At the end `prev` is det M, or det is 0 once a zero row was
+    counted; a symmetric permutation and the congruences keep det.
+    - Order: while the pattern is sparse, `_by_pattern` takes pivots by
+      fewest neighbours left on dict rows of nonzeros; from the start if
+      some row is more than half zeros, and until a pivot has at least half
+      the vertices left as neighbours.  After that, and for a matrix with no
+      row more than half zeros, the pivot is the lowest vertex left with a
+      nonzero diagonal, on list rows, with no ordering work, and every
+      vertex left is its neighbour.
     - One triangle: row i keeps its entries from column i on; (j, k) is
       read from the row of min(j, k), and the pivot's row stands for its
       column (f = y[j]).
@@ -534,72 +588,42 @@ def inertia(m: IntMatrix) -> tuple[int, int, int]:
       when next read.  That division is exact too: the scaled entry is the
       bordered minor of the current S.
     When every diagonal left is zero, the lowest vertex i left takes row and
-    column j added, j its lowest neighbour, which makes its diagonal 2 a_ij;
-    with no neighbour, i is a zero row and counts toward `zero`.  Both are
-    congruences among the vertices left, which commute with the
-    elimination.  The triple is Sylvester's, so it does not depend on the
-    order.
+    column j added, j its lowest neighbour with an entry, which makes its
+    diagonal 2 a_ij; with no such neighbour, i is a zero row and counts
+    toward `zero`.  Both are congruences among the vertices left, which
+    commute with the elimination.
     """
-    if not m.is_symmetric():
-        raise ValueError("inertia needs a symmetric matrix")
-    n = m.rows
-    a: list[list[int] | None] = m.to_lists()  # None once gone (pattern order)
+    n = len(a)
     level = [1] * n
-    left = list(range(n))                     # the vertices left, ascending
-    adj: list[set[int]] | None = None         # neighbours; None in index order
-    if n and 2 * max(map(list.count, a, [0] * n)) > n:
-        adj = [set(compress(range(n), row)) - {i} for i, row in enumerate(a)]
-        ready = [(len(adj[i]), i) for i in left if a[i][i]]
-        heapify(ready)
+    left = list(range(n))       # the vertices left, ascending
     pos = neg = zero = 0
     prev = 1
+    if n and 2 * max(map(list.count, a, [0] * n)) > n:
+        pos, neg, zero, prev = _by_pattern(a, level, left)
     while left:
-        if adj is None:
-            p = left[0]
-            if a[p][p]:
-                del left[0]
-                lower = ()
-            else:
-                p = next((i for i in left if a[i][i]), None)
-                if p is not None:
-                    lower = left[:left.index(p)]
-                    left.remove(p)
-            nbrs = left
+        p = left[0]
+        lower = ()
+        if a[p][p]:
+            del left[0]
         else:
-            p = None
-            while ready:
-                deg, i = heappop(ready)
-                if a[i] and a[i][i] and deg == len(adj[i]):
-                    p = i
-                    left.remove(p)
-                    nbrs = adj[p]
-                    lower = [k for k in nbrs if k < p]
-                    break
-        if p is None:  # every diagonal left is zero
-            for k in left:
-                if level[k] != prev:
-                    _rescale(a[k], k, level[k], prev)
-                    level[k] = prev
-            p = left.pop(0)
-            row = a[p]
-            j = next((k for k in (left if adj is None else sorted(adj[p])) if row[k]), None)
-            if j is None:
-                zero += 1
-                a[p] = None
-                if adj is not None:
-                    for k in adj[p]:
-                        adj[k].discard(p)
-                continue
-            for k in left:  # row and column j onto i; a_jj = 0
-                row[k] += a[j][k] if j <= k else a[k][j]
-            row[p] = 2 * row[j]
-            if adj is not None:
-                adj[p] |= adj[j]
-                adj[p].discard(p)
-                for k in adj[j] - {p}:
-                    adj[k].add(p)
-            lower = ()
-            nbrs = left if adj is None else adj[p]
+            p = next((i for i in left if a[i][i]), None)
+            if p is None:  # every diagonal left is zero
+                for k in left:
+                    if level[k] != prev:
+                        _rescale(a[k], k, level[k], prev)
+                        level[k] = prev
+                p = left.pop(0)
+                row = a[p]
+                j = next((k for k in left if row[k]), None)
+                if j is None:
+                    zero += 1
+                    continue
+                for k in left:  # row and column j onto p; a_jj = 0
+                    row[k] += a[j][k] if j <= k else a[k][j]
+                row[p] = 2 * row[j]
+            else:
+                lower = left[:left.index(p)]
+                left.remove(p)
         y = a[p]  # the pivot's row and, by symmetry, its column
         if level[p] != prev:
             _rescale(y, p, level[p], prev)
@@ -613,7 +637,7 @@ def inertia(m: IntMatrix) -> tuple[int, int, int]:
             pos += 1
         else:
             neg += 1
-        for j in nbrs:
+        for j in left:
             f = y[j]
             if f:
                 row = a[j]
@@ -626,16 +650,130 @@ def inertia(m: IntMatrix) -> tuple[int, int, int]:
                                for x, v in zip(row[j:], y[j:])]
                 level[j] = d
         prev = d
-        if adj is not None:  # the pivot's neighbours become a clique
-            a[p] = None
-            for j in nbrs:
-                adj[j] |= nbrs
-                adj[j] -= {j, p}
-                if a[j][j]:
-                    heappush(ready, (len(adj[j]), j))
-            if 2 * len(nbrs) >= len(left):
-                adj = None
-    return pos, neg, zero
+    return pos, neg, zero, 0 if zero else prev
+
+
+def _by_pattern(a: list[list[int]], level: list[int], left: list[int]
+                ) -> tuple[int, int, int, int]:
+    """The pattern phase of `_symmetric_pivots`: (positive, negative, zero,
+    last pivot) of the pivots it takes.
+
+    Row i is a dict of its nonzero entries from column i on, so a pivot
+    rewrites only its neighbours' nonzeros, and the pivot's column is popped
+    out of the rows above it as it is read.  The next pivot is a vertex with
+    a nonzero diagonal and the fewest neighbours left, lowest index on ties,
+    read from the nonzero pattern and the fill each pivot adds (a heap of
+    (neighbours, vertex)); a plumbing tree goes leaf first with no fill.
+    The same heap takes a zero-diagonal vertex i with at most one neighbour:
+    with none, or a zero entry, i is a zero row; with an entry x, i leaves
+    with its neighbour j as one hyperbolic pair, counted (+1, -1).  i's
+    column is zero but for j, and the inverse of the 2 x 2 block is zero in
+    j's corner, so the Schur complement of the rest is unchanged and no fill
+    is added; only the level moves, to det M[S + i + j] = -x^2 / prev, which
+    divides exactly.  Once a pivot has at least half the vertices left as
+    neighbours, the rows left are written out as lists, at their levels, for
+    the index-order loop.
+    """
+    n = len(a)
+    adj = [set(compress(range(n), row)) - {i} for i, row in enumerate(a)]
+    rows: list[dict[int, int] | None] = [
+        {k: row[k] for k in compress(range(i, n), row[i:])} for i, row in enumerate(a)]
+    ready = [(len(adj[i]), i) for i in left if rows[i].get(i) or len(adj[i]) < 2]
+    heapify(ready)
+    pos = neg = zero = 0
+    prev = 1
+    while left:
+        p = None
+        while ready:
+            deg, i = heappop(ready)
+            if rows[i] is not None and deg == len(adj[i]) and (rows[i].get(i) or deg < 2):
+                p = i
+                break
+        if p is None:  # every diagonal left is zero, every degree at least 2
+            for k in left:
+                if level[k] != prev:
+                    s = level[k]
+                    rows[k] = {c: x * prev // s for c, x in rows[k].items()}
+                    level[k] = prev
+            p = left[0]
+            row = rows[p]
+            j = min((k for k in adj[p] if row.get(k)), default=None)
+            if j is not None:  # row and column j onto p; a_jj = 0, and p < k for all k
+                for k in adj[j] - {p}:
+                    x = rows[j].get(k) if j < k else rows[k].get(j)
+                    if x:
+                        row[k] = row.get(k, 0) + x
+                    adj[k].add(p)
+                row[p] = 2 * row[j]
+                adj[p] |= adj[j]
+                adj[p].discard(p)
+        left.remove(p)
+        if not rows[p].get(p):  # a zero row, or a zero leaf and its neighbour
+            x = 0
+            if len(adj[p]) == 1:
+                j, = adj[p]
+                lo, hi = min(p, j), max(p, j)
+                x = rows[lo].get(hi, 0) * prev // level[lo]
+            if x:
+                pos += 1
+                neg += 1
+                prev = -x * x // prev
+                left.remove(j)
+                gone = (p, j)
+            else:
+                zero += 1
+                gone = (p,)
+            for g in gone:
+                rows[g] = None
+            for g in gone:
+                for k in adj[g]:
+                    if rows[k] is not None:
+                        adj[k].discard(g)
+                        rows[k].pop(g, None)
+                        if rows[k].get(k) or len(adj[k]) < 2:
+                            heappush(ready, (len(adj[k]), k))
+            continue
+        s = level[p]
+        y = rows[p] if s == prev else {k: x * prev // s for k, x in rows[p].items()}
+        rows[p] = None
+        nbrs = adj[p]
+        for k in nbrs:
+            if k < p:
+                x = rows[k].pop(p, 0)
+                if x:
+                    y[k] = x if level[k] == prev else x * prev // level[k]
+        d = y.pop(p)
+        if (d > 0) == (prev > 0):
+            pos += 1
+        else:
+            neg += 1
+        for j in nbrs:
+            f = y.get(j)
+            if f:
+                row, s = rows[j], level[j]
+                if s == prev:
+                    new = {k: (d * x - f * y.get(k, 0)) // prev for k, x in row.items()}
+                else:
+                    dp = d * prev
+                    new = {k: (dp * x // s - f * y.get(k, 0)) // prev for k, x in row.items()}
+                for k, v in y.items():  # fill
+                    if k >= j and k not in new:
+                        new[k] = -f * v // prev
+                rows[j] = new
+                level[j] = d
+            nb = adj[j]  # the pivot's neighbours become a clique
+            nb |= nbrs
+            nb -= {j, p}
+            if rows[j].get(j) or len(nb) < 2:
+                heappush(ready, (len(nb), j))
+        prev = d
+        if 2 * len(nbrs) >= len(left):
+            break
+    for i in left:
+        a[i] = [0] * n
+        for k, x in rows[i].items():
+            a[i][k] = x
+    return pos, neg, zero, prev
 
 
 def _rescale(row: list[int], i: int, lvl: int, prev: int) -> None:
@@ -739,7 +877,7 @@ def homology(d: HandleDecomposition) -> HomologyProfile:
         i, j = index[a], index[b]
         linking[i].append((j, lk))
         linking[j].append((i, lk))
-    form = [_pairings(basis, _matvec(linking, b)) for b in basis]
+    form = _form(basis, (_matvec(linking, b) for b in basis))
     return HomologyProfile(torsion, len(d.one_handles) - rank, len(basis),
                            IntMatrix.from_rows(form, cols=len(basis)), basis)
 

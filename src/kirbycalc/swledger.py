@@ -11,8 +11,9 @@ adjugate takes one factorization per connected block of the pairing, and
 pairing rows are kept as their nonzero entries: the model pairings are
 direct sums of small blocks, so duals, squares and characteristic checks
 cost the nonzeros, not the square of the rank.  Squares take homology's
-`adjugate`, and duals and pairings its sparse form kernel, `_matvec` and
-`_pairings`; `dual_square` keeps its own fused loop over the adjugate.
+`adjugate`, and duals, pairings and Gram matrices its sparse form kernel,
+`_matvec`, `_pairings` and `_form`; `dual_square` keeps its own fused loop
+over the adjugate.
 
 Basic-class sets are built and checked per sign cube, not per member: a
 set is cores times the signs of its generators (the E-cube of a blow-up,
@@ -60,7 +61,7 @@ from operator import add, index, itemgetter, neg
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .homology import IntMatrix, _dot, _matvec, _pairings, adjugate
+from .homology import IntMatrix, _dot, _form, _matvec, _pairings, adjugate
 
 Vector = tuple[int, ...]
 
@@ -195,13 +196,14 @@ class IntersectionLattice:
     def gram(self, vectors: Sequence[Sequence[int]]) -> IntMatrix:
         """Pairing matrix <v_i, v_j> of primal vectors, one dual per vector.
 
-        Row i pairs every v_j with the nonzero entries of the dual of v_i.
+        Row i sums the dual of v_i over the v_j that hold its nonzero
+        entries (`_form`).
         """
         return self._gram([self._vector(v) for v in vectors])
 
     def _gram(self, vectors: Sequence[Vector]) -> IntMatrix:
-        duals = [self._dual(v) for v in vectors]
-        return IntMatrix.from_rows([_pairings(vectors, gv) for gv in duals], len(duals))
+        return IntMatrix.from_rows(_form(vectors, [self._dual(v) for v in vectors]),
+                                   len(vectors))
 
     @cached_property
     def _rows(self) -> tuple[tuple[tuple[int, int], ...], ...]:

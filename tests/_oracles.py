@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 from kirbycalc.handles import HandleDecomposition
-from kirbycalc.homology import IntMatrix, _pairings
+from kirbycalc.homology import IntMatrix, _euclid_run, _pairings
 from kirbycalc.legendrian import FrontDiagram, FrontError, FrontEvent, parse_front, torus_knot_front
 from kirbycalc.scenarios import ScenarioError
 from kirbycalc.swledger import AdjunctionReport
@@ -255,6 +255,51 @@ def tree_inertia(d: HandleDecomposition) -> tuple[int, int, int]:
     if not all(gone):
         raise ValueError("the linking graph is not a forest")
     return counts[0], counts[1], counts[2]
+
+
+def hermite_by_scans(vectors, width: int) -> tuple[tuple[int, ...], ...]:
+    """Row HNF of the lattice spanned by `vectors`, the way
+    `homology.hermite_row_basis` built it before it took leads by
+    `compress` and rows by `bisect`, kept as written: each lead and each row
+    position is found by a Python scan, every row step rewrites whole rows,
+    and the final reduction reads every row above every pivot."""
+    rows: list[list[int]] = []
+    pivots: list[int] = []
+    for vec in vectors:
+        v = list(vec)
+        if len(v) != width:
+            raise ValueError("vector width mismatch")
+        while True:
+            lead = next((j for j, x in enumerate(v) if x), None)
+            if lead is None:
+                break
+            k = 0
+            while k < len(pivots) and pivots[k] < lead:
+                k += 1
+            if k < len(pivots) and pivots[k] == lead:
+                r = rows[k]
+                a, b = r[lead], v[lead]
+                if b % a == 0:
+                    q = b // a
+                    v = [x - q * y for x, y in zip(v, r)]
+                else:
+                    a, b, c, d = _euclid_run(a, b)
+                    rows[k] = [a * x + b * y for x, y in zip(r, v)]
+                    v = [c * x + d * y for x, y in zip(r, v)]
+            else:
+                rows.insert(k, v)
+                pivots.insert(k, lead)
+                break
+    for k in range(len(rows)):
+        if rows[k][pivots[k]] < 0:
+            rows[k] = [-x for x in rows[k]]
+    for k in range(len(rows)):
+        for j in range(k):
+            piv = rows[k][pivots[k]]
+            q = rows[j][pivots[k]] // piv
+            if q:
+                rows[j] = [x - q * y for x, y in zip(rows[j], rows[k])]
+    return tuple(tuple(r) for r in rows)
 
 
 def inertia_by_bareiss(m: IntMatrix) -> tuple[int, int, int]:

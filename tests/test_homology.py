@@ -23,6 +23,8 @@ from kirbycalc.acceptance import _minor_gcds
 from kirbycalc.handles import HandleDecomposition
 from kirbycalc.homology import (
     IntMatrix,
+    _form,
+    _pairings,
     adjugate,
     boundary_first_homology,
     boundary_group_order,
@@ -38,9 +40,9 @@ from kirbycalc.homology import (
     smith_normal_form,
     surgery_presentation,
 )
-from _oracles import (det_rational, diagonalize_stepwise, inertia_by_bareiss, invert_rational,
-                      rank_mod, surgery_presentation_by_blocks, tree_det, tree_inertia,
-                      tree_plumbing)
+from _oracles import (det_rational, diagonalize_stepwise, hermite_by_scans, inertia_by_bareiss,
+                      invert_rational, rank_mod, surgery_presentation_by_blocks, tree_det,
+                      tree_inertia, tree_plumbing)
 from test_handles import cp_chain, nn_model, wn_model
 
 
@@ -260,16 +262,31 @@ def test_inertia_dense_60_within_budget():
     assert det(m) != 0
 
 
+def _forest(rng, n, framings):
+    """A `tree_plumbing` draw with about a fifth of its links cut."""
+    d = tree_plumbing(rng, n, framings)
+    return HandleDecomposition(two_handles=d.two_handles,
+                               links={k: v for k, v in d.links.items() if rng.random() > 0.2})
+
+
 def test_inertia_matches_index_order_bareiss():
-    """The pivot order, lazy rows and one triangle change no triple: the
-    index-order Bareiss loop agrees on the seeded forms, on plumbing trees
-    with and without 0 framings, and on dense forms shaped like the
-    benchmark's (a + a^T, entries of a in [-9, 9])."""
+    """The pivot order, dict rows, lazy rows, one triangle and hyperbolic
+    pairs change no triple: the index-order Bareiss loop agrees on the
+    seeded forms, on plumbing trees with and without 0 framings, on
+    zero-framed and mixed forests, and on dense forms shaped like the
+    benchmark's (a + a^T, entries of a in [-9, 9]).  `det` reads the same
+    elimination's last pivot, and agrees with the Gauss-Jordan loop on
+    every form up to 30 vertices and with the subtree recursion on trees."""
+    H = import_module("kirbycalc.homology")
     forms = [IntMatrix.from_rows(a, len(a)) for a in _seeded_forms(400, 36)]
+    trees = []
     for n in range(10, 61):
-        forms.append(linking_matrix(tree_plumbing(random.Random(n), n)))
-        forms.append(linking_matrix(tree_plumbing(random.Random(n), n, range(-6, 7))))
-        forms.append(linking_matrix(tree_plumbing(random.Random(n), n, (-1, 0, 0, 1))))
+        trees.append(tree_plumbing(random.Random(n), n))
+        trees.append(tree_plumbing(random.Random(n), n, range(-6, 7)))
+        trees.append(tree_plumbing(random.Random(n), n, (-1, 0, 0, 1)))
+        trees.append(tree_plumbing(random.Random(n), n, (0,)))
+    forms += [linking_matrix(_forest(random.Random(n), n, framings))
+              for n in range(10, 31) for framings in ((0,), (-1, 0, 0, 1), (-2, 0, 2))]
     rng = random.Random(36)
     for n in range(4, 21):
         for _ in range(5):
@@ -278,6 +295,11 @@ def test_inertia_matches_index_order_bareiss():
                                               for i in range(n)]))
     for m in forms:
         assert inertia(m) == inertia_by_bareiss(m), m
+        assert det(m) == H._gauss_jordan(m.to_lists(), m.rows), m
+    for d in trees:
+        m = linking_matrix(d)
+        assert inertia(m) == inertia_by_bareiss(m), d
+        assert det(m) == tree_det(d), d
 
 
 def test_tree_inertia_oracle_matches_charpoly_and_inertia():
@@ -310,6 +332,38 @@ def test_inertia_tree_200_within_budget():
         times.append(time.perf_counter() - start)
     assert got == tree_inertia(d)
     assert min(times) < 0.1, times
+
+
+def test_zero_framed_tree_200_within_budget():
+    """The all-zero-framed 200-vertex tree in under 0.02 s, best of 3: each
+    zero leaf leaves with its neighbour as a hyperbolic pair, where the
+    congruence that makes a diagonal nonzero joined whole neighbourhoods
+    (0.06 s)."""
+    d = tree_plumbing(random.Random(200), 200, framings=(0,))
+    m = linking_matrix(d)
+    times = []
+    for _ in range(3):
+        start = time.perf_counter()
+        got = inertia(m)
+        times.append(time.perf_counter() - start)
+    assert got == tree_inertia(d)
+    assert min(times) < 0.02, times
+
+
+@pytest.mark.parametrize("n", [200, 400])
+def test_tree_det_within_budget(n):
+    """det of an n-vertex plumbing tree in under 0.05 s, best of 3: a
+    symmetric matrix takes the inertia elimination, leaf first, where
+    Gauss-Jordan Bareiss took over a second at n = 200."""
+    d = tree_plumbing(random.Random(n), n)
+    m = linking_matrix(d)
+    times = []
+    for _ in range(3):
+        start = time.perf_counter()
+        got = det(m)
+        times.append(time.perf_counter() - start)
+    assert got == tree_det(d)
+    assert min(times) < 0.05, times
 
 
 # The Smith layer's budget rung: each call must finish in under 1 s.  It runs
@@ -401,6 +455,44 @@ def test_hermite_basis_is_canonical():
     a = hermite_row_basis([(2, 4), (3, 6)], 2)
     b = hermite_row_basis([(3, 6), (2, 4), (5, 10)], 2)
     assert a == b == ((1, 2),)
+
+
+@st.composite
+def _vector_lists(draw):
+    """(width, vectors, more vectors), width 0 to 8: dense, sparse (about
+    three entries in ten nonzero) or no vectors, the last of them the sum
+    of the first two when there are three or more (rank-deficient)."""
+    width = draw(st.integers(0, 8))
+    kind = draw(st.sampled_from(("dense", "sparse", "empty")))
+    entry = st.integers(-6, 6)
+    if kind == "sparse":
+        entry = entry.map(lambda x: x if abs(x) > 4 else 0)
+    rows = st.lists(st.lists(entry, min_size=width, max_size=width),
+                    max_size=0 if kind == "empty" else 8)
+    vectors, more = draw(rows), draw(rows)
+    if len(vectors) >= 3:
+        vectors[-1] = [x + y for x, y in zip(vectors[0], vectors[1])]
+    return width, vectors, more
+
+
+@settings(max_examples=200, deadline=None)
+@given(_vector_lists())
+@example((0, [[], []], [[]]))
+@example((3, [], [[1, 2, 3]]))
+def test_form_matches_pairings(case):
+    _, vectors, duals = case
+    assert _form(vectors, duals) == [_pairings(vectors, d) for d in duals]
+    assert _form(vectors, vectors) == [_pairings(vectors, d) for d in vectors]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_vector_lists())
+@example((0, [[], []], []))
+@example((4, [[0, 2, 4, 6], [0, 3, 6, 9], [0, 5, 10, 15]], []))
+def test_hermite_matches_the_scanning_loop(case):
+    width, vectors, more = case
+    assert hermite_row_basis(vectors, width) == hermite_by_scans(vectors, width)
+    assert hermite_row_basis(vectors + more, width) == hermite_by_scans(vectors + more, width)
 
 
 def test_kernel_of_zero_row_matrix_is_identity():
